@@ -70,19 +70,9 @@ def _atlas_rows(max_rank: int, search_bound: int) -> list[dict]:
         if criterion.central_value(cm, criterion.weyl_vector(cm)) != g:
             raise LoopAtlasError(f"central value of the unit functional is not {g} for {cm.label}")
         certs = parabolic.maximal_certificates(cm, search_bound)
-        levis = []
-        for cert in certs:
-            p = parabolic.ParabolicSubset(ambient=cm, nodes=cert.theta)
-            lt = parabolic.levi_type(p)
+        for cert, lt in zip(certs, parabolic.maximal_levi_types(cm)):
             if sum(rank for _, rank in lt.components) != len(cert.theta):
                 raise LoopAtlasError(f"Levi ranks do not partition the subset for {cm.label}")
-            levis.append(lt)
-        for cert, lt in zip(certs, levis):
-            clones = sum(
-                1
-                for other in levis
-                if other is not lt and other.components == lt.components
-            )
             rows.append(
                 {
                     "type": cm.label,
@@ -93,7 +83,7 @@ def _atlas_rows(max_rank: int, search_bound: int) -> list[dict]:
                     "convergence_threshold": -2 * g,
                     "continuation_threshold": -g,
                     "self_associate": cert.self_associate,
-                    "trivial_constant_term": (not cert.self_associate) and clones == 0,
+                    "trivial_constant_term": parabolic.constant_term_report(cert).trivial,
                     "search_bound": cert.search_bound,
                     "searched": cert.searched,
                 }

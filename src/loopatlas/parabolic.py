@@ -12,6 +12,7 @@ bounded breadth-first search is corroboration, not the proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,15 +150,26 @@ def _scan(cm: CartanMatrix, removed: tuple[int, ...], bound: int):
     """Breadth-first witness scan shared by all verdicts over one ambient.
 
     Returns (searched, hits) where hits maps each omitted 0-based node to
-    the list of witness matrices found, in search order.
+    the list of witness elements found, in search order (shortest first,
+    then lexicographic in the canonical word).  A witness sends every kept
+    simple root to a simple root, so its height vector is 1 there and
+    negative at the omitted node; the few elements passing that test are
+    re-checked exactly on their action matrices.
     """
+    n = cm.size
     searched = 0
-    hits: dict[int, list[np.ndarray]] = {c: [] for c in removed}
-    for _length, batch in weyl._levels(cm, bound):
-        searched += batch.shape[0]
-        for c, mask in _witness_masks(batch, removed).items():
-            if mask.any():
-                hits[c].extend(batch[mask])
+    hits: dict[int, list[weyl.WeylElement]] = {c: [] for c in removed}
+    for _length, heights, words in weyl._levels(cm, bound):
+        searched += heights.shape[0]
+        ones = (heights == 1).sum(axis=1)
+        for c in removed:
+            rows = np.flatnonzero((ones == n - 1) & (heights[:, c] < 0))
+            if rows.shape[0] == 0:
+                continue
+            candidates = [weyl.from_word(cm, words[r].tolist()) for r in rows]
+            batch = np.array([w.matrix for w in candidates], dtype=np.int64)
+            mask = _witness_masks(batch, (c,))[c]
+            hits[c].extend(w for w, ok in zip(candidates, mask) if ok)
     return searched, hits
 
 
@@ -238,7 +250,8 @@ def finite_self_associate(
 ) -> AssociateCertificate:
     """Witness search over a finite irreducible ambient, full group by
     default.  Here both verdicts occur; the witness, when present, is the
-    first found in breadth-first order."""
+    one with the least canonical word (lexicographically) among the
+    witnesses of the shortest length that has any."""
     if cm.is_affine:
         raise InvalidCartanMatrixError("ambient must be finite")
     if not cartan.irreducible(cm):
@@ -252,30 +265,26 @@ def finite_self_associate(
     bound = max_length if max_length is not None else len(roots.positive_roots(cm))
     searched, hits = _scan(cm, (removed_node - 1,), bound)
     found = hits[removed_node - 1]
-    witness = None
-    if found:
-        matrix = weyl.matrix_tuple(found[0])
-        witness = weyl.WeylElement(
-            ambient=cm, word=weyl.word_from_matrix(cm, matrix), matrix=matrix
-        )
+    witness = found[0] if found else None
     return _certificate(cm, removed_node, witness, bound, searched)
 
 
-def constant_term_is_trivial(p: ParabolicSubset, search_bound: int = 0) -> ConstantTermReport:
-    """A maximal subset admits only the trivial constant-term contribution
-    when it is not self-associate and no other maximal subset matches its
-    Levi component multiset.
+@lru_cache(maxsize=64)
+def maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
+    """Levi type of every maximal subset, in omitted-node order; classified
+    once per ambient."""
+    return tuple(levi_type(p) for p in maximal_parabolics(cm))
 
-    The default search bound is 0 because the verdict rests on the
-    structural obstruction; raise it to corroborate by search.
-    """
-    cert = is_self_associate(p, search_bound)
-    mine = levi_type(p).components
-    matches = []
-    for q in maximal_parabolics(p.ambient):
-        if q.nodes == p.nodes:
-            continue
-        matches.append((q.removed[0], levi_type(q).components == mine))
+
+def constant_term_report(cert: AssociateCertificate) -> ConstantTermReport:
+    """The constant-term rule on the certificate of a maximal subset: the
+    contribution is trivial when the subset is not self-associate and no
+    other maximal subset matches its Levi component multiset."""
+    levis = maximal_levi_types(cert.ambient)
+    mine = levis[cert.removed_node - 1].components
+    matches = tuple(
+        (q, levis[q - 1].components == mine) for q in cert.ambient.nodes if q != cert.removed_node
+    )
     any_match = any(flag for _, flag in matches)
     trivial = not cert.self_associate and not any_match
     if trivial:
@@ -288,9 +297,19 @@ def constant_term_is_trivial(p: ParabolicSubset, search_bound: int = 0) -> Const
     return ConstantTermReport(
         trivial=trivial,
         certificate=cert,
-        levi_matches=tuple(matches),
+        levi_matches=matches,
         reason=reason,
     )
+
+
+def constant_term_is_trivial(p: ParabolicSubset, search_bound: int = 0) -> ConstantTermReport:
+    """Constant-term rule (see ``constant_term_report``) for a maximal
+    subset.
+
+    The default search bound is 0 because the verdict rests on the
+    structural obstruction; raise it to corroborate by search.
+    """
+    return constant_term_report(is_self_associate(p, search_bound))
 
 
 # --- serialization ----------------------------------------------------------

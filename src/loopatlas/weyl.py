@@ -7,10 +7,14 @@ first.  Concretely ``from_word(cm, (i, j))`` acts as the node-i reflection
 applied to the image under the node-j reflection reading right to left;
 its action matrix is the product S_i S_j.
 
-The breadth-first level engine is vectorized with numpy int64 batches.
-New products of length k + 1 can only coincide with elements of length
-k - 1 (lengths change by exactly one per generator), so deduplication
-keeps a single previous level.
+The canonical word of w (what ``word_from_matrix`` extracts) ends in the
+smallest right descent i of w, the smallest node with w·α_i negative, and
+continues leftward with the canonical word of w·s_i.  The breadth-first
+level engine keeps per element only that word and the height vector
+h_j = ht(w·α_j), all ones at the identity.  Right multiplication by s_i
+maps h to h - h_i·A[:, i] and lengthens w exactly when h_i > 0; keeping
+w·s_i only when i is its smallest right descent yields every element
+once, from the parent its canonical word names, with no deduplication.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import InvalidSubsetError, LoopAtlasError, MixedAmbientError
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-_KEY_LIMIT = 32000  # compact dedup keys are int16
+_CHUNK = 1 << 12  # parents per expansion step; bounds the (chunk, n, n) scratch array
 
 
 @dataclass(frozen=True)
@@ -161,22 +165,22 @@ def inverse(w: WeylElement) -> WeylElement:
     return from_word(w.ambient, tuple(reversed(w.word)))
 
 
-def inversions(w: WeylElement, depth: int | None = None) -> tuple[Coords, ...]:
-    """Positive (real) root vectors sent negative.
+def inversions(w: WeylElement) -> tuple[Coords, ...]:
+    """Positive (real) root vectors sent negative, sorted by height then
+    lexicographically.
 
-    For an affine ambient only levels up to ``depth`` are inspected
-    (default three times the length plus one, generous for the word sizes
-    this is used at); the inversion count equals the length, so a depth
-    that is too small shows up as a shortfall rather than a silent pass.
+    Read off the reduced word s_{i_1}…s_{i_k}: the inversions are the k
+    roots s_{i_k}…s_{i_{j+1}}(α_{i_j}), one per letter, so the count always
+    equals the length.
     """
     cm = w.ambient
-    if cm.is_affine:
-        if depth is None:
-            depth = 3 * w.length + 1
-        candidates = roots.positive_real_roots(cm, depth)
-    else:
-        candidates = roots.positive_roots(cm)
-    return tuple(beta for beta in candidates if roots.is_negative(act(w, beta)))
+    found = []
+    for j, letter in enumerate(w.word):
+        beta = roots.simple_root(cm, letter)
+        for later in w.word[j + 1 :]:
+            beta = reflect(cm, beta, later)
+        found.append(beta)
+    return tuple(sorted(found, key=lambda r: (roots.height(r), r)))
 
 
 def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
@@ -238,65 +242,40 @@ def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
 # --- breadth-first level engine --------------------------------------------
 
 
-def _keys(arr16: np.ndarray) -> np.ndarray:
-    """Byte keys of an int16 matrix batch; the view is reversible, so keys
-    double as compact storage."""
-    m, n2 = arr16.shape[0], arr16.shape[1] * arr16.shape[2]
-    flat = np.ascontiguousarray(arr16).reshape(m, n2)
-    return flat.view(np.dtype((np.void, 2 * n2))).ravel()
+def _levels(cm: CartanMatrix, max_length: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (length, heights, words) in breadth-first order.
 
-
-def _unkey(keys: np.ndarray, n: int) -> np.ndarray:
-    return keys.view(np.int16).reshape(-1, n, n)
-
-
-def _levels(cm: CartanMatrix, max_length: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (length, batch of action matrices) in breadth-first order.
-
-    Batches are int16 arrays of shape (count, n, n), each level sorted by
-    the byte key of its matrices, so the stream is deterministic.  Levels
-    are held as int16 to keep deep searches inside memory; per-generator
-    products widen to int32 and a range guard keeps the compact keys
-    faithful.
+    ``heights`` is an int64 array of shape (count, n) whose row for w holds
+    ht(w·α_j); ``words`` is an int8 array of shape (count, length) holding
+    the canonical reduced words.  Each level is in lexicographic order of
+    its words, so the stream is shortlex ordered and deterministic.  Only
+    the current level is held; parents are expanded in fixed-size chunks.
     """
     if max_length < 0:
         raise InvalidSubsetError(f"max_length must be nonnegative, got {max_length}")
     n = cm.size
-    a = np.array(cm.entries, dtype=np.int32)
-    cols = [a[:, g].copy() for g in range(n)]
-    ident = np.eye(n, dtype=np.int16)[None, :, :]
-    yield 0, ident
-    if max_length == 0:
-        return
-    prev_keys = _keys(np.zeros((0, n, n), dtype=np.int16))
-    cur, cur_keys = ident, _keys(ident)
-    for length in range(1, max_length + 1):
-        chunks = []
-        for g in range(n):
-            wide = cur.astype(np.int32)
-            wide -= wide[:, :, g : g + 1] * cols[g][None, None, :]
-            if wide.max(initial=0) >= _KEY_LIMIT or wide.min(initial=0) <= -_KEY_LIMIT:
-                raise LoopAtlasError("entries exceed the compact key range; lower max_length")
-            chunks.append(_keys(wide.astype(np.int16)))
-            del wide
-        keys = np.concatenate(chunks)
-        del chunks
-        keys.sort()
-        mask = np.empty(keys.shape[0], dtype=bool)
-        mask[0] = True
-        mask[1:] = keys[1:] != keys[:-1]
-        uniq = keys[mask]
-        del keys, mask
-        new_keys = uniq[~np.isin(uniq, prev_keys, assume_unique=True)]
-        if new_keys.shape[0] == 0:
+    a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
+    nodes = np.arange(n)
+    heights = np.ones((1, n), dtype=np.int64)
+    words = np.zeros((1, 0), dtype=np.int8)
+    for length in range(max_length + 1):
+        yield length, heights, words
+        if length == max_length:
             return
-        yield length, _unkey(new_keys, n)
-        prev_keys = cur_keys
-        cur, cur_keys = _unkey(new_keys, n), new_keys
-
-
-def matrix_tuple(arr: np.ndarray) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in arr.tolist())
+        next_heights, next_words = [], []
+        for lo in range(0, heights.shape[0], _CHUNK):
+            h = heights[lo : lo + _CHUNK]
+            # child[p, i] holds the heights of w_p·s_i
+            child = h[:, None, :] - h[:, :, None] * a_t[None, :, :]
+            keep = (h > 0) & ((child < 0).argmax(axis=2) == nodes)
+            parent, letter = np.nonzero(keep)
+            next_heights.append(child[parent, letter])
+            letters = (letter + 1).astype(np.int8)[:, None]
+            next_words.append(np.concatenate([words[lo + parent], letters], axis=1))
+        heights = np.concatenate(next_heights)
+        if heights.shape[0] == 0:
+            return
+        words = np.concatenate(next_words)
 
 
 def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
@@ -305,19 +284,24 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     Within a length, elements stream in ascending order of their matrix
     tuples.  Finite groups are exhausted when levels empty out.
     """
-    for length, batch in _levels(cm, max_length):
-        level = sorted(matrix_tuple(m) for m in batch)
-        for matrix in level:
-            word = word_from_matrix(cm, matrix)
-            if len(word) != length:
-                raise LoopAtlasError("level engine produced a wrong-length element")
-            yield WeylElement(ambient=cm, word=word, matrix=matrix)
+    n = cm.size
+    a = np.array(cm.entries, dtype=np.int64)
+    for length, heights, words in _levels(cm, max_length):
+        batch = np.tile(np.eye(n, dtype=np.int64), (heights.shape[0], 1, 1))
+        for k in range(length):
+            for g in range(n):
+                rows = words[:, k] == g + 1
+                batch[rows] -= batch[rows][:, :, g : g + 1] * a[None, None, :, g]
+        flat = batch.reshape(batch.shape[0], n * n)
+        for r in np.lexsort(flat.T[::-1]):
+            matrix = tuple(tuple(row) for row in batch[r].tolist())
+            yield WeylElement(ambient=cm, word=tuple(words[r].tolist()), matrix=matrix)
 
 
 @lru_cache(maxsize=4)
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length, mostly a sizing aid for searches."""
-    return tuple(batch.shape[0] for _, batch in _levels(cm, max_length))
+    return tuple(heights.shape[0] for _, heights, _ in _levels(cm, max_length))
 
 
 def element_to_json(w: WeylElement) -> dict:

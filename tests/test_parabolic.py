@@ -241,6 +241,89 @@ def test_finite_g2_both_nodes():
         assert cert.witness.length == 5
 
 
+# Witness of every self-associate (type, omitted node) pair up to rank 6:
+# the least canonical word among the witnesses of the shortest length.
+FINITE_WITNESSES = [
+    ("A1", 1, (1,)),
+    ("A3", 2, (2, 3, 1, 2)),
+    ("A5", 3, (3, 4, 5, 2, 3, 4, 1, 2, 3)),
+    ("B2", 1, (1, 2, 1)),
+    ("B2", 2, (2, 1, 2)),
+    ("B3", 1, (1, 2, 3, 2, 1)),
+    ("B3", 2, (2, 3, 1, 2, 3, 1, 2)),
+    ("B3", 3, (3, 2, 3, 1, 2, 3)),
+    ("B4", 1, (1, 2, 3, 4, 3, 2, 1)),
+    ("B4", 2, (2, 3, 4, 1, 2, 3, 4, 2, 3, 1, 2)),
+    ("B4", 3, (3, 4, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3)),
+    ("B4", 4, (4, 3, 4, 2, 3, 4, 1, 2, 3, 4)),
+    ("B5", 1, (1, 2, 3, 4, 5, 4, 3, 2, 1)),
+    ("B5", 2, (2, 3, 4, 5, 1, 2, 3, 4, 5, 3, 4, 2, 3, 1, 2)),
+    ("B5", 3, (3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5, 2, 3, 4, 1, 2, 3)),
+    ("B5", 4, (4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4)),
+    ("B5", 5, (5, 4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5)),
+    ("B6", 1, (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)),
+    ("B6", 2, (2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 4, 5, 3, 4, 2, 3, 1, 2)),
+    ("B6", 3, (3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 3, 4, 5, 2, 3, 4, 1, 2, 3)),
+    ("B6", 4, (4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 2, 3, 4, 5, 1, 2, 3, 4)),
+    ("B6", 5, (5, 6, 4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5)),
+    ("B6", 6, (6, 5, 6, 4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6)),
+    ("C3", 1, (1, 2, 3, 2, 1)),
+    ("C3", 2, (2, 3, 1, 2, 3, 1, 2)),
+    ("C3", 3, (3, 2, 3, 1, 2, 3)),
+    ("C4", 1, (1, 2, 3, 4, 3, 2, 1)),
+    ("C4", 2, (2, 3, 4, 1, 2, 3, 4, 2, 3, 1, 2)),
+    ("C4", 3, (3, 4, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3)),
+    ("C4", 4, (4, 3, 4, 2, 3, 4, 1, 2, 3, 4)),
+    ("C5", 1, (1, 2, 3, 4, 5, 4, 3, 2, 1)),
+    ("C5", 2, (2, 3, 4, 5, 1, 2, 3, 4, 5, 3, 4, 2, 3, 1, 2)),
+    ("C5", 3, (3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5, 2, 3, 4, 1, 2, 3)),
+    ("C5", 4, (4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4)),
+    ("C5", 5, (5, 4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5)),
+    ("C6", 1, (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)),
+    ("C6", 2, (2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 4, 5, 3, 4, 2, 3, 1, 2)),
+    ("C6", 3, (3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 3, 4, 5, 2, 3, 4, 1, 2, 3)),
+    ("C6", 4, (4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 2, 3, 4, 5, 1, 2, 3, 4)),
+    ("C6", 5, (5, 6, 4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5)),
+    ("C6", 6, (6, 5, 6, 4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6)),
+    ("D4", 1, (1, 2, 4, 3, 2, 1)),
+    ("D4", 2, (2, 3, 1, 2, 4, 2, 3, 1, 2)),
+    ("D4", 3, (3, 2, 4, 1, 2, 3)),
+    ("D4", 4, (4, 2, 3, 1, 2, 4)),
+    ("D5", 1, (1, 2, 3, 5, 4, 3, 2, 1)),
+    ("D5", 2, (2, 3, 4, 1, 2, 3, 5, 3, 4, 2, 3, 1, 2)),
+    ("D5", 3, (3, 5, 2, 3, 4, 1, 2, 3, 5, 2, 3, 4, 1, 2, 3)),
+    ("D6", 1, (1, 2, 3, 4, 6, 5, 4, 3, 2, 1)),
+    ("D6", 2, (2, 3, 4, 5, 1, 2, 3, 4, 6, 4, 5, 3, 4, 2, 3, 1, 2)),
+    ("D6", 3, (3, 4, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6, 3, 4, 5, 2, 3, 4, 1, 2, 3)),
+    ("D6", 4, (4, 5, 3, 4, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6, 2, 3, 4, 5, 1, 2, 3, 4)),
+    ("D6", 5, (5, 4, 6, 3, 4, 5, 2, 3, 4, 6, 1, 2, 3, 4, 5)),
+    ("D6", 6, (6, 4, 5, 3, 4, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6)),
+    ("E6", 2, (2, 4, 5, 3, 4, 1, 3, 2, 4, 5, 6, 5, 4, 3, 2, 4, 5, 1, 3, 4, 2)),
+    ("E6", 4, (4, 5, 6, 2, 4, 5, 3, 4, 1, 3, 2, 4, 5, 6, 4, 5, 3, 4, 1, 3, 2, 4, 5, 3, 4, 1, 3, 2, 4)),
+    ("F4", 1, (1, 2, 3, 4, 2, 3, 1, 2, 3, 4, 1, 2, 3, 2, 1)),
+    ("F4", 2, (2, 3, 1, 2, 3, 4, 3, 2, 3, 1, 2, 3, 4, 2, 3, 1, 2, 3, 1, 2)),
+    ("F4", 3, (3, 2, 3, 1, 2, 3, 4, 3, 2, 3, 1, 2, 3, 4, 3, 2, 3, 1, 2, 3)),
+    ("F4", 4, (4, 3, 2, 3, 1, 2, 3, 4, 3, 2, 3, 1, 2, 3, 4)),
+    ("G2", 1, (1, 2, 1, 2, 1)),
+    ("G2", 2, (2, 1, 2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("label,node,word", FINITE_WITNESSES)
+def test_finite_witness_words(label, node, word):
+    cert = parabolic.finite_self_associate(_cm(label), node)
+    assert cert.self_associate
+    assert cert.witness.word == word
+
+
+def test_finite_witness_table_is_complete():
+    listed = {(label, node) for label, node, _ in FINITE_WITNESSES}
+    for cm in cartan.all_types(parabolic.FINITE_RANK_LIMIT, affine=False):
+        for node in cm.nodes:
+            if (cm.label, node) not in listed:
+                assert not parabolic.finite_self_associate(cm, node).self_associate
+
+
 def test_finite_bound_can_miss_the_witness():
     cm = _cm("B2")
     cert = parabolic.finite_self_associate(cm, 2, max_length=2)

@@ -230,6 +230,18 @@ def test_inversions_are_positive_roots_sent_negative():
         assert roots.is_negative(weyl.act(w, beta))
 
 
+def test_inversions_of_a_long_affine_element_are_complete():
+    """Deep inversions (level above one) are found without any depth cap."""
+    cm = _cm("A2affine")
+    w = weyl.from_word(cm, (1, 2, 3) * 6)
+    found = weyl.inversions(w)
+    assert w.length == 18
+    assert len(found) == len(set(found)) == 18
+    for beta in found:
+        assert roots.is_positive(beta)
+        assert roots.is_negative(weyl.act(w, beta))
+
+
 # --- longest elements -------------------------------------------------------
 
 
@@ -367,6 +379,17 @@ def test_finite_ball_sizes_match_generating_function(series, rank):
         want.pop()
     assert list(got) == want
     assert sum(got) == series_counts.finite_order(series, rank)
+
+
+@pytest.mark.parametrize("label", ["A3affine", "G2affine", "D4affine"])
+def test_enumerated_words_are_the_canonical_words(label):
+    cm = _cm(label)
+    for w in weyl.enumerate_elements(cm, 6):
+        assert weyl.word_from_matrix(cm, w.matrix) == w.word
+
+
+def test_ball_sizes_have_no_depth_limit():
+    assert weyl.ball_sizes(_cm("A1affine"), 40000) == (1,) + (2,) * 40000
 
 
 def test_negative_bound_rejected():
