@@ -4,14 +4,20 @@ Entry convention is row-on-column: ``entries[i][j]`` is the value of simple
 root ``i`` on simple coroot ``j``, so short columns carry the more negative
 entries.  Node numbering is Bourbaki, 1-based at the API surface.  The
 attached node of an affine matrix is always the last index.
+
+Exact linear algebra reads off one fraction-free (Bareiss) echelon:
+determinant, corank, null vectors, and the Sylvester test for finite type.
+Types are recognised against a catalog with one matrix per finite and
+untwisted affine class.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     ClassificationError,
@@ -98,9 +104,6 @@ def _check_gcm_axioms(rows: Rows) -> None:
     for row in rows:
         if len(row) != n:
             raise InvalidCartanMatrixError("matrix must be square")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidCartanMatrixError(f"non-integer entry {x!r}")
     for i in range(n):
         if rows[i][i] != 2:
             raise InvalidCartanMatrixError(f"diagonal entry at node {i + 1} is {rows[i][i]}, must be 2")
@@ -113,158 +116,104 @@ def _check_gcm_axioms(rows: Rows) -> None:
                 raise InvalidCartanMatrixError(f"zero pattern not symmetric at ({i + 1},{j + 1})")
 
 
+def _rows(cm: CartanMatrix | Rows) -> Rows:
+    return cm.entries if isinstance(cm, CartanMatrix) else tuple(tuple(r) for r in cm)
+
+
 def symmetrizer(cm: CartanMatrix | Rows) -> tuple[int, ...]:
     """Positive integers d with d[i]*A[i][j] == d[j]*A[j][i], minimal per
     connected component.
 
     Short roots receive the larger d.  Raises if no such d exists.
     """
-    rows = cm.entries if isinstance(cm, CartanMatrix) else tuple(tuple(r) for r in cm)
+    rows = _rows(cm)
     n = len(rows)
-    d: list[Fraction | None] = [None] * n
+    d: list[Fraction | int | None] = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
         d[start] = Fraction(1)
-        queue = [start]
         comp = [start]
-        while queue:
-            i = queue.pop()
+        for i in comp:  # grows while it is read: breadth-first over the component
             for j in range(n):
-                if j == i or rows[i][j] == 0:
-                    continue
-                ratio = Fraction(rows[i][j], rows[j][i])
-                if d[j] is None:
-                    d[j] = d[i] * ratio
-                    queue.append(j)
+                if j != i and rows[i][j] != 0 and d[j] is None:
+                    d[j] = d[i] * Fraction(rows[i][j], rows[j][i])
                     comp.append(j)
         # scale this component to minimal positive integers
-        denom_lcm = 1
+        scale = lcm(*(d[i].denominator for i in comp))
+        g = gcd(*(int(d[i] * scale) for i in comp))
         for i in comp:
-            denom_lcm = denom_lcm * d[i].denominator // gcd(denom_lcm, d[i].denominator)
-        vals = [int(d[i] * denom_lcm) for i in comp]
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
-        for i, v in zip(comp, vals):
-            d[i] = Fraction(v // g)
-    out = tuple(int(x) for x in d)
+            d[i] = int(d[i] * scale) // g
     for i in range(n):
         for j in range(n):
-            if out[i] * rows[i][j] != out[j] * rows[j][i]:
+            if d[i] * rows[i][j] != d[j] * rows[j][i]:
                 raise InvalidCartanMatrixError("matrix is not symmetrizable")
-    return out
+    return tuple(d)
 
 
-def _symmetrized(rows: Rows, d: tuple[int, ...]) -> list[list[int]]:
-    n = len(rows)
-    return [[d[i] * rows[i][j] for j in range(n)] for i in range(n)]
+def _eliminate(rows) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free (Bareiss) row echelon form: (echelon, pivot_cols, swaps).
+
+    Rows swap only where the pivot position is zero.  The pivot in row k is
+    the minor of the row-swapped input on its first k+1 rows and first k+1
+    pivot columns, so each division by the previous pivot is exact
+    (Sylvester's identity).
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    swaps, prev = 0, 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        k = next((k for k in range(r, len(mat)) if mat[k][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            mat[r], mat[k] = mat[k], mat[r]
+            swaps += 1
+        top = mat[r]
+        for row in mat[r + 1 :]:
+            lead = row[c]
+            row[c:] = [0] + [(top[c] * x - lead * t) // prev for x, t in zip(row[c + 1 :], top[c + 1 :])]
+        prev = top[c]
+        pivots.append(c)
+    return mat, tuple(pivots), swaps
 
 
 def determinant(cm: CartanMatrix | Rows) -> int:
-    """Exact determinant of the Cartan matrix."""
-    rows = cm.entries if isinstance(cm, CartanMatrix) else tuple(tuple(r) for r in cm)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
-def _rational_kernel(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel, via reduced row echelon form."""
-    n = len(mat)
-    m = len(mat[0]) if mat else 0
-    rref = [row[:] for row in mat]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((k for k in range(r, n) if rref[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rref[r], rref[pivot] = rref[pivot], rref[r]
-        inv = 1 / rref[r][c]
-        rref[r] = [x * inv for x in rref[r]]
-        for k in range(n):
-            if k != r and rref[k][c] != 0:
-                f = rref[k][c]
-                rref[k] = [a - f * b for a, b in zip(rref[k], rref[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for idx, pc in enumerate(pivots):
-            vec[pc] = -rref[idx][fc]
-        basis.append(vec)
-    return basis
+    """Exact determinant of the Cartan matrix: the signed last pivot."""
+    echelon, pivots, swaps = _eliminate(_rows(cm))
+    if len(pivots) < len(echelon):
+        return 0
+    return (-1) ** swaps * echelon[-1][-1] if echelon else 1
 
 
 def null_vector(cm: CartanMatrix | Rows, side: str = "right") -> tuple[int, ...]:
     """Primitive positive integer null vector of a corank-one matrix.
 
     side="right" solves A u = 0 (comark side); side="left" solves
-    v A = 0 (mark side).
+    v A = 0 (mark side).  Back-substitution on the echelon rescales the
+    partial vector wherever a pivot does not divide exactly.
     """
-    rows = cm.entries if isinstance(cm, CartanMatrix) else tuple(tuple(r) for r in cm)
-    n = len(rows)
+    rows = _rows(cm)
     if side == "left":
-        mat = [[Fraction(rows[j][i]) for j in range(n)] for i in range(n)]
-    elif side == "right":
-        mat = [[Fraction(x) for x in row] for row in rows]
-    else:
+        rows = tuple(zip(*rows))
+    elif side != "right":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    basis = _rational_kernel(mat)
-    if len(basis) != 1:
-        raise InvalidCartanMatrixError(f"matrix has corank {len(basis)}, expected 1")
-    vec = basis[0]
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    if all(v < 0 for v in ints):
-        ints = [-v for v in ints]
-    if not all(v > 0 for v in ints):
+    echelon, pivots, _ = _eliminate(rows)
+    n = len(rows)
+    if len(pivots) != n - 1:
+        raise InvalidCartanMatrixError(f"matrix has corank {n - len(pivots)}, expected 1")
+    vec = [0 if c in pivots else 1 for c in range(n)]
+    for row, c in reversed(list(zip(echelon, pivots))):
+        rest = sum(x * v for x, v in zip(row[c + 1 :], vec[c + 1 :]))
+        scale = row[c] // gcd(rest, row[c])
+        vec = [v * scale for v in vec]
+        vec[c] = -rest * scale // row[c]
+    g = gcd(*vec) if vec[0] > 0 else -gcd(*vec)
+    out = tuple(v // g for v in vec)
+    if not all(v > 0 for v in out):
         raise InvalidCartanMatrixError("null vector is not strictly positive")
-    return tuple(ints)
-
-
-def _corank(rows: Rows) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    return len(_rational_kernel(mat))
-
-
-def _is_positive_definite(rows: Rows, d: tuple[int, ...]) -> bool:
-    """Sylvester test on the symmetrized matrix, exact arithmetic."""
-    sym = _symmetrized(rows, d)
-    n = len(sym)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(sym[i][j] for j in range(k)) for i in range(k))
-        if determinant(minor) <= 0:
-            return False
-    return True
+    return out
 
 
 # --- constructors -----------------------------------------------------------
@@ -359,8 +308,6 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     rows.append(border_row)
     entries = tuple(tuple(r) for r in rows)
     _check_gcm_axioms(entries)
-    if determinant(entries) != 0:
-        raise InvalidCartanMatrixError("affinization is not singular")
     if null_vector(entries, "left") != a + (1,):
         raise InvalidCartanMatrixError("left null vector does not extend the marks")
     if null_vector(entries, "right") != nv + (1,):
@@ -370,9 +317,7 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
 
 def _as_int(x) -> int:
     """Accept ints and integral floats (JSON), reject everything else."""
-    if isinstance(x, bool):
-        raise InvalidCartanMatrixError(f"non-integer entry {x!r}")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, float) and x.is_integer():
         return int(x)
@@ -389,38 +334,40 @@ def from_matrix(rows_in) -> CartanMatrix:
     """
     rows = tuple(tuple(_as_int(x) for x in row) for row in rows_in)
     _check_gcm_axioms(rows)
-    d = symmetrizer(rows)
-    if _is_positive_definite(rows, d):
-        label = None
-        try:
-            series, rank, _ = classify(CartanMatrix(rows, is_affine=False))
-            label = f"{series}{rank}"
-        except ClassificationError:
-            pass
-        return CartanMatrix(entries=rows, is_affine=False, label=label)
-    if _corank(rows) != 1:
-        raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
     n = len(rows)
-    for cand in range(n - 1, -1, -1):
-        keep = [i for i in range(n) if i != cand]
-        block = tuple(tuple(rows[i][j] for j in keep) for i in keep)
-        try:
-            finite_block = from_matrix(block)
-            if finite_block.is_affine or finite_block.label is None:
-                continue
-            rebuilt = affinize(finite_cartan(finite_block.label[0], int(finite_block.label[1:])))
-        except (InvalidCartanMatrixError, ClassificationError):
-            continue
-        perm = keep + [cand]
-        permuted = tuple(tuple(rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-        if _isomorphic(permuted, rebuilt.entries):
-            if cand != n - 1:
-                raise InvalidCartanMatrixError(
-                    f"affine input must list the attached node last; found it at position {cand + 1}"
-                )
-            series, rank, _ = classify(CartanMatrix(rows, is_affine=True))
-            return CartanMatrix(entries=rows, is_affine=True, label=f"{series}{rank}affine")
-    raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
+    # Sylvester test: with no row swap, pivot k is the k-th leading minor
+    # of the symmetrization, whose rank is also the rank of the rows
+    d = symmetrizer(rows)
+    echelon, pivots, swaps = _eliminate([[d[i] * x for x in row] for i, row in enumerate(rows)])
+    if len(pivots) == n and not swaps and all(echelon[k][k] > 0 for k in range(n)):
+        found = _type(rows)
+        label = f"{found[0]}{found[1]}" if found else None
+        return CartanMatrix(entries=rows, is_affine=False, label=label)
+    if len(pivots) != n - 1:
+        raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
+    found = _type(rows)
+    if found is None:
+        raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
+    series, rank, _ = found
+    # The rows relabel a catalog affinization, so deleting some node leaves
+    # its finite type; that node must be the last.
+    finite = (series, rank, False)
+    if _type(rows, drop=n - 1) != finite:
+        at = next(c for c in range(n - 2, -1, -1) if _type(rows, drop=c) == finite)
+        raise InvalidCartanMatrixError(
+            f"affine input must list the attached node last; found it at position {at + 1}"
+        )
+    return CartanMatrix(entries=rows, is_affine=True, label=f"{series}{rank}affine")
+
+
+def _type(rows: Rows, drop: int | None = None) -> tuple[str, int, bool] | None:
+    """classify() of the rows less the 0-based node ``drop``, None when
+    nothing in the catalog matches."""
+    keep = [i for i in range(len(rows)) if i != drop]
+    try:
+        return classify(tuple(tuple(rows[i][j] for j in keep) for i in keep))
+    except ClassificationError:
+        return None
 
 
 # --- classification ---------------------------------------------------------
@@ -452,19 +399,14 @@ def _isomorphic(a: Rows, b: Rows) -> bool:
         for j in range(n):
             if used[j] or sig_b[j] != sig_a[i]:
                 continue
-            ok = True
-            for ii in order[:k]:
-                jj = image[ii]
-                if a[i][ii] != b[j][jj] or a[ii][i] != b[jj][j]:
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                image[i] = None
-                used[j] = False
+            if any(a[i][ii] != b[j][image[ii]] or a[ii][i] != b[image[ii]][j] for ii in order[:k]):
+                continue
+            image[i] = j
+            used[j] = True
+            if extend(k + 1):
+                return True
+            image[i] = None
+            used[j] = False
         return False
 
     return extend(0)
@@ -472,19 +414,13 @@ def _isomorphic(a: Rows, b: Rows) -> bool:
 
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[tuple[str, int, bool, Rows], ...]:
-    """One representative per isomorphism class, finite and affine.
-
-    C starts at rank 3 because the rank-2 B/C matrices are permutation
-    equivalent; that class is catalogued as B2.
-    """
-    out = []
-    for series, (lo, hi) in RANK_RANGE.items():
-        start = 3 if series == "C" else lo
-        for rank in range(start, hi + 1):
-            fin = finite_cartan(series, rank)
-            out.append((series, rank, False, fin.entries))
-            out.append((series, rank, True, affinize(fin).entries))
-    return tuple(out)
+    """One representative per isomorphism class, finite and affine, from
+    the finite list of all_types (the rank-2 B/C class is B2)."""
+    return tuple(
+        (fin.label[0], int(fin.label[1:]), affine, entries)
+        for fin in all_types(MAX_RANK, affine=False)
+        for affine, entries in ((False, fin.entries), (True, affinize(fin).entries))
+    )
 
 
 def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
@@ -494,7 +430,7 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
     ClassificationError when nothing in the catalog matches (for instance
     reducible input).
     """
-    rows = cm.entries if isinstance(cm, CartanMatrix) else tuple(tuple(r) for r in cm)
+    rows = _rows(cm)
     flat = sorted(x for row in rows for x in row)
     for series, rank, affine, entries in _catalog():
         if len(entries) != len(rows):
@@ -528,13 +464,26 @@ def diagram(cm: CartanMatrix) -> DynkinDiagram:
     return DynkinDiagram(nodes=cm.nodes, edges=tuple(edges))
 
 
+def _check_node(i, size: int, what: str = "node") -> int:
+    """One node or word letter: an integer (numpy integers included, bools
+    and floats not) in 1..size."""
+    try:
+        value = None if isinstance(i, bool) else operator.index(i)
+    except TypeError:
+        value = None
+    if value is None:
+        raise InvalidSubsetError(f"{what} {i!r} is not an integer")
+    if not 1 <= value <= size:
+        raise InvalidSubsetError(f"{what} {value} out of range 1..{size}")
+    return value
+
+
 def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
-    subset = tuple(sorted({int(i) for i in nodes}))
-    if len(subset) != len(tuple(nodes)):
-        raise InvalidSubsetError(f"duplicate nodes in {tuple(nodes)!r}")
-    for i in subset:
-        if not 1 <= i <= cm.size:
-            raise InvalidSubsetError(f"node {i} out of range 1..{cm.size}")
+    """Sorted node subset; the input is read once, duplicates rejected."""
+    given = tuple(_check_node(i, cm.size) for i in nodes)
+    subset = tuple(sorted(set(given)))
+    if len(subset) != len(given):
+        raise InvalidSubsetError(f"duplicate nodes in {given!r}")
     return subset
 
 
@@ -628,11 +577,8 @@ def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...
     if max_rank > MAX_RANK:
         raise UnsupportedRankError(f"catalog stops at rank {MAX_RANK}")
     out = []
-    for series in ("A", "B", "C", "D", "E", "F", "G"):
-        lo, hi = RANK_RANGE[series]
-        if series == "C":
-            lo = 3
-        for rank in range(lo, min(hi, max_rank) + 1):
+    for series, (lo, hi) in RANK_RANGE.items():
+        for rank in range(3 if series == "C" else lo, min(hi, max_rank) + 1):
             cm = finite_cartan(series, rank)
             out.append(affinize(cm) if affine else cm)
     return tuple(out)

@@ -56,7 +56,7 @@ def _parse_functional(args, flag_value: str | None, uniform, size: int) -> crite
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 # --- atlas ------------------------------------------------------------------

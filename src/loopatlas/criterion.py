@@ -12,6 +12,7 @@ the continuation range, -g is the boundary locus, beyond it is outside.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +58,9 @@ def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
         raise InvalidSubsetError(
             f"functional has {f.size} values, ambient has {cm.size} coroots"
         )
+    for x in f.values:
+        if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+            raise RegionError(f"functional value {x!r} is not finite")
 
 
 def _real(x: Number):

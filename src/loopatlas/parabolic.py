@@ -182,7 +182,7 @@ def _certificate(
 ) -> AssociateCertificate:
     theta = tuple(i for i in cm.nodes if i != removed_node)
     longest = weyl.longest_element(cm, theta)
-    image = weyl.removed_node_image(cm, removed_node)
+    image = weyl._removed_image(longest, removed_node)
     null = None
     if cm.is_affine:
         null = roots.delta(cm)
@@ -260,8 +260,7 @@ def finite_self_associate(
         raise UnsupportedRankError(
             f"finite verdicts are limited to rank {FINITE_RANK_LIMIT}; got rank {cm.size}"
         )
-    if not 1 <= removed_node <= cm.size:
-        raise InvalidSubsetError(f"node {removed_node} out of range 1..{cm.size}")
+    removed_node = cartan._check_node(removed_node, cm.size)
     bound = max_length if max_length is not None else len(roots.positive_roots(cm))
     searched, hits = _scan(cm, (removed_node - 1,), bound)
     found = hits[removed_node - 1]

@@ -23,8 +23,7 @@ _HEIGHT_CAP = 1000  # safety valve for the closure loop
 
 
 def simple_root(cm: CartanMatrix, i: int) -> Coords:
-    if not 1 <= i <= cm.size:
-        raise InvalidSubsetError(f"node {i} out of range 1..{cm.size}")
+    i = cartan._check_node(i, cm.size)
     return tuple(1 if k == i - 1 else 0 for k in range(cm.size))
 
 

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import roots
+from . import cartan, roots
 from .cartan import CartanMatrix
 from .errors import InvalidSubsetError, LoopAtlasError, MixedAmbientError
 
@@ -63,8 +63,7 @@ def identity(cm: CartanMatrix) -> WeylElement:
 def reflection_matrix(cm: CartanMatrix, i: int) -> Matrix:
     """Action matrix of the node-i reflection; column j holds the image of
     simple root j."""
-    if not 1 <= i <= cm.size:
-        raise InvalidSubsetError(f"node {i} out of range 1..{cm.size}")
+    i = cartan._check_node(i, cm.size)
     n = cm.size
     rows = [list(r) for r in _identity_rows(n)]
     for j in range(n):
@@ -133,9 +132,7 @@ def from_word(cm: CartanMatrix, word) -> WeylElement:
     n = cm.size
     rows = [list(r) for r in _identity_rows(n)]
     for i in word:
-        if not 1 <= int(i) <= n:
-            raise InvalidSubsetError(f"letter {i} out of range 1..{n}")
-        _multiply_right(cm, rows, int(i))
+        _multiply_right(cm, rows, cartan._check_node(i, n, "letter"))
     matrix = tuple(tuple(r) for r in rows)
     return WeylElement(ambient=cm, word=_word_from_rows(cm, rows), matrix=matrix)
 
@@ -191,13 +188,10 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     positive.  The resulting length is checked against the count of induced
     positive roots.
     """
-    subset = sorted({int(i) for i in nodes})
-    for i in subset:
-        if not 1 <= i <= cm.size:
-            raise InvalidSubsetError(f"node {i} out of range 1..{cm.size}")
+    subset = cartan._check_subset(cm, nodes)
     if not subset:
         return identity(cm)
-    span = roots.roots_in_span(cm, tuple(subset))  # validates finiteness
+    span = roots.roots_in_span(cm, subset)  # validates finiteness
     n = cm.size
     rows = [list(r) for r in _identity_rows(n)]
     letters: list[int] = []
@@ -227,11 +221,15 @@ def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
     The coefficient on the removed root is always exactly 1: those
     reflections only ever add multiples of their own simple roots.
     """
-    if not 1 <= removed <= cm.size:
-        raise InvalidSubsetError(f"node {removed} out of range 1..{cm.size}")
+    removed = cartan._check_node(removed, cm.size)
     others = tuple(i for i in cm.nodes if i != removed)
-    w = longest_element(cm, others)
-    image = tuple(w.matrix[r][removed - 1] for r in range(cm.size))
+    return _removed_image(longest_element(cm, others), removed)
+
+
+def _removed_image(longest: WeylElement, removed: int) -> Coords:
+    """Column ``removed`` of the longest element of the other nodes'
+    subgroup, checked to keep coefficient 1 there and to be positive."""
+    image = tuple(row[removed - 1] for row in longest.matrix)
     if image[removed - 1] != 1:
         raise LoopAtlasError("removed-root coefficient drifted from 1")
     if not roots.is_positive(image):

@@ -1,5 +1,8 @@
 import json
+import random
+from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +149,58 @@ def test_determinants_frozen():
         assert cartan.determinant(cartan.finite_cartan(series, rank)) == det, (series, rank)
 
 
+def _leibniz(rows):
+    """Determinant as the signed sum over permutations, sign by inversion count."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def square_int_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-6, 6)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@given(square_int_matrices())
+def test_determinant_matches_leibniz(rows):
+    assert cartan.determinant(rows) == _leibniz(rows)
+
+
+@given(square_int_matrices())
+def test_determinant_of_rank_deficient_rows_is_zero(rows):
+    rows = rows + [[a + b for a, b in zip(rows[0], rows[-1])]]
+    rows = [row + [row[0]] for row in rows]
+    assert cartan.determinant(rows) == 0
+
+
+def _leading_minors(rows):
+    return [_leibniz([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+@pytest.mark.parametrize("cm", cartan.all_types(9, affine=False) + cartan.all_types(9), ids=lambda cm: cm.label)
+def test_catalog_definiteness(cm):
+    """Sylvester on the symmetrization: every finite type is positive
+    definite and no affine type is; swap-free pivots are the leading minors."""
+    d = cartan.symmetrizer(cm)
+    sym = [[d[i] * x for x in row] for i, row in enumerate(cm.entries)]
+    echelon, pivots, swaps = cartan._eliminate(sym)
+    leading = [echelon[k][k] for k in pivots]
+    assert swaps == 0
+    assert all(p > 0 for p in leading)
+    assert len(pivots) == (cm.size - 1 if cm.is_affine else cm.size)
+    if cm.size <= 7:
+        assert leading + [0] * (cm.size - len(pivots)) == _leading_minors(sym)
+    assert cartan.from_matrix(cm.entries).is_affine == cm.is_affine
+
+
 # --- affinization -----------------------------------------------------------
 
 
@@ -241,6 +296,33 @@ def test_from_matrix_affine_node_must_be_last():
     with pytest.raises(InvalidCartanMatrixError) as err:
         cartan.from_matrix(rows)
     assert "last" in str(err.value)
+
+
+@pytest.mark.parametrize("cm", cartan.all_types(6), ids=lambda cm: cm.label)
+def test_from_matrix_label_survives_relabelling_of_finite_nodes(cm):
+    rng = random.Random(cm.label)
+    n = cm.size
+    for _ in range(5):
+        perm = list(range(n - 1))
+        rng.shuffle(perm)
+        perm.append(n - 1)
+        rows = [[cm.entries[i][j] for j in perm] for i in perm]
+        got = cartan.from_matrix(rows)
+        assert (got.label, got.is_affine) == (cm.label, True)
+
+
+@pytest.mark.parametrize("label", ["G2affine", "F4affine", "E8affine"])
+def test_from_matrix_reports_where_the_attached_node_sits(label):
+    # these diagrams have no automorphisms, so the attached node is the
+    # only node whose deletion leaves the finite type
+    cm = cartan.parse_type(label)
+    n = cm.size
+    for k in range(1, n):
+        perm = list(range(n - 1))
+        perm.insert(k - 1, n - 1)
+        rows = [[cm.entries[i][j] for j in perm] for i in perm]
+        with pytest.raises(InvalidCartanMatrixError, match=f"found it at position {k}$"):
+            cartan.from_matrix(rows)
 
 
 def test_from_matrix_accepts_any_cycle_rotation():
@@ -381,6 +463,20 @@ def test_subset_validation():
         cartan.subdiagram(cm, (4,))
     with pytest.raises(InvalidSubsetError):
         cartan.subdiagram(cm, ())
+
+
+def test_subset_accepts_a_generator_once():
+    cm = cartan.finite_cartan("A", 3)
+    assert cartan.subdiagram(cm, (i for i in (3, 2))).entries == ((2, -1), (-1, 2))
+    assert cartan.component_types(cm, iter([1, 2])) == (("A", 2),)
+
+
+def test_subset_rejects_non_integers():
+    cm = cartan.finite_cartan("A", 3)
+    for bad in ((1.5, 2), (1.0, 2), (True, 2), ("1", 2)):
+        with pytest.raises(InvalidSubsetError, match="not an integer"):
+            cartan.subdiagram(cm, bad)
+    assert cartan.subdiagram(cm, (np.int64(1), np.int8(2))).label == "A2"
 
 
 def test_component_types_rejects_affine_span():

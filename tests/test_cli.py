@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loopatlas
 from loopatlas import cli
 
 
@@ -285,6 +290,31 @@ def test_bad_json_is_a_usage_error(capsys):
     code, _, err = run(capsys, "godement", "A1affine", "--nu", "not json")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "flags", [("--uniform", "nan"), ("--nu", "[NaN, NaN, NaN]"), ("--nu", "[-Infinity, -1, -1]")]
+)
+def test_non_finite_parameter_is_a_domain_error(flags):
+    # the all-NaN case used to print "nu_c": NaN, which is not JSON
+    src = str(Path(loopatlas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "loopatlas", "godement", "A2affine", *flags],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
+def test_output_is_strict_json():
+    with pytest.raises(ValueError):
+        cli._dump({"nu_c": float("nan")})
 
 
 def test_missing_parameter_source(capsys):

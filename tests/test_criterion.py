@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,20 @@ def test_regions_partition(label, data):
         assert c == -g
     else:
         assert c > -g
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, -math.inf, math.inf, complex(-3, math.nan), complex(-math.inf, 0)]
+)
+def test_non_finite_parameters_are_rejected(value):
+    # an all-NaN parameter used to classify as "outside" and an all -inf
+    # one as "convergent"
+    cm = _cm("A2affine")
+    f = _uniform(cm, value)
+    with pytest.raises(RegionError, match="not finite"):
+        criterion.godement_cuspidal(cm, f)
+    with pytest.raises(RegionError, match="not finite"):
+        criterion.central_value(cm, criterion.functional([-1, -1, value]))
 
 
 # --- reconstruction from a central target -----------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopatlas import cartan, criterion, maass_selberg as ms, roots
-from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError
+from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, RegionError
 
 finite_floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
 
@@ -281,6 +281,24 @@ def test_request_validation():
             right=good,
             truncation=(0.0, 0.0),
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(math.inf, 1)])
+def test_non_finite_parameters_are_rejected(bad):
+    cm = _cm("A1affine")
+    good = criterion.functional((-1, -1))
+    with pytest.raises(RegionError):
+        ms.TruncatedPairing(
+            ambient=cm,
+            cusp_pairing=1.0,
+            left=criterion.functional((-1, bad)),
+            right=good,
+            truncation=(0.0, 0.0),
+        )
+    with pytest.raises(RegionError):
+        ms.pairing_kernel(cm, 1.0, good, criterion.functional((bad, -1)), (0.0, 0.0))
+    with pytest.raises(RegionError):
+        ms.region_scan(cm, [criterion.functional((bad, bad))], [good], (0.0, 0.0))
 
 
 # --- serialization ----------------------------------------------------------

@@ -40,6 +40,23 @@ def test_subset_validation():
         parabolic.parabolic_subset(_cm("A2"), (1,))
 
 
+def test_subset_nodes_must_be_integers():
+    cm = _cm("A3affine")
+    # (1.5, 2) used to be truncated to (1, 2)
+    with pytest.raises(InvalidSubsetError, match="not an integer"):
+        parabolic.parabolic_subset(cm, (1.5, 2))
+    with pytest.raises(InvalidSubsetError, match="not an integer"):
+        parabolic.parabolic_subset(cm, (False, 2))
+
+
+def test_subset_from_a_generator():
+    # the nodes used to be read twice, so a generator reported
+    # "duplicate nodes in ()"
+    cm = _cm("A3affine")
+    p = parabolic.parabolic_subset(cm, (i for i in (3, 1)))
+    assert p.nodes == (1, 3)
+
+
 def test_maximal_parabolics_one_per_node():
     for label in ["A1affine", "C3affine", "E6affine"]:
         cm = _cm(label)

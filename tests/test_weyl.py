@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -191,6 +192,18 @@ def test_word_letter_validation():
         weyl.simple(cm, 5)
 
 
+def test_word_letters_must_be_integers():
+    cm = _cm("A2")
+    # (1.5, True) used to become (1, 1), which cancels to the identity
+    with pytest.raises(InvalidSubsetError, match="not an integer"):
+        weyl.from_word(cm, (1.5, True))
+    with pytest.raises(InvalidSubsetError, match="not an integer"):
+        weyl.from_word(cm, (2, True))
+    with pytest.raises(InvalidSubsetError, match="not an integer"):
+        weyl.from_word(cm, (2.0,))
+    assert weyl.from_word(cm, np.array([1, 2], dtype=np.int8)).word == (1, 2)
+
+
 def test_mixed_ambient_rejected():
     u = weyl.from_word(_cm("A2"), (1,))
     v = weyl.from_word(_cm("B2"), (1,))
@@ -283,6 +296,16 @@ def test_longest_element_of_subset():
 def test_longest_element_empty_subset():
     cm = _cm("A2")
     assert weyl.longest_element(cm, ()).word == ()
+
+
+def test_longest_element_nodes_must_be_integers():
+    cm = _cm("A3")
+    # (1.0, 2.7) used to be read as the subset (1, 2)
+    with pytest.raises(InvalidSubsetError, match="not an integer"):
+        weyl.longest_element(cm, (1.0, 2.7))
+    with pytest.raises(InvalidSubsetError, match="duplicate"):
+        weyl.longest_element(cm, (1, 1))
+    assert weyl.longest_element(cm, (np.int64(1), np.int64(2))).word == (1, 2, 1)
 
 
 def test_longest_element_rejects_affine_span():
