@@ -229,7 +229,7 @@ def _run_weyl(args) -> str:
     out = {"type": cm.label}
     out.update(weyl.element_to_json(w))
     if args.apply:
-        beta = tuple(int(x) for x in json.loads(args.apply))
+        beta = tuple(cartan._as_int(x) for x in json.loads(args.apply))
         out["image"] = list(weyl.act(w, beta))
     return _dump(out)
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if text is not None:

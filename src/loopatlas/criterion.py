@@ -58,9 +58,14 @@ def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
         raise InvalidSubsetError(
             f"functional has {f.size} values, ambient has {cm.size} coroots"
         )
-    for x in f.values:
+    _check_finite(f.values)
+
+
+def _check_finite(values, what: str = "functional value") -> None:
+    """Reject NaN and infinite floats, complex parts included."""
+    for x in values:
         if isinstance(x, (float, complex)) and not cmath.isfinite(x):
-            raise RegionError(f"functional value {x!r} is not finite")
+            raise RegionError(f"{what} {x!r} is not finite")
 
 
 def _real(x: Number):
@@ -92,7 +97,9 @@ def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
 
 
 def godement_minimal(f: LinearFunctional) -> bool:
-    """Every coroot value has real part strictly below -2."""
+    """Every coroot value has real part strictly below -2; non-finite
+    values raise ``RegionError``."""
+    _check_finite(f.values)
     return all(_real(x) < -2 for x in f.values)
 
 
@@ -114,25 +121,15 @@ def godement_cuspidal(cm: CartanMatrix, f: LinearFunctional) -> RegionReport:
     g = roots.dual_coxeter(cm)
     central = central_value(cm, f)
     re = _real(central)
-    if _is_exact(re):
-        if re == -g:
-            region = REGION_BOUNDARY
-        elif re < -2 * g:
-            region = REGION_CONVERGENT
-        elif re < -g:
-            region = REGION_CONTINUED
-        else:
-            region = REGION_OUTSIDE
+    tolerance = 0 if _is_exact(re) else BOUNDARY_TOLERANCE
+    if abs(re + g) <= tolerance:
+        region = REGION_BOUNDARY
+    elif re < -2 * g:
+        region = REGION_CONVERGENT
+    elif re < -g:
+        region = REGION_CONTINUED
     else:
-        rf = float(re)
-        if abs(rf + g) <= BOUNDARY_TOLERANCE:
-            region = REGION_BOUNDARY
-        elif rf < -2 * g:
-            region = REGION_CONVERGENT
-        elif rf < -g:
-            region = REGION_CONTINUED
-        else:
-            region = REGION_OUTSIDE
+        region = REGION_OUTSIDE
     return RegionReport(region=region, central=central, real_part=re, g=g)
 
 
@@ -153,21 +150,11 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
     The target must sit strictly inside the convergent region; each coroot
     value is target / g, exact for exact targets."""
     g = roots.dual_coxeter(cm)
-    re = _real(target)
-    if _is_exact(re):
-        inside = re < -2 * g
-    else:
-        inside = float(re) < -2 * g
-    if not inside:
+    if not _real(target) < -2 * g:
         raise RegionError(
             f"central target {target!r} is not strictly below -2g = {-2 * g}"
         )
-    if isinstance(target, int):
-        value: Number = Fraction(target, g)
-    elif isinstance(target, Fraction):
-        value = target / g
-    else:
-        value = target / g
+    value = Fraction(target, g) if isinstance(target, int) else target / g
     return LinearFunctional(values=(value,) * cm.size)
 
 

@@ -7,19 +7,21 @@ parameter plus the complex conjugate of the second.  The kernel variant
 drops the leading minus and can divide by the literal value at the
 truncation point instead of the central value; both denominators are
 exposed, neither is silently merged.  A vanishing denominator is reported
-as a pole result, never a crash or an infinity.
+as a pole result, never a crash or an infinity; a value too large for a
+float, and any non-finite input, raises ``RegionError``.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from . import criterion, serialize
 from .cartan import CartanMatrix
 from .criterion import LinearFunctional
-from .errors import InvalidSubsetError
+from .errors import InvalidSubsetError, RegionError
 
 POLE_TOLERANCE = 1e-12
 
@@ -40,13 +42,23 @@ class TruncatedPairing:
     truncation: tuple[float, ...]
 
     def __post_init__(self):
-        criterion._check_dimension(self.ambient, self.left)
-        criterion._check_dimension(self.ambient, self.right)
-        if len(self.truncation) != self.ambient.size:
-            raise InvalidSubsetError(
-                f"truncation point has {len(self.truncation)} coordinates, "
-                f"ambient has {self.ambient.size}"
-            )
+        _check_inputs(self.ambient, self.cusp_pairing, self.left, self.right, self.truncation)
+
+
+def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
+    """The one input check of both entry points: parameter and truncation
+    lengths match the ambient, and every float is finite.  Returns the
+    truncation point as a tuple."""
+    criterion._check_dimension(ambient, left)
+    criterion._check_dimension(ambient, right)
+    truncation = tuple(truncation)
+    if len(truncation) != ambient.size:
+        raise InvalidSubsetError(
+            f"truncation point has {len(truncation)} coordinates, ambient has {ambient.size}"
+        )
+    criterion._check_finite(truncation, "truncation coordinate")
+    criterion._check_finite((cusp_pairing,), "cusp pairing")
+    return truncation
 
 
 @dataclass(frozen=True)
@@ -72,21 +84,29 @@ def _evaluate(
     denominator_mode: str,
     pole_tolerance: float,
 ) -> KernelValue:
+    if not 0 < pole_tolerance < math.inf:
+        raise ValueError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")
     summed = _summed(left, right)
-    at_truncation = sum(s * complex(t) for s, t in zip(summed.values, truncation))
-    if denominator_mode == DENOMINATOR_CENTRAL:
-        denominator = complex(criterion.central_value(ambient, summed))
-    elif denominator_mode == DENOMINATOR_TRUNCATION:
-        criterion._check_dimension(ambient, summed)
-        denominator = complex(at_truncation)
-    else:
-        raise ValueError(
-            f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
-            f"{DENOMINATOR_TRUNCATION!r}, got {denominator_mode!r}"
-        )
-    if abs(denominator) < pole_tolerance:
-        return KernelValue(value=None, pole=True, denominator=denominator)
-    value = complex(cusp_pairing) * cmath.exp(complex(at_truncation)) / denominator
+    try:
+        at_truncation = sum(s * complex(t) for s, t in zip(summed.values, truncation))
+        if denominator_mode == DENOMINATOR_CENTRAL:
+            denominator = complex(criterion.central_value(ambient, summed))
+        elif denominator_mode == DENOMINATOR_TRUNCATION:
+            criterion._check_dimension(ambient, summed)
+            denominator = at_truncation
+        else:
+            raise ValueError(
+                f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
+                f"{DENOMINATOR_TRUNCATION!r}, got {denominator_mode!r}"
+            )
+        if abs(denominator) < pole_tolerance:
+            return KernelValue(value=None, pole=True, denominator=denominator)
+        value = complex(cusp_pairing) * cmath.exp(at_truncation) / denominator
+        finite = cmath.isfinite(value) and cmath.isfinite(denominator)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise RegionError("kernel value or denominator overflows a float")
     if leading_minus:
         value = -value
     return KernelValue(value=value, pole=False, denominator=denominator)
@@ -127,7 +147,7 @@ def pairing_kernel(
         cusp_pairing,
         mu,
         mu_prime,
-        truncation,
+        _check_inputs(ambient, cusp_pairing, mu, mu_prime, truncation),
         leading_minus=False,
         denominator_mode=denominator,
         pole_tolerance=pole_tolerance,

@@ -129,21 +129,13 @@ def associate_necessary(p: ParabolicSubset, q: ParabolicSubset) -> bool:
 # --- witness search ---------------------------------------------------------
 
 
-def _witness_masks(batch: np.ndarray, removed: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Boolean mask per omitted node c (0-based): rows whose matrix fixes
-    the kept simple roots setwise and sends root c negative."""
-    col_sum = batch.sum(axis=1, dtype=np.int64)
-    abs_sum = np.abs(batch.astype(np.int64)).sum(axis=1)
-    is_basis = (col_sum == 1) & (abs_sum == 1)
-    position = batch.argmax(axis=1)
-    negative = (batch <= 0).all(axis=1)
-    n = batch.shape[1]
-    out = {}
-    for c in removed:
-        others = [j for j in range(n) if j != c]
-        kept_ok = (is_basis[:, others] & (position[:, others] != c)).all(axis=1)
-        out[c] = kept_ok & negative[:, c]
-    return out
+def _is_witness(matrix: weyl.Matrix, c: int) -> bool:
+    """Exact witness test for omitted node c (0-based): every kept column
+    is a unit vector off row c, and column c is nonpositive."""
+    cols = list(zip(*matrix))
+    return max(cols[c]) <= 0 and all(
+        sum(col) == 1 == sum(map(abs, col)) and col[c] == 0 for j, col in enumerate(cols) if j != c
+    )
 
 
 def _scan(cm: CartanMatrix, removed: tuple[int, ...], bound: int):
@@ -164,12 +156,8 @@ def _scan(cm: CartanMatrix, removed: tuple[int, ...], bound: int):
         ones = (heights == 1).sum(axis=1)
         for c in removed:
             rows = np.flatnonzero((ones == n - 1) & (heights[:, c] < 0))
-            if rows.shape[0] == 0:
-                continue
-            candidates = [weyl.from_word(cm, words[r].tolist()) for r in rows]
-            batch = np.array([w.matrix for w in candidates], dtype=np.int64)
-            mask = _witness_masks(batch, (c,))[c]
-            hits[c].extend(w for w, ok in zip(candidates, mask) if ok)
+            candidates = (weyl.from_word(cm, words[r].tolist()) for r in rows)
+            hits[c].extend(w for w in candidates if _is_witness(w.matrix, c))
     return searched, hits
 
 

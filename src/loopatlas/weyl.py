@@ -7,14 +7,14 @@ first.  Concretely ``from_word(cm, (i, j))`` acts as the node-i reflection
 applied to the image under the node-j reflection reading right to left;
 its action matrix is the product S_i S_j.
 
-The canonical word of w (what ``word_from_matrix`` extracts) ends in the
-smallest right descent i of w, the smallest node with w·α_i negative, and
-continues leftward with the canonical word of w·s_i.  The breadth-first
-level engine keeps per element only that word and the height vector
-h_j = ht(w·α_j), all ones at the identity.  Right multiplication by s_i
-maps h to h - h_i·A[:, i] and lengthens w exactly when h_i > 0; keeping
-w·s_i only when i is its smallest right descent yields every element
-once, from the parent its canonical word names, with no deduplication.
+Every word is read off the height vector h_j = ht(w·α_j), the column sums
+of the action matrix.  Right multiplication by s_i maps h to
+h - h_i·A[:, i] and lengthens w exactly when h_i > 0.  The canonical word
+of w ends in its smallest right descent, the first i with h_i < 0, and
+continues leftward with the canonical word of w·s_i.  The level engine
+keeps per element only h and that word, and keeps w·s_i only when i is
+its smallest right descent: every element comes out once, with no
+deduplication.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ _CHUNK = 1 << 12  # parents per expansion step; bounds the (chunk, n, n) scratch
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Group element: canonical reduced word plus exact action matrix."""
+    """Group element: reduced word plus exact action matrix.  The word is
+    canonical except on ``longest_element`` results, so compare elements
+    by matrix, not by dataclass equality."""
 
     ambient: CartanMatrix
     word: tuple[int, ...]
@@ -52,23 +54,8 @@ class WeylElement:
         return f"WeylElement({letters})"
 
 
-def _identity_rows(n: int) -> Matrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
 def identity(cm: CartanMatrix) -> WeylElement:
-    return WeylElement(ambient=cm, word=(), matrix=_identity_rows(cm.size))
-
-
-def reflection_matrix(cm: CartanMatrix, i: int) -> Matrix:
-    """Action matrix of the node-i reflection; column j holds the image of
-    simple root j."""
-    i = cartan._check_node(i, cm.size)
-    n = cm.size
-    rows = [list(r) for r in _identity_rows(n)]
-    for j in range(n):
-        rows[i - 1][j] -= cm.entries[j][i - 1]
-    return tuple(tuple(r) for r in rows)
+    return from_word(cm, ())
 
 
 def reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
@@ -83,62 +70,61 @@ def act(w: WeylElement, beta: Coords) -> Coords:
     return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in w.matrix)
 
 
-def _multiply_right(cm: CartanMatrix, rows: list[list[int]], i: int) -> None:
-    """In-place right multiplication by the node-i reflection."""
-    col = i - 1
-    acol = [cm.entries[c][col] for c in range(cm.size)]
-    for row in rows:
-        pivot = row[col]
-        if pivot:
-            for c in range(cm.size):
-                row[c] -= pivot * acol[c]
-
-
-def _descent(rows: list[list[int]], n: int) -> int | None:
-    """Smallest node whose simple root is sent negative, None at identity."""
-    for c in range(n):
-        if all(rows[r][c] <= 0 for r in range(n)):
-            return c + 1
-    return None
-
-
-def _word_from_rows(cm: CartanMatrix, rows: list[list[int]]) -> tuple[int, ...]:
+def _matrix(cm: CartanMatrix, letters) -> Matrix:
+    """Action matrix of a sequence of valid letters, right-multiplying the
+    identity by each reflection in turn."""
     n = cm.size
-    work = [list(r) for r in rows]
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i in letters:
+        acol = [cm.entries[c][i - 1] for c in range(n)]
+        for row in rows:
+            pivot = row[i - 1]
+            if pivot:
+                for c in range(n):
+                    row[c] -= pivot * acol[c]
+    return tuple(tuple(r) for r in rows)
+
+
+def _step(cm: CartanMatrix, h: list[int], c: int) -> list[int]:
+    """Height vector of w·s_{c+1} from that of w: h - h_c·A[:, c]."""
+    return [x - h[c] * cm.entries[j][c] for j, x in enumerate(h)]
+
+
+def _canonical_word(cm: CartanMatrix, h: list[int]) -> tuple[int, ...]:
+    """Canonical reduced word of the element with height vector h: strip
+    the smallest right descent (the first j with h_j < 0) until none is
+    left, then read the stripped letters backwards."""
     letters: list[int] = []
-    guard = 0
-    while True:
-        i = _descent(work, n)
-        if i is None:
-            break
-        _multiply_right(cm, work, i)
-        letters.append(i)
-        guard += 1
-        if guard > 10_000:
+    while (c := next((j for j, x in enumerate(h) if x < 0), None)) is not None:
+        if len(letters) == 10_000:
             raise LoopAtlasError("descent extraction did not terminate; matrix is not a group element")
-    ident = _identity_rows(n)
-    if tuple(tuple(r) for r in work) != ident:
-        raise LoopAtlasError("matrix is not an action matrix of this group")
+        h = _step(cm, h, c)
+        letters.append(c + 1)
     return tuple(reversed(letters))
 
 
 def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
-    """Canonical reduced word of an action matrix, by descent extraction."""
-    return _word_from_rows(cm, [list(r) for r in matrix])
+    """Canonical reduced word of an action matrix, read off its column sums.
+
+    The height vector alone cannot tell a non-element from an element, so
+    the word's own matrix is rebuilt and compared."""
+    rows = tuple(tuple(r) for r in matrix)
+    if len(rows) == cm.size and all(len(r) == cm.size for r in rows):
+        word = _canonical_word(cm, [sum(col) for col in zip(*rows)])
+        if _matrix(cm, word) == rows:
+            return word
+    raise LoopAtlasError("matrix is not an action matrix of this group")
 
 
 def from_word(cm: CartanMatrix, word) -> WeylElement:
     """Element of a letter sequence; stores the canonical reduced word."""
-    n = cm.size
-    rows = [list(r) for r in _identity_rows(n)]
-    for i in word:
-        _multiply_right(cm, rows, cartan._check_node(i, n, "letter"))
-    matrix = tuple(tuple(r) for r in rows)
-    return WeylElement(ambient=cm, word=_word_from_rows(cm, rows), matrix=matrix)
+    matrix = _matrix(cm, [cartan._check_node(i, cm.size, "letter") for i in word])
+    h = [sum(col) for col in zip(*matrix)]
+    return WeylElement(ambient=cm, word=_canonical_word(cm, h), matrix=matrix)
 
 
 def simple(cm: CartanMatrix, i: int) -> WeylElement:
-    return WeylElement(ambient=cm, word=(i,), matrix=reflection_matrix(cm, i))
+    return from_word(cm, (i,))
 
 
 def reduce_word(cm: CartanMatrix, word) -> tuple[int, ...]:
@@ -150,12 +136,7 @@ def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """Product acting as w1 after w2."""
     if w1.ambient != w2.ambient:
         raise MixedAmbientError("cannot compose elements over different ambient matrices")
-    n = w1.ambient.size
-    a, b = w1.matrix, w2.matrix
-    prod = tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
-    return WeylElement(ambient=w1.ambient, word=word_from_matrix(w1.ambient, prod), matrix=prod)
+    return from_word(w1.ambient, w1.word + w2.word)
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -183,35 +164,31 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
 def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     """Longest element of the subgroup generated by the given nodes.
 
-    The node subset must induce a finite system.  Greedy ascent: repeatedly
-    apply the smallest in-subset reflection whose simple root is still sent
-    positive.  The resulting length is checked against the count of induced
-    positive roots.
+    The node subset must induce a finite system.  Greedy ascent on the
+    height vector: repeatedly apply the smallest in-subset reflection whose
+    simple root is still sent positive (h_i > 0).  The resulting length is
+    checked against the count of induced positive roots.
+
+    The element keeps this ascent word, which certificates publish as
+    ``levi_longest_word``.  It is reduced but not canonical for 186 of the
+    192 maximal Levis up to rank 8 and for every finite group but A1 and
+    A2, so compare longest elements by matrix.
     """
     subset = cartan._check_subset(cm, nodes)
     if not subset:
         return identity(cm)
     span = roots.roots_in_span(cm, subset)  # validates finiteness
-    n = cm.size
-    rows = [list(r) for r in _identity_rows(n)]
+    h = [1] * cm.size
     letters: list[int] = []
-    while True:
-        progressed = False
-        for i in subset:
-            col = i - 1
-            if any(rows[r][col] > 0 for r in range(n)) and all(rows[r][col] >= 0 for r in range(n)):
-                _multiply_right(cm, rows, i)
-                letters.append(i)
-                progressed = True
-                break
-        if not progressed:
-            break
+    while (i := next((i for i in subset if h[i - 1] > 0), None)) is not None:
+        h = _step(cm, h, i - 1)
+        letters.append(i)
     expected = len(span) // 2
     if len(letters) != expected:
         raise LoopAtlasError(
             f"longest element search made {len(letters)} steps, expected {expected}"
         )
-    return WeylElement(ambient=cm, word=tuple(letters), matrix=tuple(tuple(r) for r in rows))
+    return WeylElement(ambient=cm, word=tuple(letters), matrix=_matrix(cm, letters))
 
 
 def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
@@ -245,9 +222,10 @@ def _levels(cm: CartanMatrix, max_length: int) -> Iterator[tuple[int, np.ndarray
 
     ``heights`` is an int64 array of shape (count, n) whose row for w holds
     ht(w·α_j); ``words`` is an int8 array of shape (count, length) holding
-    the canonical reduced words.  Each level is in lexicographic order of
-    its words, so the stream is shortlex ordered and deterministic.  Only
-    the current level is held; parents are expanded in fixed-size chunks.
+    the canonical reduced words, kept by the ``_canonical_word`` rule in
+    vector form.  Each level is in lexicographic order of its words, so
+    the stream is shortlex ordered and deterministic.  Only the current
+    level is held; parents are expanded in fixed-size chunks.
     """
     if max_length < 0:
         raise InvalidSubsetError(f"max_length must be nonnegative, got {max_length}")

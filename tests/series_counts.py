@@ -17,6 +17,7 @@ EXPONENTS = {
     ("A", 6): (1, 2, 3, 4, 5, 6),
     ("A", 7): (1, 2, 3, 4, 5, 6, 7),
     ("A", 8): (1, 2, 3, 4, 5, 6, 7, 8),
+    ("A", 9): (1, 2, 3, 4, 5, 6, 7, 8, 9),
     ("B", 2): (1, 3),
     ("B", 3): (1, 3, 5),
     ("B", 4): (1, 3, 5, 7),
@@ -24,6 +25,7 @@ EXPONENTS = {
     ("B", 6): (1, 3, 5, 7, 9, 11),
     ("B", 7): (1, 3, 5, 7, 9, 11, 13),
     ("B", 8): (1, 3, 5, 7, 9, 11, 13, 15),
+    ("B", 9): (1, 3, 5, 7, 9, 11, 13, 15, 17),
     ("C", 2): (1, 3),
     ("C", 3): (1, 3, 5),
     ("C", 4): (1, 3, 5, 7),
@@ -31,11 +33,13 @@ EXPONENTS = {
     ("C", 6): (1, 3, 5, 7, 9, 11),
     ("C", 7): (1, 3, 5, 7, 9, 11, 13),
     ("C", 8): (1, 3, 5, 7, 9, 11, 13, 15),
+    ("C", 9): (1, 3, 5, 7, 9, 11, 13, 15, 17),
     ("D", 4): (1, 3, 5, 3),
     ("D", 5): (1, 3, 5, 7, 4),
     ("D", 6): (1, 3, 5, 7, 9, 5),
     ("D", 7): (1, 3, 5, 7, 9, 11, 6),
     ("D", 8): (1, 3, 5, 7, 9, 11, 13, 7),
+    ("D", 9): (1, 3, 5, 7, 9, 11, 13, 15, 8),
     ("E", 6): (1, 4, 5, 7, 8, 11),
     ("E", 7): (1, 5, 7, 9, 11, 13, 17),
     ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),

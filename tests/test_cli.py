@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import loopatlas
 from loopatlas import cli
@@ -297,10 +299,14 @@ def test_bad_json_is_a_usage_error(capsys):
 )
 def test_non_finite_parameter_is_a_domain_error(flags):
     # the all-NaN case used to print "nu_c": NaN, which is not JSON
+    _assert_domain_error_in_subprocess("godement", "A2affine", *flags)
+
+
+def _assert_domain_error_in_subprocess(*argv):
     src = str(Path(loopatlas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run(
-        [sys.executable, "-m", "loopatlas", "godement", "A2affine", *flags],
+        [sys.executable, "-m", "loopatlas", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -348,3 +354,88 @@ def test_out_of_range_node_is_a_domain_error(capsys):
     code, _, err = run(capsys, "associate", "A2affine", "--remove", "9")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_ms_overflow_is_a_domain_error():
+    # cmath.exp used to end this run in an OverflowError traceback
+    _assert_domain_error_in_subprocess(
+        "ms", "A1affine", "--nu", "[400,400]", "--nu-prime", "[400,400]", "--truncation", "[1,1]"
+    )
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+FUZZ_TYPES = ["A2", "B3", "G2", "A1affine", "A2affine", "C2affine", "G2affine", "Z9", "A0", "E9affine"]
+
+_numbers = st.one_of(
+    st.integers(-6, 6),
+    st.floats(-500, 500),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 1e308, -(10**400), True, None]),
+    st.floats(),
+)
+_values = st.one_of(
+    st.lists(st.one_of(_numbers, st.lists(_numbers, min_size=2, max_size=2)), max_size=4),
+    _numbers,
+    st.text(max_size=3),
+)
+
+
+def _json(strategy):
+    return strategy.map(json.dumps)
+
+
+def _nodes(lo, hi, max_size):
+    return st.one_of(
+        st.lists(st.integers(lo, hi), max_size=max_size).map(lambda xs: ",".join(map(str, xs))),
+        st.text(max_size=4),
+    )
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["weyl", "levi", "godement", "ms", "roots"]))
+    argv = [command, draw(st.sampled_from(FUZZ_TYPES))]
+    if command == "weyl":
+        argv += ["--word", draw(_nodes(-1, 5, 10))]
+        if draw(st.booleans()):
+            argv += ["--apply", draw(_json(_values))]
+    elif command == "levi":
+        argv += ["--theta", draw(_nodes(-1, 5, 5))]
+    elif command == "godement":
+        if draw(st.booleans()):
+            argv += ["--nu", draw(_json(_values))]
+        else:
+            argv += ["--uniform", draw(st.sampled_from(["-7", "0.5", "nan", "-inf", "1e400", "x"]))]
+    elif command == "ms":
+        argv += ["--nu", draw(_json(_values)), "--nu-prime", draw(_json(_values))]
+        if draw(st.booleans()):
+            argv += ["--truncation", draw(_json(_values))]
+        if draw(st.booleans()):
+            argv += ["--pairing", draw(_json(_numbers))]
+        if draw(st.booleans()):
+            argv += ["--kernel", "--denominator", draw(st.sampled_from(["central", "truncation"]))]
+        if draw(st.booleans()):
+            argv += ["--plain-sign"]
+        if draw(st.booleans()):
+            argv += ["--tolerance", draw(st.sampled_from(["1e-9", "0", "-1", "nan", "inf"]))]
+    else:
+        argv += ["--depth", str(draw(st.integers(-2, 2)))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+# each of these once ended in a traceback
+@example(["ms", "A1affine", "--nu", "[400,400]", "--nu-prime", "[400,400]", "--truncation", "[1,1]"])
+@example(["ms", "A1affine", "--nu", f"[[{10**400},0],1]", "--nu-prime", "[1,1]"])
+@example(["ms", "A1affine", "--nu", "[1,1]", "--nu-prime", "[1,1]", "--truncation", f"[{10**400},0]"])
+@example(["weyl", "A2", "--word", "1", "--apply", "[Infinity, 0]"])
+@example(["ms", "A1affine", "--nu", "[-1,-1]", "--nu-prime", "[-1,-1]", "--tolerance", "nan"])
+def test_cli_fuzz_exits_cleanly(capsys, argv):
+    """Only SystemExit may escape the CLI, and every exit code is 0, 1 or 2."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -190,6 +190,18 @@ def test_non_finite_parameters_are_rejected(value):
         criterion.central_value(cm, criterion.functional([-1, -1, value]))
 
 
+@pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf, complex(-3, math.nan)])
+def test_godement_minimal_rejects_non_finite_values(value):
+    # all -inf used to give True and all NaN False, so the implication
+    # check passed an all-NaN parameter
+    cm = _cm("A2affine")
+    f = _uniform(cm, value)
+    with pytest.raises(RegionError, match="not finite"):
+        criterion.godement_minimal(f)
+    with pytest.raises(RegionError, match="not finite"):
+        criterion.implication_check(cm, f)
+
+
 # --- reconstruction from a central target -----------------------------------
 
 

@@ -301,6 +301,59 @@ def test_non_finite_parameters_are_rejected(bad):
         ms.region_scan(cm, [criterion.functional((bad, bad))], [good], (0.0, 0.0))
 
 
+@pytest.mark.parametrize("truncation", [(0.5,), (0.1, 0.2, 0.3)])
+def test_kernel_checks_the_truncation_length(truncation):
+    # a short point used to be zipped silently, a long one accepted
+    cm = _cm("A1affine")
+    f = criterion.functional((0.5, 0.5))
+    with pytest.raises(InvalidSubsetError, match="truncation point"):
+        ms.pairing_kernel(cm, 1.0, f, f, truncation)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_truncation_and_pairing_are_rejected(bad):
+    # these used to return nan or -0 with pole=False
+    cm = _cm("A1affine")
+    f = criterion.functional((0.5, 0.5))
+    with pytest.raises(RegionError, match="truncation coordinate"):
+        ms.pairing_kernel(cm, 1.0, f, f, (bad, 0.0))
+    with pytest.raises(RegionError, match="truncation coordinate"):
+        ms.TruncatedPairing(ambient=cm, cusp_pairing=1.0, left=f, right=f, truncation=(0.0, bad))
+    with pytest.raises(RegionError, match="cusp pairing"):
+        ms.pairing_kernel(cm, complex(1.0, bad), f, f, (0.0, 0.0))
+    with pytest.raises(RegionError, match="cusp pairing"):
+        ms.region_scan(cm, [f], [f], (0.0, 0.0), cusp_pairing=bad)
+
+
+def test_exp_overflow_is_a_region_error():
+    # cmath.exp used to escape with a raw OverflowError
+    cm = _cm("A1affine")
+    f = criterion.functional((401, 401))
+    request = ms.TruncatedPairing(ambient=cm, cusp_pairing=1.0, left=f, right=f, truncation=(1.0, 1.0))
+    with pytest.raises(RegionError, match="overflows"):
+        ms.inner_product(request)
+    with pytest.raises(RegionError, match="overflows"):
+        ms.pairing_kernel(cm, 1.0, f, f, (1.0, 1.0), denominator=ms.DENOMINATOR_TRUNCATION)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_pole_tolerance_must_be_positive_and_finite(tolerance):
+    # a zero, negative or NaN tolerance let an exact pole divide by zero
+    f = criterion.functional((-1, -1))
+    request = _request("A1affine", (0, 0), (0, 0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="pole tolerance"):
+        ms.inner_product(request, pole_tolerance=tolerance)
+    with pytest.raises(ValueError, match="pole tolerance"):
+        ms.pairing_kernel(_cm("A1affine"), 1.0, f, f, (0.0, 0.0), pole_tolerance=tolerance)
+
+
+def test_kernel_accepts_a_generator_truncation_point():
+    cm = _cm("A1affine")
+    f = criterion.functional((-0.5, -0.5))
+    value = ms.pairing_kernel(cm, 1.0, f, f, (0.0 for _ in range(2)))
+    assert value == ms.pairing_kernel(cm, 1.0, f, f, (0.0, 0.0))
+
+
 # --- serialization ----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,40 @@ def test_word_from_matrix_rejects_non_elements():
         weyl.word_from_matrix(cm, ((1, 1), (0, 1)))
 
 
+def test_word_from_matrix_rebuilds_the_matrix():
+    # every column sum is positive, so the height vector reads as the
+    # identity; only the rebuilt matrix tells the permutation apart
+    with pytest.raises(LoopAtlasError, match="not an action matrix"):
+        weyl.word_from_matrix(_cm("A2"), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("matrix", [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,),), ((1, 0), (0,))])
+def test_word_from_matrix_rejects_wrong_shapes(matrix):
+    with pytest.raises(LoopAtlasError, match="not an action matrix"):
+        weyl.word_from_matrix(_cm("A2"), matrix)
+
+
+@given(type_and_word(), st.data())
+def test_compose_is_the_matrix_product(cw, data):
+    cm, word = cw
+    u = weyl.from_word(cm, word)
+    v = weyl.from_word(cm, data.draw(st.lists(st.integers(1, cm.size), max_size=8)))
+    n = cm.size
+    product = tuple(
+        tuple(sum(u.matrix[r][k] * v.matrix[k][c] for k in range(n)) for c in range(n))
+        for r in range(n)
+    )
+    assert weyl.compose(u, v).matrix == product
+
+
+def test_simple_takes_numpy_integers():
+    # the word used to keep the np.int64, which json.dumps rejects
+    s = weyl.simple(_cm("A2"), np.int64(1))
+    assert s.word == (1,)
+    assert type(s.word[0]) is int
+    assert json.loads(json.dumps(weyl.element_to_json(s)))["word"] == [1]
+
+
 # --- inversions -------------------------------------------------------------
 
 
@@ -409,6 +444,12 @@ def test_enumerated_words_are_the_canonical_words(label):
     cm = _cm(label)
     for w in weyl.enumerate_elements(cm, 6):
         assert weyl.word_from_matrix(cm, w.matrix) == w.word
+
+
+@pytest.mark.parametrize("series", ["A", "B", "C", "D"])
+def test_rank_nine_ball_sizes_match_generating_function(series):
+    cm = cartan.parse_type(f"{series}9affine")
+    assert list(weyl.ball_sizes(cm, 8)) == series_counts.affine_counts(series, 9, 8)
 
 
 def test_ball_sizes_have_no_depth_limit():
