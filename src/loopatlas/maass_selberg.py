@@ -16,9 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
 
-from . import criterion, serialize
+from . import criterion, roots, serialize
 from .cartan import CartanMatrix
 from .criterion import LinearFunctional
 from .errors import InvalidSubsetError, RegionError
@@ -27,6 +26,8 @@ POLE_TOLERANCE = 1e-12
 
 DENOMINATOR_CENTRAL = "central"
 DENOMINATOR_TRUNCATION = "truncation"
+
+_OVERFLOW = "kernel value or denominator overflows a float"
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,17 @@ class TruncatedPairing:
 
 
 def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
-    """The one input check of both entry points: parameter and truncation
+    """The input check of ``TruncatedPairing`` and ``pairing_kernel``, whose
+    rules ``region_scan`` applies once per input: parameter and truncation
     lengths match the ambient, and every float is finite.  Returns the
     truncation point as a tuple."""
     criterion._check_dimension(ambient, left)
     criterion._check_dimension(ambient, right)
+    return _check_point(ambient, cusp_pairing, truncation)
+
+
+def _check_point(ambient, cusp_pairing, truncation) -> tuple:
+    """The part of ``_check_inputs`` that does not involve the parameters."""
     truncation = tuple(truncation)
     if len(truncation) != ambient.size:
         raise InvalidSubsetError(
@@ -61,6 +68,27 @@ def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
     return truncation
 
 
+def _check_tolerance(pole_tolerance) -> None:
+    if not 0 < pole_tolerance < math.inf:
+        raise ValueError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")
+
+
+def _shifted(ambient: CartanMatrix, f: LinearFunctional) -> tuple:
+    """Values of a parameter shifted by the Weyl vector, checked."""
+    shifted = criterion.shift_by_weyl_vector(f)
+    criterion._check_dimension(ambient, shifted)
+    return shifted.values
+
+
+def _complex_point(truncation) -> tuple[complex, ...]:
+    """The truncation point as complex numbers; a coordinate too large for
+    a float is a kernel overflow."""
+    try:
+        return tuple(complex(t) for t in truncation)
+    except OverflowError:
+        raise RegionError(_OVERFLOW) from None
+
+
 @dataclass(frozen=True)
 class KernelValue:
     value: complex | None
@@ -68,37 +96,31 @@ class KernelValue:
     denominator: complex
 
 
-def _summed(left: LinearFunctional, right: LinearFunctional) -> LinearFunctional:
-    vals = tuple(a + b.conjugate() for a, b in zip(left.values, right.values))
-    return LinearFunctional(values=vals)
-
-
-def _evaluate(
-    ambient: CartanMatrix,
+def _kernel(
+    weights,
     cusp_pairing,
-    left: LinearFunctional,
-    right: LinearFunctional,
-    truncation,
+    left: tuple,
+    right: tuple,
+    point: tuple[complex, ...],
     *,
     leading_minus: bool,
-    denominator_mode: str,
+    by_truncation: bool,
     pole_tolerance: float,
 ) -> KernelValue:
-    if not 0 < pole_tolerance < math.inf:
-        raise ValueError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")
-    summed = _summed(left, right)
+    """The kernel formula, the only one, on checked inputs: ``left`` and
+    ``right`` are shifted parameter values, ``point`` is the truncation
+    point as complex numbers and ``weights`` the ambient's central coroot.
+    The cusp pairing is converted only where a value is formed, so a pole
+    never needs it to fit in a float.
+    """
+    summed = tuple(a + b.conjugate() for a, b in zip(left, right))
     try:
-        at_truncation = sum(s * complex(t) for s, t in zip(summed.values, truncation))
-        if denominator_mode == DENOMINATOR_CENTRAL:
-            denominator = complex(criterion.central_value(ambient, summed))
-        elif denominator_mode == DENOMINATOR_TRUNCATION:
-            criterion._check_dimension(ambient, summed)
+        at_truncation = sum(s * t for s, t in zip(summed, point))
+        criterion._check_finite(summed)  # two finite parameters can sum to an infinity
+        if by_truncation:
             denominator = at_truncation
         else:
-            raise ValueError(
-                f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
-                f"{DENOMINATOR_TRUNCATION!r}, got {denominator_mode!r}"
-            )
+            denominator = complex(sum(w * s for w, s in zip(weights, summed)))
         if abs(denominator) < pole_tolerance:
             return KernelValue(value=None, pole=True, denominator=denominator)
         value = complex(cusp_pairing) * cmath.exp(at_truncation) / denominator
@@ -106,7 +128,7 @@ def _evaluate(
     except OverflowError:
         finite = False
     if not finite:
-        raise RegionError("kernel value or denominator overflows a float")
+        raise RegionError(_OVERFLOW)
     if leading_minus:
         value = -value
     return KernelValue(value=value, pole=False, denominator=denominator)
@@ -119,14 +141,15 @@ def inner_product(
     pole_tolerance: float = POLE_TOLERANCE,
 ) -> KernelValue:
     """Truncated inner product of the two series the request describes."""
-    return _evaluate(
-        request.ambient,
+    _check_tolerance(pole_tolerance)
+    return _kernel(
+        roots.central_coroot(request.ambient),
         request.cusp_pairing,
-        request.left,
-        request.right,
-        request.truncation,
+        request.left.values,
+        request.right.values,
+        _complex_point(request.truncation),
         leading_minus=leading_minus,
-        denominator_mode=DENOMINATOR_CENTRAL,
+        by_truncation=False,
         pole_tolerance=pole_tolerance,
     )
 
@@ -142,14 +165,21 @@ def pairing_kernel(
     pole_tolerance: float = POLE_TOLERANCE,
 ) -> KernelValue:
     """Kernel variant: no leading minus, selectable denominator."""
-    return _evaluate(
-        ambient,
+    truncation = _check_inputs(ambient, cusp_pairing, mu, mu_prime, truncation)
+    _check_tolerance(pole_tolerance)
+    if denominator not in (DENOMINATOR_CENTRAL, DENOMINATOR_TRUNCATION):
+        raise ValueError(
+            f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
+            f"{DENOMINATOR_TRUNCATION!r}, got {denominator!r}"
+        )
+    return _kernel(
+        roots.central_coroot(ambient),
         cusp_pairing,
-        mu,
-        mu_prime,
-        _check_inputs(ambient, cusp_pairing, mu, mu_prime, truncation),
+        mu.values,
+        mu_prime.values,
+        _complex_point(truncation),
         leading_minus=False,
-        denominator_mode=denominator,
+        by_truncation=denominator == DENOMINATOR_TRUNCATION,
         pole_tolerance=pole_tolerance,
     )
 
@@ -180,31 +210,52 @@ def region_scan(
     pole_tolerance: float = POLE_TOLERANCE,
 ) -> ScanReport:
     """Tabulate the inner product over the product grid of unshifted
-    parameters, in grid order, flagging the pole locus."""
+    parameters, in grid order, flagging the pole locus.
+
+    Each parameter is shifted and checked once, and so are the truncation
+    point, the cusp pairing and the tolerance, each when the grid first
+    reaches it; a scan therefore raises the error that evaluating its
+    points one by one would raise first.  The summed parameter is checked
+    at every point, since two finite parameters can sum to an infinity.
+    If either side is empty the report is empty and nothing is checked.
+    """
+    nus, nu_primes = tuple(nus), tuple(nu_primes)
+    if not nus or not nu_primes:
+        return ScanReport(points=(), n_points=0, n_poles=0)
     pts = []
     n_poles = 0
-    for nu, nu_prime in product(tuple(nus), tuple(nu_primes)):
-        left = criterion.shift_by_weyl_vector(nu)
-        right = criterion.shift_by_weyl_vector(nu_prime)
-        request = TruncatedPairing(
-            ambient=ambient,
-            cusp_pairing=cusp_pairing,
-            left=left,
-            right=right,
-            truncation=tuple(truncation),
-        )
-        result = inner_product(request, pole_tolerance=pole_tolerance)
-        if result.pole:
-            n_poles += 1
-        pts.append(
-            ScanPoint(
-                nu=nu.values,
-                nu_prime=nu_prime.values,
-                denominator=result.denominator,
-                pole=result.pole,
-                value=result.value,
+    rights = []  # shifted second parameters, each checked when the first row reaches it
+    for nu in nus:
+        left = _shifted(ambient, nu)
+        for j, nu_prime in enumerate(nu_primes):
+            if j == len(rights):  # first row only
+                rights.append(_shifted(ambient, nu_prime))
+                if j == 0:  # first point
+                    checked = _check_point(ambient, cusp_pairing, truncation)
+                    _check_tolerance(pole_tolerance)
+                    point = _complex_point(checked)
+                    weights = roots.central_coroot(ambient)
+            result = _kernel(
+                weights,
+                cusp_pairing,
+                left,
+                rights[j],
+                point,
+                leading_minus=True,
+                by_truncation=False,
+                pole_tolerance=pole_tolerance,
             )
-        )
+            if result.pole:
+                n_poles += 1
+            pts.append(
+                ScanPoint(
+                    nu=nu.values,
+                    nu_prime=nu_prime.values,
+                    denominator=result.denominator,
+                    pole=result.pole,
+                    value=result.value,
+                )
+            )
     return ScanReport(points=tuple(pts), n_points=len(pts), n_poles=n_poles)
 
 
@@ -220,13 +271,28 @@ def value_to_json(kv: KernelValue) -> dict:
 
 
 def scan_to_json(report: ScanReport) -> dict:
+    """JSON form of a scan report.
+
+    Each distinct parameter tuple is encoded once: points that share a
+    ``nu`` or ``nu_prime`` tuple (a row or a column of a ``region_scan``
+    grid) share the encoded list.  The dict is a serialization surface;
+    copy it before mutating it.
+    """
+    encoded: dict[int, list] = {}  # keyed on identity; the report keeps every tuple alive
+
+    def encode(values) -> list:
+        out = encoded.get(id(values))
+        if out is None:
+            out = encoded[id(values)] = serialize.encode_values(values)
+        return out
+
     return {
         "n_points": report.n_points,
         "n_poles": report.n_poles,
         "points": [
             {
-                "nu": serialize.encode_values(p.nu),
-                "nu_prime": serialize.encode_values(p.nu_prime),
+                "nu": encode(p.nu),
+                "nu_prime": encode(p.nu_prime),
                 "denominator": serialize.encode_number(p.denominator),
                 "pole": p.pole,
                 "value": None if p.value is None else [p.value.real, p.value.imag],

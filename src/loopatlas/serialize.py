@@ -18,14 +18,14 @@ def encode_number(x: Number):
         raise TypeError("booleans are not numeric values here")
     if isinstance(x, int):
         return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
     if isinstance(x, float):
         return int(x) if x.is_integer() else x
     if isinstance(x, complex):
         if x.imag == 0:
             return encode_number(x.real)
         return [x.real, x.imag]
+    if isinstance(x, Fraction):  # last: an ABC check, far slower than the others
+        return int(x) if x.denominator == 1 else float(x)
     raise TypeError(f"cannot encode {type(x).__name__} as a JSON number")
 
 

@@ -19,6 +19,7 @@ deduplication.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -65,8 +66,12 @@ def reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
 
 
 def act(w: WeylElement, beta: Coords) -> Coords:
+    """Image of an integer vector in simple-root coordinates."""
     if len(beta) != w.ambient.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {w.ambient.size}")
+    for x in beta:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise InvalidSubsetError(f"coordinate {x!r} is not an integer")
     return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in w.matrix)
 
 
@@ -90,27 +95,35 @@ def _step(cm: CartanMatrix, h: list[int], c: int) -> list[int]:
     return [x - h[c] * cm.entries[j][c] for j, x in enumerate(h)]
 
 
-def _canonical_word(cm: CartanMatrix, h: list[int]) -> tuple[int, ...]:
+def _canonical_word(cm: CartanMatrix, h: list[int], limit: int) -> tuple[int, ...]:
     """Canonical reduced word of the element with height vector h: strip
     the smallest right descent (the first j with h_j < 0) until none is
-    left, then read the stripped letters backwards."""
+    left, then read the stripped letters backwards, at most ``limit`` of
+    them."""
     letters: list[int] = []
     while (c := next((j for j, x in enumerate(h) if x < 0), None)) is not None:
-        if len(letters) == 10_000:
-            raise LoopAtlasError("descent extraction did not terminate; matrix is not a group element")
+        if len(letters) == limit:
+            raise LoopAtlasError(
+                f"descent extraction stopped after {limit} letters; "
+                f"the matrix is not a group element of length at most {limit}"
+            )
         h = _step(cm, h, c)
         letters.append(c + 1)
     return tuple(reversed(letters))
+
+
+_WORD_LIMIT = 10_000  # a bare matrix gives no bound on its length
 
 
 def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
     """Canonical reduced word of an action matrix, read off its column sums.
 
     The height vector alone cannot tell a non-element from an element, so
-    the word's own matrix is rebuilt and compared."""
+    the word's own matrix is rebuilt and compared.  Elements longer than
+    10,000 are refused."""
     rows = tuple(tuple(r) for r in matrix)
     if len(rows) == cm.size and all(len(r) == cm.size for r in rows):
-        word = _canonical_word(cm, [sum(col) for col in zip(*rows)])
+        word = _canonical_word(cm, [sum(col) for col in zip(*rows)], _WORD_LIMIT)
         if _matrix(cm, word) == rows:
             return word
     raise LoopAtlasError("matrix is not an action matrix of this group")
@@ -118,9 +131,11 @@ def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
 
 def from_word(cm: CartanMatrix, word) -> WeylElement:
     """Element of a letter sequence; stores the canonical reduced word."""
-    matrix = _matrix(cm, [cartan._check_node(i, cm.size, "letter") for i in word])
+    letters = [cartan._check_node(i, cm.size, "letter") for i in word]
+    matrix = _matrix(cm, letters)
     h = [sum(col) for col in zip(*matrix)]
-    return WeylElement(ambient=cm, word=_canonical_word(cm, h), matrix=matrix)
+    # the reduced length never exceeds the input's length
+    return WeylElement(ambient=cm, word=_canonical_word(cm, h, len(letters)), matrix=matrix)
 
 
 def simple(cm: CartanMatrix, i: int) -> WeylElement:
@@ -161,13 +176,25 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
     return tuple(sorted(found, key=lambda r: (roots.height(r), r)))
 
 
+def _positive_root_count(series: str, rank: int) -> int:
+    """Number of positive roots of an irreducible finite type."""
+    if series == "A":
+        return rank * (rank + 1) // 2
+    if series in ("B", "C"):
+        return rank * rank
+    if series == "D":
+        return rank * (rank - 1)
+    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[series, rank]
+
+
 def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     """Longest element of the subgroup generated by the given nodes.
 
     The node subset must induce a finite system.  Greedy ascent on the
     height vector: repeatedly apply the smallest in-subset reflection whose
     simple root is still sent positive (h_i > 0).  The resulting length is
-    checked against the count of induced positive roots.
+    checked against the count of induced positive roots, summed in closed
+    form over the classified components.
 
     The element keeps this ascent word, which certificates publish as
     ``levi_longest_word``.  It is reduced but not canonical for 186 of the
@@ -177,13 +204,13 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     subset = cartan._check_subset(cm, nodes)
     if not subset:
         return identity(cm)
-    span = roots.roots_in_span(cm, subset)  # validates finiteness
+    types = cartan.component_types(cm, subset)  # rejects a subset that is not of finite type
+    expected = sum(_positive_root_count(series, rank) for series, rank in types)
     h = [1] * cm.size
     letters: list[int] = []
     while (i := next((i for i in subset if h[i - 1] > 0), None)) is not None:
         h = _step(cm, h, i - 1)
         letters.append(i)
-    expected = len(span) // 2
     if len(letters) != expected:
         raise LoopAtlasError(
             f"longest element search made {len(letters)} steps, expected {expected}"

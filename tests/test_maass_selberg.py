@@ -1,11 +1,15 @@
 import cmath
+import hashlib
+import json
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from loopatlas import cartan, criterion, maass_selberg as ms, roots
+from loopatlas import cartan, criterion, maass_selberg as ms, roots, serialize
 from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, RegionError
 
 finite_floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
@@ -255,7 +259,120 @@ def test_region_scan_counts_poles():
     assert not report.points[1].pole
 
 
+def _pointwise_scan(cm, nus, nu_primes, truncation, pairing=1.0, tolerance=ms.POLE_TOLERANCE):
+    """Reference scan: one validated request per grid point."""
+    points = []
+    for nu in nus:
+        for nu_prime in nu_primes:
+            request = ms.TruncatedPairing(
+                ambient=cm,
+                cusp_pairing=pairing,
+                left=criterion.shift_by_weyl_vector(nu),
+                right=criterion.shift_by_weyl_vector(nu_prime),
+                truncation=tuple(truncation),
+            )
+            out = ms.inner_product(request, pole_tolerance=tolerance)
+            points.append((nu.values, nu_prime.values, out.denominator, out.pole, out.value))
+    return points
+
+
+def _scan_points(report):
+    return [(p.nu, p.nu_prime, p.denominator, p.pole, p.value) for p in report.points]
+
+
+def _mixed_grid(label, seed):
+    """Float, complex, int and Fraction parameters; the last two second
+    parameters are pole partners -conj(nu) - 2 of two first ones."""
+    rng = random.Random(seed)
+    cm = _cm(label)
+
+    def number():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.uniform(-4.0, 1.0)
+        if kind == 1:
+            return complex(rng.uniform(-4.0, 1.0), rng.uniform(-3.0, 3.0))
+        if kind == 2:
+            return rng.randint(-5, 3)
+        return Fraction(rng.randint(-20, 8), rng.randint(1, 6))
+
+    nus = [criterion.functional(number() for _ in range(cm.size)) for _ in range(6)]
+    nu_primes = [criterion.functional(number() for _ in range(cm.size)) for _ in range(4)]
+    nu_primes += [criterion.functional(-x.conjugate() - 2 for x in nus[k].values) for k in (1, 4)]
+    truncation = tuple(
+        (rng.uniform(-0.5, 0.5), rng.randint(-1, 1), Fraction(rng.randint(-4, 4), 8))[rng.randrange(3)]
+        for _ in range(cm.size)
+    )
+    pairing = (1.0, 2, Fraction(3, 2), 1 - 2j)[seed % 4]
+    return cm, nus, nu_primes, truncation, pairing
+
+
+@pytest.mark.parametrize("label", ["A1affine", "G2affine", "E8affine"])
+@pytest.mark.parametrize("seed", range(4))
+def test_region_scan_matches_pointwise_inner_product(label, seed):
+    cm, nus, nu_primes, truncation, pairing = _mixed_grid(label, seed)
+    report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
+    expected = _pointwise_scan(cm, nus, nu_primes, truncation, pairing)
+    assert _scan_points(report) == expected
+    assert report.n_poles == sum(point[3] for point in expected) >= 2
+
+
 # --- validation -------------------------------------------------------------
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # the error class and message are the outcome
+        return type(exc), str(exc)
+
+
+def test_region_scan_raises_what_the_pointwise_scan_raises():
+    """A grid with one malformed input fails as the per-point loop does,
+    also when a valid point before it overflows."""
+    cm = _cm("A1affine")
+    good = [criterion.functional((-1.5 + 0.5j * k, -2.0 - k)) for k in range(3)]
+    overflow = criterion.functional((400, 400))  # exp overflows at the truncation point (1, 1)
+    malformed = [criterion.functional((math.nan, -1.0)), criterion.functional((-1.0,)), (-1.0, -1.0)]
+    cases = []
+    for first in (good[0], overflow):
+        for bad in malformed:
+            for side in (0, 1):
+                for pos in range(3):
+                    grid = [[first, *good[1:]], list(good)]
+                    grid[side][pos] = bad
+                    cases.append((grid, (1.0, 1.0), 1.0, ms.POLE_TOLERANCE))
+        grid = [[first, *good[1:]], list(good)]
+        for truncation in [(1.0,), (math.nan, 1.0), (1.0, 10**400)]:
+            cases.append((grid, truncation, 1.0, ms.POLE_TOLERANCE))
+        cases.append((grid, (1.0, 1.0), math.inf, ms.POLE_TOLERANCE))
+        cases.append((grid, (1.0, 1.0), 1.0, 0.0))
+    for (nus, nu_primes), truncation, pairing, tolerance in cases:
+        expected = _outcome(lambda: _pointwise_scan(cm, nus, nu_primes, truncation, pairing, tolerance))
+        assert isinstance(expected[0], type)
+        got = _outcome(
+            lambda: _scan_points(
+                ms.region_scan(cm, nus, nu_primes, truncation, pairing, pole_tolerance=tolerance)
+            )
+        )
+        assert got == expected
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_region_scan_with_an_empty_side_checks_nothing(side):
+    cm = _cm("A1affine")
+    grid = [[criterion.functional((math.nan, 0.0)), None], [None]]
+    grid[side] = []
+    report = ms.region_scan(cm, *grid, None, cusp_pairing=math.nan, pole_tolerance=-1.0)
+    assert report == ms.ScanReport(points=(), n_points=0, n_poles=0)
+
+
+def test_region_scan_accepts_a_generator_truncation_point():
+    # the per-point loop exhausted it at the first point
+    cm = _cm("A1affine")
+    nus = [criterion.functional((-3.0, -2.0)), criterion.functional((-2.0, -2.5))]
+    report = ms.region_scan(cm, nus, nus, (0.25 for _ in range(2)))
+    assert report == ms.region_scan(cm, nus, nus, (0.25, 0.25))
 
 
 def test_request_validation():
@@ -382,3 +499,55 @@ def test_scan_json():
     assert point["pole"] is False
     assert point["denominator"] == -8
     assert point["value"] == [0.125, 0.0]
+
+
+@pytest.mark.parametrize("label", ["A1affine", "E8affine"])
+def test_scan_json_matches_pointwise_encoding(label):
+    report = ms.region_scan(*_mixed_grid(label, 5))
+    expected = {
+        "n_points": report.n_points,
+        "n_poles": report.n_poles,
+        "points": [
+            {
+                "nu": serialize.encode_values(p.nu),
+                "nu_prime": serialize.encode_values(p.nu_prime),
+                "denominator": serialize.encode_number(p.denominator),
+                "pole": p.pole,
+                "value": None if p.value is None else [p.value.real, p.value.imag],
+            }
+            for p in report.points
+        ],
+    }
+    obj = ms.scan_to_json(report)
+    assert json.dumps(obj) == json.dumps(expected)
+    # a row shares its encoded first parameter, a column its second
+    points = obj["points"]
+    assert points[0]["nu"] is points[1]["nu"]
+    assert points[0]["nu_prime"] is points[6]["nu_prime"]
+
+
+SCAN_SHA256 = "2315a25425ba0c14f800061151e07c28ea47b6ef6e4a7594e7fe74532184597b"
+
+
+def test_scan_json_is_pinned():
+    """sha256 of the JSON text of a 30 x 30 E8affine scan with a pole
+    partner in every fifth column, as computed by the per-point scan that
+    built a request for every grid point."""
+    rng = random.Random(20100)
+    cm = _cm("E8affine")
+
+    def parameter():
+        return criterion.functional(
+            complex(rng.uniform(-4.0, 0.0), rng.uniform(-3.0, 3.0)) for _ in range(cm.size)
+        )
+
+    nus = [parameter() for _ in range(30)]
+    nu_primes = [
+        criterion.functional(-x.conjugate() - 2 for x in nus[k].values) if k % 5 == 0 else parameter()
+        for k in range(30)
+    ]
+    truncation = tuple(rng.uniform(-0.5, 0.5) for _ in range(cm.size))
+    report = ms.region_scan(cm, nus, nu_primes, truncation)
+    assert report.n_poles == 6
+    text = json.dumps(ms.scan_to_json(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_SHA256

@@ -83,6 +83,15 @@ def test_reflect_matches_simple_action():
                 assert weyl.act(s, alpha) == weyl.reflect(cm, alpha, i)
 
 
+def test_act_rejects_non_integer_coordinates():
+    # (1.5, 0) used to come back as (-1.5, 0.0), and True passed as 1
+    s = weyl.simple(_cm("A1affine"), 1)
+    for beta in [(1.5, 0), (True, 0), (1, 2.0), (Fraction(1), 0)]:
+        with pytest.raises(InvalidSubsetError, match="not an integer"):
+            weyl.act(s, beta)
+    assert weyl.act(s, (np.int64(1), 0)) == (-1, 0)
+
+
 def test_reflection_fixes_orthogonal_and_negates_own():
     cm = _cm("A3")
     for i in cm.nodes:
@@ -225,6 +234,16 @@ def test_word_from_matrix_rebuilds_the_matrix():
         weyl.word_from_matrix(_cm("A2"), ((0, 1), (1, 0)))
 
 
+def test_long_words_are_accepted():
+    # the old fixed guard refused every element longer than 10,000
+    cm = _cm("A1affine")
+    w = weyl.from_word(cm, (1, 2) * 5001)
+    assert w.length == 10002
+    assert w.word == (1, 2) * 5001
+    with pytest.raises(LoopAtlasError, match="stopped after 10000 letters"):
+        weyl.word_from_matrix(cm, w.matrix)
+
+
 @pytest.mark.parametrize("matrix", [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,),), ((1, 0), (0,))])
 def test_word_from_matrix_rejects_wrong_shapes(matrix):
     with pytest.raises(LoopAtlasError, match="not an action matrix"):
@@ -318,6 +337,12 @@ def test_longest_element_length_is_positive_root_count(label, length):
     # w0 maps the positive system onto the negative one
     for beta in roots.positive_roots(cm):
         assert roots.is_negative(weyl.act(w0, beta))
+
+
+@pytest.mark.parametrize("cm", cartan.all_types(9, affine=False), ids=lambda cm: cm.label)
+def test_positive_root_count_closed_form(cm):
+    series, rank, _ = cartan.classify(cm)
+    assert weyl._positive_root_count(series, rank) == len(roots.positive_roots(cm))
 
 
 def test_longest_element_of_subset():
