@@ -496,27 +496,24 @@ def subdiagram(cm: CartanMatrix, nodes) -> CartanMatrix:
     return from_matrix(rows)
 
 
+def _components(rows: Rows, nodes) -> list[list[int]]:
+    """Connected components of the diagram induced on the given sorted
+    0-based nodes, each sorted, in order of their smallest node."""
+    left = list(nodes)
+    out = []
+    while left:
+        comp = [left.pop(0)]
+        for i in comp:  # grows while it is read: breadth-first over the component
+            comp += [j for j in left if rows[i][j]]
+            left = [j for j in left if not rows[i][j]]
+        out.append(sorted(comp))
+    return out
+
+
 def components(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     """Connected components of the diagram, each sorted, in order of their
     smallest node."""
-    n = cm.size
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = [start]
-        seen[start] = True
-        while queue:
-            i = queue.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and cm.entries[i][j] != 0:
-                    seen[j] = True
-                    queue.append(j)
-        out.append(tuple(sorted(x + 1 for x in comp)))
-    return tuple(out)
+    return tuple(tuple(i + 1 for i in comp) for comp in _components(cm.entries, range(cm.size)))
 
 
 def irreducible(cm: CartanMatrix) -> bool:
@@ -526,14 +523,18 @@ def irreducible(cm: CartanMatrix) -> bool:
 def component_types(cm: CartanMatrix, nodes) -> tuple[tuple[str, int], ...]:
     """Classified connected components of the induced subdiagram, as a
     sorted tuple of (series, rank) pairs.  Empty subset gives ()."""
-    subset = _check_subset(cm, nodes)
-    if not subset:
-        return ()
-    sub = subdiagram(cm, subset)
+    return _component_types(cm, _check_subset(cm, nodes))
+
+
+@lru_cache(maxsize=4096)
+def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+    """``component_types`` of a checked subset, classified once per
+    (ambient, subset).  Each component's principal submatrix is classified
+    as it stands: a principal submatrix of a validated matrix needs no
+    second validation."""
     out = []
-    for comp in components(sub):
-        piece = subdiagram(sub, comp)
-        series, rank, affine = classify(piece)
+    for comp in _components(cm.entries, [i - 1 for i in subset]):
+        series, rank, affine = classify(tuple(tuple(cm.entries[i][j] for j in comp) for i in comp))
         if affine:
             raise InvalidSubsetError("subset spans an affine component")
         out.append((series, rank))

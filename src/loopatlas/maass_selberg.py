@@ -8,13 +8,14 @@ drops the leading minus and can divide by the literal value at the
 truncation point instead of the central value; both denominators are
 exposed, neither is silently merged.  A vanishing denominator is reported
 as a pole result, never a crash or an infinity; a value too large for a
-float, and any non-finite input, raises ``RegionError``.
+float, and any non-finite or non-numeric input, raises ``RegionError``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import criterion, roots, serialize
@@ -49,7 +50,8 @@ class TruncatedPairing:
 def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
     """The input check of ``TruncatedPairing`` and ``pairing_kernel``, whose
     rules ``region_scan`` applies once per input: parameter and truncation
-    lengths match the ambient, and every float is finite.  Returns the
+    lengths match the ambient, the truncation coordinates and the cusp
+    pairing are numbers, and every float is finite.  Returns the
     truncation point as a tuple."""
     criterion._check_dimension(ambient, left)
     criterion._check_dimension(ambient, right)
@@ -63,12 +65,22 @@ def _check_point(ambient, cusp_pairing, truncation) -> tuple:
         raise InvalidSubsetError(
             f"truncation point has {len(truncation)} coordinates, ambient has {ambient.size}"
         )
-    criterion._check_finite(truncation, "truncation coordinate")
-    criterion._check_finite((cusp_pairing,), "cusp pairing")
+    _check_numbers(truncation, "truncation coordinate")
+    _check_numbers((cusp_pairing,), "cusp pairing")
     return truncation
 
 
+def _check_numbers(values, what: str) -> None:
+    """Reject bools and non-numbers, then non-finite floats."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Number):
+            raise RegionError(f"{what} {x!r} is not a number")
+    criterion._check_finite(values, what)
+
+
 def _check_tolerance(pole_tolerance) -> None:
+    if isinstance(pole_tolerance, bool) or not isinstance(pole_tolerance, numbers.Real):
+        raise RegionError(f"pole tolerance {pole_tolerance!r} is not a real number")
     if not 0 < pole_tolerance < math.inf:
         raise ValueError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")
 
@@ -113,8 +125,8 @@ def _kernel(
     The cusp pairing is converted only where a value is formed, so a pole
     never needs it to fit in a float.
     """
-    summed = tuple(a + b.conjugate() for a, b in zip(left, right))
     try:
+        summed = tuple(a + b.conjugate() for a, b in zip(left, right))
         at_truncation = sum(s * t for s, t in zip(summed, point))
         criterion._check_finite(summed)  # two finite parameters can sum to an infinity
         if by_truncation:

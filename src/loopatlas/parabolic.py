@@ -6,13 +6,21 @@ while sending the omitted simple root negative) always comes back
 negative: such a witness would have to carry the omitted root to a
 negative root while adding only multiples of the kept simple roots, and
 the certificate records the structural trace of that obstruction.  The
-bounded breadth-first search is corroboration, not the proof.
+bounded search is corroboration, not the proof.
+
+Each omitted node has its own search.  A witness sends every kept simple
+root to a simple root, so it is a minimal representative of its coset
+modulo the kept nodes' subgroup; the search walks those representatives
+only (through their inverses, see ``weyl._levels``), a small fraction of
+the ball.  The certificate still reports the size of the whole ball,
+counted from the walk's level widths and the Levi's length series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,8 +75,9 @@ class AssociateCertificate:
     ``removed_image`` is the image of the omitted simple root under the
     longest element of the kept nodes; its coefficient on the omitted node
     is exactly 1.  ``null_root`` is the isotropic vector every generator
-    fixes (None over a finite ambient).  ``searched`` counts the group
-    elements the bounded search actually inspected.
+    fixes (None over a finite ambient).  ``searched`` is the number of
+    group elements of length at most ``search_bound``, the ball the search
+    covers; it walks only the minimal coset representatives among them.
     """
 
     ambient: CartanMatrix
@@ -138,41 +147,53 @@ def _is_witness(matrix: weyl.Matrix, c: int) -> bool:
     )
 
 
-def _scan(cm: CartanMatrix, removed: tuple[int, ...], bound: int):
-    """Breadth-first witness scan shared by all verdicts over one ambient.
+def _search(
+    cm: CartanMatrix, theta: tuple[int, ...], c: int, bound: int
+) -> tuple[weyl.WeylElement | None, int]:
+    """Witness search for the 0-based node c omitted from the kept nodes
+    ``theta``: (witness, searched).
 
-    Returns (searched, hits) where hits maps each omitted 0-based node to
-    the list of witness elements found, in search order (shortest first,
-    then lexicographic in the canonical word).  A witness sends every kept
-    simple root to a simple root, so its height vector is 1 there and
-    negative at the omitted node; the few elements passing that test are
-    re-checked exactly on their action matrices.
+    A witness w sends every kept simple root to a simple root, so it is a
+    minimal coset representative, and the walk runs over the inverses
+    u = w⁻¹ (``weyl._levels`` with the omitted node).  For such a u, n - 1
+    of its columns are kept simple roots (h == 1 and no α_c); the few
+    rows passing that test are re-checked exactly on w.  The witness is
+    the one with the least canonical word among the witnesses of the
+    shortest length that has any.
+
+    ``searched`` is the size of the whole ball of radius ``bound``: every
+    element factors uniquely as u⁻¹·v with v in the Levi's finite group
+    and the lengths add, so the ball holds Σ_k q_k·#{v : ℓ(v) ≤ bound - k}
+    elements, q_k counting the walk's level k.
     """
     n = cm.size
-    searched = 0
-    hits: dict[int, list[weyl.WeylElement]] = {c: [] for c in removed}
-    for _length, heights, words in weyl._levels(cm, bound):
-        searched += heights.shape[0]
-        ones = (heights == 1).sum(axis=1)
-        for c in removed:
-            rows = np.flatnonzero((ones == n - 1) & (heights[:, c] < 0))
-            candidates = (weyl.from_word(cm, words[r].tolist()) for r in rows)
-            hits[c].extend(w for w in candidates if _is_witness(w.matrix, c))
-    return searched, hits
+    widths: list[int] = []
+    found: list[weyl.WeylElement] = []
+    for _length, heights, words, rows in weyl._levels(cm, bound, omitted=c):
+        widths.append(heights.shape[0])
+        if found:
+            continue
+        for r in np.flatnonzero(((heights == 1) & (rows == 0)).sum(axis=1) == n - 1):
+            w = weyl.from_word(cm, words[r, ::-1].tolist())
+            if _is_witness(w.matrix, c):
+                found.append(w)
+    levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
+    searched = sum(q * levi[bound - k] for k, q in enumerate(widths))
+    return min(found, key=lambda w: w.word, default=None), searched
 
 
-def _certificate(
-    cm: CartanMatrix,
-    removed_node: int,
-    witness: weyl.WeylElement | None,
-    bound: int,
-    searched: int,
-) -> AssociateCertificate:
+def _certificate(cm: CartanMatrix, removed_node: int, bound: int) -> AssociateCertificate:
     theta = tuple(i for i in cm.nodes if i != removed_node)
+    witness, searched = _search(cm, theta, removed_node - 1, bound)
     longest = weyl.longest_element(cm, theta)
     image = weyl._removed_image(longest, removed_node)
     null = None
     if cm.is_affine:
+        if witness is not None:
+            raise LoopAtlasError(
+                "bounded search found a witness despite the structural obstruction; "
+                "this is a bug, please report the ambient matrix"
+            )
         null = roots.delta(cm)
         for i in cm.nodes:
             if weyl.reflect(cm, null, i) != null:
@@ -205,32 +226,15 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
         raise InvalidCartanMatrixError("use finite_self_associate over a finite ambient")
     if not p.is_maximal:
         raise InvalidSubsetError("self-associate verdicts are defined for maximal subsets")
-    removed_node = p.removed[0]
-    searched, hits = _scan(cm, (removed_node - 1,), search_bound)
-    found = hits[removed_node - 1]
-    if found:
-        raise LoopAtlasError(
-            "bounded search found a witness despite the structural obstruction; "
-            "this is a bug, please report the ambient matrix"
-        )
-    return _certificate(cm, removed_node, None, search_bound, searched)
+    return _certificate(cm, p.removed[0], search_bound)
 
 
 def maximal_certificates(cm: CartanMatrix, search_bound: int = 16) -> tuple[AssociateCertificate, ...]:
-    """Certificates for every maximal subset, sharing a single search."""
+    """Certificates for every maximal subset, in omitted-node order, each
+    from its own search of the minimal coset representatives."""
     if not cm.is_affine:
         raise InvalidCartanMatrixError("maximal_certificates runs over an affine ambient")
-    removed = tuple(c for c in range(cm.size))
-    searched, hits = _scan(cm, removed, search_bound)
-    out = []
-    for c in removed:
-        if hits[c]:
-            raise LoopAtlasError(
-                "bounded search found a witness despite the structural obstruction; "
-                "this is a bug, please report the ambient matrix"
-            )
-        out.append(_certificate(cm, c + 1, None, search_bound, searched))
-    return tuple(out)
+    return tuple(_certificate(cm, node, search_bound) for node in cm.nodes)
 
 
 def finite_self_associate(
@@ -250,10 +254,7 @@ def finite_self_associate(
         )
     removed_node = cartan._check_node(removed_node, cm.size)
     bound = max_length if max_length is not None else len(roots.positive_roots(cm))
-    searched, hits = _scan(cm, (removed_node - 1,), bound)
-    found = hits[removed_node - 1]
-    witness = found[0] if found else None
-    return _certificate(cm, removed_node, witness, bound, searched)
+    return _certificate(cm, removed_node, bound)
 
 
 @lru_cache(maxsize=64)

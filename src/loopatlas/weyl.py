@@ -14,7 +14,9 @@ of w ends in its smallest right descent, the first i with h_i < 0, and
 continues leftward with the canonical word of w·s_i.  The level engine
 keeps per element only h and that word, and keeps w·s_i only when i is
 its smallest right descent: every element comes out once, with no
-deduplication.
+deduplication.  Given an omitted node, the same walk keeps only the
+inverses of the minimal coset representatives of the other nodes'
+subgroup, which is where the witness search looks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -176,15 +179,41 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
     return tuple(sorted(found, key=lambda r: (roots.height(r), r)))
 
 
+def _exponents(series: str, rank: int) -> tuple[int, ...]:
+    """Exponents of an irreducible finite type: they sum to its number of
+    positive roots, and its Poincaré polynomial is the product of the
+    factors 1 + q + ... + q^m."""
+    if series == "A":
+        return tuple(range(1, rank + 1))
+    if series in ("B", "C"):
+        return tuple(range(1, 2 * rank, 2))
+    if series == "D":
+        return tuple(range(1, 2 * rank - 2, 2)) + (rank - 1,)
+    return {
+        ("E", 6): (1, 4, 5, 7, 8, 11),
+        ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+        ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+        ("F", 4): (1, 5, 7, 11),
+        ("G", 2): (1, 5),
+    }[series, rank]
+
+
 def _positive_root_count(series: str, rank: int) -> int:
     """Number of positive roots of an irreducible finite type."""
-    if series == "A":
-        return rank * (rank + 1) // 2
-    if series in ("B", "C"):
-        return rank * rank
-    if series == "D":
-        return rank * (rank - 1)
-    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[series, rank]
+    return sum(_exponents(series, rank))
+
+
+def _length_counts(types, cap: int) -> tuple[int, ...]:
+    """Element counts per length 0..cap of the finite group whose
+    components have the given (series, rank) types, read off the product
+    of their Poincaré polynomials."""
+    counts = [1] + [0] * cap
+    for series, rank in types:
+        for m in _exponents(series, rank):
+            # times 1 + q + ... + q^m: a running sum over a window of m + 1
+            running = list(accumulate(counts))
+            counts = [s - (running[k - m - 1] if k > m else 0) for k, s in enumerate(running)]
+    return tuple(counts)
 
 
 def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
@@ -244,8 +273,10 @@ def _removed_image(longest: WeylElement, removed: int) -> Coords:
 # --- breadth-first level engine --------------------------------------------
 
 
-def _levels(cm: CartanMatrix, max_length: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (length, heights, words) in breadth-first order.
+def _levels(
+    cm: CartanMatrix, max_length: int, omitted: int | None = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Yield (length, heights, words, rows) in breadth-first order.
 
     ``heights`` is an int64 array of shape (count, n) whose row for w holds
     ht(w·α_j); ``words`` is an int8 array of shape (count, length) holding
@@ -253,6 +284,17 @@ def _levels(cm: CartanMatrix, max_length: int) -> Iterator[tuple[int, np.ndarray
     vector form.  Each level is in lexicographic order of its words, so
     the stream is shortlex ordered and deterministic.  Only the current
     level is held; parents are expanded in fixed-size chunks.
+
+    Given an ``omitted`` 0-based node c, the walk keeps only the elements
+    u with no left descent among the other nodes Θ (the inverses of the
+    minimal coset representatives W^Θ).  ``rows`` then holds, for each u,
+    the coefficient of α_c in u·α_j (row c of the action matrix), which
+    takes the same update as the heights.  The child u·s_i is dropped
+    when u·α_i is a simple root of Θ, that is when h_i == 1 and that
+    coefficient is 0: then u·s_i = s_j·u leaves the set (Deodhar's
+    lemma).  The set is closed under removing a last letter, so the
+    canonical tree restricted to it reaches all of it.  Without
+    ``omitted``, ``rows`` is None.
     """
     if max_length < 0:
         raise InvalidSubsetError(f"max_length must be nonnegative, got {max_length}")
@@ -261,24 +303,32 @@ def _levels(cm: CartanMatrix, max_length: int) -> Iterator[tuple[int, np.ndarray
     nodes = np.arange(n)
     heights = np.ones((1, n), dtype=np.int64)
     words = np.zeros((1, 0), dtype=np.int8)
+    rows = None if omitted is None else (nodes == omitted).astype(np.int64)[None, :]
     for length in range(max_length + 1):
-        yield length, heights, words
+        yield length, heights, words, rows
         if length == max_length:
             return
-        next_heights, next_words = [], []
+        next_heights, next_words, next_rows = [], [], []
         for lo in range(0, heights.shape[0], _CHUNK):
             h = heights[lo : lo + _CHUNK]
             # child[p, i] holds the heights of w_p·s_i
             child = h[:, None, :] - h[:, :, None] * a_t[None, :, :]
             keep = (h > 0) & ((child < 0).argmax(axis=2) == nodes)
+            if rows is not None:
+                g = rows[lo : lo + _CHUNK]
+                keep &= (h != 1) | (g != 0)
             parent, letter = np.nonzero(keep)
             next_heights.append(child[parent, letter])
             letters = (letter + 1).astype(np.int8)[:, None]
             next_words.append(np.concatenate([words[lo + parent], letters], axis=1))
+            if rows is not None:
+                next_rows.append(g[parent] - g[parent, letter][:, None] * a_t[letter])
         heights = np.concatenate(next_heights)
         if heights.shape[0] == 0:
             return
         words = np.concatenate(next_words)
+        if rows is not None:
+            rows = np.concatenate(next_rows)
 
 
 def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
@@ -289,7 +339,7 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     """
     n = cm.size
     a = np.array(cm.entries, dtype=np.int64)
-    for length, heights, words in _levels(cm, max_length):
+    for length, heights, words, _ in _levels(cm, max_length):
         batch = np.tile(np.eye(n, dtype=np.int64), (heights.shape[0], 1, 1))
         for k in range(length):
             for g in range(n):
@@ -304,7 +354,7 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
 @lru_cache(maxsize=4)
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length, mostly a sizing aid for searches."""
-    return tuple(heights.shape[0] for _, heights, _ in _levels(cm, max_length))
+    return tuple(heights.shape[0] for _, heights, _, _ in _levels(cm, max_length))
 
 
 def element_to_json(w: WeylElement) -> dict:

@@ -9,6 +9,7 @@ compare library output against these constructions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 Vec = tuple[Fraction, ...]
@@ -222,8 +223,10 @@ def cartan_entry(simple: list[Vec], i: int, j: int) -> Fraction:
     return 2 * dot(simple[i], simple[j]) / dot(simple[j], simple[j])
 
 
-def root_coords(series: str, rank: int) -> set[tuple[int, ...]]:
-    """All roots expanded over the simple roots, as integer tuples."""
+@lru_cache(maxsize=None)
+def root_coords(series: str, rank: int) -> frozenset[tuple[int, ...]]:
+    """All roots expanded over the simple roots, as integer tuples; built
+    once per type and frozen, since callers share the cached value."""
     simple = simple_roots(series, rank)
     out = set()
     for r in all_root_vectors(series, rank):
@@ -231,7 +234,7 @@ def root_coords(series: str, rank: int) -> set[tuple[int, ...]]:
         assert coeffs is not None, (series, rank, r)
         assert all(c.denominator == 1 for c in coeffs)
         out.add(tuple(int(c) for c in coeffs))
-    return out
+    return frozenset(out)
 
 
 def positive_root_coords(series: str, rank: int) -> set[tuple[int, ...]]:

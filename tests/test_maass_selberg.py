@@ -453,6 +453,57 @@ def test_exp_overflow_is_a_region_error():
         ms.pairing_kernel(cm, 1.0, f, f, (1.0, 1.0), denominator=ms.DENOMINATOR_TRUNCATION)
 
 
+def test_huge_integer_parameter_is_a_region_error():
+    # the summed parameter used to be formed outside the overflow handler,
+    # so int + float escaped as a raw OverflowError
+    cm = _cm("A2affine")
+    huge = criterion.functional((10**400, -1, -1))
+    small = criterion.functional((0.5, -1, -1))
+    with pytest.raises(RegionError, match="overflows"):
+        ms.region_scan(cm, [huge], [small], (0.1, 0.2, 0.3))
+    with pytest.raises(RegionError, match="overflows"):
+        ms.pairing_kernel(cm, 1.0, huge, small, (0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("bad", ["1", "x", None, True, [1.0]])
+def test_non_numeric_truncation_and_pairing_are_rejected(bad):
+    # "1" used to be read through complex(), the others raised raw errors
+    cm = _cm("A2affine")
+    f = criterion.functional((0.5, -1, -1))
+    with pytest.raises(RegionError, match="truncation coordinate .* is not a number"):
+        ms.region_scan(cm, [f], [f], (bad, 0, 0))
+    with pytest.raises(RegionError, match="truncation coordinate .* is not a number"):
+        ms.pairing_kernel(cm, 1.0, f, f, (0, bad, 0))
+    with pytest.raises(RegionError, match="truncation coordinate .* is not a number"):
+        ms.TruncatedPairing(ambient=cm, cusp_pairing=1.0, left=f, right=f, truncation=(0, 0, bad))
+    with pytest.raises(RegionError, match="cusp pairing .* is not a number"):
+        ms.region_scan(cm, [f], [f], (0, 0, 0), cusp_pairing=bad)
+    with pytest.raises(RegionError, match="cusp pairing .* is not a number"):
+        ms.pairing_kernel(cm, bad, f, f, (0, 0, 0))
+
+
+@pytest.mark.parametrize("tolerance", ["x", None, True, 1e-9j])
+def test_non_real_pole_tolerance_is_rejected(tolerance):
+    cm = _cm("A2affine")
+    f = criterion.functional((0.5, -1, -1))
+    request = ms.TruncatedPairing(ambient=cm, cusp_pairing=1.0, left=f, right=f, truncation=(0, 0, 0))
+    for run in (
+        lambda: ms.inner_product(request, pole_tolerance=tolerance),
+        lambda: ms.pairing_kernel(cm, 1.0, f, f, (0, 0, 0), pole_tolerance=tolerance),
+        lambda: ms.region_scan(cm, [f], [f], (0, 0, 0), pole_tolerance=tolerance),
+    ):
+        with pytest.raises(RegionError, match="pole tolerance .* is not a real number"):
+            run()
+
+
+def test_numeric_truncation_kinds_are_accepted():
+    cm = _cm("A2affine")
+    f = criterion.functional((0.5, -1, -1))
+    want = ms.pairing_kernel(cm, 1.0, f, f, (0.5, 0.0, 1.0))
+    assert ms.pairing_kernel(cm, 1, f, f, (Fraction(1, 2), 0, 1 + 0j)) == want
+    assert ms.pairing_kernel(cm, 1.0, f, f, (0.5, 0, 1), pole_tolerance=Fraction(1, 10**12)) == want
+
+
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
 def test_pole_tolerance_must_be_positive_and_finite(tolerance):
     # a zero, negative or NaN tolerance let an exact pole divide by zero

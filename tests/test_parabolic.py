@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -183,7 +186,7 @@ def test_affine_verdict_always_negative(label, data):
     assert cert.null_root == roots.delta(cm)
 
 
-def test_maximal_certificates_share_one_search():
+def test_maximal_certificates_report_the_ball_size():
     cm = _cm("G2affine")
     certs = parabolic.maximal_certificates(cm, search_bound=6)
     assert len(certs) == 3
@@ -194,6 +197,55 @@ def test_maximal_certificates_share_one_search():
         assert not c.self_associate
         assert c.searched == expected
         assert c.search_bound == 6
+
+
+@pytest.mark.parametrize("label", ["A2affine", "G2affine", "D4affine"])
+def test_searched_is_the_ball_size_at_every_bound(label):
+    """``searched`` counts the whole ball, although each search walks only
+    the minimal coset representatives of its omitted node."""
+    cm = _cm(label)
+    for bound in range(9):
+        want = sum(weyl.ball_sizes(cm, bound))
+        assert [c.searched for c in parabolic.maximal_certificates(cm, bound)] == [want] * cm.size
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_finite_searched_is_the_ball_size_at_every_bound(label):
+    cm = _cm(label)
+    top = len(roots.positive_roots(cm))
+    for bound in range(top + 2):
+        want = sum(weyl.ball_sizes(cm, bound))
+        for node in cm.nodes:
+            assert parabolic.finite_self_associate(cm, node, max_length=bound).searched == want
+
+
+def _certificates_sha256(certs) -> str:
+    text = json.dumps([parabolic.certificate_to_json(c) for c in certs], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_affine_certificates_are_pinned():
+    """sha256 over the 232 affine certificates up to rank 9 at bound 6,
+    computed with the full-ball search before the quotient walk."""
+    certs = [c for cm in cartan.all_types(9) for c in parabolic.maximal_certificates(cm, 6)]
+    assert len(certs) == 232
+    assert _certificates_sha256(certs) == (
+        "2ec525e3b1c8108cefcd7b851b5594d7994734dab9d94ecd6243882d774d3bf7"
+    )
+
+
+def test_finite_certificates_are_pinned():
+    """sha256 over the 86 finite certificates up to rank 6 (whole group),
+    computed with the full-ball search before the quotient walk."""
+    certs = [
+        parabolic.finite_self_associate(cm, node)
+        for cm in cartan.all_types(parabolic.FINITE_RANK_LIMIT, affine=False)
+        for node in cm.nodes
+    ]
+    assert len(certs) == 86
+    assert _certificates_sha256(certs) == (
+        "d5fce30d8706ba5c20c0457fbec32de3d456d8fcdb65b7e682f5ee0bf7d5470d"
+    )
 
 
 # --- finite ambient: both verdicts occur ------------------------------------

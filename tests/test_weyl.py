@@ -477,6 +477,77 @@ def test_rank_nine_ball_sizes_match_generating_function(series):
     assert list(weyl.ball_sizes(cm, 8)) == series_counts.affine_counts(series, 9, 8)
 
 
+@pytest.mark.parametrize("cm", cartan.all_types(9, affine=False), ids=lambda cm: cm.label)
+def test_finite_length_counts_match_generating_function(cm):
+    series, rank, _ = cartan.classify(cm)
+    cap = 40
+    assert list(weyl._length_counts([(series, rank)], cap)) == series_counts.finite_counts(series, rank, cap)
+
+
+def test_length_counts_multiply_over_components():
+    cap = 12
+    want = [1] + [0] * cap
+    for series, rank in (("A", 1), ("B", 3), ("G", 2)):
+        factor = series_counts.finite_counts(series, rank, cap)
+        want = [sum(want[j] * factor[k - j] for j in range(k + 1)) for k in range(cap + 1)]
+    assert list(weyl._length_counts([("A", 1), ("B", 3), ("G", 2)], cap)) == want
+    assert weyl._length_counts([], 3) == (1, 0, 0, 0)
+
+
+def _series_quotient(num: list[int], den: list[int]) -> list[int]:
+    """Power series num / den to the length of num; den[0] must be 1."""
+    out = []
+    rest = list(num)
+    for k in range(len(num)):
+        out.append(rest[k])
+        for j in range(1, min(len(den), len(num) - k)):
+            rest[k + j] -= rest[k] * den[j]
+    return out
+
+
+@pytest.mark.parametrize("cm", cartan.all_types(8), ids=lambda cm: cm.label)
+def test_quotient_walk_counts_are_the_coset_series(cm):
+    """The walk with an omitted node counts W(q) / W_Θ(q) per length: the
+    affine series divided by the finite series of each Levi component."""
+    cap = 16
+    series, rank = cm.label[0], cm.finite_rank
+    for node in cm.nodes:
+        theta = [i for i in cm.nodes if i != node]
+        den = [1] + [0] * cap
+        for levi_series, levi_rank in cartan.component_types(cm, theta):
+            factor = series_counts.finite_counts(levi_series, levi_rank, cap)
+            den = [sum(den[j] * factor[k - j] for j in range(k + 1)) for k in range(cap + 1)]
+        want = _series_quotient(series_counts.affine_counts(series, rank, cap), den)
+        got = [heights.shape[0] for _, heights, _, _ in weyl._levels(cm, cap, omitted=node - 1)]
+        assert got == want, node
+
+
+@pytest.mark.parametrize("label", ["A2affine", "G2affine", "B3affine", "B3", "D4"])
+def test_quotient_walk_is_the_set_without_kept_left_descents(label):
+    """The omitted-node walk yields exactly the ball elements u with
+    u⁻¹·α_j positive for every kept node j, each once, with its
+    canonical word and heights, and α_c-row of its action matrix."""
+    cm = _cm(label)
+    bound = 6
+    full = {w.word: w for w in weyl.enumerate_elements(cm, bound)}
+    for c in range(cm.size):
+        want = {
+            word
+            for word, w in full.items()
+            if all(roots.is_positive(weyl.act(weyl.inverse(w), roots.simple_root(cm, j + 1)))
+                   for j in range(cm.size) if j != c)
+        }
+        got = []
+        for length, heights, words, rows in weyl._levels(cm, bound, omitted=c):
+            for h, word, g in zip(heights.tolist(), words.tolist(), rows.tolist()):
+                w = full[tuple(word)]
+                assert h == [sum(col) for col in zip(*w.matrix)]
+                assert g == list(w.matrix[c])
+                got.append(tuple(word))
+        assert len(got) == len(set(got))
+        assert set(got) == want
+
+
 def test_ball_sizes_have_no_depth_limit():
     assert weyl.ball_sizes(_cm("A1affine"), 40000) == (1,) + (2,) * 40000
 
