@@ -274,6 +274,7 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     return CartanMatrix(entries=rows, is_affine=False, label=f"{series}{rank}")
 
 
+@lru_cache(maxsize=64)
 def affinize(cm: CartanMatrix) -> CartanMatrix:
     """Untwisted affinization: append the attached node as index l+1.
 
@@ -281,7 +282,8 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     coroot; the new column is the negative of each simple root evaluated on
     the highest-root coroot (comark expansion).  Both integer null-vector
     identities, (marks, 1) on the left and (comarks, 1) on the right, are
-    asserted on the result.
+    asserted on the result.  Cached, so the catalog reuses the matrices
+    ``all_types`` built.
     """
     if cm.is_affine:
         raise InvalidCartanMatrixError("matrix is already affine")
@@ -464,17 +466,30 @@ def diagram(cm: CartanMatrix) -> DynkinDiagram:
     return DynkinDiagram(nodes=cm.nodes, edges=tuple(edges))
 
 
-def _check_node(i, size: int, what: str = "node") -> int:
-    """One node or word letter: an integer (numpy integers included, bools
-    and floats not) in 1..size."""
+def _check_int(x, what: str) -> int:
+    """An integer (numpy integers included, bools and floats not)."""
     try:
-        value = None if isinstance(i, bool) else operator.index(i)
+        value = None if isinstance(x, bool) else operator.index(x)
     except TypeError:
         value = None
     if value is None:
-        raise InvalidSubsetError(f"{what} {i!r} is not an integer")
+        raise InvalidSubsetError(f"{what} {x!r} is not an integer")
+    return value
+
+
+def _check_node(i, size: int, what: str = "node") -> int:
+    """One node or word letter: an integer in 1..size."""
+    value = _check_int(i, what)
     if not 1 <= value <= size:
         raise InvalidSubsetError(f"{what} {value} out of range 1..{size}")
+    return value
+
+
+def _check_bound(x, what: str = "search bound") -> int:
+    """One length bound: a nonnegative integer."""
+    value = _check_int(x, what)
+    if value < 0:
+        raise InvalidSubsetError(f"{what} must be nonnegative, got {value}")
     return value
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import roots, serialize
 from .cartan import CartanMatrix
-from .errors import InvalidCartanMatrixError, InvalidSubsetError, RegionError
+from .errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError, RegionError
 
 Number = int | float | complex | Fraction
 
@@ -40,7 +40,7 @@ class LinearFunctional:
     def __post_init__(self):
         for x in self.values:
             if isinstance(x, bool) or not isinstance(x, (int, float, complex, Fraction)):
-                raise TypeError(f"functional value {x!r} is not a number")
+                raise NumberTypeError(f"functional value {x!r} is not a number")
 
     @property
     def size(self) -> int:
@@ -167,7 +167,7 @@ def dominant_integral(cm: CartanMatrix, values) -> bool:
         )
     for x in vals:
         if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"dominance test needs integers, got {x!r}")
+            raise NumberTypeError(f"dominance test needs integers, got {x!r}")
     return all(x >= 0 for x in vals) and any(x > 0 for x in vals)
 
 

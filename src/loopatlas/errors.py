@@ -35,3 +35,7 @@ class UnsupportedRankError(LoopAtlasError, ValueError):
 
 class RegionError(LoopAtlasError, ValueError):
     """Spectral parameter outside the region an operation requires."""
+
+
+class NumberTypeError(LoopAtlasError, TypeError):
+    """Value that is not a number of the kind an operation requires."""

@@ -82,7 +82,7 @@ def _check_tolerance(pole_tolerance) -> None:
     if isinstance(pole_tolerance, bool) or not isinstance(pole_tolerance, numbers.Real):
         raise RegionError(f"pole tolerance {pole_tolerance!r} is not a real number")
     if not 0 < pole_tolerance < math.inf:
-        raise ValueError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")
+        raise RegionError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")
 
 
 def _shifted(ambient: CartanMatrix, f: LinearFunctional) -> tuple:
@@ -180,7 +180,7 @@ def pairing_kernel(
     truncation = _check_inputs(ambient, cusp_pairing, mu, mu_prime, truncation)
     _check_tolerance(pole_tolerance)
     if denominator not in (DENOMINATOR_CENTRAL, DENOMINATOR_TRUNCATION):
-        raise ValueError(
+        raise RegionError(
             f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
             f"{DENOMINATOR_TRUNCATION!r}, got {denominator!r}"
         )

@@ -8,12 +8,13 @@ negative root while adding only multiples of the kept simple roots, and
 the certificate records the structural trace of that obstruction.  The
 bounded search is corroboration, not the proof.
 
-Each omitted node has its own search.  A witness sends every kept simple
-root to a simple root, so it is a minimal representative of its coset
-modulo the kept nodes' subgroup; the search walks those representatives
-only (through their inverses, see ``weyl._levels``), a small fraction of
-the ball.  The certificate still reports the size of the whole ball,
-counted from the walk's level widths and the Levi's length series.
+A witness sends every kept simple root to a simple root, so it is a
+minimal representative of its coset modulo the kept nodes' subgroup; the
+search walks those representatives only (through their inverses, see
+``weyl._levels``), a small fraction of the ball.  The searches for all
+the omitted nodes of one ambient run as one batched walk.  The
+certificate still reports the size of the whole ball, counted from the
+walk's level widths and the Levi's length series.
 """
 
 from __future__ import annotations
@@ -148,68 +149,79 @@ def _is_witness(matrix: weyl.Matrix, c: int) -> bool:
 
 
 def _search(
-    cm: CartanMatrix, theta: tuple[int, ...], c: int, bound: int
-) -> tuple[weyl.WeylElement | None, int]:
-    """Witness search for the 0-based node c omitted from the kept nodes
-    ``theta``: (witness, searched).
+    cm: CartanMatrix, omitted: tuple[int, ...], bound: int
+) -> list[tuple[weyl.WeylElement | None, int]]:
+    """Witness search for each 0-based node c in ``omitted``, all in one
+    walk: (witness, searched) per node, in the order given.
 
-    A witness w sends every kept simple root to a simple root, so it is a
-    minimal coset representative, and the walk runs over the inverses
-    u = w⁻¹ (``weyl._levels`` with the omitted node).  For such a u, n - 1
-    of its columns are kept simple roots (h == 1 and no α_c); the few
-    rows passing that test are re-checked exactly on w.  The witness is
-    the one with the least canonical word among the witnesses of the
-    shortest length that has any.
+    A witness w for c sends every simple root but α_c to a simple root,
+    so it is a minimal coset representative, and the walk runs over the
+    inverses u = w⁻¹ (``weyl._levels`` with the omitted nodes).  For such
+    a u, n - 1 of its columns are kept simple roots (h == 1 and no α_c);
+    the few rows passing that test are re-checked exactly on w.  The
+    witness is the one with the least canonical word among the witnesses
+    of the shortest length that has any.
 
     ``searched`` is the size of the whole ball of radius ``bound``: every
     element factors uniquely as u⁻¹·v with v in the Levi's finite group
     and the lengths add, so the ball holds Σ_k q_k·#{v : ℓ(v) ≤ bound - k}
-    elements, q_k counting the walk's level k.
+    elements, q_k counting the walk's level k for that node.
     """
     n = cm.size
-    widths: list[int] = []
-    found: list[weyl.WeylElement] = []
-    for _length, heights, words, rows in weyl._levels(cm, bound, omitted=c):
-        widths.append(heights.shape[0])
-        if found:
-            continue
+    widths: list[np.ndarray] = []
+    found: list[weyl.WeylElement | None] = [None] * len(omitted)
+    for _length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+        widths.append(np.bincount(origin, minlength=len(omitted)))
+        hits: dict[int, list[weyl.WeylElement]] = {}
         for r in np.flatnonzero(((heights == 1) & (rows == 0)).sum(axis=1) == n - 1):
-            w = weyl.from_word(cm, words[r, ::-1].tolist())
-            if _is_witness(w.matrix, c):
-                found.append(w)
-    levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
-    searched = sum(q * levi[bound - k] for k, q in enumerate(widths))
-    return min(found, key=lambda w: w.word, default=None), searched
+            k = int(origin[r])
+            if found[k] is None:
+                w = weyl.from_word(cm, words[r, ::-1].tolist())
+                if _is_witness(w.matrix, omitted[k]):
+                    hits.setdefault(k, []).append(w)
+        for k, ws in hits.items():
+            found[k] = min(ws, key=lambda w: w.word)
+    out = []
+    for k, c in enumerate(omitted):
+        theta = tuple(i for i in cm.nodes if i != c + 1)
+        levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
+        out.append((found[k], sum(int(q[k]) * levi[bound - j] for j, q in enumerate(widths))))
+    return out
 
 
-def _certificate(cm: CartanMatrix, removed_node: int, bound: int) -> AssociateCertificate:
-    theta = tuple(i for i in cm.nodes if i != removed_node)
-    witness, searched = _search(cm, theta, removed_node - 1, bound)
-    longest = weyl.longest_element(cm, theta)
-    image = weyl._removed_image(longest, removed_node)
-    null = None
-    if cm.is_affine:
-        if witness is not None:
+def _certificates(
+    cm: CartanMatrix, removed_nodes: tuple[int, ...], bound: int
+) -> tuple[AssociateCertificate, ...]:
+    """Certificates for the given omitted nodes, from one search."""
+    bound = cartan._check_bound(bound)
+    searches = _search(cm, tuple(i - 1 for i in removed_nodes), bound)
+    null = roots.delta(cm) if cm.is_affine else None
+    if null is not None and any(weyl.reflect(cm, null, i) != null for i in cm.nodes):
+        raise LoopAtlasError("generator moved the isotropic vector")
+    out = []
+    for removed_node, (witness, searched) in zip(removed_nodes, searches):
+        if null is not None and witness is not None:
             raise LoopAtlasError(
                 "bounded search found a witness despite the structural obstruction; "
                 "this is a bug, please report the ambient matrix"
             )
-        null = roots.delta(cm)
-        for i in cm.nodes:
-            if weyl.reflect(cm, null, i) != null:
-                raise LoopAtlasError("generator moved the isotropic vector")
-    return AssociateCertificate(
-        ambient=cm,
-        theta=theta,
-        removed_node=removed_node,
-        self_associate=witness is not None,
-        witness=witness,
-        levi_longest_word=longest.word,
-        removed_image=image,
-        null_root=null,
-        search_bound=bound,
-        searched=searched,
-    )
+        theta = tuple(i for i in cm.nodes if i != removed_node)
+        longest = weyl.longest_element(cm, theta)
+        out.append(
+            AssociateCertificate(
+                ambient=cm,
+                theta=theta,
+                removed_node=removed_node,
+                self_associate=witness is not None,
+                witness=witness,
+                levi_longest_word=longest.word,
+                removed_image=weyl._removed_image(longest, removed_node),
+                null_root=null,
+                search_bound=bound,
+                searched=searched,
+            )
+        )
+    return tuple(out)
 
 
 def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCertificate:
@@ -226,15 +238,16 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
         raise InvalidCartanMatrixError("use finite_self_associate over a finite ambient")
     if not p.is_maximal:
         raise InvalidSubsetError("self-associate verdicts are defined for maximal subsets")
-    return _certificate(cm, p.removed[0], search_bound)
+    return _certificates(cm, p.removed, search_bound)[0]
 
 
 def maximal_certificates(cm: CartanMatrix, search_bound: int = 16) -> tuple[AssociateCertificate, ...]:
-    """Certificates for every maximal subset, in omitted-node order, each
-    from its own search of the minimal coset representatives."""
+    """Certificates for every maximal subset, in omitted-node order.  The
+    searches of all omitted nodes share one walk of the minimal coset
+    representatives."""
     if not cm.is_affine:
         raise InvalidCartanMatrixError("maximal_certificates runs over an affine ambient")
-    return tuple(_certificate(cm, node, search_bound) for node in cm.nodes)
+    return _certificates(cm, cm.nodes, search_bound)
 
 
 def finite_self_associate(
@@ -253,8 +266,10 @@ def finite_self_associate(
             f"finite verdicts are limited to rank {FINITE_RANK_LIMIT}; got rank {cm.size}"
         )
     removed_node = cartan._check_node(removed_node, cm.size)
-    bound = max_length if max_length is not None else len(roots.positive_roots(cm))
-    return _certificate(cm, removed_node, bound)
+    if max_length is None:
+        # the longest element's length, the number of positive roots
+        max_length = sum(weyl._positive_root_count(*t) for t in cartan.component_types(cm, cm.nodes))
+    return _certificates(cm, (removed_node,), max_length)[0]
 
 
 @lru_cache(maxsize=64)

@@ -19,7 +19,7 @@ from .errors import InvalidCartanMatrixError, InvalidSubsetError
 
 Coords = tuple[int, ...]
 
-_HEIGHT_CAP = 1000  # safety valve for the closure loop
+_HEIGHT_CAP = 1000  # safety valve for the closure and ascent loops
 
 
 def simple_root(cm: CartanMatrix, i: int) -> Coords:
@@ -87,18 +87,25 @@ def all_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
 
 @lru_cache(maxsize=None)
 def highest_root(cm: CartanMatrix) -> Coords:
-    """Unique maximal root of an irreducible finite matrix."""
+    """Unique maximal root of an irreducible finite matrix.
+
+    It is the unique dominant long root (Humphreys, Introduction to Lie
+    Algebras, §10.4), reached by ascent: start from a long simple root
+    (smallest symmetrizer entry) and reflect at any node where the
+    pairing is negative, which raises the height, until none is left.
+    """
+    if cm.is_affine:
+        raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
     if not cartan.irreducible(cm):
         raise InvalidCartanMatrixError("highest root needs an irreducible matrix")
-    pos = positive_roots(cm)
-    top = pos[-1]
-    maximal_height = height(top)
-    at_top = [r for r in pos if height(r) == maximal_height]
-    if len(at_top) != 1:
-        raise InvalidCartanMatrixError("maximal root is not unique")
-    if any(any(t < b for t, b in zip(top, r)) for r in pos):
-        raise InvalidCartanMatrixError("maximal root does not dominate")
-    return top
+    d = cartan.symmetrizer(cm)
+    beta = simple_root(cm, d.index(min(d)) + 1)
+    while (i := next((i for i in cm.nodes if pairing(cm, beta, i) < 0), None)) is not None:
+        if height(beta) > _HEIGHT_CAP:
+            raise InvalidCartanMatrixError("root ascent did not terminate; matrix is not finite type")
+        value = pairing(cm, beta, i)
+        beta = tuple(b - value if k == i - 1 else b for k, b in enumerate(beta))
+    return beta
 
 
 def marks(cm: CartanMatrix) -> Coords:

@@ -14,9 +14,9 @@ of w ends in its smallest right descent, the first i with h_i < 0, and
 continues leftward with the canonical word of w·s_i.  The level engine
 keeps per element only h and that word, and keeps w·s_i only when i is
 its smallest right descent: every element comes out once, with no
-deduplication.  Given an omitted node, the same walk keeps only the
-inverses of the minimal coset representatives of the other nodes'
-subgroup, which is where the witness search looks.
+deduplication.  Given omitted nodes, the same walk keeps, for each of
+them at once, only the inverses of the minimal coset representatives of
+the other nodes' subgroup, which is where the witness search looks.
 """
 
 from __future__ import annotations
@@ -274,9 +274,9 @@ def _removed_image(longest: WeylElement, removed: int) -> Coords:
 
 
 def _levels(
-    cm: CartanMatrix, max_length: int, omitted: int | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Yield (length, heights, words, rows) in breadth-first order.
+    cm: CartanMatrix, max_length: int, omitted: tuple[int, ...] = ()
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Yield (length, heights, words, rows, origin) in breadth-first order.
 
     ``heights`` is an int64 array of shape (count, n) whose row for w holds
     ht(w·α_j); ``words`` is an int8 array of shape (count, length) holding
@@ -285,30 +285,36 @@ def _levels(
     the stream is shortlex ordered and deterministic.  Only the current
     level is held; parents are expanded in fixed-size chunks.
 
-    Given an ``omitted`` 0-based node c, the walk keeps only the elements
-    u with no left descent among the other nodes Θ (the inverses of the
+    Given a tuple of ``omitted`` 0-based nodes, the walks for all of them
+    run as one.  For omitted node c the walk keeps only the elements u
+    with no left descent among the other nodes Θ (the inverses of the
     minimal coset representatives W^Θ).  ``rows`` then holds, for each u,
     the coefficient of α_c in u·α_j (row c of the action matrix), which
     takes the same update as the heights.  The child u·s_i is dropped
     when u·α_i is a simple root of Θ, that is when h_i == 1 and that
     coefficient is 0: then u·s_i = s_j·u leaves the set (Deodhar's
     lemma).  The set is closed under removing a last letter, so the
-    canonical tree restricted to it reaches all of it.  Without
-    ``omitted``, ``rows`` is None.
+    canonical tree restricted to it reaches all of it.  ``origin`` holds
+    each element's index into ``omitted``; a level lists the elements of
+    each origin in turn, each in the order of that node's walk alone.
+    Without ``omitted``, ``rows`` and ``origin`` are None.
     """
-    if max_length < 0:
-        raise InvalidSubsetError(f"max_length must be nonnegative, got {max_length}")
+    max_length = cartan._check_bound(max_length, "max_length")
     n = cm.size
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
     nodes = np.arange(n)
-    heights = np.ones((1, n), dtype=np.int64)
-    words = np.zeros((1, 0), dtype=np.int8)
-    rows = None if omitted is None else (nodes == omitted).astype(np.int64)[None, :]
+    starts = max(len(omitted), 1)
+    heights = np.ones((starts, n), dtype=np.int64)
+    words = np.zeros((starts, 0), dtype=np.int8)
+    rows = origin = None
+    if omitted:
+        rows = (nodes == np.array(omitted)[:, None]).astype(np.int64)
+        origin = np.arange(starts)
     for length in range(max_length + 1):
-        yield length, heights, words, rows
+        yield length, heights, words, rows, origin
         if length == max_length:
             return
-        next_heights, next_words, next_rows = [], [], []
+        next_heights, next_words, next_rows, next_origin = [], [], [], []
         for lo in range(0, heights.shape[0], _CHUNK):
             h = heights[lo : lo + _CHUNK]
             # child[p, i] holds the heights of w_p·s_i
@@ -323,12 +329,14 @@ def _levels(
             next_words.append(np.concatenate([words[lo + parent], letters], axis=1))
             if rows is not None:
                 next_rows.append(g[parent] - g[parent, letter][:, None] * a_t[letter])
+                next_origin.append(origin[lo + parent])
         heights = np.concatenate(next_heights)
         if heights.shape[0] == 0:
             return
         words = np.concatenate(next_words)
         if rows is not None:
             rows = np.concatenate(next_rows)
+            origin = np.concatenate(next_origin)
 
 
 def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
@@ -339,7 +347,7 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     """
     n = cm.size
     a = np.array(cm.entries, dtype=np.int64)
-    for length, heights, words, _ in _levels(cm, max_length):
+    for length, heights, words, _, _ in _levels(cm, max_length):
         batch = np.tile(np.eye(n, dtype=np.int64), (heights.shape[0], 1, 1))
         for k in range(length):
             for g in range(n):
@@ -354,7 +362,7 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
 @lru_cache(maxsize=4)
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length, mostly a sizing aid for searches."""
-    return tuple(heights.shape[0] for _, heights, _, _ in _levels(cm, max_length))
+    return tuple(heights.shape[0] for _, heights, _, _, _ in _levels(cm, max_length))
 
 
 def element_to_json(w: WeylElement) -> dict:

@@ -120,8 +120,9 @@ def all_root_vectors(series: str, rank: int) -> list[Vec]:
                 out.append(_add(_scale(si, _basis(l, i)), _scale(sj, _basis(l, j))))
     elif series == "E":
         simple = simple_roots("E", rank)
+        expand = expander(simple + _completion_basis(simple))
         for r in _e8_roots():
-            coeffs = expand_over(simple + _completion_basis(simple), r)
+            coeffs = expand(r)
             if coeffs is not None and all(c == 0 for c in coeffs[rank:]):
                 out.append(r)
     elif series == "F":
@@ -184,38 +185,49 @@ def _rank_of(vectors: list[Vec]) -> int:
     return r
 
 
-def expand_over(basis: list[Vec], target: Vec) -> tuple[Fraction, ...] | None:
-    """Coefficients of target over the basis vectors, None if inconsistent.
+def expander(basis: list[Vec]):
+    """Coefficients over linearly independent basis vectors, through one
+    exact inverse.
 
-    Solves the overdetermined system exactly by row reduction.
+    Gauss-Jordan reduces [basis | I] to [R | T] with R = T·basis in
+    reduced echelon form.  On the pivot coordinates P, R is the identity,
+    so T inverts the square block of the basis on P, and a target t in
+    the span has coefficients t[P]·T.  Every expansion is multiplied back
+    over all coordinates; a target outside the span gives None.
     """
-    dim = len(target)
-    cols = len(basis)
-    aug = [[basis[c][r] for c in range(cols)] + [target[r]] for r in range(dim)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((k for k in range(r, dim) if aug[k][c] != 0), None)
+    k, dim = len(basis), len(basis[0])
+    aug = [list(v) + [Fraction(int(i == j)) for j in range(k)] for i, v in enumerate(basis)]
+    pivots: list[int] = []
+    for c in range(dim):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if aug[i][c] != 0), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
         inv = 1 / aug[r][c]
         aug[r] = [x * inv for x in aug[r]]
-        for k in range(dim):
-            if k != r and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
+        for i in range(k):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-    for k in range(r, dim):
-        if aug[k][cols] != 0:
-            return None
-    if len(pivots) != cols:
-        return None
-    out = [Fraction(0)] * cols
-    for idx, c in enumerate(pivots):
-        out[c] = aug[idx][cols]
-    return tuple(out)
+    assert len(pivots) == k, "basis vectors are linearly dependent"
+    inverse = [row[dim:] for row in aug]
+
+    def expand(target: Vec) -> tuple[Fraction, ...] | None:
+        given = [(target[p], row) for p, row in zip(pivots, inverse) if target[p]]
+        coeffs = tuple(sum((t * row[j] for t, row in given), Fraction(0)) for j in range(k))
+        used = [(c, v) for c, v in zip(coeffs, basis) if c]
+        back = tuple(sum((c * v[d] for c, v in used), Fraction(0)) for d in range(dim))
+        return coeffs if back == tuple(target) else None
+
+    return expand
+
+
+def expand_over(basis: list[Vec], target: Vec) -> tuple[Fraction, ...] | None:
+    """Coefficients of target over linearly independent basis vectors,
+    None if it is outside their span."""
+    return expander(basis)(target)
 
 
 def cartan_entry(simple: list[Vec], i: int, j: int) -> Fraction:
@@ -227,10 +239,10 @@ def cartan_entry(simple: list[Vec], i: int, j: int) -> Fraction:
 def root_coords(series: str, rank: int) -> frozenset[tuple[int, ...]]:
     """All roots expanded over the simple roots, as integer tuples; built
     once per type and frozen, since callers share the cached value."""
-    simple = simple_roots(series, rank)
+    expand = expander(simple_roots(series, rank))
     out = set()
     for r in all_root_vectors(series, rank):
-        coeffs = expand_over(simple, r)
+        coeffs = expand(r)
         assert coeffs is not None, (series, rank, r)
         assert all(c.denominator == 1 for c in coeffs)
         out.add(tuple(int(c) for c in coeffs))

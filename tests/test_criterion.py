@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopatlas import cartan, criterion, roots
-from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, RegionError
+from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError, RegionError
 
 ALL_AFFINE = cartan.all_types(max_rank=8, affine=True)
 SMALL_AFFINE = [cm.label for cm in cartan.all_types(max_rank=4, affine=True)]
@@ -70,6 +70,9 @@ def test_central_value_validation():
         criterion.functional(["x", 1])
     with pytest.raises(TypeError):
         criterion.functional([True, 1])
+    for bad in (["x", 1], [True, 1], [None, 1]):
+        with pytest.raises(NumberTypeError, match="is not a number"):
+            criterion.functional(bad)
 
 
 def test_central_value_keeps_exactness():
@@ -260,6 +263,9 @@ def test_dominant_integral():
         criterion.dominant_integral(cm, (1.0, 0, 0))
     with pytest.raises(TypeError):
         criterion.dominant_integral(cm, (True, 0, 0))
+    for bad in ((1.0, 0, 0), (True, 0, 0), ("1", 0, 0)):
+        with pytest.raises(NumberTypeError, match="needs integers"):
+            criterion.dominant_integral(cm, bad)
     with pytest.raises(InvalidSubsetError):
         criterion.dominant_integral(cm, (1, 0))
 

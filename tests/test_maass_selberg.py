@@ -109,6 +109,8 @@ def test_unknown_denominator_mode():
     f = criterion.functional((-1, -1))
     with pytest.raises(ValueError):
         ms.pairing_kernel(cm, 1.0, f, f, (0.0, 0.0), denominator="norm")
+    with pytest.raises(RegionError, match="denominator mode"):
+        ms.pairing_kernel(cm, 1.0, f, f, (0.0, 0.0), denominator="x")
 
 
 # --- closed form ------------------------------------------------------------
@@ -512,6 +514,10 @@ def test_pole_tolerance_must_be_positive_and_finite(tolerance):
     with pytest.raises(ValueError, match="pole tolerance"):
         ms.inner_product(request, pole_tolerance=tolerance)
     with pytest.raises(ValueError, match="pole tolerance"):
+        ms.pairing_kernel(_cm("A1affine"), 1.0, f, f, (0.0, 0.0), pole_tolerance=tolerance)
+    with pytest.raises(RegionError, match="pole tolerance"):
+        ms.inner_product(request, pole_tolerance=tolerance)
+    with pytest.raises(RegionError, match="pole tolerance"):
         ms.pairing_kernel(_cm("A1affine"), 1.0, f, f, (0.0, 0.0), pole_tolerance=tolerance)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,6 +218,46 @@ def test_finite_searched_is_the_ball_size_at_every_bound(label):
         want = sum(weyl.ball_sizes(cm, bound))
         for node in cm.nodes:
             assert parabolic.finite_self_associate(cm, node, max_length=bound).searched == want
+
+
+@pytest.mark.parametrize("label", ["A2affine", "C3affine", "G2affine", "D4affine"])
+def test_batched_certificates_equal_single_node_certificates(label):
+    """One walk for all omitted nodes certifies each node as its own
+    search does."""
+    cm = _cm(label)
+    for bound in (0, 1, 7):
+        alone = tuple(parabolic.is_self_associate(_omit(cm, node), bound) for node in cm.nodes)
+        assert parabolic.maximal_certificates(cm, bound) == alone
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "F4"])
+def test_batched_finite_witnesses_equal_single_node_witnesses(label):
+    """Per origin, the batched search keeps its own first witness length
+    and least witness word."""
+    cm = _cm(label)
+    alone = tuple(parabolic.finite_self_associate(cm, node) for node in cm.nodes)
+    assert parabolic._certificates(cm, cm.nodes, alone[0].search_bound) == alone
+
+
+@pytest.mark.parametrize("bound", [2.5, None, True, -1, "3"])
+def test_search_bound_is_validated(bound):
+    cm = _cm("A2affine")
+    runs = [
+        lambda: parabolic.is_self_associate(_omit(cm, 1), bound),
+        lambda: parabolic.constant_term_is_trivial(_omit(cm, 1), bound),
+        lambda: parabolic.maximal_certificates(cm, bound),
+    ]
+    if bound is not None:  # None asks for the whole finite group
+        runs.append(lambda: parabolic.finite_self_associate(_cm("B2"), 1, max_length=bound))
+    for run in runs:
+        with pytest.raises(InvalidSubsetError, match="search bound"):
+            run()
+
+
+def test_numpy_search_bound_is_published_as_an_int():
+    cert = parabolic.is_self_associate(_omit(_cm("A2affine"), 1), np.int64(3))
+    assert type(cert.search_bound) is int
+    assert json.loads(json.dumps(parabolic.certificate_to_json(cert)))["search_bound"] == 3
 
 
 def _certificates_sha256(certs) -> str:

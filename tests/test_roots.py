@@ -97,6 +97,21 @@ def test_highest_root_and_marks(series, rank):
 
 
 @pytest.mark.parametrize("series,rank", ALL_FINITE)
+def test_highest_root_ascent_ends_at_the_closure_top(series, rank):
+    """The dominant ascent from a long simple root lands on the last root
+    of the string closure."""
+    cm = cartan.finite_cartan(series, rank)
+    assert roots.highest_root(cm) == roots.positive_roots(cm)[-1]
+
+
+def test_highest_root_rejects_affine_and_reducible():
+    with pytest.raises(InvalidCartanMatrixError):
+        roots.highest_root(cartan.parse_type("A2affine"))
+    with pytest.raises(InvalidCartanMatrixError):
+        roots.highest_root(cartan.from_matrix([[2, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize("series,rank", ALL_FINITE)
 def test_comarks_match_coroot_expansion(series, rank):
     """Library comarks equal the independent highest-coroot expansion."""
     cm = cartan.finite_cartan(series, rank)

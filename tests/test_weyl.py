@@ -518,7 +518,7 @@ def test_quotient_walk_counts_are_the_coset_series(cm):
             factor = series_counts.finite_counts(levi_series, levi_rank, cap)
             den = [sum(den[j] * factor[k - j] for j in range(k + 1)) for k in range(cap + 1)]
         want = _series_quotient(series_counts.affine_counts(series, rank, cap), den)
-        got = [heights.shape[0] for _, heights, _, _ in weyl._levels(cm, cap, omitted=node - 1)]
+        got = [heights.shape[0] for _, heights, _, _, _ in weyl._levels(cm, cap, omitted=(node - 1,))]
         assert got == want, node
 
 
@@ -538,7 +538,7 @@ def test_quotient_walk_is_the_set_without_kept_left_descents(label):
                    for j in range(cm.size) if j != c)
         }
         got = []
-        for length, heights, words, rows in weyl._levels(cm, bound, omitted=c):
+        for length, heights, words, rows, _ in weyl._levels(cm, bound, omitted=(c,)):
             for h, word, g in zip(heights.tolist(), words.tolist(), rows.tolist()):
                 w = full[tuple(word)]
                 assert h == [sum(col) for col in zip(*w.matrix)]
@@ -546,6 +546,39 @@ def test_quotient_walk_is_the_set_without_kept_left_descents(label):
                 got.append(tuple(word))
         assert len(got) == len(set(got))
         assert set(got) == want
+
+
+@pytest.mark.parametrize("cm", cartan.all_types(8), ids=lambda cm: cm.label)
+def test_batched_walk_splits_into_the_single_node_walks(cm, monkeypatch):
+    """Walking all omitted nodes at once gives, per origin, the heights,
+    words and rows of that node's walk alone, in the same order, also
+    when chunk boundaries fall inside every level."""
+    bound = 12
+    omitted = tuple(range(cm.size))
+    singles = [list(weyl._levels(cm, bound, (c,))) for c in omitted]
+    monkeypatch.setattr(weyl, "_CHUNK", 5)
+    batched = list(weyl._levels(cm, bound, omitted))
+    for k, (c, single) in enumerate(zip(omitted, singles)):
+        assert len(single) <= len(batched)
+        for (length, heights, words, rows, origin), (_, h1, w1, r1, o1) in zip(batched, single):
+            mine = origin == k
+            assert np.array_equal(heights[mine], h1), (c, length)
+            assert np.array_equal(words[mine], w1), (c, length)
+            assert np.array_equal(rows[mine], r1), (c, length)
+            assert not o1.any()
+        for _, _, _, _, origin in batched[len(single):]:
+            assert not (origin == k).any()
+
+
+def test_walk_without_omitted_nodes_has_no_rows():
+    for _, _, _, rows, origin in weyl._levels(_cm("A2affine"), 3):
+        assert rows is None and origin is None
+
+
+@pytest.mark.parametrize("bound", [2.5, None, True, "3"])
+def test_level_bound_must_be_an_integer(bound):
+    with pytest.raises(InvalidSubsetError, match="max_length"):
+        list(weyl.enumerate_elements(_cm("A2"), bound))
 
 
 def test_ball_sizes_have_no_depth_limit():
