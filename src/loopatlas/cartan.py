@@ -267,6 +267,7 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     """Bourbaki Cartan matrix of the given finite series and rank."""
     if series not in RANK_RANGE:
         raise InvalidCartanMatrixError(f"unknown series {series!r}")
+    rank = _check_int(rank, "rank")
     lo, hi = RANK_RANGE[series]
     if not lo <= rank <= hi:
         raise UnsupportedRankError(f"series {series} supports ranks {lo}..{hi}, got {rank}")
@@ -503,12 +504,18 @@ def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
 
 
 def subdiagram(cm: CartanMatrix, nodes) -> CartanMatrix:
-    """Induced matrix on a node subset, revalidated from scratch."""
+    """Principal submatrix on a node subset, classified but not validated
+    again (a principal submatrix of a valid matrix is valid): affine only
+    when it keeps every node of an affine matrix, labelled as by
+    ``from_matrix``."""
     subset = _check_subset(cm, nodes)
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
     rows = tuple(tuple(cm.entries[i - 1][j - 1] for j in subset) for i in subset)
-    return from_matrix(rows)
+    affine = cm.is_affine and len(subset) == cm.size
+    found = _type(rows)
+    label = f"{found[0]}{found[1]}{'affine' if affine else ''}" if found else None
+    return CartanMatrix(entries=rows, is_affine=affine, label=label)
 
 
 def _components(rows: Rows, nodes) -> list[list[int]]:
@@ -590,6 +597,7 @@ def from_json(obj: dict) -> CartanMatrix:
 def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...]:
     """One representative per isomorphism class with finite rank <= max_rank,
     in series then rank order.  C starts at rank 3 (the rank-2 class is B2)."""
+    max_rank = _check_int(max_rank, "rank")
     if max_rank > MAX_RANK:
         raise UnsupportedRankError(f"catalog stops at rank {MAX_RANK}")
     out = []

@@ -39,8 +39,7 @@ class LinearFunctional:
 
     def __post_init__(self):
         for x in self.values:
-            if isinstance(x, bool) or not isinstance(x, (int, float, complex, Fraction)):
-                raise NumberTypeError(f"functional value {x!r} is not a number")
+            _check_number(x, "functional value")
 
     @property
     def size(self) -> int:
@@ -59,6 +58,12 @@ def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
             f"functional has {f.size} values, ambient has {cm.size} coroots"
         )
     _check_finite(f.values)
+
+
+def _check_number(x, what: str) -> None:
+    """An int, float, complex or Fraction; bools are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, complex, Fraction)):
+        raise NumberTypeError(f"{what} {x!r} is not a number")
 
 
 def _check_finite(values, what: str = "functional value") -> None:
@@ -90,10 +95,16 @@ def shift_by_weyl_vector(f: LinearFunctional) -> LinearFunctional:
 
 def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
     """Pairing with the canonical central element: comark-weighted coroot
-    values plus the attached-node value.  Exact when the inputs are."""
+    values plus the attached-node value.  Exact when the inputs are; a
+    float sum that overflows raises ``RegionError``."""
     _check_dimension(cm, f)
     weights = roots.central_coroot(cm)
-    return sum(w * x for w, x in zip(weights, f.values))
+    try:
+        central = sum(w * x for w, x in zip(weights, f.values))
+        _check_finite((central,))
+    except (OverflowError, RegionError):  # the values themselves are finite
+        raise RegionError("central value overflows a float") from None
+    return central
 
 
 def godement_minimal(f: LinearFunctional) -> bool:
@@ -149,6 +160,8 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
 
     The target must sit strictly inside the convergent region; each coroot
     value is target / g, exact for exact targets."""
+    _check_number(target, "central target")
+    _check_finite((target,), "central target")
     g = roots.dual_coxeter(cm)
     if not _real(target) < -2 * g:
         raise RegionError(

@@ -135,7 +135,11 @@ def _kernel(
             denominator = complex(sum(w * s for w, s in zip(weights, summed)))
         if abs(denominator) < pole_tolerance:
             return KernelValue(value=None, pole=True, denominator=denominator)
-        value = complex(cusp_pairing) * cmath.exp(at_truncation) / denominator
+        try:
+            growth = cmath.exp(at_truncation)
+        except ValueError:  # an infinite phase, reached by overflow, has no exponential
+            growth = complex(math.nan)
+        value = complex(cusp_pairing) * growth / denominator
         finite = cmath.isfinite(value) and cmath.isfinite(denominator)
     except OverflowError:
         finite = False

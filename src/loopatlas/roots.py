@@ -10,7 +10,6 @@ nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import cartan
@@ -31,8 +30,15 @@ def pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
     """Value of the root vector on the j-th simple coroot."""
     if len(beta) != cm.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {cm.size}")
+    j = cartan._check_node(j, cm.size)
     rows = cm.entries
     return sum(b * rows[i][j - 1] for i, b in enumerate(beta) if b)
+
+
+def reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
+    """Image of a root vector under the node-i reflection."""
+    value = pairing(cm, beta, i)
+    return tuple(b - value if k == i - 1 else b for k, b in enumerate(beta))
 
 
 def height(beta: Coords) -> int:
@@ -48,41 +54,39 @@ def is_negative(beta: Coords) -> bool:
 
 
 @lru_cache(maxsize=None)
-def positive_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
-    """All positive roots of a finite matrix, by string closure from the
-    simple roots, sorted by height then lexicographically."""
-    if cm.is_affine:
-        raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
-    n = cm.size
-    found: set[Coords] = set()
-    level = [simple_root(cm, i) for i in range(1, n + 1)]
-    found.update(level)
-    h = 1
+def _positive(cm: CartanMatrix, nodes: tuple[int, ...]) -> tuple[Coords, ...]:
+    """Positive roots of the principal submatrix on ``nodes``, in ambient
+    coordinates and sorted by height then lexicographically: the simple
+    roots of ``nodes`` closed under the reflections there that keep a root
+    positive.  Exact, since a non-simple positive root pairs positively
+    with some simple coroot and that reflection lowers it to a positive
+    root (Humphreys, Introduction to Lie Algebras, §10.2)."""
+    level = {simple_root(cm, i) for i in nodes}
+    found = set(level)
     while level:
-        h += 1
-        if h > _HEIGHT_CAP:
+        nxt = {up for beta in level for i in nodes if is_positive(up := reflect(cm, beta, i))} - found
+        if any(height(r) > _HEIGHT_CAP for r in nxt):
             raise InvalidCartanMatrixError("root closure did not terminate; matrix is not finite type")
-        nxt: set[Coords] = set()
-        for beta in level:
-            for i in range(1, n + 1):
-                step = simple_root(cm, i)
-                down = tuple(b - s for b, s in zip(beta, step))
-                p = 0
-                while down in found:
-                    p += 1
-                    down = tuple(b - s for b, s in zip(down, step))
-                if p - pairing(cm, beta, i) >= 1:
-                    up = tuple(b + s for b, s in zip(beta, step))
-                    if up not in found:
-                        nxt.add(up)
-        found.update(nxt)
-        level = sorted(nxt)
+        found |= nxt
+        level = nxt
     return tuple(sorted(found, key=lambda r: (height(r), r)))
 
 
+def _signed(positive: tuple[Coords, ...]) -> tuple[Coords, ...]:
+    """Negatives then positives, still sorted by height then lexicographically."""
+    return tuple(tuple(-b for b in r) for r in reversed(positive)) + positive
+
+
+def positive_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
+    """All positive roots of a finite matrix by the closure of ``_positive``,
+    sorted by height then lexicographically."""
+    if cm.is_affine:
+        raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
+    return _positive(cm, cm.nodes)
+
+
 def all_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
-    pos = positive_roots(cm)
-    return tuple(tuple(-b for b in r) for r in reversed(pos)) + pos
+    return _signed(positive_roots(cm))
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +107,7 @@ def highest_root(cm: CartanMatrix) -> Coords:
     while (i := next((i for i in cm.nodes if pairing(cm, beta, i) < 0), None)) is not None:
         if height(beta) > _HEIGHT_CAP:
             raise InvalidCartanMatrixError("root ascent did not terminate; matrix is not finite type")
-        value = pairing(cm, beta, i)
-        beta = tuple(b - value if k == i - 1 else b for k, b in enumerate(beta))
+        beta = reflect(cm, beta, i)
     return beta
 
 
@@ -117,22 +120,21 @@ def marks(cm: CartanMatrix) -> Coords:
 def comarks(cm: CartanMatrix) -> Coords:
     """Coefficients of the highest-root coroot over the simple coroots.
 
-    Computed from the symmetrizer: with squared norms proportional to the
-    reciprocals of the symmetrizer entries, each coefficient is the mark
-    rescaled by the norm ratio to the highest root.  Always integers; equal
-    to the marks in the simply laced case.
+    The highest root is long, and squared root lengths are proportional to
+    the reciprocals of the symmetrizer entries d, so comark i is
+    mark i · min(d) / d_i: always an integer, and equal to the mark in the
+    simply laced case.
     """
-    a = marks(cm)
     d = cartan.symmetrizer(cm)
-    n = cm.size
-    gram = [[Fraction(cm.entries[i][j], d[j]) for j in range(n)] for i in range(n)]
-    theta_sq = sum(a[i] * a[j] * gram[i][j] for i in range(n) for j in range(n))
+    low = min(d)
     out = []
-    for i in range(n):
-        val = Fraction(a[i]) * Fraction(2, d[i]) / theta_sq
-        if val.denominator != 1 or val <= 0:
-            raise InvalidCartanMatrixError(f"comark at node {i + 1} is {val}, not a positive integer")
-        out.append(int(val))
+    for i, a in enumerate(marks(cm)):
+        comark, rest = divmod(a * low, d[i])
+        if rest or comark <= 0:
+            raise InvalidCartanMatrixError(
+                f"comark at node {i + 1} is {a * low}/{d[i]}, not a positive integer"
+            )
+        out.append(comark)
     return tuple(out)
 
 
@@ -203,8 +205,7 @@ def affine_roots(cm: CartanMatrix, depth: int) -> AffineRootSlice:
     """Slice of the affine root system, organized by level."""
     if not cm.is_affine:
         raise InvalidCartanMatrixError("matrix is not affine")
-    if depth < 0:
-        raise InvalidSubsetError(f"depth must be nonnegative, got {depth}")
+    depth = cartan._check_bound(depth, "depth")
     fin = finite_part(cm)
     finite = all_roots(fin)
     dl = delta(cm)
@@ -233,27 +234,14 @@ def positive_real_roots(cm: CartanMatrix, depth: int) -> tuple[Coords, ...]:
 
 
 def roots_in_span(cm: CartanMatrix, nodes) -> tuple[Coords, ...]:
-    """Ambient root vectors supported on the given simple roots.
-
-    For a proper subset the induced matrix is finite, the span meets no
-    isotropic vector, and the answer is the induced system embedded back
-    into ambient coordinates.  Sorted by height then lexicographically.
-    """
+    """Ambient root vectors supported on the given simple roots: the roots
+    of their principal submatrix by the closure of ``_positive``, sorted by
+    height then lexicographically.  All nodes of an affine matrix span its
+    isotropic roots too, so they are rejected."""
     subset = cartan._check_subset(cm, nodes)
-    if not subset:
-        return ()
     if len(subset) == cm.size and cm.is_affine:
         raise InvalidSubsetError("span of all nodes is the whole affine system; a proper subset is required")
-    sub = cartan.subdiagram(cm, subset)
-    if sub.is_affine:
-        raise InvalidSubsetError("subset does not induce a finite system")
-    out = []
-    for r in all_roots(sub):
-        amb = [0] * cm.size
-        for c, node in zip(r, subset):
-            amb[node - 1] = c
-        out.append(tuple(amb))
-    return tuple(sorted(out, key=lambda r: (height(r), r)))
+    return _signed(_positive(cm, subset))
 
 
 def root_system_to_json(data: RootSystemData) -> dict:

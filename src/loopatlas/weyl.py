@@ -62,10 +62,7 @@ def identity(cm: CartanMatrix) -> WeylElement:
     return from_word(cm, ())
 
 
-def reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
-    """Image of a root vector under the node-i reflection."""
-    value = roots.pairing(cm, beta, i)
-    return tuple(b - value if k == i - 1 else b for k, b in enumerate(beta))
+reflect = roots.reflect
 
 
 def act(w: WeylElement, beta: Coords) -> Coords:

@@ -75,6 +75,16 @@ def test_unsupported_ranks():
         cartan.finite_cartan("H", 3)
 
 
+def test_ranks_must_be_integers():
+    for bad in (2.5, True, "2", None):
+        with pytest.raises(InvalidSubsetError, match="rank .* is not an integer"):
+            cartan.finite_cartan("A", bad)
+        with pytest.raises(InvalidSubsetError, match="rank .* is not an integer"):
+            cartan.all_types(bad)
+    assert cartan.finite_cartan("A", np.int64(3)).label == "A3"
+    assert cartan.all_types(np.int8(2)) == cartan.all_types(2)
+
+
 def test_gcm_axioms_rejections():
     bad = [
         [[1]],                       # diagonal not 2

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import loopatlas
-from loopatlas import cli
+from loopatlas import cartan, cli, criterion, maass_selberg, roots
+from loopatlas.errors import LoopAtlasError
 
 
 def run(capsys, *argv):
@@ -356,10 +357,21 @@ def test_out_of_range_node_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_godement_overflow_is_a_domain_error():
+    # the central value's float sum used to raise a raw OverflowError (exit 2)
+    _assert_domain_error_in_subprocess("godement", "A2affine", "--nu", f"[{10**400}, 1.5, 0]")
+    # and to overflow to inf, classified and then refused by the JSON encoder (exit 2)
+    _assert_domain_error_in_subprocess("godement", "A2affine", "--nu", "[1e308, 1e308, 1e308]")
+
+
 def test_ms_overflow_is_a_domain_error():
     # cmath.exp used to end this run in an OverflowError traceback
     _assert_domain_error_in_subprocess(
         "ms", "A1affine", "--nu", "[400,400]", "--nu-prime", "[400,400]", "--truncation", "[1,1]"
+    )
+    # an infinite phase made cmath.exp raise a raw ValueError (exit 2)
+    _assert_domain_error_in_subprocess(
+        "ms", "A2affine", "--nu", "[[0,6e307],0,0]", "--nu-prime", "[0,0,0]", "--truncation", "[10,0,0]"
     )
 
 
@@ -439,3 +451,62 @@ def test_cli_fuzz_exits_cleanly(capsys, argv):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+# The same value pool, fed to the Python API: parameters become
+# LinearFunctional inputs (built inside the call, so a value the
+# constructor rejects is one more rejection), pairs become complex numbers.
+
+API_TYPES = ["A2", "A1affine", "A2affine", "C2affine", "G2affine"]
+
+_api_numbers = st.one_of(_numbers, st.builds(complex, st.floats(-500, 500), st.floats()))
+_api_scalars = st.one_of(_api_numbers, st.integers(-2, 3), st.text(max_size=3))
+
+
+def _f(values):
+    return criterion.functional(values)
+
+
+_API = {
+    "central_value": lambda cm, a, b, t, x: criterion.central_value(cm, _f(a)),
+    "godement_cuspidal": lambda cm, a, b, t, x: criterion.godement_cuspidal(cm, _f(a)),
+    "implication_check": lambda cm, a, b, t, x: criterion.implication_check(cm, _f(a)),
+    "extend_from_central": lambda cm, a, b, t, x: criterion.extend_from_central(cm, x),
+    "region_scan": lambda cm, a, b, t, x: maass_selberg.region_scan(cm, [_f(a)], [_f(b)], t, x),
+    "pairing_kernel": lambda cm, a, b, t, x: maass_selberg.pairing_kernel(cm, x, _f(a), _f(b), t),
+    "inner_product": lambda cm, a, b, t, x: maass_selberg.inner_product(
+        maass_selberg.TruncatedPairing(cm, x, _f(a), _f(b), t)
+    ),
+    "affine_roots": lambda cm, a, b, t, x: roots.affine_roots(cm, x),
+}
+
+
+@st.composite
+def _api_call(draw):
+    name = draw(st.sampled_from(sorted(_API)))
+    cm = cartan.parse_type(draw(st.sampled_from(API_TYPES)))
+    vectors = st.one_of(
+        st.lists(st.one_of(st.integers(-6, 6), st.floats(-5, 5)), min_size=cm.size, max_size=cm.size),
+        st.lists(_api_numbers, min_size=cm.size, max_size=cm.size),
+        st.lists(_api_numbers, max_size=4),
+    )
+    return name, cm, draw(vectors), draw(vectors), draw(vectors), draw(_api_scalars)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_api_call())
+# each of these once escaped as a raw OverflowError, AttributeError, ValueError or TypeError
+@example(("central_value", cartan.parse_type("A2affine"), [10**400, 1.0, 0], [], [], 0))
+@example(("godement_cuspidal", cartan.parse_type("A2affine"), [10**400, 1.0, 0], [], [], 0))
+@example(("implication_check", cartan.parse_type("A2affine"), [-(10**400), -3.0, -3], [], [], 0))
+@example(("extend_from_central", cartan.parse_type("A2affine"), [], [], [], "x"))
+@example(("region_scan", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 1], [0, 0, 6e307j], 0))
+@example(("affine_roots", cartan.parse_type("A2affine"), [], [], [], 2.5))
+@example(("affine_roots", cartan.parse_type("A2affine"), [], [], [], "2"))
+def test_api_fuzz_raises_only_library_errors(call):
+    """Only LoopAtlasError subclasses may escape the Python API."""
+    name, cm, a, b, t, x = call
+    try:
+        _API[name](cm, a, b, t, x)
+    except LoopAtlasError:
+        pass

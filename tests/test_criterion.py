@@ -75,6 +75,19 @@ def test_central_value_validation():
             criterion.functional(bad)
 
 
+def test_central_value_overflow_is_a_region_error():
+    cm = _cm("A2affine")
+    for values in ([10**400, 1.0, 0], [1e308, 1e308, 1e308], [1e308j, 1e308j, 0]):
+        f = criterion.functional(values)
+        for call in (criterion.central_value, criterion.godement_cuspidal):
+            with pytest.raises(RegionError, match="central value overflows a float"):
+                call(cm, f)
+    with pytest.raises(RegionError, match="central value overflows a float"):
+        criterion.implication_check(cm, criterion.functional([-(10**400), -3.0, -3]))
+    # exact values never overflow
+    assert criterion.central_value(cm, criterion.functional([10**400, 1, 0])) == 10**400 + 1
+
+
 def test_central_value_keeps_exactness():
     cm = _cm("A2affine")
     exact = criterion.central_value(cm, criterion.functional([Fraction(-5, 2)] * 3))
@@ -237,6 +250,16 @@ def test_extend_from_central_rejects_shallow_targets():
         with pytest.raises(RegionError):
             criterion.extend_from_central(cm, target)
     criterion.extend_from_central(cm, Fraction(-4000001, 1000000))
+
+
+def test_extend_from_central_rejects_non_numbers_and_non_finite_targets():
+    cm = _cm("A2affine")
+    for bad in ("x", None, True, [-7]):
+        with pytest.raises(NumberTypeError, match="central target .* is not a number"):
+            criterion.extend_from_central(cm, bad)
+    for bad in (complex(-math.inf, 0), -math.inf, math.nan, complex(-7, math.nan)):
+        with pytest.raises(RegionError, match="central target .* is not finite"):
+            criterion.extend_from_central(cm, bad)
 
 
 @given(st.sampled_from(SMALL_AFFINE), rationals)

@@ -1,8 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import ambient
-from loopatlas import cartan, roots
+from loopatlas import cartan, roots, weyl
 from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError
 
 ALL_FINITE = [(s, r) for s, (lo, hi) in cartan.RANK_RANGE.items() for r in range(lo, hi + 1)]
@@ -68,9 +71,27 @@ def test_all_roots_symmetry():
     assert (0, 0, 0, 0) not in as_set
 
 
+def test_closure_valve_stops_on_a_hand_built_infinite_matrix():
+    # never validated, so only the height cap stops the closure
+    cm = cartan.CartanMatrix(entries=((2, -3), (-3, 2)), is_affine=False)
+    for call in (roots.positive_roots, lambda c: roots.roots_in_span(c, c.nodes)):
+        with pytest.raises(InvalidCartanMatrixError, match="root closure did not terminate"):
+            call(cm)
+
+
 def test_positive_roots_rejects_affine():
     with pytest.raises(InvalidCartanMatrixError):
         roots.positive_roots(cartan.parse_type("A2affine"))
+
+
+def test_pairing_and_reflect_reject_missing_nodes():
+    cm = cartan.parse_type("A2affine")
+    assert weyl.reflect is roots.reflect
+    for bad in (0, 4, 9, -1, 1.5, True, "1"):
+        for call in (roots.pairing, roots.reflect):
+            with pytest.raises(InvalidSubsetError):
+                call(cm, (1, 0, 0), bad)
+    assert roots.reflect(cm, (1, 0, 0), np.int64(1)) == (-1, 0, 0)
 
 
 def test_pairing_is_cartan_linear():
@@ -225,8 +246,15 @@ def test_positive_real_roots_sorted_unique():
 def test_affine_roots_validation():
     with pytest.raises(InvalidCartanMatrixError):
         roots.affine_roots(cartan.finite_cartan("A", 2), 2)
-    with pytest.raises(InvalidSubsetError):
-        roots.affine_roots(cartan.parse_type("A2affine"), -1)
+    cm = cartan.parse_type("A2affine")
+    with pytest.raises(InvalidSubsetError, match="depth must be nonnegative, got -1"):
+        roots.affine_roots(cm, -1)
+    for bad in (2.5, "2", True, None):
+        for call in (roots.affine_roots, roots.positive_real_roots):
+            with pytest.raises(InvalidSubsetError, match="depth .* is not an integer"):
+                call(cm, bad)
+    assert roots.affine_roots(cm, np.int64(1)) == roots.affine_roots(cm, 1)
+    assert roots.affine_slice_to_json(roots.affine_roots(cm, np.int8(1)))["depth"] == 1
 
 
 # --- spans ------------------------------------------------------------------
@@ -318,3 +346,56 @@ def test_root_strings_are_unbroken(typ):
                 up += 1
                 cur = tuple(b + s for b, s in zip(cur, step))
             assert down - up == roots.pairing(cm, beta, i)
+
+
+# --- root-data pin ----------------------------------------------------------
+
+ROOT_DATA_SHA256 = "c0a1bda4e205b1a952f48cbefbb034a18d65d60e3c15a2e7a2b6de2dce4845b9"
+
+_SPAN_FINITE = ["A1", "A4", "B2", "B3", "C2", "C4", "D4", "D6", "E6", "E7", "F4", "G2"]
+
+
+def _outcome(fn, *args):
+    """repr of a call's result, or of the library error it raises."""
+    try:
+        return repr(fn(*args))
+    except (InvalidCartanMatrixError, InvalidSubsetError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _matrix_key(cm):
+    return (cm.entries, cm.is_affine, cm.label)
+
+
+def _root_data_lines():
+    """Every root-data output the pin covers, one line each."""
+    chain = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(10)] for i in range(10)]
+    reducible = [[2, 0, 0], [0, 2, -1], [0, -1, 2]]
+    finite = list(cartan.all_types(9, affine=False))
+    finite += [cartan.finite_cartan("C", 2), cartan.from_matrix(reducible), cartan.from_matrix(chain)]
+    for cm in finite:
+        for fn in (roots.positive_roots, roots.highest_root, roots.comarks, roots.dual_coxeter):
+            yield f"{cm.entries} {fn.__name__} {_outcome(fn, cm)}"
+    affine = list(cartan.all_types(9)) + [cartan.parse_type("C2affine")]
+    for cm in affine:
+        yield f"{cm.label} finite_part {_outcome(lambda c: _matrix_key(roots.finite_part(c)), cm)}"
+        yield f"{cm.label} delta {_outcome(roots.delta, cm)}"
+        yield f"{cm.label} central_coroot {_outcome(roots.central_coroot, cm)}"
+        yield f"{cm.label} affine_roots {_outcome(roots.affine_roots, cm, 1)}"
+    spans = [cm for cm in affine if cm.size <= 7] + [cartan.parse_type(t) for t in _SPAN_FINITE]
+    for cm in spans:
+        for mask in range(1 << cm.size):
+            subset = tuple(i for i in cm.nodes if mask >> (i - 1) & 1)
+            yield f"{cm.label} {subset} span {_outcome(roots.roots_in_span, cm, subset)}"
+            yield f"{cm.label} {subset} sub {_outcome(lambda c, s: _matrix_key(cartan.subdiagram(c, s)), cm, subset)}"
+
+
+def _root_data_digest():
+    return hashlib.sha256("\n".join(_root_data_lines()).encode()).hexdigest()
+
+
+def test_root_data_pin():
+    """Root closure, highest roots, comarks, finite parts, affine slices,
+    spans and subdiagrams, byte for byte as the α-string closure, the
+    Gram-matrix comarks and the re-validated subdiagrams gave them."""
+    assert _root_data_digest() == ROOT_DATA_SHA256
