@@ -494,9 +494,17 @@ def _check_bound(x, what: str = "search bound") -> int:
     return value
 
 
+def _items(seq, what: str):
+    """An iterator over a node list, word or vector; a scalar is rejected."""
+    try:
+        return iter(seq)
+    except TypeError:
+        raise InvalidSubsetError(f"{what} {seq!r} is not a sequence") from None
+
+
 def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
     """Sorted node subset; the input is read once, duplicates rejected."""
-    given = tuple(_check_node(i, cm.size) for i in nodes)
+    given = tuple(_check_node(i, cm.size) for i in _items(nodes, "node list"))
     subset = tuple(sorted(set(given)))
     if len(subset) != len(given):
         raise InvalidSubsetError(f"duplicate nodes in {given!r}")
@@ -588,10 +596,19 @@ def to_json(cm: CartanMatrix) -> dict:
 
 
 def from_json(obj: dict) -> CartanMatrix:
+    """Inverse of ``to_json``: an object with a "matrix", or with a "series"
+    and an integer "rank"; "affine", when present, is a boolean."""
+    if not isinstance(obj, dict):
+        raise InvalidCartanMatrixError(f"matrix description {obj!r} is not a JSON object")
+    affine = obj.get("affine", False)
+    if not isinstance(affine, bool):
+        raise InvalidCartanMatrixError(f'"affine" {affine!r} is not a boolean')
     if "matrix" in obj:
         return from_matrix(obj["matrix"])
-    cm = finite_cartan(str(obj["series"]).upper(), int(obj["rank"]))
-    return affinize(cm) if obj.get("affine") else cm
+    if "series" not in obj or "rank" not in obj:
+        raise InvalidCartanMatrixError('give a "matrix", or a "series" and a "rank"')
+    cm = finite_cartan(str(obj["series"]).upper(), obj["rank"])
+    return affinize(cm) if affine else cm
 
 
 def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cartan, criterion, maass_selberg, parabolic, roots, serialize, weyl
@@ -183,9 +184,7 @@ def _run_ms(args) -> str:
     left = criterion.shift_by_weyl_vector(nu)
     right = criterion.shift_by_weyl_vector(nu_prime)
     truncation = (
-        tuple(float(x) for x in json.loads(args.truncation))
-        if args.truncation
-        else (0.0,) * cm.size
+        serialize.decode_values(json.loads(args.truncation)) if args.truncation else (0.0,) * cm.size
     )
     pairing = serialize.decode_number(json.loads(args.pairing))
     if args.kernel:
@@ -317,7 +316,14 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if text is not None:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        except BrokenPipeError:
+            # the reader left (``loopatlas atlas | head``); keep the flush
+            # at exit from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0
 
 

@@ -40,6 +40,8 @@ class LinearFunctional:
     def __post_init__(self):
         for x in self.values:
             _check_number(x, "functional value")
+        if self.d_value is not None:
+            _check_number(self.d_value, "d value")
 
     @property
     def size(self) -> int:
@@ -50,7 +52,14 @@ def functional(values, d_value: Number | None = None) -> LinearFunctional:
     return LinearFunctional(values=tuple(values), d_value=d_value)
 
 
+def _check_functional(f) -> None:
+    """The one gate of every entry point that takes a spectral parameter."""
+    if not isinstance(f, LinearFunctional):
+        raise NumberTypeError(f"spectral parameter {f!r} is not a LinearFunctional")
+
+
 def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
+    _check_functional(f)
     if not cm.is_affine:
         raise InvalidCartanMatrixError("spectral parameters live over an affine ambient")
     if f.size != cm.size:
@@ -90,6 +99,7 @@ def weyl_vector(cm: CartanMatrix) -> LinearFunctional:
 
 
 def shift_by_weyl_vector(f: LinearFunctional) -> LinearFunctional:
+    _check_functional(f)
     return LinearFunctional(values=tuple(x + 1 for x in f.values), d_value=f.d_value)
 
 
@@ -110,6 +120,7 @@ def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
 def godement_minimal(f: LinearFunctional) -> bool:
     """Every coroot value has real part strictly below -2; non-finite
     values raise ``RegionError``."""
+    _check_functional(f)
     _check_finite(f.values)
     return all(_real(x) < -2 for x in f.values)
 

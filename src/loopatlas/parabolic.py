@@ -11,10 +11,11 @@ bounded search is corroboration, not the proof.
 A witness sends every kept simple root to a simple root, so it is a
 minimal representative of its coset modulo the kept nodes' subgroup; the
 search walks those representatives only (through their inverses, see
-``weyl._levels``), a small fraction of the ball.  The searches for all
-the omitted nodes of one ambient run as one batched walk.  The
-certificate still reports the size of the whole ball, counted from the
-walk's level widths and the Levi's length series.
+``weyl._levels``), a small fraction of the ball, and decides each one
+exactly from the heights the walk carries.  The searches for all the
+omitted nodes of one ambient run as one batched walk.  The certificate
+still reports the size of the whole ball, counted from the walk's level
+widths and the Levi's length series.
 """
 
 from __future__ import annotations
@@ -139,73 +140,62 @@ def associate_necessary(p: ParabolicSubset, q: ParabolicSubset) -> bool:
 # --- witness search ---------------------------------------------------------
 
 
-def _is_witness(matrix: weyl.Matrix, c: int) -> bool:
-    """Exact witness test for omitted node c (0-based): every kept column
-    is a unit vector off row c, and column c is nonpositive."""
-    cols = list(zip(*matrix))
-    return max(cols[c]) <= 0 and all(
-        sum(col) == 1 == sum(map(abs, col)) and col[c] == 0 for j, col in enumerate(cols) if j != c
-    )
+def _certificates(
+    cm: CartanMatrix, removed_nodes: tuple[int, ...], bound: int
+) -> tuple[AssociateCertificate, ...]:
+    """Certificates for the given omitted nodes, from one batched walk.
 
+    A witness w for omitted node c permutes the simple roots of the other
+    nodes Θ and sends α_c negative.  It is then a minimal coset
+    representative, and the walk (``weyl._levels`` with the omitted
+    nodes) runs over the inverses u = w⁻¹ in ^ΘW, yielding the heights
+    h_j = ht(u·α_j) and the rows g_j, the α_c-coefficient of u·α_j.  The
+    rule is exact: w is a witness exactly when u ≠ e and h_j == 1, g_j == 0
+    for every j ≠ c.
 
-def _search(
-    cm: CartanMatrix, omitted: tuple[int, ...], bound: int
-) -> list[tuple[weyl.WeylElement | None, int]]:
-    """Witness search for each 0-based node c in ``omitted``, all in one
-    walk: (witness, searched) per node, in the order given.
+    - A root of height 1 is simple, and g_j == 0 means it is not α_c, so
+      u maps the simple roots of Θ injectively into themselves; it
+      therefore permutes them, and so does w.
+    - A non-identity u has a left descent, which in ^ΘW can only be c, so
+      w·α_c = u⁻¹·α_c is negative.
+    - Conversely a witness w permutes Θ's simple roots, so does u, and
+      w ≠ e because it moves α_c.
 
-    A witness w for c sends every simple root but α_c to a simple root,
-    so it is a minimal coset representative, and the walk runs over the
-    inverses u = w⁻¹ (``weyl._levels`` with the omitted nodes).  For such
-    a u, n - 1 of its columns are kept simple roots (h == 1 and no α_c);
-    the few rows passing that test are re-checked exactly on w.  The
-    witness is the one with the least canonical word among the witnesses
-    of the shortest length that has any.
+    The witness is the one with the least canonical word among the
+    witnesses of the shortest length that has any; only those are built.
 
     ``searched`` is the size of the whole ball of radius ``bound``: every
     element factors uniquely as u⁻¹·v with v in the Levi's finite group
     and the lengths add, so the ball holds Σ_k q_k·#{v : ℓ(v) ≤ bound - k}
     elements, q_k counting the walk's level k for that node.
     """
-    n = cm.size
+    bound = cartan._check_bound(bound)
+    omitted = tuple(i - 1 for i in removed_nodes)
     widths: list[np.ndarray] = []
     found: list[weyl.WeylElement | None] = [None] * len(omitted)
-    for _length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+    for length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
         widths.append(np.bincount(origin, minlength=len(omitted)))
+        kept_simple = (heights == 1) & (rows == 0)
+        kept_simple[np.arange(len(origin)), np.take(omitted, origin)] = True  # j == c is free
         hits: dict[int, list[weyl.WeylElement]] = {}
-        for r in np.flatnonzero(((heights == 1) & (rows == 0)).sum(axis=1) == n - 1):
+        for r in np.flatnonzero(kept_simple.all(axis=1)) if length else ():  # u ≠ e
             k = int(origin[r])
             if found[k] is None:
-                w = weyl.from_word(cm, words[r, ::-1].tolist())
-                if _is_witness(w.matrix, omitted[k]):
-                    hits.setdefault(k, []).append(w)
+                hits.setdefault(k, []).append(weyl.from_word(cm, words[r, ::-1].tolist()))
         for k, ws in hits.items():
             found[k] = min(ws, key=lambda w: w.word)
-    out = []
-    for k, c in enumerate(omitted):
-        theta = tuple(i for i in cm.nodes if i != c + 1)
-        levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
-        out.append((found[k], sum(int(q[k]) * levi[bound - j] for j, q in enumerate(widths))))
-    return out
-
-
-def _certificates(
-    cm: CartanMatrix, removed_nodes: tuple[int, ...], bound: int
-) -> tuple[AssociateCertificate, ...]:
-    """Certificates for the given omitted nodes, from one search."""
-    bound = cartan._check_bound(bound)
-    searches = _search(cm, tuple(i - 1 for i in removed_nodes), bound)
     null = roots.delta(cm) if cm.is_affine else None
     if null is not None and any(weyl.reflect(cm, null, i) != null for i in cm.nodes):
         raise LoopAtlasError("generator moved the isotropic vector")
     out = []
-    for removed_node, (witness, searched) in zip(removed_nodes, searches):
+    for k, (removed_node, witness) in enumerate(zip(removed_nodes, found)):
         if null is not None and witness is not None:
             raise LoopAtlasError(
                 "bounded search found a witness despite the structural obstruction; "
                 "this is a bug, please report the ambient matrix"
             )
         theta = tuple(i for i in cm.nodes if i != removed_node)
+        levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
         longest = weyl.longest_element(cm, theta)
         out.append(
             AssociateCertificate(
@@ -218,7 +208,7 @@ def _certificates(
                 removed_image=weyl._removed_image(longest, removed_node),
                 null_root=null,
                 search_bound=bound,
-                searched=searched,
+                searched=sum(int(q[k]) * levi[bound - j] for j, q in enumerate(widths)),
             )
         )
     return tuple(out)

@@ -67,6 +67,7 @@ reflect = roots.reflect
 
 def act(w: WeylElement, beta: Coords) -> Coords:
     """Image of an integer vector in simple-root coordinates."""
+    beta = tuple(cartan._items(beta, "vector"))
     if len(beta) != w.ambient.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {w.ambient.size}")
     for x in beta:
@@ -119,9 +120,12 @@ def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
     """Canonical reduced word of an action matrix, read off its column sums.
 
     The height vector alone cannot tell a non-element from an element, so
-    the word's own matrix is rebuilt and compared.  Elements longer than
-    10,000 are refused."""
-    rows = tuple(tuple(r) for r in matrix)
+    the word's own matrix is rebuilt and compared.  Every entry must be an
+    integer.  Elements longer than 10,000 are refused."""
+    try:
+        rows = tuple(tuple(cartan._check_int(x, "entry") for x in r) for r in matrix)
+    except (TypeError, InvalidSubsetError):  # not rows of integers
+        rows = ()
     if len(rows) == cm.size and all(len(r) == cm.size for r in rows):
         word = _canonical_word(cm, [sum(col) for col in zip(*rows)], _WORD_LIMIT)
         if _matrix(cm, word) == rows:
@@ -131,7 +135,7 @@ def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
 
 def from_word(cm: CartanMatrix, word) -> WeylElement:
     """Element of a letter sequence; stores the canonical reduced word."""
-    letters = [cartan._check_node(i, cm.size, "letter") for i in word]
+    letters = [cartan._check_node(i, cm.size, "letter") for i in cartan._items(word, "word")]
     matrix = _matrix(cm, letters)
     h = [sum(col) for col in zip(*matrix)]
     # the reduced length never exceeds the input's length
@@ -228,8 +232,6 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     A2, so compare longest elements by matrix.
     """
     subset = cartan._check_subset(cm, nodes)
-    if not subset:
-        return identity(cm)
     types = cartan.component_types(cm, subset)  # rejects a subset that is not of finite type
     expected = sum(_positive_root_count(series, rank) for series, rank in types)
     h = [1] * cm.size

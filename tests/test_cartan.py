@@ -526,6 +526,29 @@ def test_from_json_raw_matrix():
     assert cm.label == "A2"
 
 
+@pytest.mark.parametrize("rank", [2.5, True, "3", "x", None])
+def test_from_json_rank_must_be_an_integer(rank):
+    # 2.5 used to give A2, True A1 and "3" A3; "x" raised a raw ValueError
+    with pytest.raises(InvalidSubsetError, match="rank .* is not an integer"):
+        cartan.from_json({"series": "A", "rank": rank})
+
+
+@pytest.mark.parametrize("affine", ["false", 0, 1, None])
+def test_from_json_affine_must_be_a_boolean(affine):
+    # "false" used to build A2affine
+    for obj in ({"series": "A", "rank": 2}, {"matrix": [[2, -1], [-1, 2]]}):
+        with pytest.raises(InvalidCartanMatrixError, match="not a boolean"):
+            cartan.from_json({**obj, "affine": affine})
+    assert not cartan.from_json({"series": "A", "rank": 2, "affine": False}).is_affine
+
+
+@pytest.mark.parametrize("obj", [{}, {"series": "A"}, {"rank": 2}, [2], "matrix", None, 3])
+def test_from_json_rejects_missing_keys_and_non_objects(obj):
+    # these used to raise a raw KeyError or TypeError
+    with pytest.raises(InvalidCartanMatrixError):
+        cartan.from_json(obj)
+
+
 def test_all_types_catalog():
     affine = cartan.all_types(8)
     assert len(affine) == 31

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import loopatlas
-from loopatlas import cartan, cli, criterion, maass_selberg, roots
+from loopatlas import cartan, cli, criterion, maass_selberg, parabolic, roots, weyl
 from loopatlas.errors import LoopAtlasError
 
 
@@ -303,16 +303,21 @@ def test_non_finite_parameter_is_a_domain_error(flags):
     _assert_domain_error_in_subprocess("godement", "A2affine", *flags)
 
 
-def _assert_domain_error_in_subprocess(*argv):
+def _run_module(*argv, stdout=subprocess.PIPE):
     src = str(Path(loopatlas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "loopatlas", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _assert_domain_error_in_subprocess(*argv):
+    done = _run_module(*argv)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error:")
@@ -373,6 +378,39 @@ def test_ms_overflow_is_a_domain_error():
     _assert_domain_error_in_subprocess(
         "ms", "A2affine", "--nu", "[[0,6e307],0,0]", "--nu-prime", "[0,0,0]", "--truncation", "[10,0,0]"
     )
+
+
+MS_FLAGS = ("ms", "A1affine", "--nu", "[-2, -2]", "--nu-prime", "[-2, -2]")
+
+
+@pytest.mark.parametrize("truncation", ["[true, 0]", '["1", 0]', "[null, 0]", "3", '"10"'])
+def test_truncation_is_read_as_a_value_array(truncation):
+    # float(x) read true and "1" as 1.0 and exited 0
+    done = _run_module(*MS_FLAGS, "--truncation", truncation)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage error:")
+
+
+def test_truncation_takes_complex_pairs():
+    # [re, im] pairs are complex here as in every other value array
+    pair = json.loads(_run_module(*MS_FLAGS, "--truncation", "[[0.5, 0.25], 0]").stdout)
+    plain = json.loads(_run_module(*MS_FLAGS, "--truncation", "[0.5, 0]").stdout)
+    assert pair["value"] != plain["value"]
+    assert json.loads(_run_module(*MS_FLAGS, "--truncation", "[[0.5, 0], 0]").stdout) == plain
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # a reader that leaves early (``loopatlas atlas | head``) used to end
+    # the run in a BrokenPipeError traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _run_module("atlas", "--max-rank", "2", "--max-length", "2", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 # --- fuzzing ----------------------------------------------------------------
@@ -478,7 +516,19 @@ _API = {
         maass_selberg.TruncatedPairing(cm, x, _f(a), _f(b), t)
     ),
     "affine_roots": lambda cm, a, b, t, x: roots.affine_roots(cm, x),
+    "from_word": lambda cm, a, b, t, x: weyl.from_word(cm, a),
+    "act": lambda cm, a, b, t, x: weyl.act(weyl.simple(cm, 1), a),
+    "word_from_matrix": lambda cm, a, b, t, x: weyl.word_from_matrix(cm, [a, b, t][: cm.size]),
+    "parabolic_subset": lambda cm, a, b, t, x: parabolic.parabolic_subset(cm, a),
+    "levi_type": lambda cm, a, b, t, x: parabolic.levi_type(parabolic.parabolic_subset(cm, a)),
+    "longest_element": lambda cm, a, b, t, x: weyl.longest_element(cm, a),
+    "maximal_certificates": lambda cm, a, b, t, x: parabolic.maximal_certificates(cm, x),
+    "finite_self_associate": lambda cm, a, b, t, x: parabolic.finite_self_associate(cm, x),
+    "enumerate_elements": lambda cm, a, b, t, x: list(weyl.enumerate_elements(cm, x)),
 }
+# these read their vector arguments as node lists, words, vectors or rows,
+# which may also be drawn as scalars
+_SEQUENCE_CALLS = {"from_word", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element"}
 
 
 @st.composite
@@ -490,6 +540,8 @@ def _api_call(draw):
         st.lists(_api_numbers, min_size=cm.size, max_size=cm.size),
         st.lists(_api_numbers, max_size=4),
     )
+    if name in _SEQUENCE_CALLS:
+        vectors = st.one_of(vectors, _api_scalars)
     return name, cm, draw(vectors), draw(vectors), draw(vectors), draw(_api_scalars)
 
 
@@ -503,6 +555,11 @@ def _api_call(draw):
 @example(("region_scan", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 1], [0, 0, 6e307j], 0))
 @example(("affine_roots", cartan.parse_type("A2affine"), [], [], [], 2.5))
 @example(("affine_roots", cartan.parse_type("A2affine"), [], [], [], "2"))
+@example(("from_word", cartan.parse_type("A2affine"), None, [], [], 0))
+@example(("word_from_matrix", cartan.parse_type("A2"), [1.0, 0.0], [0.0, 1.0], [], 0))
+@example(("word_from_matrix", cartan.parse_type("A2"), ["1", 0], [0, 1], [], 0))
+@example(("word_from_matrix", cartan.parse_type("A2"), [math.inf, 0], [0, 1], [], 0))
+@example(("longest_element", cartan.parse_type("A2affine"), 1.5, [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

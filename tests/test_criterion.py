@@ -73,6 +73,27 @@ def test_central_value_validation():
     for bad in (["x", 1], [True, 1], [None, 1]):
         with pytest.raises(NumberTypeError, match="is not a number"):
             criterion.functional(bad)
+    # a d value is a number too; "x" used to be accepted and then fail JSON
+    for bad in ("x", True, [1]):
+        with pytest.raises(NumberTypeError, match="d value .* is not a number"):
+            criterion.functional([1, 2], d_value=bad)
+    assert criterion.functional([1, 2], d_value=None).d_value is None
+
+
+@pytest.mark.parametrize("bad", [[1, 2, 3], (1, 2, 3), None, "abc"])
+def test_entry_points_take_only_linear_functionals(bad):
+    # a plain list used to raise a raw AttributeError
+    cm = _cm("A2affine")
+    calls = [
+        lambda: criterion.central_value(cm, bad),
+        lambda: criterion.godement_cuspidal(cm, bad),
+        lambda: criterion.implication_check(cm, bad),
+        lambda: criterion.godement_minimal(bad),
+        lambda: criterion.shift_by_weyl_vector(bad),
+    ]
+    for call in calls:
+        with pytest.raises(NumberTypeError, match="is not a LinearFunctional"):
+            call()
 
 
 def test_central_value_overflow_is_a_region_error():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopatlas import cartan, criterion, maass_selberg as ms, roots, serialize
-from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, RegionError
+from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError, RegionError
 
 finite_floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
 
@@ -375,6 +375,21 @@ def test_region_scan_accepts_a_generator_truncation_point():
     nus = [criterion.functional((-3.0, -2.0)), criterion.functional((-2.0, -2.5))]
     report = ms.region_scan(cm, nus, nus, (0.25 for _ in range(2)))
     assert report == ms.region_scan(cm, nus, nus, (0.25, 0.25))
+
+
+def test_parameters_must_be_linear_functionals():
+    # plain value lists used to raise a raw AttributeError
+    cm = _cm("A2affine")
+    good = criterion.functional((-1, -1, -1))
+    calls = [
+        lambda: ms.region_scan(cm, [[1, 2, 3]], [[1, 2, 3]], (0, 0, 0)),
+        lambda: ms.region_scan(cm, [good], [(1, 2, 3)], (0, 0, 0)),
+        lambda: ms.pairing_kernel(cm, 1.0, [1, 2, 3], good, (0, 0, 0)),
+        lambda: ms.TruncatedPairing(cm, 1.0, good, None, (0, 0, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(NumberTypeError, match="is not a LinearFunctional"):
+            call()
 
 
 def test_request_validation():

@@ -239,6 +239,57 @@ def test_batched_finite_witnesses_equal_single_node_witnesses(label):
     assert parabolic._certificates(cm, cm.nodes, alone[0].search_bound) == alone
 
 
+def _matrix_witness(matrix, c: int) -> bool:
+    """Reference witness test on the action matrix of w, for omitted node c
+    (0-based): every kept column is a unit vector off row c, and column c
+    is nonpositive."""
+    cols = list(zip(*matrix))
+    return max(cols[c]) <= 0 and all(
+        sum(col) == 1 == sum(map(abs, col)) and col[c] == 0 for j, col in enumerate(cols) if j != c
+    )
+
+
+# every finite type up to rank 6 walked to exhaustion, every affine type up
+# to rank 4 at bound 12: 4,676 + 5,101 elements of the batched walks
+REFERENCE_WALKS = [(cm, len(roots.positive_roots(cm))) for cm in cartan.all_types(6, affine=False)] + [
+    (cm, 12) for cm in cartan.all_types(4)
+]
+
+
+def test_exact_witness_rule_matches_the_matrix_test():
+    """On every element u of the walks, u ≠ e with h_j == 1 and g_j == 0 for
+    every j ≠ c decides the same as the matrix test on w = u⁻¹, and the
+    certificates carry the least witness of the first witness length."""
+    seen = 0
+    for cm, bound in REFERENCE_WALKS:
+        omitted = tuple(range(cm.size))
+        want: dict[int, list] = {}
+        for length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+            for h, g, word, c in zip(heights.tolist(), rows.tolist(), words.tolist(), origin.tolist()):
+                exact = length > 0 and all(h[j] == 1 and g[j] == 0 for j in omitted if j != c)
+                w = weyl.from_word(cm, word[::-1])
+                assert exact == _matrix_witness(w.matrix, c), (cm.label, c + 1, word)
+                if exact and (c not in want or want[c][0].length == w.length):
+                    want.setdefault(c, []).append(w)
+                seen += 1
+        certs = parabolic._certificates(cm, cm.nodes, bound)
+        for c, cert in enumerate(certs):
+            first = min(want[c], key=lambda w: w.word) if c in want else None
+            assert cert.witness == first, (cm.label, c + 1)
+    assert seen == 9777
+
+
+def test_affine_certificates_build_no_element(monkeypatch):
+    """No affine certificate has a witness, so none is built: the rule reads
+    the walk's heights only."""
+    calls = []
+    from_word = weyl.from_word
+    monkeypatch.setattr(weyl, "from_word", lambda *args: calls.append(args) or from_word(*args))
+    for cm in cartan.all_types(8):
+        assert not any(c.self_associate for c in parabolic.maximal_certificates(cm, 12))
+    assert calls == []
+
+
 @pytest.mark.parametrize("bound", [2.5, None, True, -1, "3"])
 def test_search_bound_is_validated(bound):
     cm = _cm("A2affine")

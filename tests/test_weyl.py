@@ -92,6 +92,28 @@ def test_act_rejects_non_integer_coordinates():
     assert weyl.act(s, (np.int64(1), 0)) == (-1, 0)
 
 
+@pytest.mark.parametrize("scalar", [None, 3, 1.5])
+def test_scalars_are_not_node_lists_words_or_vectors(scalar):
+    # each of these used to raise a raw TypeError
+    cm = _cm("A2affine")
+    calls = [
+        lambda: weyl.from_word(cm, scalar),
+        lambda: weyl.act(weyl.simple(cm, 1), scalar),
+        lambda: weyl.longest_element(cm, scalar),
+        lambda: roots.roots_in_span(cm, scalar),
+        lambda: cartan.subdiagram(cm, scalar),
+        lambda: cartan.component_types(cm, scalar),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSubsetError, match="is not a sequence"):
+            call()
+
+
+def test_act_reads_any_iterable_vector():
+    s = weyl.simple(_cm("A2"), 1)
+    assert weyl.act(s, iter((1, 0))) == weyl.act(s, [1, 0]) == (-1, 0)
+
+
 def test_reflection_fixes_orthogonal_and_negates_own():
     cm = _cm("A3")
     for i in cm.nodes:
@@ -248,6 +270,30 @@ def test_long_words_are_accepted():
 def test_word_from_matrix_rejects_wrong_shapes(matrix):
     with pytest.raises(LoopAtlasError, match="not an action matrix"):
         weyl.word_from_matrix(_cm("A2"), matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((1.0, 0.0), (0.0, 1.0)),  # used to be read as the identity
+        ((True, False), (False, True)),  # likewise
+        ((-1, 1), (0, 1.0)),
+        (("1", 0), (0, 1)),  # raw TypeError
+        ((float("inf"), 0), (0, 1)),
+        ((10**400, 0), (0, 1)),
+        5,
+        (None, (0, 1)),
+    ],
+)
+def test_word_from_matrix_rejects_non_integer_entries(matrix):
+    with pytest.raises(LoopAtlasError, match="not an action matrix"):
+        weyl.word_from_matrix(_cm("A2"), matrix)
+
+
+def test_word_from_matrix_reads_numpy_integers():
+    cm = _cm("A2")
+    w = weyl.from_word(cm, (1, 2))
+    assert weyl.word_from_matrix(cm, np.array(w.matrix)) == w.word
 
 
 @given(type_and_word(), st.data())
