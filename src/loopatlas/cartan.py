@@ -335,7 +335,10 @@ def from_matrix(rows_in) -> CartanMatrix:
     affinization with the attached node last; anything else is rejected,
     with a distinct error for twisted shapes.
     """
-    rows = tuple(tuple(_as_int(x) for x in row) for row in rows_in)
+    try:
+        rows = tuple(tuple(_as_int(x) for x in row) for row in rows_in)
+    except TypeError:  # the input or one of its rows is not iterable
+        raise InvalidCartanMatrixError("matrix is not a list of rows") from None
     _check_gcm_axioms(rows)
     n = len(rows)
     # Sylvester test: with no row swap, pivot k is the k-th leading minor

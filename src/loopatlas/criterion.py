@@ -16,7 +16,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import roots, serialize
+from . import cartan, roots, serialize
 from .cartan import CartanMatrix
 from .errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError, RegionError
 
@@ -49,7 +49,7 @@ class LinearFunctional:
 
 
 def functional(values, d_value: Number | None = None) -> LinearFunctional:
-    return LinearFunctional(values=tuple(values), d_value=d_value)
+    return LinearFunctional(values=tuple(cartan._items(values, "functional values")), d_value=d_value)
 
 
 def _check_functional(f) -> None:
@@ -206,11 +206,19 @@ def functional_to_json(f: LinearFunctional) -> dict:
 
 
 def functional_from_json(obj) -> LinearFunctional:
-    if isinstance(obj, dict):
-        values = serialize.decode_values(obj["values"])
-        d_value = serialize.decode_number(obj["d_value"]) if "d_value" in obj else None
-        return LinearFunctional(values=values, d_value=d_value)
-    return LinearFunctional(values=serialize.decode_values(obj))
+    """Inverse of ``functional_to_json``; a bare value array is read as the
+    values."""
+    if isinstance(obj, dict) and "values" not in obj:
+        raise NumberTypeError('functional object has no "values"')
+    try:
+        if isinstance(obj, dict):
+            values = serialize.decode_values(obj["values"])
+            d_value = serialize.decode_number(obj["d_value"]) if "d_value" in obj else None
+        else:
+            values, d_value = serialize.decode_values(obj), None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NumberTypeError(f"functional does not decode: {exc}") from None
+    return LinearFunctional(values=values, d_value=d_value)
 
 
 def region_to_json(report: RegionReport) -> dict:

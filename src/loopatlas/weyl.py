@@ -9,8 +9,10 @@ its action matrix is the product S_i S_j.
 
 Every word is read off the height vector h_j = ht(w·α_j), the column sums
 of the action matrix.  Right multiplication by s_i maps h to
-h - h_i·A[:, i] and lengthens w exactly when h_i > 0.  The canonical word
-of w ends in its smallest right descent, the first i with h_i < 0, and
+h - h_i·A[:, i] and lengthens w exactly when h_i > 0; like each row of
+the matrix, h changes only at i and its Dynkin neighbours, which is all
+the per-element path touches.  The canonical word of w ends in its
+smallest right descent, the first i with h_i < 0, and
 continues leftward with the canonical word of w·s_i.  The level engine
 keeps per element only h and that word, and keeps w·s_i only when i is
 its smallest right descent: every element comes out once, with no
@@ -76,41 +78,59 @@ def act(w: WeylElement, beta: Coords) -> Coords:
     return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in w.matrix)
 
 
-def _matrix(cm: CartanMatrix, letters) -> Matrix:
+@lru_cache(maxsize=64)
+def _moves(cm: CartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each 0-based node i, the pairs (c, a_ci) with a_ci != 0: the
+    reflection at i changes coordinate i and those of its Dynkin
+    neighbours only."""
+    columns = zip(*cm.entries)
+    return tuple(tuple((c, a) for c, a in enumerate(col) if a) for col in columns)
+
+
+def _matrix(moves, letters) -> Matrix:
     """Action matrix of a sequence of valid letters, right-multiplying the
-    identity by each reflection in turn."""
-    n = cm.size
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    identity by each reflection in turn (``moves`` is ``_moves(cm)``)."""
+    n = len(moves)
+    rows = [[0] * n for _ in range(n)]
+    for r, row in enumerate(rows):
+        row[r] = 1
     for i in letters:
-        acol = [cm.entries[c][i - 1] for c in range(n)]
+        move = moves[i - 1]
         for row in rows:
             pivot = row[i - 1]
             if pivot:
-                for c in range(n):
-                    row[c] -= pivot * acol[c]
-    return tuple(tuple(r) for r in rows)
+                for c, a in move:
+                    row[c] -= pivot * a
+    return tuple(map(tuple, rows))
 
 
-def _step(cm: CartanMatrix, h: list[int], c: int) -> list[int]:
-    """Height vector of w·s_{c+1} from that of w: h - h_c·A[:, c]."""
-    return [x - h[c] * cm.entries[j][c] for j, x in enumerate(h)]
+def _step(moves, h: list[int], i: int) -> None:
+    """Turn the height vector of w into that of w·s_{i+1}, in place:
+    h_j -= h_i·a_ji at the j that ``_moves`` lists for i."""
+    hi = h[i]
+    for j, a in moves[i]:
+        h[j] -= hi * a
 
 
-def _canonical_word(cm: CartanMatrix, h: list[int], limit: int) -> tuple[int, ...]:
+def _canonical_word(moves, h: list[int], limit: int) -> tuple[int, ...]:
     """Canonical reduced word of the element with height vector h: strip
     the smallest right descent (the first j with h_j < 0) until none is
     left, then read the stripped letters backwards, at most ``limit`` of
-    them."""
+    them.  h is updated in place."""
     letters: list[int] = []
-    while (c := next((j for j, x in enumerate(h) if x < 0), None)) is not None:
+    while True:
+        for c, x in enumerate(h):
+            if x < 0:
+                break
+        else:
+            return tuple(reversed(letters))
         if len(letters) == limit:
             raise LoopAtlasError(
                 f"descent extraction stopped after {limit} letters; "
                 f"the matrix is not a group element of length at most {limit}"
             )
-        h = _step(cm, h, c)
+        _step(moves, h, c)
         letters.append(c + 1)
-    return tuple(reversed(letters))
 
 
 _WORD_LIMIT = 10_000  # a bare matrix gives no bound on its length
@@ -127,19 +147,22 @@ def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
     except (TypeError, InvalidSubsetError):  # not rows of integers
         rows = ()
     if len(rows) == cm.size and all(len(r) == cm.size for r in rows):
-        word = _canonical_word(cm, [sum(col) for col in zip(*rows)], _WORD_LIMIT)
-        if _matrix(cm, word) == rows:
+        moves = _moves(cm)
+        word = _canonical_word(moves, [sum(col) for col in zip(*rows)], _WORD_LIMIT)
+        if _matrix(moves, word) == rows:
             return word
     raise LoopAtlasError("matrix is not an action matrix of this group")
 
 
 def from_word(cm: CartanMatrix, word) -> WeylElement:
     """Element of a letter sequence; stores the canonical reduced word."""
-    letters = [cartan._check_node(i, cm.size, "letter") for i in cartan._items(word, "word")]
-    matrix = _matrix(cm, letters)
+    n = cm.size
+    letters = [cartan._check_node(i, n, "letter") for i in cartan._items(word, "word")]
+    moves = _moves(cm)
+    matrix = _matrix(moves, letters)
     h = [sum(col) for col in zip(*matrix)]
     # the reduced length never exceeds the input's length
-    return WeylElement(ambient=cm, word=_canonical_word(cm, h, len(letters)), matrix=matrix)
+    return WeylElement(ambient=cm, word=_canonical_word(moves, h, len(letters)), matrix=matrix)
 
 
 def simple(cm: CartanMatrix, i: int) -> WeylElement:
@@ -234,16 +257,17 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     subset = cartan._check_subset(cm, nodes)
     types = cartan.component_types(cm, subset)  # rejects a subset that is not of finite type
     expected = sum(_positive_root_count(series, rank) for series, rank in types)
+    moves = _moves(cm)
     h = [1] * cm.size
     letters: list[int] = []
     while (i := next((i for i in subset if h[i - 1] > 0), None)) is not None:
-        h = _step(cm, h, i - 1)
+        _step(moves, h, i - 1)
         letters.append(i)
     if len(letters) != expected:
         raise LoopAtlasError(
             f"longest element search made {len(letters)} steps, expected {expected}"
         )
-    return WeylElement(ambient=cm, word=tuple(letters), matrix=_matrix(cm, letters))
+    return WeylElement(ambient=cm, word=tuple(letters), matrix=_matrix(moves, letters))
 
 
 def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
@@ -358,10 +382,17 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
             yield WeylElement(ambient=cm, word=tuple(words[r].tolist()), matrix=matrix)
 
 
-@lru_cache(maxsize=4)
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length, mostly a sizing aid for searches."""
+    return _ball_sizes(cm, cartan._check_bound(max_length, "max_length"))
+
+
+@lru_cache(maxsize=4)
+def _ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     return tuple(heights.shape[0] for _, heights, _, _, _ in _levels(cm, max_length))
+
+
+ball_sizes.cache_clear = _ball_sizes.cache_clear  # for callers that time a cold walk
 
 
 def element_to_json(w: WeylElement) -> dict:

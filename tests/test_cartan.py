@@ -549,6 +549,15 @@ def test_from_json_rejects_missing_keys_and_non_objects(obj):
         cartan.from_json(obj)
 
 
+@pytest.mark.parametrize("rows", [5, [5], [[2, -1], 5], None])
+def test_from_matrix_rejects_scalars_as_rows(rows):
+    # these used to raise a raw TypeError ('int' object is not iterable)
+    with pytest.raises(InvalidCartanMatrixError, match="not a list of rows"):
+        cartan.from_matrix(rows)
+    with pytest.raises(InvalidCartanMatrixError, match="not a list of rows"):
+        cartan.from_json({"matrix": rows})
+
+
 def test_all_types_catalog():
     affine = cartan.all_types(8)
     assert len(affine) == 31

@@ -279,6 +279,17 @@ def test_matrix_file_raw_entries(tmp_path, capsys):
     assert obj["label"] == "A2"
 
 
+@pytest.mark.parametrize("text", ["5", '{"matrix": 5}', '{"matrix": [5]}'])
+def test_matrix_file_of_scalars_is_a_domain_error(tmp_path, capsys, text):
+    # a raw TypeError used to make these usage errors (exit 2)
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "roots", "--matrix-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # --- failure modes ----------------------------------------------------------
 
 
@@ -525,10 +536,18 @@ _API = {
     "maximal_certificates": lambda cm, a, b, t, x: parabolic.maximal_certificates(cm, x),
     "finite_self_associate": lambda cm, a, b, t, x: parabolic.finite_self_associate(cm, x),
     "enumerate_elements": lambda cm, a, b, t, x: list(weyl.enumerate_elements(cm, x)),
+    "ball_sizes": lambda cm, a, b, t, x: weyl.ball_sizes(cm, a),
+    "functional": lambda cm, a, b, t, x: criterion.functional(a, x),
+    "functional_from_json": lambda cm, a, b, t, x: criterion.functional_from_json(a),
 }
-# these read their vector arguments as node lists, words, vectors or rows,
-# which may also be drawn as scalars
-_SEQUENCE_CALLS = {"from_word", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element"}
+# these read their vector arguments as node lists, words, vectors, rows,
+# bounds or value arrays, which may also be drawn as scalars
+_SEQUENCE_CALLS = {
+    "from_word", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
+    "ball_sizes", "functional", "functional_from_json",
+}
+# and these read JSON objects too
+_OBJECT_CALLS = {"functional_from_json"}
 
 
 @st.composite
@@ -542,6 +561,9 @@ def _api_call(draw):
     )
     if name in _SEQUENCE_CALLS:
         vectors = st.one_of(vectors, _api_scalars)
+    if name in _OBJECT_CALLS:
+        keys = st.sampled_from(["values", "d_value", "matrix"])
+        vectors = st.one_of(vectors, st.dictionaries(keys, st.one_of(vectors, _api_scalars), max_size=3))
     return name, cm, draw(vectors), draw(vectors), draw(vectors), draw(_api_scalars)
 
 
@@ -560,6 +582,10 @@ def _api_call(draw):
 @example(("word_from_matrix", cartan.parse_type("A2"), ["1", 0], [0, 1], [], 0))
 @example(("word_from_matrix", cartan.parse_type("A2"), [math.inf, 0], [0, 1], [], 0))
 @example(("longest_element", cartan.parse_type("A2affine"), 1.5, [], [], 0))
+@example(("ball_sizes", cartan.parse_type("A2affine"), [3], [], [], 0))
+@example(("functional", cartan.parse_type("A2affine"), 3, [], [], 0))
+@example(("functional_from_json", cartan.parse_type("A2affine"), {"d_value": 1}, [], [], 0))
+@example(("functional_from_json", cartan.parse_type("A2affine"), 5, [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

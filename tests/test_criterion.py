@@ -333,6 +333,32 @@ def test_functional_json_without_d_value():
     assert criterion.functional_from_json([-0.5, -2]).values == (-0.5, -2)
 
 
+@pytest.mark.parametrize("values", [3, None, 2.5])
+def test_functional_values_must_be_a_sequence(values):
+    # tuple(values) used to raise a raw TypeError
+    with pytest.raises(InvalidSubsetError, match="not a sequence"):
+        criterion.functional(values)
+
+
+@pytest.mark.parametrize(
+    "obj, match",
+    [
+        ({"d_value": 1}, "no \"values\""),  # raw KeyError
+        ({}, "no \"values\""),
+        (5, "does not decode"),  # raw TypeError
+        (None, "does not decode"),
+        ({"values": 5}, "does not decode"),
+        ({"values": [1, 2], "d_value": "x"}, "does not decode"),
+        ([["a", 1]], "does not decode"),  # raw ValueError
+        ([[10**400, 1]], "does not decode"),  # raw OverflowError
+        (["1"], "does not decode"),
+    ],
+)
+def test_functional_from_json_rejects_malformed_objects(obj, match):
+    with pytest.raises(NumberTypeError, match=match):
+        criterion.functional_from_json(obj)
+
+
 def test_region_json():
     cm = _cm("E6affine")
     report = criterion.godement_cuspidal(cm, _uniform(cm, -3))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -627,6 +629,15 @@ def test_level_bound_must_be_an_integer(bound):
         list(weyl.enumerate_elements(_cm("A2"), bound))
 
 
+@pytest.mark.parametrize("bound", [[3], (3,), 2.0, "3", -1])
+def test_ball_sizes_check_the_bound_before_the_cache(bound):
+    # a list used to fail inside the cache with a raw TypeError (unhashable)
+    with pytest.raises(InvalidSubsetError, match="max_length"):
+        weyl.ball_sizes(_cm("A2affine"), bound)
+    weyl.ball_sizes.cache_clear()
+    assert weyl.ball_sizes(_cm("A2affine"), np.int64(2)) == (1, 3, 6)
+
+
 def test_ball_sizes_have_no_depth_limit():
     assert weyl.ball_sizes(_cm("A1affine"), 40000) == (1,) + (2,) * 40000
 
@@ -669,3 +680,80 @@ def test_action_preserves_symmetrized_form(cw):
     for a in basis:
         for b in basis:
             assert form(weyl.act(w, a), weyl.act(w, b)) == form(a, b)
+
+
+# --- the per-element path, pinned and rebuilt densely ------------------------
+
+PIN_TYPES = cartan.all_types(9, affine=False) + cartan.all_types(9)
+
+
+def _seeded_word_pairs(cm):
+    """Twelve seeded pairs of letter sequences, up to 3n letters each."""
+    rng = random.Random(f"{cm.label} words")
+    draw = lambda: [rng.randint(1, cm.size) for _ in range(rng.randint(0, 3 * cm.size))]
+    return [(draw(), draw()) for _ in range(12)]
+
+
+def _path_elements(cm):
+    """(label, element) for every per-element output the pin covers."""
+    for a, b in _seeded_word_pairs(cm):
+        w1, w2 = weyl.from_word(cm, a), weyl.from_word(cm, b)
+        yield f"from_word {a}", w1
+        yield f"from_word {b}", w2
+        yield f"inverse {a}", weyl.inverse(w1)
+        yield f"compose {a} {b}", weyl.compose(w1, w2)
+    for node in cm.nodes:
+        others = tuple(i for i in cm.nodes if i != node)
+        yield f"longest_element {others}", weyl.longest_element(cm, others)
+
+
+def _path_lines():
+    for cm in PIN_TYPES:
+        for what, w in _path_elements(cm):
+            yield f"{cm.label} {what} {w.word} {w.matrix}"
+            yield f"{cm.label} word_from_matrix {weyl.word_from_matrix(cm, w.matrix)}"
+    try:
+        long = weyl.from_word(_cm("A1affine"), (1, 2) * (weyl._WORD_LIMIT // 2 + 1))
+        weyl.word_from_matrix(long.ambient, long.matrix)
+    except LoopAtlasError as exc:
+        yield f"word limit {type(exc).__name__}: {exc}"
+
+
+PATH_SHA256 = "32ecbed8e8688f10441ac4d7b0b8629eda4fdfe1bbf2df54dc16c5d0427dde61"
+
+
+def test_per_element_path_pin():
+    """Words and matrices of from_word, inverse, compose and the maximal
+    Levis' longest elements on every type up to rank 9, their
+    word_from_matrix round trips and the word-limit error, byte for byte
+    as the dense row updates gave them."""
+    text = "\n".join(_path_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == PATH_SHA256
+
+
+def _dense_matrix(entries, word):
+    """Product S_{i_1}···S_{i_k} by dense integer matrix products, where
+    column c of S_i is α_c - a_ci·α_i (entries stay far inside int64)."""
+    n = len(entries)
+    a = np.array(entries, dtype=np.int64)
+    m = np.eye(n, dtype=np.int64)
+    for i in word:
+        s = np.eye(n, dtype=np.int64)
+        s[i - 1] -= a[:, i - 1]
+        m = m @ s
+    return tuple(tuple(r) for r in m.tolist())
+
+
+@pytest.mark.parametrize("cm", PIN_TYPES, ids=lambda cm: cm.label)
+def test_per_element_matrices_are_dense_products(cm):
+    dense = lambda word: _dense_matrix(cm.entries, word)
+    for a, b in _seeded_word_pairs(cm):
+        w1, w2 = weyl.from_word(cm, a), weyl.from_word(cm, b)
+        assert w1.matrix == dense(a) == dense(w1.word)
+        assert w2.matrix == dense(b) == dense(w2.word)
+        assert weyl.inverse(w1).matrix == dense(a[::-1])
+        assert weyl.compose(w1, w2).matrix == dense(a + b)
+        assert weyl.word_from_matrix(cm, dense(a)) == w1.word
+    for node in cm.nodes:
+        w0 = weyl.longest_element(cm, tuple(i for i in cm.nodes if i != node))
+        assert w0.matrix == dense(w0.word)
