@@ -78,6 +78,21 @@ class CartanMatrix:
         name = self.label or f"{self.size}x{self.size}"
         return f"CartanMatrix({name})"
 
+    # Every lru_cache keyed on an ambient hashes it on each hit, and the
+    # generated dataclass hash walks all the entries each time: this is the
+    # same value, computed once per instance.  String hashes are salted per
+    # process, so the cached value is left out of pickles and copies.
+    _hash = None  # a class attribute, not a field
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self.__dict__["_hash"] = hash((self.entries, self.is_affine, self.label))
+        return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 @dataclass(frozen=True)
 class Edge:

@@ -1,21 +1,23 @@
 """Parabolic node subsets, Levi decomposition, and the self-associate test.
 
-A maximal subset omits exactly one node.  Over an affine ambient the test
-for a length-preserving witness (an element fixing the subset setwise
-while sending the omitted simple root negative) always comes back
-negative: such a witness would have to carry the omitted root to a
-negative root while adding only multiples of the kept simple roots, and
-the certificate records the structural trace of that obstruction.  The
-bounded search is corroboration, not the proof.
+A maximal subset Θ omits one node c; a witness is an element permuting
+Θ's simple roots while sending α_c negative.  By Howlett (1980,
+"Normalizers of parabolic subgroups of reflection groups") and
+Brink–Howlett (1999, "Normalizers of parabolic subgroups in Coxeter
+groups") every element with w(Θ) = Θ is a product of elementary elements
+w0_{Θ∪{α}}·w0_Θ, each existing only when the group of Θ ∪ {α} is finite.
+For a maximal Θ the only α is c:
 
-A witness sends every kept simple root to a simple root, so it is a
-minimal representative of its coset modulo the kept nodes' subgroup; the
-search walks those representatives only (through their inverses, see
-``weyl._levels``), a small fraction of the ball, and decides each one
-exactly from the heights the walk carries.  The searches for all the
-omitted nodes of one ambient run as one batched walk.  The certificate
-still reports the size of the whole ball, counted from the walk's level
-widths and the Levi's length series.
+- Finite ambient: the one candidate is w0·w0_Θ, of length N − N_Θ.  It
+  sends Θ to σ(Θ), σ the opposition involution (w0·α_j = −α_{σ(j)}), so
+  it is the witness exactly when σ(c) = c.  No search is needed.
+- Affine ambient: Θ ∪ {c} is the whole diagram, whose group is infinite,
+  so no elementary element and no witness exists at any length.  The
+  certificate records the structural trace of that obstruction, and a
+  bounded walk corroborates it.  The walk runs over the inverses of the
+  minimal coset representatives only (see ``weyl._levels``), for all
+  omitted nodes at once; ``searched`` still counts the whole ball, from
+  the walk's level widths and the Levi's length series.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 
 Coords = tuple[int, ...]
 
-FINITE_RANK_LIMIT = 6  # full-group verdicts stay cheap below this
+FINITE_RANK_LIMIT = 6  # the largest rank with finite verdicts; lifting it changes outputs
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,8 @@ class AssociateCertificate:
     longest element of the kept nodes; its coefficient on the omitted node
     is exactly 1.  ``null_root`` is the isotropic vector every generator
     fixes (None over a finite ambient).  ``searched`` is the number of
-    group elements of length at most ``search_bound``, the ball the search
-    covers; it walks only the minimal coset representatives among them.
+    group elements of length at most ``search_bound``: over an affine
+    ambient the ball the corroborating walk stands for.
     """
 
     ambient: CartanMatrix
@@ -143,7 +145,7 @@ def associate_necessary(p: ParabolicSubset, q: ParabolicSubset) -> bool:
 def _certificates(
     cm: CartanMatrix, removed_nodes: tuple[int, ...], bound: int
 ) -> tuple[AssociateCertificate, ...]:
-    """Certificates for the given omitted nodes, from one batched walk.
+    """Affine certificates for the given omitted nodes, from one batched walk.
 
     A witness w for omitted node c permutes the simple roots of the other
     nodes Θ and sends α_c negative.  It is then a minimal coset
@@ -161,8 +163,8 @@ def _certificates(
     - Conversely a witness w permutes Θ's simple roots, so does u, and
       w ≠ e because it moves α_c.
 
-    The witness is the one with the least canonical word among the
-    witnesses of the shortest length that has any; only those are built.
+    No affine witness exists (see the module docstring), so a row that
+    passes the rule is a library bug and raises.
 
     ``searched`` is the size of the whole ball of radius ``bound``: every
     element factors uniquely as u⁻¹·v with v in the Levi's finite group
@@ -170,59 +172,51 @@ def _certificates(
     elements, q_k counting the walk's level k for that node.
     """
     bound = cartan._check_bound(bound)
+    null = roots.delta(cm)
+    if any(weyl.reflect(cm, null, i) != null for i in cm.nodes):
+        raise LoopAtlasError("generator moved the isotropic vector")
     omitted = tuple(i - 1 for i in removed_nodes)
     widths: list[np.ndarray] = []
-    found: list[weyl.WeylElement | None] = [None] * len(omitted)
-    for length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+    for length, heights, _, rows, origin in weyl._levels(cm, bound, omitted):
         widths.append(np.bincount(origin, minlength=len(omitted)))
         kept_simple = (heights == 1) & (rows == 0)
         kept_simple[np.arange(len(origin)), np.take(omitted, origin)] = True  # j == c is free
-        hits: dict[int, list[weyl.WeylElement]] = {}
-        for r in np.flatnonzero(kept_simple.all(axis=1)) if length else ():  # u ≠ e
-            k = int(origin[r])
-            if found[k] is None:
-                hits.setdefault(k, []).append(weyl.from_word(cm, words[r, ::-1].tolist()))
-        for k, ws in hits.items():
-            found[k] = min(ws, key=lambda w: w.word)
-    null = roots.delta(cm) if cm.is_affine else None
-    if null is not None and any(weyl.reflect(cm, null, i) != null for i in cm.nodes):
-        raise LoopAtlasError("generator moved the isotropic vector")
-    out = []
-    for k, (removed_node, witness) in enumerate(zip(removed_nodes, found)):
-        if null is not None and witness is not None:
+        if length and kept_simple.all(axis=1).any():  # u ≠ e
             raise LoopAtlasError(
                 "bounded search found a witness despite the structural obstruction; "
                 "this is a bug, please report the ambient matrix"
             )
+    out = []
+    for k, removed_node in enumerate(removed_nodes):
         theta = tuple(i for i in cm.nodes if i != removed_node)
         levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
-        longest = weyl.longest_element(cm, theta)
-        out.append(
-            AssociateCertificate(
-                ambient=cm,
-                theta=theta,
-                removed_node=removed_node,
-                self_associate=witness is not None,
-                witness=witness,
-                levi_longest_word=longest.word,
-                removed_image=weyl._removed_image(longest, removed_node),
-                null_root=null,
-                search_bound=bound,
-                searched=sum(int(q[k]) * levi[bound - j] for j, q in enumerate(widths)),
-            )
-        )
+        searched = sum(int(q[k]) * levi[bound - j] for j, q in enumerate(widths))
+        out.append(_certificate(cm, theta, weyl.longest_element(cm, theta), None, null, bound, searched))
     return tuple(out)
 
 
-def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCertificate:
-    """Self-associate verdict for a maximal subset of an affine ambient.
+def _certificate(cm, theta, longest, witness, null, bound, searched) -> AssociateCertificate:
+    """Certificate of a maximal subset, given the longest element of its group."""
+    removed_node = next(i for i in cm.nodes if i not in theta)
+    return AssociateCertificate(
+        ambient=cm,
+        theta=theta,
+        removed_node=removed_node,
+        self_associate=witness is not None,
+        witness=witness,
+        levi_longest_word=longest.word,
+        removed_image=weyl._removed_image(longest, removed_node),
+        null_root=null,
+        search_bound=bound,
+        searched=searched,
+    )
 
-    Always negative: the certificate carries the structural obstruction
-    (the removed-root image keeps coefficient 1, every generator fixes the
-    isotropic vector, so no group element can send the removed root
-    negative while permuting the kept ones).  The bounded search must come
-    back empty; a hit would mean a library bug and raises.
-    """
+
+def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCertificate:
+    """Self-associate verdict for a maximal subset of an affine ambient:
+    always negative (see the module docstring).  The certificate carries
+    the structural obstruction; the bounded search must come back empty,
+    and a hit would mean a library bug and raises."""
     cm = p.ambient
     if not cm.is_affine:
         raise InvalidCartanMatrixError("use finite_self_associate over a finite ambient")
@@ -243,10 +237,11 @@ def maximal_certificates(cm: CartanMatrix, search_bound: int = 16) -> tuple[Asso
 def finite_self_associate(
     cm: CartanMatrix, removed_node: int, max_length: int | None = None
 ) -> AssociateCertificate:
-    """Witness search over a finite irreducible ambient, full group by
-    default.  Here both verdicts occur; the witness, when present, is the
-    one with the least canonical word (lexicographically) among the
-    witnesses of the shortest length that has any."""
+    """Self-associate verdict over a finite irreducible ambient, in closed
+    form (see the module docstring): the witness, the only one, is w0·w0_Θ
+    when σ fixes the omitted node and N − N_Θ ≤ ``max_length``.
+    ``searched`` is the size of the ball of that radius; the default, N,
+    the number of positive roots, covers the whole group."""
     if cm.is_affine:
         raise InvalidCartanMatrixError("ambient must be finite")
     if not cartan.irreducible(cm):
@@ -256,10 +251,15 @@ def finite_self_associate(
             f"finite verdicts are limited to rank {FINITE_RANK_LIMIT}; got rank {cm.size}"
         )
     removed_node = cartan._check_node(removed_node, cm.size)
-    if max_length is None:
-        # the longest element's length, the number of positive roots
-        max_length = sum(weyl._positive_root_count(*t) for t in cartan.component_types(cm, cm.nodes))
-    return _certificates(cm, (removed_node,), max_length)[0]
+    w0 = weyl.longest_element(cm, cm.nodes)
+    bound = w0.length if max_length is None else cartan._check_bound(max_length)
+    theta = tuple(i for i in cm.nodes if i != removed_node)
+    longest = weyl.longest_element(cm, theta)
+    # column c of w0 is w0·α_c = −α_σ(c), so σ(c) = c exactly when its entry c is −1
+    fixed = w0.matrix[removed_node - 1][removed_node - 1] == -1
+    witness = weyl.compose(w0, longest) if fixed and w0.length - longest.length <= bound else None
+    searched = sum(weyl._length_counts(cartan.component_types(cm, cm.nodes), bound))
+    return _certificate(cm, theta, longest, witness, None, bound, searched)
 
 
 @lru_cache(maxsize=64)

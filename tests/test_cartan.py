@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from itertools import permutations
 
@@ -65,6 +67,20 @@ def test_entry_accessor_is_one_based():
     assert cm.nodes == (1, 2)
     assert cm.size == 2
     assert cm.finite_rank == 2
+
+
+def test_hash_is_cached_and_never_carried_along():
+    """The hash is the dataclass's own field hash, computed once per
+    instance.  String hashes are salted per process, so neither a pickle
+    nor a copy may carry the cached value."""
+    cm = cartan.parse_type("A8affine")
+    assert hash(cm) == hash((cm.entries, cm.is_affine, cm.label))
+    assert "_hash" in vars(cm)
+    assert b"_hash" not in pickle.dumps(cm)
+    for twin in (pickle.loads(pickle.dumps(cm)), copy.copy(cm), copy.deepcopy(cm)):
+        assert "_hash" not in vars(twin)
+        assert twin == cm and hash(twin) == hash(cm)
+    assert hash(cartan.from_matrix(cm.entries)) == hash(cm)
 
 
 def test_unsupported_ranks():

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import ambient
+import series_counts
 from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import (
     InvalidCartanMatrixError,
@@ -15,6 +17,7 @@ from loopatlas.errors import (
 )
 
 AFFINE_LABELS = [cm.label for cm in cartan.all_types(max_rank=4, affine=True)]
+FINITE_LABELS = [cm.label for cm in cartan.all_types(parabolic.FINITE_RANK_LIMIT, affine=False)]
 
 
 def _cm(label):
@@ -210,14 +213,28 @@ def test_searched_is_the_ball_size_at_every_bound(label):
         assert [c.searched for c in parabolic.maximal_certificates(cm, bound)] == [want] * cm.size
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+@pytest.mark.parametrize("label", FINITE_LABELS)
 def test_finite_searched_is_the_ball_size_at_every_bound(label):
+    """At every bound 0..N+1 the closed form's verdict, witness and
+    ``searched`` equal the walk reference: one quotient walk per omitted
+    node to length N, decided by the exact rule, its level widths times the
+    Levi's length series.  ``searched`` is also the ball size of the series
+    oracle."""
     cm = _cm(label)
     top = len(roots.positive_roots(cm))
-    for bound in range(top + 2):
-        want = sum(weyl.ball_sizes(cm, bound))
-        for node in cm.nodes:
-            assert parabolic.finite_self_associate(cm, node, max_length=bound).searched == want
+    (series, rank), = cartan.component_types(cm, cm.nodes)
+    ball = list(accumulate(series_counts.finite_counts(series, rank, top + 1)))
+    for node in cm.nodes:
+        widths, witnesses = _walk_reference(cm, top, (node - 1,))
+        first = witnesses.get(node - 1)
+        levi = _levi_ball(cm, node, top + 1)
+        for bound in range(top + 2):
+            cert = parabolic.finite_self_associate(cm, node, max_length=bound)
+            want = first if first is not None and first.length <= bound else None
+            assert cert.self_associate == (want is not None), (label, node, bound)
+            assert cert.witness == want, (label, node, bound)
+            searched = sum(q[0] * levi[bound - k] for k, q in enumerate(widths[: bound + 1]))
+            assert cert.searched == searched == ball[bound], (label, node, bound)
 
 
 @pytest.mark.parametrize("label", ["A2affine", "C3affine", "G2affine", "D4affine"])
@@ -232,11 +249,43 @@ def test_batched_certificates_equal_single_node_certificates(label):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "F4"])
 def test_batched_finite_witnesses_equal_single_node_witnesses(label):
-    """Per origin, the batched search keeps its own first witness length
-    and least witness word."""
+    """The closed form for each node alone gives the witness and ball size
+    of the batched walk reference over all the nodes at once: per origin,
+    the least witness word of its first witness length."""
     cm = _cm(label)
-    alone = tuple(parabolic.finite_self_associate(cm, node) for node in cm.nodes)
-    assert parabolic._certificates(cm, cm.nodes, alone[0].search_bound) == alone
+    top = len(roots.positive_roots(cm))
+    widths, witnesses = _walk_reference(cm, top, tuple(range(cm.size)))
+    for node in cm.nodes:
+        cert = parabolic.finite_self_associate(cm, node)
+        assert cert.search_bound == top
+        assert cert.witness == witnesses.get(node - 1), (label, node)
+        levi = _levi_ball(cm, node, top)
+        assert cert.searched == sum(q[node - 1] * levi[top - k] for k, q in enumerate(widths))
+
+
+def _walk_reference(cm, bound, omitted):
+    """Reference search on one batched ``weyl._levels`` walk: the level
+    widths per origin, and for each 0-based omitted node with a witness
+    the least canonical word of its first witness length, decided by the
+    exact rule (u ≠ e, and h_j == 1, g_j == 0 for every j ≠ c)."""
+    widths, first, hits = [], {}, {}
+    for length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+        widths.append(np.bincount(origin, minlength=len(omitted)).tolist())
+        for h, g, word, k in zip(heights.tolist(), rows.tolist(), words.tolist(), origin.tolist()):
+            c = omitted[k]
+            exact = length > 0 and all(h[j] == 1 and g[j] == 0 for j in range(cm.size) if j != c)
+            if exact and first.setdefault(c, length) == length:
+                hits.setdefault(c, []).append(word[::-1])
+    return widths, {c: weyl.from_word(cm, min(words)) for c, words in hits.items()}
+
+
+def _levi_ball(cm, node, cap):
+    """Element counts of the kept nodes' group of length at most 0..cap,
+    from the series oracle."""
+    poly = [1] + [0] * cap
+    for series, rank in cartan.component_types(cm, tuple(i for i in cm.nodes if i != node)):
+        poly = series_counts._mul(poly, series_counts.finite_counts(series, rank, cap), cap)
+    return list(accumulate(poly))
 
 
 def _matrix_witness(matrix, c: int) -> bool:
@@ -259,7 +308,8 @@ REFERENCE_WALKS = [(cm, len(roots.positive_roots(cm))) for cm in cartan.all_type
 def test_exact_witness_rule_matches_the_matrix_test():
     """On every element u of the walks, u ≠ e with h_j == 1 and g_j == 0 for
     every j ≠ c decides the same as the matrix test on w = u⁻¹, and the
-    certificates carry the least witness of the first witness length."""
+    verdicts carry the least witness of the first witness length: the
+    closed form over a finite ambient, the certificates over an affine one."""
     seen = 0
     for cm, bound in REFERENCE_WALKS:
         omitted = tuple(range(cm.size))
@@ -272,10 +322,13 @@ def test_exact_witness_rule_matches_the_matrix_test():
                 if exact and (c not in want or want[c][0].length == w.length):
                     want.setdefault(c, []).append(w)
                 seen += 1
-        certs = parabolic._certificates(cm, cm.nodes, bound)
-        for c, cert in enumerate(certs):
+        if cm.is_affine:
+            got = [cert.witness for cert in parabolic._certificates(cm, cm.nodes, bound)]
+        else:
+            got = [parabolic.finite_self_associate(cm, c + 1, bound).witness for c in omitted]
+        for c in omitted:
             first = min(want[c], key=lambda w: w.word) if c in want else None
-            assert cert.witness == first, (cm.label, c + 1)
+            assert got[c] == first, (cm.label, c + 1)
     assert seen == 9777
 
 
@@ -287,6 +340,18 @@ def test_affine_certificates_build_no_element(monkeypatch):
     monkeypatch.setattr(weyl, "from_word", lambda *args: calls.append(args) or from_word(*args))
     for cm in cartan.all_types(8):
         assert not any(c.self_associate for c in parabolic.maximal_certificates(cm, 12))
+    assert calls == []
+
+
+def test_finite_verdicts_walk_no_levels(monkeypatch):
+    """The finite verdict is read off in closed form: no level walk runs."""
+    calls = []
+    levels = weyl._levels
+    monkeypatch.setattr(weyl, "_levels", lambda *args: calls.append(args) or levels(*args))
+    for cm in cartan.all_types(parabolic.FINITE_RANK_LIMIT, affine=False):
+        for node in cm.nodes:
+            parabolic.finite_self_associate(cm, node)
+            parabolic.finite_self_associate(cm, node, max_length=3)
     assert calls == []
 
 
