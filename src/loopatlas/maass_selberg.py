@@ -17,11 +17,12 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from operator import add, mul
 
-from . import criterion, roots, serialize
+from . import cartan, criterion, roots, serialize
 from .cartan import CartanMatrix
 from .criterion import LinearFunctional
-from .errors import InvalidSubsetError, RegionError
+from .errors import InvalidSubsetError, NumberTypeError, RegionError
 
 POLE_TOLERANCE = 1e-12
 
@@ -44,7 +45,8 @@ class TruncatedPairing:
     truncation: tuple[float, ...]
 
     def __post_init__(self):
-        _check_inputs(self.ambient, self.cusp_pairing, self.left, self.right, self.truncation)
+        truncation = _check_inputs(self.ambient, self.cusp_pairing, self.left, self.right, self.truncation)
+        object.__setattr__(self, "truncation", truncation)  # read once, so a generator is kept too
 
 
 def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
@@ -60,7 +62,7 @@ def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
 
 def _check_point(ambient, cusp_pairing, truncation) -> tuple:
     """The part of ``_check_inputs`` that does not involve the parameters."""
-    truncation = tuple(truncation)
+    truncation = tuple(cartan._items(truncation, "truncation point"))
     if len(truncation) != ambient.size:
         raise InvalidSubsetError(
             f"truncation point has {len(truncation)} coordinates, ambient has {ambient.size}"
@@ -112,29 +114,36 @@ def _kernel(
     weights,
     cusp_pairing,
     left: tuple,
-    right: tuple,
+    right_conjugate: tuple,
     point: tuple[complex, ...],
     *,
     leading_minus: bool,
     by_truncation: bool,
     pole_tolerance: float,
-) -> KernelValue:
-    """The kernel formula, the only one, on checked inputs: ``left`` and
-    ``right`` are shifted parameter values, ``point`` is the truncation
-    point as complex numbers and ``weights`` the ambient's central coroot.
-    The cusp pairing is converted only where a value is formed, so a pole
+) -> tuple:
+    """The kernel formula, the only one, on checked inputs: ``left`` holds
+    the first shifted parameter's values and ``right_conjugate`` the
+    complex conjugates of the second's, ``point`` is the truncation point
+    as complex numbers and ``weights`` the ambient's central coroot.
+    Returns ``(value, pole, denominator)``, the value None on a pole.  The
+    cusp pairing is converted only where a value is formed, so a pole
     never needs it to fit in a float.
     """
     try:
-        summed = tuple(a + b.conjugate() for a, b in zip(left, right))
-        at_truncation = sum(s * t for s, t in zip(summed, point))
-        criterion._check_finite(summed)  # two finite parameters can sum to an infinity
+        summed = tuple(map(add, left, right_conjugate))
+        at_truncation = sum(map(mul, summed, point))
+        # Two finite parameters can sum to an infinity.  The point is complex,
+        # so a non-finite summed entry makes its product non-finite, and a
+        # complex sum stays non-finite once any term is: checking the summed
+        # parameter only here rejects exactly what checking it always would.
+        if not cmath.isfinite(at_truncation):
+            criterion._check_finite(summed)
         if by_truncation:
             denominator = at_truncation
         else:
-            denominator = complex(sum(w * s for w, s in zip(weights, summed)))
+            denominator = complex(sum(map(mul, weights, summed)))
         if abs(denominator) < pole_tolerance:
-            return KernelValue(value=None, pole=True, denominator=denominator)
+            return None, True, denominator
         try:
             growth = cmath.exp(at_truncation)
         except ValueError:  # an infinite phase, reached by overflow, has no exponential
@@ -145,9 +154,11 @@ def _kernel(
         finite = False
     if not finite:
         raise RegionError(_OVERFLOW)
-    if leading_minus:
-        value = -value
-    return KernelValue(value=value, pole=False, denominator=denominator)
+    return (-value if leading_minus else value), False, denominator
+
+
+def _conjugate(values: tuple) -> tuple:
+    return tuple(x.conjugate() for x in values)
 
 
 def inner_product(
@@ -157,17 +168,20 @@ def inner_product(
     pole_tolerance: float = POLE_TOLERANCE,
 ) -> KernelValue:
     """Truncated inner product of the two series the request describes."""
+    if not isinstance(request, TruncatedPairing):
+        raise NumberTypeError(f"request {request!r} is not a TruncatedPairing")
     _check_tolerance(pole_tolerance)
-    return _kernel(
+    value, pole, denominator = _kernel(
         roots.central_coroot(request.ambient),
         request.cusp_pairing,
         request.left.values,
-        request.right.values,
+        _conjugate(request.right.values),
         _complex_point(request.truncation),
         leading_minus=leading_minus,
         by_truncation=False,
         pole_tolerance=pole_tolerance,
     )
+    return KernelValue(value=value, pole=pole, denominator=denominator)
 
 
 def pairing_kernel(
@@ -188,16 +202,17 @@ def pairing_kernel(
             f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
             f"{DENOMINATOR_TRUNCATION!r}, got {denominator!r}"
         )
-    return _kernel(
+    value, pole, denominator = _kernel(
         roots.central_coroot(ambient),
         cusp_pairing,
         mu.values,
-        mu_prime.values,
+        _conjugate(mu_prime.values),
         _complex_point(truncation),
         leading_minus=False,
         by_truncation=denominator == DENOMINATOR_TRUNCATION,
         pole_tolerance=pole_tolerance,
     )
+    return KernelValue(value=value, pole=pole, denominator=denominator)
 
 
 @dataclass(frozen=True)
@@ -231,27 +246,30 @@ def region_scan(
     Each parameter is shifted and checked once, and so are the truncation
     point, the cusp pairing and the tolerance, each when the grid first
     reaches it; a scan therefore raises the error that evaluating its
-    points one by one would raise first.  The summed parameter is checked
-    at every point, since two finite parameters can sum to an infinity.
-    If either side is empty the report is empty and nothing is checked.
+    points one by one would raise first.  Each second parameter is also
+    conjugated once, so a point does only the work that needs both
+    parameters, and every point equals ``inner_product`` on its shifted
+    parameters bit for bit.  If either side is empty the report is empty
+    and nothing is checked.
     """
-    nus, nu_primes = tuple(nus), tuple(nu_primes)
+    nus = tuple(cartan._items(nus, "first parameter list"))
+    nu_primes = tuple(cartan._items(nu_primes, "second parameter list"))
     if not nus or not nu_primes:
         return ScanReport(points=(), n_points=0, n_poles=0)
     pts = []
     n_poles = 0
-    rights = []  # shifted second parameters, each checked when the first row reaches it
+    rights = []  # conjugated shifted second parameters, each made when the first row reaches it
     for nu in nus:
         left = _shifted(ambient, nu)
         for j, nu_prime in enumerate(nu_primes):
             if j == len(rights):  # first row only
-                rights.append(_shifted(ambient, nu_prime))
+                rights.append(_conjugate(_shifted(ambient, nu_prime)))
                 if j == 0:  # first point
                     checked = _check_point(ambient, cusp_pairing, truncation)
                     _check_tolerance(pole_tolerance)
                     point = _complex_point(checked)
                     weights = roots.central_coroot(ambient)
-            result = _kernel(
+            value, pole, denominator = _kernel(
                 weights,
                 cusp_pairing,
                 left,
@@ -261,17 +279,8 @@ def region_scan(
                 by_truncation=False,
                 pole_tolerance=pole_tolerance,
             )
-            if result.pole:
-                n_poles += 1
-            pts.append(
-                ScanPoint(
-                    nu=nu.values,
-                    nu_prime=nu_prime.values,
-                    denominator=result.denominator,
-                    pole=result.pole,
-                    value=result.value,
-                )
-            )
+            n_poles += pole
+            pts.append(ScanPoint(nu.values, nu_prime.values, denominator, pole, value))
     return ScanReport(points=tuple(pts), n_points=len(pts), n_poles=n_poles)
 
 

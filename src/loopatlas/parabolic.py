@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-import numpy as np
-
 from . import cartan, roots, weyl
 from .cartan import CartanMatrix
 from .errors import (
@@ -171,6 +169,8 @@ def _certificates(
     and the lengths add, so the ball holds Σ_k q_k·#{v : ℓ(v) ≤ bound - k}
     elements, q_k counting the walk's level k for that node.
     """
+    import numpy as np  # here, not at module level: only the walks need it
+
     bound = cartan._check_bound(bound)
     null = roots.delta(cm)
     if any(weyl.reflect(cm, null, i) != null for i in cm.nodes):

@@ -29,8 +29,6 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-import numpy as np
-
 from . import cartan, roots
 from .cartan import CartanMatrix
 from .errors import InvalidSubsetError, LoopAtlasError, MixedAmbientError
@@ -322,6 +320,8 @@ def _levels(
     each origin in turn, each in the order of that node's walk alone.
     Without ``omitted``, ``rows`` and ``origin`` are None.
     """
+    import numpy as np  # here, not at module level: only the walks need it
+
     max_length = cartan._check_bound(max_length, "max_length")
     n = cm.size
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
@@ -368,6 +368,8 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     Within a length, elements stream in ascending order of their matrix
     tuples.  Finite groups are exhausted when levels empty out.
     """
+    import numpy as np
+
     n = cm.size
     a = np.array(cm.entries, dtype=np.int64)
     for length, heights, words, _, _ in _levels(cm, max_length):

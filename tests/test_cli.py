@@ -314,17 +314,39 @@ def test_non_finite_parameter_is_a_domain_error(flags):
     _assert_domain_error_in_subprocess("godement", "A2affine", *flags)
 
 
-def _run_module(*argv, stdout=subprocess.PIPE):
+def _run_python(*argv, stdout=subprocess.PIPE):
     src = str(Path(loopatlas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run(
-        [sys.executable, "-m", "loopatlas", *argv],
+        [sys.executable, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _run_module(*argv, stdout=subprocess.PIPE):
+    return _run_python("-m", "loopatlas", *argv, stdout=stdout)
+
+
+def test_import_and_pointwise_commands_leave_numpy_unloaded():
+    # numpy used to be most of every command's start-up; only the walks need it
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "import loopatlas",
+            "from loopatlas import cli",
+            "assert 'numpy' not in sys.modules, 'import loopatlas'",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['ms', 'A1affine', '--nu', '[-1.5, -1.5]', '--nu-prime', '[-1.5, -1.5]']) == 0",
+            "    assert cli.main(['godement', 'E6affine', '--uniform', '-3']) == 0",
+            "assert 'numpy' not in sys.modules, 'ms and godement'",
+        ]
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
 
 
 def _assert_domain_error_in_subprocess(*argv):
@@ -526,6 +548,8 @@ _API = {
     "inner_product": lambda cm, a, b, t, x: maass_selberg.inner_product(
         maass_selberg.TruncatedPairing(cm, x, _f(a), _f(b), t)
     ),
+    "region_scan_lists": lambda cm, a, b, t, x: maass_selberg.region_scan(cm, a, b, t),
+    "inner_product_request": lambda cm, a, b, t, x: maass_selberg.inner_product(x),
     "affine_roots": lambda cm, a, b, t, x: roots.affine_roots(cm, x),
     "from_word": lambda cm, a, b, t, x: weyl.from_word(cm, a),
     "act": lambda cm, a, b, t, x: weyl.act(weyl.simple(cm, 1), a),
@@ -545,6 +569,7 @@ _API = {
 _SEQUENCE_CALLS = {
     "from_word", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json",
+    "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
 }
 # and these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json"}
@@ -586,6 +611,11 @@ def _api_call(draw):
 @example(("functional", cartan.parse_type("A2affine"), 3, [], [], 0))
 @example(("functional_from_json", cartan.parse_type("A2affine"), {"d_value": 1}, [], [], 0))
 @example(("functional_from_json", cartan.parse_type("A2affine"), 5, [], [], 0))
+@example(("region_scan_lists", cartan.parse_type("A1affine"), 5, [], [0, 0], 0))
+@example(("region_scan", cartan.parse_type("A1affine"), [0, 0], [0, 0], 0, 1.0))
+@example(("pairing_kernel", cartan.parse_type("A1affine"), [0, 0], [0, 0], 0, 1.0))
+@example(("inner_product", cartan.parse_type("A1affine"), [0, 0], [0, 0], 0, 1.0))
+@example(("inner_product_request", cartan.parse_type("A1affine"), [], [], [], None))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

@@ -319,6 +319,21 @@ def test_region_scan_matches_pointwise_inner_product(label, seed):
     assert report.n_poles == sum(point[3] for point in expected) >= 2
 
 
+MIXED_SCANS_SHA256 = "0701b1e16b37ab6bfb13978f91a4b799429c255ecb4b241b77f51a188595e975"
+
+
+def test_mixed_scans_are_pinned():
+    """sha256 of the point reprs of all twelve mixed-type grids, as the
+    per-point scan computed them; the equality test above shares the
+    kernel formula with its reference, so only this catches a change to
+    the formula itself."""
+    digest = hashlib.sha256()
+    for label in ["A1affine", "G2affine", "E8affine"]:
+        for seed in range(4):
+            digest.update(repr(_scan_points(ms.region_scan(*_mixed_grid(label, seed)))).encode())
+    assert digest.hexdigest() == MIXED_SCANS_SHA256
+
+
 # --- validation -------------------------------------------------------------
 
 
@@ -349,6 +364,16 @@ def test_region_scan_raises_what_the_pointwise_scan_raises():
             cases.append((grid, truncation, 1.0, ms.POLE_TOLERANCE))
         cases.append((grid, (1.0, 1.0), math.inf, ms.POLE_TOLERANCE))
         cases.append((grid, (1.0, 1.0), 1.0, 0.0))
+    # finite parameters whose summed parameter is infinite, then one whose
+    # summed parameter is finite but whose exponential overflows
+    huge = criterion.functional((1e308, -1.0))
+    summed_messages = {
+        "functional value inf is not finite": ([huge], [huge]),
+        "overflows a float": ([huge], [criterion.functional((1e308j, -1.0))]),
+    }
+    for grid in summed_messages.values():
+        cases.append((grid, (1.0, 1.0), 1.0, ms.POLE_TOLERANCE))
+    outcomes = []
     for (nus, nu_primes), truncation, pairing, tolerance in cases:
         expected = _outcome(lambda: _pointwise_scan(cm, nus, nu_primes, truncation, pairing, tolerance))
         assert isinstance(expected[0], type)
@@ -358,6 +383,9 @@ def test_region_scan_raises_what_the_pointwise_scan_raises():
             )
         )
         assert got == expected
+        outcomes.append(got)
+    for (error, message), want in zip(outcomes[-2:], summed_messages):
+        assert error is RegionError and want in message
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -375,6 +403,38 @@ def test_region_scan_accepts_a_generator_truncation_point():
     nus = [criterion.functional((-3.0, -2.0)), criterion.functional((-2.0, -2.5))]
     report = ms.region_scan(cm, nus, nus, (0.25 for _ in range(2)))
     assert report == ms.region_scan(cm, nus, nus, (0.25, 0.25))
+
+
+def test_truncated_pairing_keeps_a_generator_truncation_point():
+    # the check used to exhaust it, so inner_product read an empty point
+    cm = _cm("A1affine")
+    f = criterion.functional((-0.5, -0.5))
+    request = ms.TruncatedPairing(cm, 1.0, f, f, (0.25 for _ in range(2)))
+    assert request == ms.TruncatedPairing(cm, 1.0, f, f, (0.25, 0.25))
+    assert ms.inner_product(request) == ms.inner_product(ms.TruncatedPairing(cm, 1.0, f, f, [0.25, 0.25]))
+
+
+def test_scalar_lists_and_points_are_rejected():
+    # these used to raise a raw TypeError
+    cm = _cm("A1affine")
+    f = criterion.functional((-1, -1))
+    calls = [
+        ("first parameter list", lambda: ms.region_scan(cm, 5, [f], (0, 0))),
+        ("second parameter list", lambda: ms.region_scan(cm, [f], 5, (0, 0))),
+        ("truncation point", lambda: ms.region_scan(cm, [f], [f], 0.5)),
+        ("truncation point", lambda: ms.pairing_kernel(cm, 1.0, f, f, 0.5)),
+        ("truncation point", lambda: ms.TruncatedPairing(cm, 1.0, f, f, 0.5)),
+    ]
+    for what, call in calls:
+        with pytest.raises(InvalidSubsetError, match=f"{what} .* is not a sequence"):
+            call()
+
+
+@pytest.mark.parametrize("request_", [None, (1, 2), "x"])
+def test_inner_product_takes_a_truncated_pairing(request_):
+    # None used to raise a raw AttributeError
+    with pytest.raises(NumberTypeError, match="is not a TruncatedPairing"):
+        ms.inner_product(request_)
 
 
 def test_parameters_must_be_linear_functionals():
