@@ -177,7 +177,7 @@ def _certificates(
         raise LoopAtlasError("generator moved the isotropic vector")
     omitted = tuple(i - 1 for i in removed_nodes)
     widths: list[np.ndarray] = []
-    for length, heights, _, rows, origin in weyl._levels(cm, bound, omitted):
+    for length, heights, _, _, rows, origin in weyl._levels(cm, bound, omitted):
         widths.append(np.bincount(origin, minlength=len(omitted)))
         kept_simple = (heights == 1) & (rows == 0)
         kept_simple[np.arange(len(origin)), np.take(omitted, origin)] = True  # j == c is free

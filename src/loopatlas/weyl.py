@@ -14,11 +14,12 @@ the matrix, h changes only at i and its Dynkin neighbours, which is all
 the per-element path touches.  The canonical word of w ends in its
 smallest right descent, the first i with h_i < 0, and
 continues leftward with the canonical word of w·s_i.  The level engine
-keeps per element only h and that word, and keeps w·s_i only when i is
-its smallest right descent: every element comes out once, with no
-deduplication.  Given omitted nodes, the same walk keeps, for each of
-them at once, only the inverses of the minimal coset representatives of
-the other nodes' subgroup, which is where the witness search looks.
+keeps per element only h and a link to its parent w, and keeps w·s_i
+only when i is its smallest right descent, a test on the Dynkin edges at
+i: every element comes out once, with no deduplication.  Given omitted
+nodes, the same walk keeps, for each of them at once, only the inverses
+of the minimal coset representatives of the other nodes' subgroup, which
+is where the witness search looks.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .errors import InvalidSubsetError, LoopAtlasError, MixedAmbientError
 
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
-
-_CHUNK = 1 << 12  # parents per expansion step; bounds the (chunk, n, n) scratch array
 
 
 @dataclass(frozen=True)
@@ -294,17 +293,17 @@ def _removed_image(longest: WeylElement, removed: int) -> Coords:
 # --- breadth-first level engine --------------------------------------------
 
 
-def _levels(
-    cm: CartanMatrix, max_length: int, omitted: tuple[int, ...] = ()
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
-    """Yield (length, heights, words, rows, origin) in breadth-first order.
+def _levels(cm: CartanMatrix, max_length: int, omitted: tuple[int, ...] = ()) -> Iterator[
+    tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]
+]:
+    """Yield (length, heights, parent, letter, rows, origin) by level.
 
     ``heights`` is an int64 array of shape (count, n) whose row for w holds
-    ht(w·α_j); ``words`` is an int8 array of shape (count, length) holding
-    the canonical reduced words, kept by the ``_canonical_word`` rule in
-    vector form.  Each level is in lexicographic order of its words, so
-    the stream is shortlex ordered and deterministic.  Only the current
-    level is held; parents are expanded in fixed-size chunks.
+    ht(w·α_j).  Element k is w·s_i for w = element ``parent[k]`` of the
+    previous level and the 0-based i = ``letter[k]`` (None at length 0).
+    Each parent's children come in letter order, so a level is in
+    lexicographic order of its words and the stream is shortlex ordered and
+    deterministic.  Only the current level is held.
 
     Given a tuple of ``omitted`` 0-based nodes, the walks for all of them
     run as one.  For omitted node c the walk keeps only the elements u
@@ -322,66 +321,67 @@ def _levels(
     """
     import numpy as np  # here, not at module level: only the walks need it
 
-    max_length = cartan._check_bound(max_length, "max_length")
     n = cm.size
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
-    nodes = np.arange(n)
-    starts = max(len(omitted), 1)
-    heights = np.ones((starts, n), dtype=np.int64)
-    words = np.zeros((starts, 0), dtype=np.int8)
-    rows = origin = None
+    edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
+    state = np.ones((1, 1, n), dtype=np.int64)  # per element: its heights, then its α_c-row if any
+    parent = letter = origin = None
     if omitted:
-        rows = (nodes == np.array(omitted)[:, None]).astype(np.int64)
-        origin = np.arange(starts)
+        rows = np.arange(n) == np.array(omitted)[:, None]
+        state = np.stack([np.ones_like(rows), rows], axis=1).astype(np.int64)
+        origin = np.arange(len(omitted))
     for length in range(max_length + 1):
-        yield length, heights, words, rows, origin
+        heights, rows = state[:, 0], (state[:, 1] if omitted else None)
+        yield length, heights, parent, letter, rows, origin
         if length == max_length:
             return
-        next_heights, next_words, next_rows, next_origin = [], [], [], []
-        for lo in range(0, heights.shape[0], _CHUNK):
-            h = heights[lo : lo + _CHUNK]
-            # child[p, i] holds the heights of w_p·s_i
-            child = h[:, None, :] - h[:, :, None] * a_t[None, :, :]
-            keep = (h > 0) & ((child < 0).argmax(axis=2) == nodes)
-            if rows is not None:
-                g = rows[lo : lo + _CHUNK]
-                keep &= (h != 1) | (g != 0)
-            parent, letter = np.nonzero(keep)
-            next_heights.append(child[parent, letter])
-            letters = (letter + 1).astype(np.int8)[:, None]
-            next_words.append(np.concatenate([words[lo + parent], letters], axis=1))
-            if rows is not None:
-                next_rows.append(g[parent] - g[parent, letter][:, None] * a_t[letter])
-                next_origin.append(origin[lo + parent])
-        heights = np.concatenate(next_heights)
-        if heights.shape[0] == 0:
+        negative = heights < 0
+        # i is the smallest right descent of w·s_i when h_i > 0 and every j < i
+        # with h_j < 0 is a neighbour with h_j + h_i·|a_ji| ≥ 0; where h_i > 0,
+        # blocking[:, i] counts the j that fail
+        blocking = np.cumsum(negative, axis=1, dtype=np.min_scalar_type(n))
+        for j, i, a in edges:
+            blocking[:, i] -= negative[:, j] & (heights[:, j] >= heights[:, i] * a)
+        keep = (blocking == 0) & (heights > 0)
+        if omitted:
+            keep &= (heights != 1) | (rows != 0)
+        parent, letter = np.nonzero(keep)
+        del negative, blocking, keep  # building the children below sets the peak memory
+        if parent.shape[0] == 0:
             return
-        words = np.concatenate(next_words)
-        if rows is not None:
-            rows = np.concatenate(next_rows)
-            origin = np.concatenate(next_origin)
+        state = _reflect(state, parent, letter, a_t)
+        origin = origin[parent] if omitted else None
+
+
+def _reflect(stack, parent, letter, a_t):
+    """``stack[parent]``·s_letter: each row x moves as heights do, x_j -= x_i·a_ji."""
+    step = a_t[letter][:, None, :] * stack[parent, :, letter][:, :, None]
+    out = stack[parent]
+    out -= step
+    return out
 
 
 def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     """All elements of length at most max_length, shortest first.
 
     Within a length, elements stream in ascending order of their matrix
-    tuples.  Finite groups are exhausted when levels empty out.
-    """
+    tuples.  Finite groups are exhausted when levels empty out.  The bound
+    is checked when this is called, before anything is iterated."""
+    return _enumerate(cm, cartan._check_bound(max_length, "max_length"))
+
+
+def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     import numpy as np
 
     n = cm.size
-    a = np.array(cm.entries, dtype=np.int64)
-    for length, heights, words, _, _ in _levels(cm, max_length):
-        batch = np.tile(np.eye(n, dtype=np.int64), (heights.shape[0], 1, 1))
-        for k in range(length):
-            for g in range(n):
-                rows = words[:, k] == g + 1
-                batch[rows] -= batch[rows][:, :, g : g + 1] * a[None, None, :, g]
-        flat = batch.reshape(batch.shape[0], n * n)
-        for r in np.lexsort(flat.T[::-1]):
-            matrix = tuple(tuple(row) for row in batch[r].tolist())
-            yield WeylElement(ambient=cm, word=tuple(words[r].tolist()), matrix=matrix)
+    a_t = np.array(cm.entries, dtype=np.int64).T
+    matrices, words = np.eye(n, dtype=np.int64)[None], [()]
+    for _, _, parent, letter, _, _ in _levels(cm, max_length):
+        if parent is not None:
+            matrices = _reflect(matrices, parent, letter, a_t)  # M·S_i
+            words = [words[p] + (i + 1,) for p, i in zip(parent.tolist(), letter.tolist())]
+        for r in np.lexsort(matrices.reshape(-1, n * n).T[::-1]).tolist():
+            yield WeylElement(ambient=cm, word=words[r], matrix=tuple(map(tuple, matrices[r].tolist())))
 
 
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
@@ -391,7 +391,7 @@ def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4)
 def _ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
-    return tuple(heights.shape[0] for _, heights, _, _, _ in _levels(cm, max_length))
+    return tuple(heights.shape[0] for _, heights, *_ in _levels(cm, max_length))
 
 
 ball_sizes.cache_clear = _ball_sizes.cache_clear  # for callers that time a cold walk

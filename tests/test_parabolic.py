@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import ambient
 import series_counts
+import walks
 from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import (
     InvalidCartanMatrixError,
@@ -269,7 +270,7 @@ def _walk_reference(cm, bound, omitted):
     the least canonical word of its first witness length, decided by the
     exact rule (u ≠ e, and h_j == 1, g_j == 0 for every j ≠ c)."""
     widths, first, hits = [], {}, {}
-    for length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+    for length, heights, words, rows, origin in walks.with_words(weyl._levels(cm, bound, omitted)):
         widths.append(np.bincount(origin, minlength=len(omitted)).tolist())
         for h, g, word, k in zip(heights.tolist(), rows.tolist(), words.tolist(), origin.tolist()):
             c = omitted[k]
@@ -314,7 +315,7 @@ def test_exact_witness_rule_matches_the_matrix_test():
     for cm, bound in REFERENCE_WALKS:
         omitted = tuple(range(cm.size))
         want: dict[int, list] = {}
-        for length, heights, words, rows, origin in weyl._levels(cm, bound, omitted):
+        for length, heights, words, rows, origin in walks.with_words(weyl._levels(cm, bound, omitted)):
             for h, g, word, c in zip(heights.tolist(), rows.tolist(), words.tolist(), origin.tolist()):
                 exact = length > 0 and all(h[j] == 1 and g[j] == 0 for j in omitted if j != c)
                 w = weyl.from_word(cm, word[::-1])

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import ambient
 import series_counts
+import walks
 from loopatlas import cartan, roots, weyl
 from loopatlas.errors import (
     InvalidSubsetError,
@@ -566,7 +567,7 @@ def test_quotient_walk_counts_are_the_coset_series(cm):
             factor = series_counts.finite_counts(levi_series, levi_rank, cap)
             den = [sum(den[j] * factor[k - j] for j in range(k + 1)) for k in range(cap + 1)]
         want = _series_quotient(series_counts.affine_counts(series, rank, cap), den)
-        got = [heights.shape[0] for _, heights, _, _, _ in weyl._levels(cm, cap, omitted=(node - 1,))]
+        got = [heights.shape[0] for _, heights, *_ in weyl._levels(cm, cap, omitted=(node - 1,))]
         assert got == want, node
 
 
@@ -586,7 +587,7 @@ def test_quotient_walk_is_the_set_without_kept_left_descents(label):
                    for j in range(cm.size) if j != c)
         }
         got = []
-        for length, heights, words, rows, _ in weyl._levels(cm, bound, omitted=(c,)):
+        for length, heights, words, rows, _ in walks.with_words(weyl._levels(cm, bound, omitted=(c,))):
             for h, word, g in zip(heights.tolist(), words.tolist(), rows.tolist()):
                 w = full[tuple(word)]
                 assert h == [sum(col) for col in zip(*w.matrix)]
@@ -597,15 +598,13 @@ def test_quotient_walk_is_the_set_without_kept_left_descents(label):
 
 
 @pytest.mark.parametrize("cm", cartan.all_types(8), ids=lambda cm: cm.label)
-def test_batched_walk_splits_into_the_single_node_walks(cm, monkeypatch):
+def test_batched_walk_splits_into_the_single_node_walks(cm):
     """Walking all omitted nodes at once gives, per origin, the heights,
-    words and rows of that node's walk alone, in the same order, also
-    when chunk boundaries fall inside every level."""
+    words and rows of that node's walk alone, in the same order."""
     bound = 12
     omitted = tuple(range(cm.size))
-    singles = [list(weyl._levels(cm, bound, (c,))) for c in omitted]
-    monkeypatch.setattr(weyl, "_CHUNK", 5)
-    batched = list(weyl._levels(cm, bound, omitted))
+    singles = [list(walks.with_words(weyl._levels(cm, bound, (c,)))) for c in omitted]
+    batched = list(walks.with_words(weyl._levels(cm, bound, omitted)))
     for k, (c, single) in enumerate(zip(omitted, singles)):
         assert len(single) <= len(batched)
         for (length, heights, words, rows, origin), (_, h1, w1, r1, o1) in zip(batched, single):
@@ -618,8 +617,40 @@ def test_batched_walk_splits_into_the_single_node_walks(cm, monkeypatch):
             assert not (origin == k).any()
 
 
+ENUMERATION_SHA256 = "0781bba9f4461d392d49958520582196dedc31d5b93adca8d2a86c1b76cf3db0"
+WALKS_SHA256 = "3b05b43e01eed058e2ca75e6df83d38d6950886544cbc381935720915e643b14"
+
+
+def test_enumeration_pin():
+    """The (word, matrix) stream of enumerate_elements, in order, on every
+    finite type up to rank 6 exhausted and every affine type up to rank 6
+    at bound 7 (209,730 elements), byte for byte as the engine that kept
+    whole words per element gave it."""
+    digest = hashlib.sha256()
+    walked = [(cm, len(roots.positive_roots(cm))) for cm in cartan.all_types(6, affine=False)]
+    for cm, bound in walked + [(cm, 7) for cm in cartan.all_types(6)]:
+        for w in weyl.enumerate_elements(cm, bound):
+            digest.update(f"{cm.label} {w.word} {w.matrix}\n".encode())
+    assert digest.hexdigest() == ENUMERATION_SHA256
+
+
+def test_batched_walks_pin():
+    """Every level of the batched quotient walks of all affine types up to
+    rank 8 at bound 12: heights, rows, origin and the words rebuilt from
+    the parent links, byte for byte as the engine that kept whole words
+    per element gave them."""
+    digest = hashlib.sha256()
+    for cm in cartan.all_types(8):
+        levels = weyl._levels(cm, 12, tuple(range(cm.size)))
+        for length, heights, words, rows, origin in walks.with_words(levels):
+            digest.update(f"{cm.label} {length} {heights.shape}\n".encode())
+            for array in (heights, rows, origin, words):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == WALKS_SHA256
+
+
 def test_walk_without_omitted_nodes_has_no_rows():
-    for _, _, _, rows, origin in weyl._levels(_cm("A2affine"), 3):
+    for _, _, _, _, rows, origin in weyl._levels(_cm("A2affine"), 3):
         assert rows is None and origin is None
 
 
@@ -640,6 +671,11 @@ def test_ball_sizes_check_the_bound_before_the_cache(bound):
 
 def test_ball_sizes_have_no_depth_limit():
     assert weyl.ball_sizes(_cm("A1affine"), 40000) == (1,) + (2,) * 40000
+
+
+def test_enumeration_checks_its_bound_when_called():
+    with pytest.raises(InvalidSubsetError, match="max_length"):
+        weyl.enumerate_elements(_cm("A2"), "3")
 
 
 def test_negative_bound_rejected():
