@@ -8,11 +8,13 @@ attached node of an affine matrix is always the last index.
 Exact linear algebra reads off one fraction-free (Bareiss) echelon:
 determinant, corank, null vectors, and the Sylvester test for finite type.
 Types are recognised against a catalog with one matrix per finite and
-untwisted affine class.
+untwisted affine class, indexed by an isomorphism invariant, and each
+distinct input is classified once.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,12 +115,10 @@ class DynkinDiagram:
 
 
 def _check_gcm_axioms(rows: Rows) -> None:
+    """The generalized Cartan matrix axioms on square rows."""
     n = len(rows)
     if n == 0:
         raise InvalidCartanMatrixError("empty matrix")
-    for row in rows:
-        if len(row) != n:
-            raise InvalidCartanMatrixError("matrix must be square")
     for i in range(n):
         if rows[i][i] != 2:
             raise InvalidCartanMatrixError(f"diagonal entry at node {i + 1} is {rows[i][i]}, must be 2")
@@ -131,8 +131,29 @@ def _check_gcm_axioms(rows: Rows) -> None:
                 raise InvalidCartanMatrixError(f"zero pattern not symmetric at ({i + 1},{j + 1})")
 
 
+def _as_int(x) -> int:
+    """Accept ints and integral floats (JSON), reject everything else."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise InvalidCartanMatrixError(f"non-integer entry {x!r}")
+
+
+def _read_rows(rows_in, entry=_as_int) -> Rows:
+    """The one reader of raw rows: a square tuple of tuples, each entry
+    passed through ``entry``."""
+    try:
+        rows = tuple(tuple(map(entry, row)) for row in rows_in)
+    except TypeError:  # the input or one of its rows is not iterable
+        raise InvalidCartanMatrixError("matrix is not a list of rows") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise InvalidCartanMatrixError("matrix must be square")
+    return rows
+
+
 def _rows(cm: CartanMatrix | Rows) -> Rows:
-    return cm.entries if isinstance(cm, CartanMatrix) else tuple(tuple(r) for r in cm)
+    return cm.entries if isinstance(cm, CartanMatrix) else _read_rows(cm)
 
 
 def symmetrizer(cm: CartanMatrix | Rows) -> tuple[int, ...]:
@@ -151,7 +172,8 @@ def symmetrizer(cm: CartanMatrix | Rows) -> tuple[int, ...]:
         comp = [start]
         for i in comp:  # grows while it is read: breadth-first over the component
             for j in range(n):
-                if j != i and rows[i][j] != 0 and d[j] is None:
+                # a one-sided zero leaves j to the check below
+                if j != i and rows[i][j] and rows[j][i] and d[j] is None:
                     d[j] = d[i] * Fraction(rows[i][j], rows[j][i])
                     comp.append(j)
         # scale this component to minimal positive integers
@@ -310,7 +332,7 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     else:
         # raw input: classify for the label; safe here because the catalog
         # itself is built from labeled matrices and never reenters
-        series, rank = classify(cm)[:2]
+        series, rank = _classified(cm.entries)[:2]
         label = f"{series}{rank}affine"
     from . import roots  # deferred: roots builds on finite matrices only
 
@@ -333,15 +355,6 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     return CartanMatrix(entries=entries, is_affine=True, label=label)
 
 
-def _as_int(x) -> int:
-    """Accept ints and integral floats (JSON), reject everything else."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise InvalidCartanMatrixError(f"non-integer entry {x!r}")
-
-
 def from_matrix(rows_in) -> CartanMatrix:
     """Validate raw integer rows as a finite or untwisted affine matrix.
 
@@ -350,10 +363,7 @@ def from_matrix(rows_in) -> CartanMatrix:
     affinization with the attached node last; anything else is rejected,
     with a distinct error for twisted shapes.
     """
-    try:
-        rows = tuple(tuple(_as_int(x) for x in row) for row in rows_in)
-    except TypeError:  # the input or one of its rows is not iterable
-        raise InvalidCartanMatrixError("matrix is not a list of rows") from None
+    rows = _read_rows(rows_in)
     _check_gcm_axioms(rows)
     n = len(rows)
     # Sylvester test: with no row swap, pivot k is the k-th leading minor
@@ -384,31 +394,39 @@ def from_matrix(rows_in) -> CartanMatrix:
 def _type(rows: Rows, drop: int | None = None) -> tuple[str, int, bool] | None:
     """classify() of the rows less the 0-based node ``drop``, None when
     nothing in the catalog matches."""
-    keep = [i for i in range(len(rows)) if i != drop]
+    if drop is not None:
+        keep = [i for i in range(len(rows)) if i != drop]
+        rows = tuple(tuple(rows[i][j] for j in keep) for i in keep)
     try:
-        return classify(tuple(tuple(rows[i][j] for j in keep) for i in keep))
+        return _classified(rows)
     except ClassificationError:
         return None
 
 
 # --- classification ---------------------------------------------------------
 
+_NO_MATCH = "matrix matches no catalogued type of rank <= %d" % MAX_RANK
 
-def _node_signature(rows: Rows, i: int):
+
+def _node_signatures(rows: Rows) -> list[tuple[tuple[int, int], ...]]:
+    """Per node, the sorted (out, in) entry pairs of its Dynkin edges."""
     n = len(rows)
-    return tuple(sorted((rows[i][j], rows[j][i]) for j in range(n) if j != i and rows[i][j] != 0))
+    return [
+        tuple(sorted((rows[i][j], rows[j][i]) for j in range(n) if j != i and rows[i][j] != 0))
+        for i in range(n)
+    ]
 
 
-def _isomorphic(a: Rows, b: Rows) -> bool:
-    """Permutation equivalence of two square integer matrices with equal
-    diagonal, by signature-pruned backtracking."""
+def _key(rows: Rows, sigs) -> tuple:
+    """Isomorphism invariant the catalog is indexed by: size, sorted
+    entries and sorted node signatures."""
+    return len(rows), tuple(sorted(x for row in rows for x in row)), tuple(sorted(sigs))
+
+
+def _isomorphic(a: Rows, b: Rows, sig_a, sig_b) -> bool:
+    """Permutation equivalence of two square matrices with the same
+    ``_key``, by backtracking over nodes of equal signature."""
     n = len(a)
-    if len(b) != n:
-        return False
-    sig_a = [_node_signature(a, i) for i in range(n)]
-    sig_b = [_node_signature(b, i) for i in range(n)]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
     order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
     image: list[int | None] = [None] * n
     used = [False] * n
@@ -434,14 +452,37 @@ def _isomorphic(a: Rows, b: Rows) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _catalog() -> tuple[tuple[str, int, bool, Rows], ...]:
+def _catalog() -> dict[tuple, list[tuple[str, int, bool, Rows, list]]]:
     """One representative per isomorphism class, finite and affine, from
-    the finite list of all_types (the rank-2 B/C class is B2)."""
-    return tuple(
-        (fin.label[0], int(fin.label[1:]), affine, entries)
-        for fin in all_types(MAX_RANK, affine=False)
-        for affine, entries in ((False, fin.entries), (True, affinize(fin).entries))
-    )
+    the finite list of all_types (the rank-2 B/C class is B2), bucketed by
+    ``_key``; each keeps its node signatures.  No bucket holds more than
+    three."""
+    out: dict[tuple, list] = {}
+    for fin in all_types(MAX_RANK, affine=False):
+        for affine, entries in ((False, fin.entries), (True, affinize(fin).entries)):
+            sigs = _node_signatures(entries)
+            out.setdefault(_key(entries, sigs), []).append(
+                (fin.label[0], int(fin.label[1:]), affine, entries, sigs)
+            )
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _classified(rows: Rows) -> tuple[str, int, bool]:
+    """``classify`` of square rows, once per distinct rows; a
+    ClassificationError is raised again on every call, never cached."""
+    sigs = _node_signatures(rows)
+    for series, rank, affine, entries, sig_b in _catalog().get(_key(rows, sigs), ()):
+        if _isomorphic(rows, entries, sigs, sig_b):
+            return series, rank, affine
+    raise ClassificationError(_NO_MATCH)
+
+
+def _real(x):
+    """A matrix entry for ``classify``: any real number, as given."""
+    if not isinstance(x, numbers.Real):
+        raise InvalidCartanMatrixError(f"non-real entry {x!r}")
+    return x
 
 
 def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
@@ -449,18 +490,16 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
 
     The rank-2 B/C class reports as ("B", 2, ...).  Raises
     ClassificationError when nothing in the catalog matches (for instance
-    reducible input).
+    reducible input) and when the input is not square rows of real
+    numbers.
     """
-    rows = _rows(cm)
-    flat = sorted(x for row in rows for x in row)
-    for series, rank, affine, entries in _catalog():
-        if len(entries) != len(rows):
-            continue
-        if sorted(x for row in entries for x in row) != flat:
-            continue
-        if _isomorphic(rows, entries):
-            return series, rank, affine
-    raise ClassificationError("matrix matches no catalogued type of rank <= %d" % MAX_RANK)
+    if isinstance(cm, CartanMatrix):
+        return _classified(cm.entries)
+    try:
+        rows = _read_rows(cm, _real)
+    except InvalidCartanMatrixError:
+        raise ClassificationError(_NO_MATCH) from None
+    return _classified(rows)
 
 
 # --- diagram structure ------------------------------------------------------
@@ -582,7 +621,7 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
     second validation."""
     out = []
     for comp in _components(cm.entries, [i - 1 for i in subset]):
-        series, rank, affine = classify(tuple(tuple(cm.entries[i][j] for j in comp) for i in comp))
+        series, rank, affine = _classified(tuple(tuple(cm.entries[i][j] for j in comp) for i in comp))
         if affine:
             raise InvalidSubsetError("subset spans an affine component")
         out.append((series, rank))

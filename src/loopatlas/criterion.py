@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import cartan, roots, serialize
 from .cartan import CartanMatrix
@@ -109,12 +110,23 @@ def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
     float sum that overflows raises ``RegionError``."""
     _check_dimension(cm, f)
     weights = roots.central_coroot(cm)
+    if all(map(_is_exact, f.values)):
+        return _exact_sum(weights, f.values)
     try:
         central = sum(w * x for w, x in zip(weights, f.values))
         _check_finite((central,))
     except (OverflowError, RegionError):  # the values themselves are finite
         raise RegionError("central value overflows a float") from None
     return central
+
+
+def _exact_sum(weights, values) -> int | Fraction:
+    """The sum of the products w·x for int and Fraction values, taken over
+    one common denominator; an int when no value is a Fraction, equal in
+    value and type to the sum taken term by term."""
+    den = lcm(*(x.denominator for x in values))
+    num = sum(w * x.numerator * (den // x.denominator) for w, x in zip(weights, values))
+    return Fraction(num, den) if any(isinstance(x, Fraction) for x in values) else num
 
 
 def godement_minimal(f: LinearFunctional) -> bool:
@@ -184,7 +196,7 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
 
 def dominant_integral(cm: CartanMatrix, values) -> bool:
     """All integer values nonnegative with at least one positive."""
-    vals = tuple(values)
+    vals = tuple(cartan._items(values, "vector"))
     if len(vals) != cm.size:
         raise InvalidSubsetError(
             f"vector has {len(vals)} values, ambient has {cm.size} coroots"

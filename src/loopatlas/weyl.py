@@ -251,7 +251,13 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     192 maximal Levis up to rank 8 and for every finite group but A1 and
     A2, so compare longest elements by matrix.
     """
-    subset = cartan._check_subset(cm, nodes)
+    return _longest(cm, cartan._check_subset(cm, nodes))
+
+
+@lru_cache(maxsize=256)
+def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
+    """``longest_element`` of a checked subset, built once per (ambient,
+    subset)."""
     types = cartan.component_types(cm, subset)  # rejects a subset that is not of finite type
     expected = sum(_positive_root_count(series, rank) for series, rank in types)
     moves = _moves(cm)

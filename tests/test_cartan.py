@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ambient
+import classifier
 from loopatlas import cartan
 from loopatlas.errors import (
     ClassificationError,
@@ -123,6 +124,32 @@ def test_non_symmetrizable_rejected():
     rows = [[2, -1, -2], [-2, 2, -1], [-1, -2, 2]]
     with pytest.raises(InvalidCartanMatrixError):
         cartan.symmetrizer(rows)
+    # a one-sided zero used to divide by zero
+    for rows in ([[2, -1], [0, 2]], [[2, 0], [-1, 2]]):
+        with pytest.raises(InvalidCartanMatrixError, match="not symmetrizable"):
+            cartan.symmetrizer(rows)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (None, "not a list of rows"),
+        (5, "not a list of rows"),
+        ([5, 6], "not a list of rows"),
+        ([[2, -1], [-1]], "must be square"),
+        ("ab", "non-integer entry 'a'"),
+        ([[2, "x"], ["x", 2]], "non-integer entry 'x'"),
+        ([[2, -1j], [-1, 2]], "non-integer entry"),
+    ],
+)
+def test_raw_rows_are_rejected_with_library_errors(bad, message):
+    """These used to escape as raw TypeError or IndexError, or, for "ab",
+    give a determinant."""
+    for call in (cartan.symmetrizer, cartan.determinant, cartan.null_vector, cartan.from_matrix):
+        with pytest.raises(InvalidCartanMatrixError, match=message):
+            call(bad)
+    with pytest.raises(ClassificationError, match=r"matches no catalogued type of rank <= 9$"):
+        cartan.classify(bad)
 
 
 # --- symmetrizer ------------------------------------------------------------
@@ -412,6 +439,111 @@ def test_classify_is_permutation_invariant(typ, affine, rng):
 def test_classify_rejects_unknown():
     with pytest.raises(ClassificationError):
         cartan.classify(((2, 0), (0, 2)))
+
+
+def test_catalog_buckets_are_small():
+    buckets = cartan._catalog()
+    assert sum(map(len, buckets.values())) == 70
+    assert max(map(len, buckets.values())) == 3
+
+
+def _outcome(classify, rows):
+    """A label, or the class name and message of the error raised."""
+    try:
+        return classify(rows)
+    except Exception as exc:  # compared by name: the oracle has its own class
+        return type(exc).__name__, str(exc)
+
+
+def _agrees_with_oracle(rows):
+    want = _outcome(classifier.classify, rows)
+    assert _outcome(cartan.classify, rows) == want, rows
+    return want
+
+
+def _permuted(rows, rng):
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def test_oracle_catalog_is_the_library_catalog():
+    got = [(cm.label, cm.entries) for fin in cartan.all_types(9, affine=False) for cm in (fin, cartan.affinize(fin))]
+    want = [(f"{s}{r}{'affine' if a else ''}", rows) for s, r, a, rows in classifier.catalog()]
+    assert got == want
+
+
+def test_classify_matches_oracle_on_permuted_catalog():
+    rng = random.Random(14)
+    for series, rank, affine, rows in classifier.catalog():
+        for _ in range(3):
+            assert _agrees_with_oracle(_permuted(rows, rng)) == (series, rank, affine)
+
+
+def test_classify_matches_oracle_on_levi_components():
+    """Every connected component of every maximal subset, and of seeded
+    random subsets, of the 35 affine types up to rank 9; whole reducible
+    subsets too."""
+    rng = random.Random(1014)
+    seen = 0
+    for cm in cartan.all_types(9):
+        subsets = [[i for i in cm.nodes if i != c] for c in cm.nodes]
+        subsets += [rng.sample(cm.nodes, rng.randrange(1, cm.size)) for _ in range(6)]
+        for subset in subsets:
+            rows = [[cm.entries[i - 1][j - 1] for j in sorted(subset)] for i in sorted(subset)]
+            comps = cartan.components(cartan.subdiagram(cm, subset))
+            whole = _agrees_with_oracle(rows)
+            assert (whole[0] == "ClassificationError") == (len(comps) > 1)
+            for comp in comps:
+                label = _agrees_with_oracle([[rows[i - 1][j - 1] for j in comp] for i in comp])
+                assert len(label) == 3 and not label[2]
+                seen += 1
+    assert seen > 500
+
+
+CLASSIFY_EDGE_CASES = [
+    [[2, 0], [0, 2]],  # reducible
+    [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+    [[2, -4], [-1, 2]],  # twisted
+    [[2, -1, 0], [-1, 2, -3], [0, -1, 2]],
+    [[2, -1, 0], [-2, 2, -1], [0, -2, 2]],
+    [[2, -3], [-3, 2]],  # hyperbolic
+    [[2, -1, -1], [-1, 2, -2], [-1, -2, 2]],
+    [[2, -1], [-1]],  # ragged
+    [[2], [-1, 2]],
+    [[2, -1, 0], [-1, 2, -1]],
+    [],
+    [[2.0, -1.0], [-1.0, 2.0]],  # float
+    [[2.0, -2.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -2.0, 2.0]],
+    [[2.5, -1], [-1, 2]],
+    [[2, -1.5], [-1, 2]],
+    [[2, float("nan")], [-1, 2]],
+    [[1, -1], [-1, 2]],  # not a Cartan matrix
+    [[2, -1], [0, 2]],
+]
+
+
+@pytest.mark.parametrize("rows", CLASSIFY_EDGE_CASES)
+def test_classify_matches_oracle_on_edge_cases(rows):
+    _agrees_with_oracle(rows)
+
+
+def test_classify_memo_keeps_int_and_float_rows_apart():
+    """Int rows and equal float rows share a memo entry and a label;
+    unequal float rows do not, and errors are raised on every call."""
+    e6 = _permuted(cartan.parse_type("E6affine").entries, random.Random(7))
+    cases = [
+        (e6, [[float(x) for x in row] for row in e6]),
+        ([[2, -1], [-1, 2]], [[2.0, -1.0], [-1.0, 2.0]]),
+        ([[2, -1], [-1, 2]], [[2.0, -1.5], [-1.0, 2.0]]),
+        ([[2, -2], [-1, 2]], [[2.0, -2.0], [-1.0, 2.0]]),
+        ([[2, 0], [0, 2]], [[2.0, -1.0], [-1.0, 2.0]]),
+    ]
+    for first, second in cases:
+        for order in ((first, second), (second, first)):
+            cartan._classified.cache_clear()
+            for rows in order + order:
+                _agrees_with_oracle(rows)
 
 
 # --- diagram ----------------------------------------------------------------

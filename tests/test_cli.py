@@ -563,6 +563,11 @@ _API = {
     "ball_sizes": lambda cm, a, b, t, x: weyl.ball_sizes(cm, a),
     "functional": lambda cm, a, b, t, x: criterion.functional(a, x),
     "functional_from_json": lambda cm, a, b, t, x: criterion.functional_from_json(a),
+    "classify": lambda cm, a, b, t, x: cartan.classify(a),
+    "symmetrizer": lambda cm, a, b, t, x: cartan.symmetrizer(a),
+    "determinant": lambda cm, a, b, t, x: cartan.determinant(a),
+    "null_vector": lambda cm, a, b, t, x: cartan.null_vector(a),
+    "dominant_integral": lambda cm, a, b, t, x: criterion.dominant_integral(cm, a),
 }
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
@@ -570,9 +575,12 @@ _SEQUENCE_CALLS = {
     "from_word", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
+    "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
 }
-# and these read JSON objects too
+# these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json"}
+# and these read matrix rows, drawn as lists of vectors
+_MATRIX_CALLS = {"classify", "symmetrizer", "determinant", "null_vector"}
 
 
 @st.composite
@@ -586,6 +594,8 @@ def _api_call(draw):
     )
     if name in _SEQUENCE_CALLS:
         vectors = st.one_of(vectors, _api_scalars)
+    if name in _MATRIX_CALLS:
+        vectors = st.one_of(vectors, st.lists(vectors, max_size=4))
     if name in _OBJECT_CALLS:
         keys = st.sampled_from(["values", "d_value", "matrix"])
         vectors = st.one_of(vectors, st.dictionaries(keys, st.one_of(vectors, _api_scalars), max_size=3))
@@ -594,7 +604,8 @@ def _api_call(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_api_call())
-# each of these once escaped as a raw OverflowError, AttributeError, ValueError or TypeError
+# each of these once escaped as a raw OverflowError, AttributeError, ValueError, TypeError,
+# IndexError or ZeroDivisionError, or was answered (determinant("ab") gave 0)
 @example(("central_value", cartan.parse_type("A2affine"), [10**400, 1.0, 0], [], [], 0))
 @example(("godement_cuspidal", cartan.parse_type("A2affine"), [10**400, 1.0, 0], [], [], 0))
 @example(("implication_check", cartan.parse_type("A2affine"), [-(10**400), -3.0, -3], [], [], 0))
@@ -616,6 +627,24 @@ def _api_call(draw):
 @example(("pairing_kernel", cartan.parse_type("A1affine"), [0, 0], [0, 0], 0, 1.0))
 @example(("inner_product", cartan.parse_type("A1affine"), [0, 0], [0, 0], 0, 1.0))
 @example(("inner_product_request", cartan.parse_type("A1affine"), [], [], [], None))
+@example(("classify", cartan.parse_type("A2"), None, [], [], 0))
+@example(("classify", cartan.parse_type("A2"), 5, [], [], 0))
+@example(("classify", cartan.parse_type("A2"), [5, 6], [], [], 0))
+@example(("classify", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
+@example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [-1]], [], [], 0))
+@example(("determinant", cartan.parse_type("A2"), [[2, -1], [-1]], [], [], 0))
+@example(("null_vector", cartan.parse_type("A2"), [[2, -1], [-1]], [], [], 0))
+@example(("symmetrizer", cartan.parse_type("A2"), None, [], [], 0))
+@example(("symmetrizer", cartan.parse_type("A2"), "ab", [], [], 0))
+@example(("symmetrizer", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
+@example(("determinant", cartan.parse_type("A2"), None, [], [], 0))
+@example(("determinant", cartan.parse_type("A2"), "ab", [], [], 0))
+@example(("determinant", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
+@example(("null_vector", cartan.parse_type("A2"), None, [], [], 0))
+@example(("null_vector", cartan.parse_type("A2"), "ab", [], [], 0))
+@example(("null_vector", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
+@example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [0, 2]], [], [], 0))
+@example(("dominant_integral", cartan.parse_type("A2affine"), 5, [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

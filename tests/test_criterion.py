@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,27 @@ def test_central_value_keeps_exactness():
     assert isinstance(exact, Fraction)
     mixed = criterion.central_value(cm, criterion.functional([-2.5] * 3))
     assert isinstance(mixed, float)
+
+
+def test_exact_central_value_is_the_term_by_term_sum():
+    """Over one common denominator the sum keeps the value and the type
+    of the sum taken term by term: an int unless a value is a Fraction."""
+    rng = random.Random(14)
+    draws = [
+        lambda: rng.randint(-50, 50),
+        lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 12)),
+        lambda: rng.choice((1, -1)) * 10**400 + rng.randint(-9, 9),
+        lambda: Fraction(10**400 + rng.randint(0, 9), rng.randint(1, 10**200)),
+    ]
+    for cm in cartan.all_types(8):
+        weights = roots.central_coroot(cm)
+        for _ in range(25):
+            values = [rng.choice(draws)() for _ in range(cm.size)]
+            if rng.random() < 0.3:
+                values = [rng.choice(draws[::2])() for _ in range(cm.size)]
+            want = sum(w * x for w, x in zip(weights, values))
+            got = criterion.central_value(cm, criterion.functional(values))
+            assert got == want and type(got) is type(want), (cm.label, values)
 
 
 # --- minimality -------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-ORACLES = ["ambient.py", "series_counts.py"]
+ORACLES = ["ambient.py", "classifier.py", "series_counts.py"]
 
 
 @pytest.mark.parametrize("name", ORACLES)

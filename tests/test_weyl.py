@@ -423,6 +423,19 @@ def test_longest_element_rejects_affine_span():
         weyl.longest_element(cm, cm.nodes)
 
 
+def test_longest_element_is_built_once_per_checked_subset():
+    """Any spelling of a subset reaches the one cached element; a rejected
+    subset is rejected again on every call."""
+    cm = _cm("E6")
+    w0 = weyl.longest_element(cm, cm.nodes)
+    assert weyl.longest_element(cm, reversed(cm.nodes)) is w0
+    assert weyl.longest_element(cm, [np.int64(i) for i in cm.nodes]) is w0
+    affine = _cm("A2affine")
+    for _ in range(2):
+        with pytest.raises(InvalidSubsetError, match="affine component"):
+            weyl.longest_element(affine, affine.nodes)
+
+
 def test_removed_node_image_a1_affine():
     cm = _cm("A1affine")
     assert weyl.removed_node_image(cm, 1) == (1, 2)
