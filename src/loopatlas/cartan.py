@@ -176,7 +176,10 @@ def symmetrizer(cm: CartanMatrix | Rows) -> tuple[int, ...]:
                 if j != i and rows[i][j] and rows[j][i] and d[j] is None:
                     d[j] = d[i] * Fraction(rows[i][j], rows[j][i])
                     comp.append(j)
-        # scale this component to minimal positive integers
+        # scale this component to minimal positive integers; a ratio of
+        # opposite signs forces a negative entry, and no scaling mends that
+        if any(d[i] < 0 for i in comp):
+            raise InvalidCartanMatrixError("matrix is not symmetrizable")
         scale = lcm(*(d[i].denominator for i in comp))
         g = gcd(*(int(d[i] * scale) for i in comp))
         for i in comp:

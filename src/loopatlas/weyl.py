@@ -9,17 +9,24 @@ its action matrix is the product S_i S_j.
 
 Every word is read off the height vector h_j = ht(w·α_j), the column sums
 of the action matrix.  Right multiplication by s_i maps h to
-h - h_i·A[:, i] and lengthens w exactly when h_i > 0; like each row of
-the matrix, h changes only at i and its Dynkin neighbours, which is all
-the per-element path touches.  The canonical word of w ends in its
-smallest right descent, the first i with h_i < 0, and
-continues leftward with the canonical word of w·s_i.  The level engine
-keeps per element only h and a link to its parent w, and keeps w·s_i
-only when i is its smallest right descent, a test on the Dynkin edges at
-i: every element comes out once, with no deduplication.  Given omitted
-nodes, the same walk keeps, for each of them at once, only the inverses
-of the minimal coset representatives of the other nodes' subgroup, which
-is where the witness search looks.
+h - h_i·A[:, i] and lengthens w exactly when h_i > 0 (Humphreys,
+*Reflection Groups and Coxeter Groups* §5.4); like each row of the
+matrix, h changes only at i and its Dynkin neighbours, which is all the
+per-element path touches.  The canonical word of w ends in its smallest
+right descent, the first i with h_i < 0, and continues leftward with the
+canonical word of w·s_i (a normal form in the sense of Björner–Brenti,
+*Combinatorics of Coxeter Groups* ch. 3).  So the word operations reduce first and build
+once: ``from_word``, ``inverse`` and ``compose`` read the letters once,
+step h from all ones through them, strip the canonical word off h and
+build the action matrix from that word alone; ``reduce_word`` builds no
+matrix at all.
+
+The level engine keeps per element only h and a link to its parent w,
+and keeps w·s_i only when i is its smallest right descent, a test on the
+Dynkin edges at i: every element comes out once, with no deduplication.
+Given omitted nodes, the same walk keeps, for each of them at once, only
+the inverses of the minimal coset representatives of the other nodes'
+subgroup, which is where the witness search looks.
 """
 
 from __future__ import annotations
@@ -57,6 +64,12 @@ class WeylElement:
         return f"WeylElement({letters})"
 
 
+def _check_element(w) -> WeylElement:
+    if not isinstance(w, WeylElement):
+        raise InvalidSubsetError(f"{w!r} is not a WeylElement")
+    return w
+
+
 def identity(cm: CartanMatrix) -> WeylElement:
     return from_word(cm, ())
 
@@ -66,6 +79,7 @@ reflect = roots.reflect
 
 def act(w: WeylElement, beta: Coords) -> Coords:
     """Image of an integer vector in simple-root coordinates."""
+    _check_element(w)
     beta = tuple(cartan._items(beta, "vector"))
     if len(beta) != w.ambient.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {w.ambient.size}")
@@ -151,15 +165,36 @@ def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
     raise LoopAtlasError("matrix is not an action matrix of this group")
 
 
-def from_word(cm: CartanMatrix, word) -> WeylElement:
-    """Element of a letter sequence; stores the canonical reduced word."""
-    n = cm.size
-    letters = [cartan._check_node(i, n, "letter") for i in cartan._items(word, "word")]
-    moves = _moves(cm)
-    matrix = _matrix(moves, letters)
-    h = [sum(col) for col in zip(*matrix)]
+def _letters(word, n: int) -> list[int]:
+    """The letters of a word, read once: each an integer in 1..n."""
+    letters = list(cartan._items(word, "word"))
+    if all(type(i) is int and 0 < i <= n for i in letters):
+        return letters
+    return [cartan._check_node(i, n, "letter") for i in letters]
+
+
+def _reduce(moves, letters: list[int]) -> tuple[int, ...]:
+    """Canonical reduced word of a sequence of valid letters, read off its
+    height vector; no matrix is built."""
+    h = [1] * len(moves)
+    for i in letters:
+        _step(moves, h, i - 1)
     # the reduced length never exceeds the input's length
-    return WeylElement(ambient=cm, word=_canonical_word(moves, h, len(letters)), matrix=matrix)
+    return _canonical_word(moves, h, len(letters))
+
+
+def _element(cm: CartanMatrix, letters: list[int]) -> WeylElement:
+    """Element of a sequence of valid letters, its matrix built once from
+    the canonical word."""
+    moves = _moves(cm)
+    word = _reduce(moves, letters)
+    return WeylElement(ambient=cm, word=word, matrix=_matrix(moves, word))
+
+
+def from_word(cm: CartanMatrix, word) -> WeylElement:
+    """Element of a letter sequence; stores the canonical reduced word and
+    builds the matrix from it, not from the input."""
+    return _element(cm, _letters(word, cm.size))
 
 
 def simple(cm: CartanMatrix, i: int) -> WeylElement:
@@ -167,19 +202,22 @@ def simple(cm: CartanMatrix, i: int) -> WeylElement:
 
 
 def reduce_word(cm: CartanMatrix, word) -> tuple[int, ...]:
-    """Canonical reduced word equal to the given letter sequence."""
-    return from_word(cm, word).word
+    """Canonical reduced word equal to the given letter sequence, read off
+    the height vector alone."""
+    return _reduce(_moves(cm), _letters(word, cm.size))
 
 
 def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """Product acting as w1 after w2."""
-    if w1.ambient != w2.ambient:
+    cm = _check_element(w1).ambient
+    if cm != _check_element(w2).ambient:
         raise MixedAmbientError("cannot compose elements over different ambient matrices")
-    return from_word(w1.ambient, w1.word + w2.word)
+    return _element(cm, _letters(w1.word, cm.size) + _letters(w2.word, cm.size))
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return from_word(w.ambient, tuple(reversed(w.word)))
+    cm = _check_element(w).ambient
+    return _element(cm, _letters(w.word, cm.size)[::-1])
 
 
 def inversions(w: WeylElement) -> tuple[Coords, ...]:
@@ -190,11 +228,12 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
     roots s_{i_k}…s_{i_{j+1}}(α_{i_j}), one per letter, so the count always
     equals the length.
     """
-    cm = w.ambient
+    cm = _check_element(w).ambient
+    word = _letters(w.word, cm.size)
     found = []
-    for j, letter in enumerate(w.word):
+    for j, letter in enumerate(word):
         beta = roots.simple_root(cm, letter)
-        for later in w.word[j + 1 :]:
+        for later in word[j + 1 :]:
             beta = reflect(cm, beta, later)
         found.append(beta)
     return tuple(sorted(found, key=lambda r: (roots.height(r), r)))

@@ -130,6 +130,14 @@ def test_non_symmetrizable_rejected():
             cartan.symmetrizer(rows)
 
 
+def test_symmetrizer_refuses_opposite_signs():
+    # off-diagonal entries of opposite signs used to give (1, -1)
+    for rows in ([[2, -1], [1, 2]], [[2, 1], [-1, 2]], [[2, 0, 0], [0, 2, -2], [0, 1, 2]]):
+        with pytest.raises(InvalidCartanMatrixError, match="not symmetrizable"):
+            cartan.symmetrizer(rows)
+    assert cartan.symmetrizer([[2, 1], [1, 2]]) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "bad,message",
     [

@@ -552,6 +552,14 @@ _API = {
     "inner_product_request": lambda cm, a, b, t, x: maass_selberg.inner_product(x),
     "affine_roots": lambda cm, a, b, t, x: roots.affine_roots(cm, x),
     "from_word": lambda cm, a, b, t, x: weyl.from_word(cm, a),
+    "reduce_word": lambda cm, a, b, t, x: weyl.reduce_word(cm, a),
+    "inverse": lambda cm, a, b, t, x: weyl.inverse(weyl.WeylElement(cm, a, ())),
+    "compose": lambda cm, a, b, t, x: weyl.compose(weyl.WeylElement(cm, a, ()), weyl.WeylElement(cm, b, ())),
+    "inversions": lambda cm, a, b, t, x: weyl.inversions(weyl.WeylElement(cm, a, ())),
+    "compose_non_element": lambda cm, a, b, t, x: weyl.compose(x, x),
+    "inverse_non_element": lambda cm, a, b, t, x: weyl.inverse(x),
+    "inversions_non_element": lambda cm, a, b, t, x: weyl.inversions(x),
+    "act_non_element": lambda cm, a, b, t, x: weyl.act(x, a),
     "act": lambda cm, a, b, t, x: weyl.act(weyl.simple(cm, 1), a),
     "word_from_matrix": lambda cm, a, b, t, x: weyl.word_from_matrix(cm, [a, b, t][: cm.size]),
     "parabolic_subset": lambda cm, a, b, t, x: parabolic.parabolic_subset(cm, a),
@@ -572,7 +580,7 @@ _API = {
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
 _SEQUENCE_CALLS = {
-    "from_word", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
+    "from_word", "reduce_word", "inverse", "compose", "inversions", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
     "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
@@ -645,6 +653,13 @@ def _api_call(draw):
 @example(("null_vector", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [0, 2]], [], [], 0))
 @example(("dominant_integral", cartan.parse_type("A2affine"), 5, [], [], 0))
+@example(("compose_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("inverse_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("inversions_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("act_non_element", cartan.parse_type("A2affine"), [1, 2, 3], [], [], 5))
+@example(("inverse", cartan.parse_type("A2affine"), None, [], [], 0))
+# and this one was answered with a negative entry, (1, -1)
+@example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [1, 2]], [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

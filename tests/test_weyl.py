@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -806,3 +807,136 @@ def test_per_element_matrices_are_dense_products(cm):
     for node in cm.nodes:
         w0 = weyl.longest_element(cm, tuple(i for i in cm.nodes if i != node))
         assert w0.matrix == dense(w0.word)
+
+
+# --- the word path: reduce first, then build one matrix ----------------------
+
+WORD_PIN_TYPES = cartan.all_types(8) + cartan.all_types(6, affine=False)
+
+
+def _random_word(rng, cm, length):
+    return [rng.randint(1, cm.size) for _ in range(length)]
+
+
+def _random_reduced_word(rng, cm, length):
+    """A reduced word of at most ``length`` letters: each letter is a random
+    ascent (a node i with ht(w·α_i) > 0), tracked on the height vector
+    h_j -= h_i·a_ji; a finite group may run out of ascents first."""
+    n = cm.size
+    h = [1] * n
+    word = []
+    while len(word) < length:
+        ascents = [i for i in range(n) if h[i] > 0]
+        if not ascents:
+            break
+        i = rng.choice(ascents)
+        hi = h[i]
+        for j in range(n):
+            h[j] -= hi * cm.entries[j][i]
+        word.append(i + 1)
+    return word
+
+
+def _word_path_lines():
+    for cm in WORD_PIN_TYPES:
+        rng = random.Random(f"{cm.label} word path")
+        for length in range(25):
+            for word in (_random_word(rng, cm, length), _random_reduced_word(rng, cm, length)):
+                w = weyl.from_word(cm, word)
+                other = weyl.from_word(cm, _random_word(rng, cm, length))
+                inv, comp = weyl.inverse(w), weyl.compose(w, other)
+                yield f"{cm.label} {word} from_word {w.word} {w.matrix}"
+                yield f"reduce_word {weyl.reduce_word(cm, word)}"
+                yield f"inverse {inv.word} {inv.matrix}"
+                yield f"compose {other.word} {comp.word} {comp.matrix}"
+
+
+WORD_PATH_SHA256 = "e63c2ff7ed92071a712fb9ae33c40b3686a69779b1abe4789eab993003dd2d89"
+
+
+def test_word_path_pin():
+    """Words and matrices of from_word, inverse and compose, and the words
+    of reduce_word, on seeded reduced and non-reduced words of length 0-24
+    over every affine type up to rank 8 and every finite type up to rank 6,
+    byte for byte as the build-then-reduce path gave them."""
+    text = "\n".join(_word_path_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == WORD_PATH_SHA256
+
+
+@given(type_and_word())
+def test_reduce_first_matches_the_built_element(cw):
+    """reduce_word agrees with from_word, and from_word's matrix, built from
+    the canonical word, is the product of the input letters' reflections."""
+    cm, word = cw
+    w = weyl.from_word(cm, word)
+    assert weyl.reduce_word(cm, word) == w.word
+    assert w.matrix == _dense_matrix(cm.entries, word)
+
+
+def test_word_operations_build_one_matrix_from_the_canonical_word(monkeypatch):
+    calls = []
+    matrix = weyl._matrix
+    monkeypatch.setattr(weyl, "_matrix", lambda moves, letters: calls.append(tuple(letters)) or matrix(moves, letters))
+    cm = _cm("A2affine")
+    word = (1, 2, 2, 3, 1, 3, 3, 2, 1, 1)
+    assert weyl.reduce_word(cm, word) == (1, 3, 1, 2)
+    assert calls == []
+    w = weyl.from_word(cm, word)
+    assert calls == [w.word] == [(1, 3, 1, 2)]
+    calls.clear()
+    inv = weyl.inverse(w)
+    comp = weyl.compose(w, inv)
+    assert calls == [inv.word, comp.word] == [(2, 1, 3, 1), ()]
+
+
+@pytest.mark.parametrize(
+    "make,want",
+    [
+        (lambda: (1, np.int64(2)), (1, 2)),
+        (lambda: np.array([1, 2], dtype=np.int8), (1, 2)),
+        (lambda: iter([1, 2]), (1, 2)),
+        (lambda: (1, True), "letter True is not an integer"),
+        (lambda: (1, 2.0), "letter 2.0 is not an integer"),
+        (lambda: (1, 2, 0), "letter 0 out of range 1..3"),
+        (lambda: (1, "2"), "letter '2' is not an integer"),
+        (lambda: "12", "letter '1' is not an integer"),
+    ],
+)
+def test_letter_reader_keeps_its_results_and_errors(make, want):
+    """The plain-int fast path and the per-letter fallback give the words
+    and errors the per-letter check alone gave."""
+    cm = _cm("A2affine")
+    for call in (lambda: weyl.from_word(cm, make()).word, lambda: weyl.reduce_word(cm, make())):
+        if isinstance(want, tuple):
+            got = call()
+            assert got == want and all(type(i) is int for i in got)
+        else:
+            with pytest.raises(InvalidSubsetError, match=f"^{re.escape(want)}$"):
+                call()
+
+
+def test_non_elements_are_rejected():
+    # each of these used to raise a raw AttributeError or TypeError
+    cm = _cm("A2affine")
+    calls = [
+        lambda: weyl.compose(5, 5),
+        lambda: weyl.compose(weyl.identity(cm), 5),
+        lambda: weyl.inverse(5),
+        lambda: weyl.inversions(5),
+        lambda: weyl.act(5, (1, 2, 3)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSubsetError, match="^5 is not a WeylElement$"):
+            call()
+
+
+def test_stored_words_are_read_like_input_words():
+    cm = _cm("A2affine")
+    with pytest.raises(InvalidSubsetError, match="^word None is not a sequence$"):
+        weyl.inverse(weyl.WeylElement(cm, None, ()))
+    with pytest.raises(InvalidSubsetError, match="^letter 4 out of range 1..3$"):
+        weyl.compose(weyl.identity(cm), weyl.WeylElement(cm, (1, 4), ()))
+    with pytest.raises(InvalidSubsetError, match="^letter 1.0 is not an integer$"):
+        weyl.inversions(weyl.WeylElement(cm, [1.0], ()))
+    # a hand-built word is read, not trusted to be reduced
+    assert weyl.inverse(weyl.WeylElement(cm, [1, 2, 2], ())).word == (1,)
