@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     atlas = subs.add_parser("atlas", help="tabulate every affine type and maximal subset")
     atlas.add_argument("--max-rank", type=int, default=8)
-    atlas.add_argument("--max-length", type=int, default=16, help="witness search bound")
+    atlas.add_argument("--max-length", type=int, default=16, help="radius of the counted ball (search_bound)")
     atlas.add_argument("--format", choices=("json", "tsv"), default="json")
     atlas.add_argument("--out", help="write to a file instead of stdout")
     atlas.set_defaults(run=_run_atlas)
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_args(assoc)
     assoc.add_argument("--remove", type=int, required=True, help="omitted node")
     assoc.add_argument("--versus", type=int, help="compare against omitting this node instead")
-    assoc.add_argument("--max-length", type=int, default=16, help="witness search bound")
+    assoc.add_argument("--max-length", type=int, default=16, help="radius of the counted ball (search_bound)")
     assoc.set_defaults(run=_run_associate)
 
     godement = subs.add_parser("godement", help="convergence region of a spectral parameter")

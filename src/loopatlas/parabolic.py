@@ -13,18 +13,18 @@ For a maximal Θ the only α is c:
   it is the witness exactly when σ(c) = c.  No search is needed.
 - Affine ambient: Θ ∪ {c} is the whole diagram, whose group is infinite,
   so no elementary element and no witness exists at any length.  The
-  certificate records the structural trace of that obstruction, and a
-  bounded walk corroborates it.  The walk runs over the inverses of the
-  minimal coset representatives only (see ``weyl._levels``), for all
-  omitted nodes at once; ``searched`` still counts the whole ball, from
-  the walk's level widths and the Levi's length series.
+  certificate records the structural trace of that obstruction and runs
+  no search.  ``search_bound`` is the radius of a ball that ``searched``
+  counts in closed form, by Bott's formula W_a(q) = W(q)·Π_i 1/(1 − q^{m_i})
+  with W(q) the Poincaré polynomial of the finite part and m_i its
+  exponents (Bott 1956; Macdonald 1972, "The Poincaré series of a
+  Coxeter group").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 from . import cartan, roots, weyl
 from .cartan import CartanMatrix
@@ -77,9 +77,9 @@ class AssociateCertificate:
     ``removed_image`` is the image of the omitted simple root under the
     longest element of the kept nodes; its coefficient on the omitted node
     is exactly 1.  ``null_root`` is the isotropic vector every generator
-    fixes (None over a finite ambient).  ``searched`` is the number of
-    group elements of length at most ``search_bound``: over an affine
-    ambient the ball the corroborating walk stands for.
+    fixes (None over a finite ambient).  ``search_bound`` is the radius
+    of the counted ball and ``searched`` the number of group elements in
+    it, of length at most ``search_bound``.
     """
 
     ambient: CartanMatrix
@@ -137,60 +137,33 @@ def associate_necessary(p: ParabolicSubset, q: ParabolicSubset) -> bool:
     return levi_type(p).components == levi_type(q).components
 
 
-# --- witness search ---------------------------------------------------------
+# --- certificates -----------------------------------------------------------
 
 
 def _certificates(
     cm: CartanMatrix, removed_nodes: tuple[int, ...], bound: int
 ) -> tuple[AssociateCertificate, ...]:
-    """Affine certificates for the given omitted nodes, from one batched walk.
+    """Affine certificates for the given omitted nodes.
 
-    A witness w for omitted node c permutes the simple roots of the other
-    nodes Θ and sends α_c negative.  It is then a minimal coset
-    representative, and the walk (``weyl._levels`` with the omitted
-    nodes) runs over the inverses u = w⁻¹ in ^ΘW, yielding the heights
-    h_j = ht(u·α_j) and the rows g_j, the α_c-coefficient of u·α_j.  The
-    rule is exact: w is a witness exactly when u ≠ e and h_j == 1, g_j == 0
-    for every j ≠ c.
-
-    - A root of height 1 is simple, and g_j == 0 means it is not α_c, so
-      u maps the simple roots of Θ injectively into themselves; it
-      therefore permutes them, and so does w.
-    - A non-identity u has a left descent, which in ^ΘW can only be c, so
-      w·α_c = u⁻¹·α_c is negative.
-    - Conversely a witness w permutes Θ's simple roots, so does u, and
-      w ≠ e because it moves α_c.
-
-    No affine witness exists (see the module docstring), so a row that
-    passes the rule is a library bug and raises.
-
-    ``searched`` is the size of the whole ball of radius ``bound``: every
-    element factors uniquely as u⁻¹·v with v in the Levi's finite group
-    and the lengths add, so the ball holds Σ_k q_k·#{v : ℓ(v) ≤ bound - k}
-    elements, q_k counting the walk's level k for that node.
+    No affine witness exists (see the module docstring), so nothing is
+    searched.  ``searched`` is the number of elements of length at most
+    ``bound``, the same for every omitted node: the coefficients of
+    Bott's series W_a(q) = W(q)·Π_i 1/(1 − q^{m_i}) up to q^bound, summed.
     """
-    import numpy as np  # here, not at module level: only the walks need it
-
     bound = cartan._check_bound(bound)
     null = roots.delta(cm)
     if any(weyl.reflect(cm, null, i) != null for i in cm.nodes):
         raise LoopAtlasError("generator moved the isotropic vector")
-    omitted = tuple(i - 1 for i in removed_nodes)
-    widths: list[np.ndarray] = []
-    for length, heights, _, _, rows, origin in weyl._levels(cm, bound, omitted):
-        widths.append(np.bincount(origin, minlength=len(omitted)))
-        kept_simple = (heights == 1) & (rows == 0)
-        kept_simple[np.arange(len(origin)), np.take(omitted, origin)] = True  # j == c is free
-        if length and kept_simple.all(axis=1).any():  # u ≠ e
-            raise LoopAtlasError(
-                "bounded search found a witness despite the structural obstruction; "
-                "this is a bug, please report the ambient matrix"
-            )
+    series, rank, _ = cartan._classified(cm.entries)
+    counts = list(weyl._length_counts(((series, rank),), bound))
+    for m in weyl._exponents(series, rank):
+        # times 1/(1 − q^m): a running sum with stride m
+        for k in range(m, bound + 1):
+            counts[k] += counts[k - m]
+    searched = sum(counts)
     out = []
-    for k, removed_node in enumerate(removed_nodes):
+    for removed_node in removed_nodes:
         theta = tuple(i for i in cm.nodes if i != removed_node)
-        levi = list(accumulate(weyl._length_counts(cartan.component_types(cm, theta), bound)))
-        searched = sum(int(q[k]) * levi[bound - j] for j, q in enumerate(widths))
         out.append(_certificate(cm, theta, weyl.longest_element(cm, theta), None, null, bound, searched))
     return tuple(out)
 
@@ -215,8 +188,8 @@ def _certificate(cm, theta, longest, witness, null, bound, searched) -> Associat
 def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCertificate:
     """Self-associate verdict for a maximal subset of an affine ambient:
     always negative (see the module docstring).  The certificate carries
-    the structural obstruction; the bounded search must come back empty,
-    and a hit would mean a library bug and raises."""
+    the structural obstruction; ``search_bound`` is the radius of the
+    ball that ``searched`` counts."""
     cm = p.ambient
     if not cm.is_affine:
         raise InvalidCartanMatrixError("use finite_self_associate over a finite ambient")
@@ -226,9 +199,8 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
 
 
 def maximal_certificates(cm: CartanMatrix, search_bound: int = 16) -> tuple[AssociateCertificate, ...]:
-    """Certificates for every maximal subset, in omitted-node order.  The
-    searches of all omitted nodes share one walk of the minimal coset
-    representatives."""
+    """Certificates for every maximal subset, in omitted-node order, each
+    counting the ball of radius ``search_bound``."""
     if not cm.is_affine:
         raise InvalidCartanMatrixError("maximal_certificates runs over an affine ambient")
     return _certificates(cm, cm.nodes, search_bound)
@@ -299,8 +271,9 @@ def constant_term_is_trivial(p: ParabolicSubset, search_bound: int = 0) -> Const
     """Constant-term rule (see ``constant_term_report``) for a maximal
     subset.
 
-    The default search bound is 0 because the verdict rests on the
-    structural obstruction; raise it to corroborate by search.
+    The verdict rests on the structural obstruction, not on the ball, so
+    the default ``search_bound`` is 0; a larger one only changes the
+    radius of the ball the certificate counts.
     """
     return constant_term_report(is_self_associate(p, search_bound))
 

@@ -53,7 +53,7 @@ def is_negative(beta: Coords) -> bool:
     return any(beta) and all(b <= 0 for b in beta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _positive(cm: CartanMatrix, nodes: tuple[int, ...]) -> tuple[Coords, ...]:
     """Positive roots of the principal submatrix on ``nodes``, in ambient
     coordinates and sorted by height then lexicographically: the simple
@@ -89,7 +89,7 @@ def all_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
     return _signed(positive_roots(cm))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def highest_root(cm: CartanMatrix) -> Coords:
     """Unique maximal root of an irreducible finite matrix.
 
@@ -116,7 +116,7 @@ def marks(cm: CartanMatrix) -> Coords:
     return highest_root(cm)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def comarks(cm: CartanMatrix) -> Coords:
     """Coefficients of the highest-root coroot over the simple coroots.
 
@@ -144,7 +144,7 @@ def dual_coxeter(cm: CartanMatrix) -> int:
     return 1 + sum(comarks(fin))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def finite_part(cm: CartanMatrix) -> CartanMatrix:
     """Top-left block of an affine matrix, the attached node removed."""
     if not cm.is_affine:

@@ -24,9 +24,6 @@ matrix at all.
 The level engine keeps per element only h and a link to its parent w,
 and keeps w·s_i only when i is its smallest right descent, a test on the
 Dynkin edges at i: every element comes out once, with no deduplication.
-Given omitted nodes, the same walk keeps, for each of them at once, only
-the inverses of the minimal coset representatives of the other nodes'
-subgroup, which is where the witness search looks.
 """
 
 from __future__ import annotations
@@ -67,7 +64,25 @@ class WeylElement:
 def _check_element(w) -> WeylElement:
     if not isinstance(w, WeylElement):
         raise InvalidSubsetError(f"{w!r} is not a WeylElement")
+    if not isinstance(w.ambient, CartanMatrix):
+        raise InvalidSubsetError(f"ambient {w.ambient!r} is not a CartanMatrix")
     return w
+
+
+def _stored_matrix(w) -> tuple[list[int], Matrix]:
+    """The letters and matrix of an element, for the readers of its matrix:
+    the word is read like an input word, and the stored matrix must be the
+    matrix of that word, which must be reduced."""
+    cm = _check_element(w).ambient
+    moves = _moves(cm)
+    letters = _letters(w.word, cm.size)
+    matrix = _matrix(moves, letters)
+    stored = w.matrix
+    if not (type(stored) is tuple and all(type(r) is tuple for r in stored) and stored == matrix):
+        raise InvalidSubsetError(f"stored matrix is not the matrix of the word {tuple(letters)}")
+    if len(_reduce(moves, letters)) != len(letters):
+        raise InvalidSubsetError(f"stored word {tuple(letters)} is not reduced")
+    return letters, matrix
 
 
 def identity(cm: CartanMatrix) -> WeylElement:
@@ -79,14 +94,14 @@ reflect = roots.reflect
 
 def act(w: WeylElement, beta: Coords) -> Coords:
     """Image of an integer vector in simple-root coordinates."""
-    _check_element(w)
+    _, matrix = _stored_matrix(w)
     beta = tuple(cartan._items(beta, "vector"))
     if len(beta) != w.ambient.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {w.ambient.size}")
     for x in beta:
         if isinstance(x, bool) or not isinstance(x, numbers.Integral):
             raise InvalidSubsetError(f"coordinate {x!r} is not an integer")
-    return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in w.matrix)
+    return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in matrix)
 
 
 @lru_cache(maxsize=64)
@@ -338,10 +353,10 @@ def _removed_image(longest: WeylElement, removed: int) -> Coords:
 # --- breadth-first level engine --------------------------------------------
 
 
-def _levels(cm: CartanMatrix, max_length: int, omitted: tuple[int, ...] = ()) -> Iterator[
-    tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]
+def _levels(cm: CartanMatrix, max_length: int) -> Iterator[
+    tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]
 ]:
-    """Yield (length, heights, parent, letter, rows, origin) by level.
+    """Yield (length, heights, parent, letter) by level.
 
     ``heights`` is an int64 array of shape (count, n) whose row for w holds
     ht(w·α_j).  Element k is w·s_i for w = element ``parent[k]`` of the
@@ -349,35 +364,17 @@ def _levels(cm: CartanMatrix, max_length: int, omitted: tuple[int, ...] = ()) ->
     Each parent's children come in letter order, so a level is in
     lexicographic order of its words and the stream is shortlex ordered and
     deterministic.  Only the current level is held.
-
-    Given a tuple of ``omitted`` 0-based nodes, the walks for all of them
-    run as one.  For omitted node c the walk keeps only the elements u
-    with no left descent among the other nodes Θ (the inverses of the
-    minimal coset representatives W^Θ).  ``rows`` then holds, for each u,
-    the coefficient of α_c in u·α_j (row c of the action matrix), which
-    takes the same update as the heights.  The child u·s_i is dropped
-    when u·α_i is a simple root of Θ, that is when h_i == 1 and that
-    coefficient is 0: then u·s_i = s_j·u leaves the set (Deodhar's
-    lemma).  The set is closed under removing a last letter, so the
-    canonical tree restricted to it reaches all of it.  ``origin`` holds
-    each element's index into ``omitted``; a level lists the elements of
-    each origin in turn, each in the order of that node's walk alone.
-    Without ``omitted``, ``rows`` and ``origin`` are None.
     """
     import numpy as np  # here, not at module level: only the walks need it
 
     n = cm.size
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
     edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
-    state = np.ones((1, 1, n), dtype=np.int64)  # per element: its heights, then its α_c-row if any
-    parent = letter = origin = None
-    if omitted:
-        rows = np.arange(n) == np.array(omitted)[:, None]
-        state = np.stack([np.ones_like(rows), rows], axis=1).astype(np.int64)
-        origin = np.arange(len(omitted))
+    state = np.ones((1, 1, n), dtype=np.int64)  # a stack of one row per element, its heights
+    parent = letter = None
     for length in range(max_length + 1):
-        heights, rows = state[:, 0], (state[:, 1] if omitted else None)
-        yield length, heights, parent, letter, rows, origin
+        heights = state[:, 0]
+        yield length, heights, parent, letter
         if length == max_length:
             return
         negative = heights < 0
@@ -388,14 +385,11 @@ def _levels(cm: CartanMatrix, max_length: int, omitted: tuple[int, ...] = ()) ->
         for j, i, a in edges:
             blocking[:, i] -= negative[:, j] & (heights[:, j] >= heights[:, i] * a)
         keep = (blocking == 0) & (heights > 0)
-        if omitted:
-            keep &= (heights != 1) | (rows != 0)
         parent, letter = np.nonzero(keep)
         del negative, blocking, keep  # building the children below sets the peak memory
         if parent.shape[0] == 0:
             return
         state = _reflect(state, parent, letter, a_t)
-        origin = origin[parent] if omitted else None
 
 
 def _reflect(stack, parent, letter, a_t):
@@ -421,7 +415,7 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     n = cm.size
     a_t = np.array(cm.entries, dtype=np.int64).T
     matrices, words = np.eye(n, dtype=np.int64)[None], [()]
-    for _, _, parent, letter, _, _ in _levels(cm, max_length):
+    for _, _, parent, letter in _levels(cm, max_length):
         if parent is not None:
             matrices = _reflect(matrices, parent, letter, a_t)  # M·S_i
             words = [words[p] + (i + 1,) for p, i in zip(parent.tolist(), letter.tolist())]
@@ -443,4 +437,5 @@ ball_sizes.cache_clear = _ball_sizes.cache_clear  # for callers that time a cold
 
 
 def element_to_json(w: WeylElement) -> dict:
-    return {"word": list(w.word), "matrix": [list(r) for r in w.matrix], "length": w.length}
+    letters, matrix = _stored_matrix(w)
+    return {"word": letters, "matrix": [list(r) for r in matrix], "length": len(letters)}

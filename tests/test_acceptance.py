@@ -48,8 +48,8 @@ def gate(request):
 
 
 def test_criterion_01_no_self_associate_maximal_subset(gate):
-    """Every maximal subset of every affine type resists the witness
-    search to length 16, and every certificate verifies."""
+    """Every maximal subset of every affine type has a negative verdict,
+    and every certificate verifies, its ball of radius 16 included."""
     with gate(1):
         started = time.monotonic()
         assert len(ALL_AFFINE) == 31

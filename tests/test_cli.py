@@ -349,6 +349,24 @@ def test_import_and_pointwise_commands_leave_numpy_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_atlas_and_associate_leave_numpy_unloaded():
+    # the certificates count their ball in closed form; they walk no levels
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from loopatlas import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['atlas', '--max-rank', '3', '--max-length', '8']) == 0",
+            "assert 'numpy' not in sys.modules, 'atlas'",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['associate', 'E6affine', '--remove', '4', '--max-length', '8']) == 0",
+            "assert 'numpy' not in sys.modules, 'associate'",
+        ]
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
 def _assert_domain_error_in_subprocess(*argv):
     done = _run_module(*argv)
     assert done.returncode == 1
@@ -561,6 +579,9 @@ _API = {
     "inversions_non_element": lambda cm, a, b, t, x: weyl.inversions(x),
     "act_non_element": lambda cm, a, b, t, x: weyl.act(x, a),
     "act": lambda cm, a, b, t, x: weyl.act(weyl.simple(cm, 1), a),
+    "act_element": lambda cm, a, b, t, x: weyl.act(weyl.WeylElement(cm, a, b), t),
+    "element_to_json": lambda cm, a, b, t, x: weyl.element_to_json(weyl.WeylElement(cm, a, b)),
+    "element_to_json_non_element": lambda cm, a, b, t, x: weyl.element_to_json(x),
     "word_from_matrix": lambda cm, a, b, t, x: weyl.word_from_matrix(cm, [a, b, t][: cm.size]),
     "parabolic_subset": lambda cm, a, b, t, x: parabolic.parabolic_subset(cm, a),
     "levi_type": lambda cm, a, b, t, x: parabolic.levi_type(parabolic.parabolic_subset(cm, a)),
@@ -580,7 +601,8 @@ _API = {
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
 _SEQUENCE_CALLS = {
-    "from_word", "reduce_word", "inverse", "compose", "inversions", "act", "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
+    "from_word", "reduce_word", "inverse", "compose", "inversions", "act", "act_element", "element_to_json",
+    "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
     "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
@@ -588,7 +610,7 @@ _SEQUENCE_CALLS = {
 # these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json"}
 # and these read matrix rows, drawn as lists of vectors
-_MATRIX_CALLS = {"classify", "symmetrizer", "determinant", "null_vector"}
+_MATRIX_CALLS = {"classify", "symmetrizer", "determinant", "null_vector", "act_element", "element_to_json"}
 
 
 @st.composite
@@ -658,8 +680,12 @@ def _api_call(draw):
 @example(("inversions_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("act_non_element", cartan.parse_type("A2affine"), [1, 2, 3], [], [], 5))
 @example(("inverse", cartan.parse_type("A2affine"), None, [], [], 0))
-# and this one was answered with a negative entry, (1, -1)
+@example(("act_element", cartan.parse_type("A2affine"), [1], 5, [1, 0, 0], 0))
+@example(("element_to_json_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("element_to_json", cartan.parse_type("A2affine"), 5, [], [], 0))
+# and these were answered: a negative entry, (1, -1), and an image () from a matrix the word does not give
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [1, 2]], [], [], 0))
+@example(("act_element", cartan.parse_type("A2affine"), [1], [], [1, 0, 0], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

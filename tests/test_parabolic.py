@@ -206,8 +206,8 @@ def test_maximal_certificates_report_the_ball_size():
 
 @pytest.mark.parametrize("label", ["A2affine", "G2affine", "D4affine"])
 def test_searched_is_the_ball_size_at_every_bound(label):
-    """``searched`` counts the whole ball, although each search walks only
-    the minimal coset representatives of its omitted node."""
+    """``searched``, counted by Bott's formula, is the size of the ball the
+    level engine walks."""
     cm = _cm(label)
     for bound in range(9):
         want = sum(weyl.ball_sizes(cm, bound))
@@ -265,12 +265,12 @@ def test_batched_finite_witnesses_equal_single_node_witnesses(label):
 
 
 def _walk_reference(cm, bound, omitted):
-    """Reference search on one batched ``weyl._levels`` walk: the level
+    """Reference search on one batched ``walks.levels`` walk: the level
     widths per origin, and for each 0-based omitted node with a witness
     the least canonical word of its first witness length, decided by the
     exact rule (u ≠ e, and h_j == 1, g_j == 0 for every j ≠ c)."""
     widths, first, hits = [], {}, {}
-    for length, heights, words, rows, origin in walks.with_words(weyl._levels(cm, bound, omitted)):
+    for length, heights, words, rows, origin in walks.with_words(walks.levels(cm.entries, bound, omitted)):
         widths.append(np.bincount(origin, minlength=len(omitted)).tolist())
         for h, g, word, k in zip(heights.tolist(), rows.tolist(), words.tolist(), origin.tolist()):
             c = omitted[k]
@@ -315,7 +315,7 @@ def test_exact_witness_rule_matches_the_matrix_test():
     for cm, bound in REFERENCE_WALKS:
         omitted = tuple(range(cm.size))
         want: dict[int, list] = {}
-        for length, heights, words, rows, origin in walks.with_words(weyl._levels(cm, bound, omitted)):
+        for length, heights, words, rows, origin in walks.with_words(walks.levels(cm.entries, bound, omitted)):
             for h, g, word, c in zip(heights.tolist(), rows.tolist(), words.tolist(), origin.tolist()):
                 exact = length > 0 and all(h[j] == 1 and g[j] == 0 for j in omitted if j != c)
                 w = weyl.from_word(cm, word[::-1])
@@ -334,14 +334,33 @@ def test_exact_witness_rule_matches_the_matrix_test():
 
 
 def test_affine_certificates_build_no_element(monkeypatch):
-    """No affine certificate has a witness, so none is built: the rule reads
-    the walk's heights only."""
+    """No affine certificate has a witness, so none is built, and the ball
+    is counted in closed form: no level walk runs either."""
     calls = []
-    from_word = weyl.from_word
+    from_word, levels = weyl.from_word, weyl._levels
     monkeypatch.setattr(weyl, "from_word", lambda *args: calls.append(args) or from_word(*args))
+    monkeypatch.setattr(weyl, "_levels", lambda *args: calls.append(args) or levels(*args))
     for cm in cartan.all_types(8):
         assert not any(c.self_associate for c in parabolic.maximal_certificates(cm, 12))
     assert calls == []
+
+
+@pytest.mark.parametrize("cm", cartan.all_types(9), ids=lambda cm: cm.label)
+def test_searched_is_the_quotient_walk_times_the_levi_ball(cm):
+    """The independent route to ``searched``: every element factors
+    uniquely as u⁻¹·v with u in the quotient walk of its omitted node and v
+    in the Levi's finite group, and the lengths add, so the ball of radius
+    12 holds Σ_k q_k·#{v : ℓ(v) ≤ 12 - k} elements, q_k the walk's width
+    at level k for that node."""
+    bound = 12
+    widths = [
+        np.bincount(origin, minlength=cm.size)
+        for *_, origin in walks.levels(cm.entries, bound, tuple(range(cm.size)))
+    ]
+    for cert in parabolic.maximal_certificates(cm, bound):
+        c = cert.removed_node - 1
+        levi = _levi_ball(cm, cert.removed_node, bound)
+        assert cert.searched == sum(int(q[c]) * levi[bound - k] for k, q in enumerate(widths)), c
 
 
 def test_finite_verdicts_walk_no_levels(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -193,6 +194,40 @@ def test_finite_part_round_trip():
         assert not fin.is_affine
         assert fin.size == cm.size - 1
         assert cartan.affinize(fin).entries == cm.entries
+
+
+def test_root_caches_stay_bounded_on_permuted_matrices():
+    """257 distinct node-permuted A6affine matrices, the attached node kept
+    last, through the cached root functions: each cache stays within its
+    bound, and every answer is the unpermuted one relabelled, also for the
+    matrices whose entries were evicted."""
+    cm = cartan.parse_type("A6affine")
+    n = cm.size
+    caches = [roots._positive, roots.highest_root, roots.comarks, roots.finite_part]
+    rng = random.Random(0)
+    want_delta, want_g = roots.delta(cm), roots.dual_coxeter(cm)
+    want_count = len(roots.positive_roots(roots.finite_part(cm)))
+    seen = {}
+    while len(seen) < 257:
+        p = rng.sample(range(n - 1), n - 1) + [n - 1]
+        rows = tuple(tuple(cm.entries[i][j] for j in p) for i in p)
+        seen.setdefault(rows, p)
+
+    def answers(rows):
+        m = cartan.from_matrix(rows)
+        return roots.dual_coxeter(m), roots.delta(m), roots.positive_roots(roots.finite_part(m))
+
+    first = {rows: answers(rows) for rows in seen}
+    for rows, p in seen.items():
+        g, delta, positive = first[rows]
+        assert g == want_g
+        assert delta == tuple(want_delta[i] for i in p)
+        assert len(positive) == want_count
+    for cache in caches:
+        assert cache.cache_info().maxsize == 256
+        assert cache.cache_info().currsize <= 256, cache
+    for rows in list(seen)[:8]:  # evicted by now
+        assert answers(rows) == first[rows]
 
 
 def test_affine_roots_a1_counts():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -581,7 +582,7 @@ def test_quotient_walk_counts_are_the_coset_series(cm):
             factor = series_counts.finite_counts(levi_series, levi_rank, cap)
             den = [sum(den[j] * factor[k - j] for j in range(k + 1)) for k in range(cap + 1)]
         want = _series_quotient(series_counts.affine_counts(series, rank, cap), den)
-        got = [heights.shape[0] for _, heights, *_ in weyl._levels(cm, cap, omitted=(node - 1,))]
+        got = [heights.shape[0] for _, heights, *_ in walks.levels(cm.entries, cap, (node - 1,))]
         assert got == want, node
 
 
@@ -601,7 +602,7 @@ def test_quotient_walk_is_the_set_without_kept_left_descents(label):
                    for j in range(cm.size) if j != c)
         }
         got = []
-        for length, heights, words, rows, _ in walks.with_words(weyl._levels(cm, bound, omitted=(c,))):
+        for length, heights, words, rows, _ in walks.with_words(walks.levels(cm.entries, bound, (c,))):
             for h, word, g in zip(heights.tolist(), words.tolist(), rows.tolist()):
                 w = full[tuple(word)]
                 assert h == [sum(col) for col in zip(*w.matrix)]
@@ -617,8 +618,8 @@ def test_batched_walk_splits_into_the_single_node_walks(cm):
     words and rows of that node's walk alone, in the same order."""
     bound = 12
     omitted = tuple(range(cm.size))
-    singles = [list(walks.with_words(weyl._levels(cm, bound, (c,)))) for c in omitted]
-    batched = list(walks.with_words(weyl._levels(cm, bound, omitted)))
+    singles = [list(walks.with_words(walks.levels(cm.entries, bound, (c,)))) for c in omitted]
+    batched = list(walks.with_words(walks.levels(cm.entries, bound, omitted)))
     for k, (c, single) in enumerate(zip(omitted, singles)):
         assert len(single) <= len(batched)
         for (length, heights, words, rows, origin), (_, h1, w1, r1, o1) in zip(batched, single):
@@ -655,7 +656,7 @@ def test_batched_walks_pin():
     per element gave them."""
     digest = hashlib.sha256()
     for cm in cartan.all_types(8):
-        levels = weyl._levels(cm, 12, tuple(range(cm.size)))
+        levels = walks.levels(cm.entries, 12, tuple(range(cm.size)))
         for length, heights, words, rows, origin in walks.with_words(levels):
             digest.update(f"{cm.label} {length} {heights.shape}\n".encode())
             for array in (heights, rows, origin, words):
@@ -664,8 +665,11 @@ def test_batched_walks_pin():
 
 
 def test_walk_without_omitted_nodes_has_no_rows():
-    for _, _, _, _, rows, origin in weyl._levels(_cm("A2affine"), 3):
-        assert rows is None and origin is None
+    """The library's engine walks the whole group only; the quotient walk
+    with omitted nodes and α_c-rows lives in the test oracle ``walks``."""
+    assert list(inspect.signature(weyl._levels).parameters) == ["cm", "max_length"]
+    for level in weyl._levels(_cm("A2affine"), 3):
+        assert len(level) == 4
 
 
 @pytest.mark.parametrize("bound", [2.5, None, True, "3"])
@@ -924,10 +928,38 @@ def test_non_elements_are_rejected():
         lambda: weyl.inverse(5),
         lambda: weyl.inversions(5),
         lambda: weyl.act(5, (1, 2, 3)),
+        lambda: weyl.element_to_json(5),
     ]
     for call in calls:
         with pytest.raises(InvalidSubsetError, match="^5 is not a WeylElement$"):
             call()
+
+
+def test_matrix_readers_check_the_stored_matrix():
+    """``act`` and ``element_to_json`` read the stored word like an input
+    word and refuse a stored matrix that is not that reduced word's."""
+    # act answered () for the first; the rest raised a raw TypeError or AttributeError
+    cm = _cm("A2affine")
+    s1 = weyl.simple(cm, 1)
+    cases = [
+        (lambda: weyl.act(weyl.WeylElement(cm, (1,), ()), (1, 0, 0)), "stored matrix is not the matrix of the word (1,)"),
+        (lambda: weyl.act(weyl.WeylElement(cm, (1,), 5), (1, 0, 0)), "stored matrix is not the matrix of the word (1,)"),
+        (lambda: weyl.act(weyl.WeylElement(cm, (2,), s1.matrix), (1, 0, 0)), "stored matrix is not the matrix of the word (2,)"),
+        (lambda: weyl.element_to_json(weyl.WeylElement(cm, (1,), [list(r) for r in s1.matrix])),
+         "stored matrix is not the matrix of the word (1,)"),
+        (lambda: weyl.element_to_json(weyl.WeylElement(cm, 5, ())), "word 5 is not a sequence"),
+        (lambda: weyl.element_to_json(weyl.WeylElement(cm, (1, 1), weyl.identity(cm).matrix)),
+         "stored word (1, 1) is not reduced"),
+        (lambda: weyl.element_to_json(weyl.WeylElement(5, (1,), ())), "ambient 5 is not a CartanMatrix"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidSubsetError, match=f"^{re.escape(message)}$"):
+            call()
+    # elements the library builds are read as before, a longest element's
+    # non-canonical word included
+    w0 = weyl.longest_element(cm, (1, 2))
+    assert weyl.element_to_json(w0) == {"word": list(w0.word), "matrix": [list(r) for r in w0.matrix], "length": 3}
+    assert weyl.act(s1, (1, 0, 0)) == (-1, 0, 0)
 
 
 def test_stored_words_are_read_like_input_words():
