@@ -18,7 +18,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 from math import gcd, lcm
 
 from .errors import (
@@ -80,7 +80,7 @@ class CartanMatrix:
         name = self.label or f"{self.size}x{self.size}"
         return f"CartanMatrix({name})"
 
-    # Every lru_cache keyed on an ambient hashes it on each hit, and the
+    # The fact store (``_fact``) hashes its ambient on each hit, and the
     # generated dataclass hash walks all the entries each time: this is the
     # same value, computed once per instance.  String hashes are salted per
     # process, so the cached value is left out of pickles and copies.
@@ -112,6 +112,20 @@ class Edge:
 class DynkinDiagram:
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
+
+
+# Every derived fact lives in one bounded store, keyed on (function,
+# arguments); an exception is never stored.  2048 entries hold the working
+# set of an atlas run or a benchmark pass with room to spare.
+@lru_cache(maxsize=2048)
+def _fact(fn, *args, **kwargs):
+    return fn(*args, **kwargs)
+
+
+# Decorator: route fn through the store as a partial, which adds no Python
+# frame per hit and keeps fn's name, module, docstring and __wrapped__.
+def _memo(fn):
+    return update_wrapper(partial(_fact, fn), fn)
 
 
 def _check_gcm_axioms(rows: Rows) -> None:
@@ -315,7 +329,7 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     return CartanMatrix(entries=rows, is_affine=False, label=f"{series}{rank}")
 
 
-@lru_cache(maxsize=64)
+@_memo
 def affinize(cm: CartanMatrix) -> CartanMatrix:
     """Untwisted affinization: append the attached node as index l+1.
 
@@ -323,8 +337,8 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     coroot; the new column is the negative of each simple root evaluated on
     the highest-root coroot (comark expansion).  Both integer null-vector
     identities, (marks, 1) on the left and (comarks, 1) on the right, are
-    asserted on the result.  Cached, so the catalog reuses the matrices
-    ``all_types`` built.
+    asserted on the result.  Kept in the fact store, so the catalog reuses
+    the matrices ``all_types`` built.
     """
     if cm.is_affine:
         raise InvalidCartanMatrixError("matrix is already affine")
@@ -470,7 +484,7 @@ def _catalog() -> dict[tuple, list[tuple[str, int, bool, Rows, list]]]:
     return out
 
 
-@lru_cache(maxsize=4096)
+@_memo
 def _classified(rows: Rows) -> tuple[str, int, bool]:
     """``classify`` of square rows, once per distinct rows; a
     ClassificationError is raised again on every call, never cached."""
@@ -616,7 +630,7 @@ def component_types(cm: CartanMatrix, nodes) -> tuple[tuple[str, int], ...]:
     return _component_types(cm, _check_subset(cm, nodes))
 
 
-@lru_cache(maxsize=4096)
+@_memo
 def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
     """``component_types`` of a checked subset, classified once per
     (ambient, subset).  Each component's principal submatrix is classified
@@ -675,8 +689,8 @@ def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...
     """One representative per isomorphism class with finite rank <= max_rank,
     in series then rank order.  C starts at rank 3 (the rank-2 class is B2)."""
     max_rank = _check_int(max_rank, "rank")
-    if max_rank > MAX_RANK:
-        raise UnsupportedRankError(f"catalog stops at rank {MAX_RANK}")
+    if not 1 <= max_rank <= MAX_RANK:
+        raise UnsupportedRankError(f"catalog covers ranks 1..{MAX_RANK}, got {max_rank}")
     out = []
     for series, (lo, hi) in RANK_RANGE.items():
         for rank in range(3 if series == "C" else lo, min(hi, max_rank) + 1):

@@ -138,10 +138,13 @@ def _run_levi(args) -> str:
 
 def _run_associate(args) -> str:
     cm = _resolve_type(args)
-    theta = tuple(i for i in cm.nodes if i != args.remove)
+    # a node outside 1..n would leave every node in and fail as "not proper"
+    remove = cartan._check_node(args.remove, cm.size, "removed node")
+    theta = tuple(i for i in cm.nodes if i != remove)
     p = parabolic.parabolic_subset(cm, theta)
     if args.versus is not None:
-        theta_q = tuple(i for i in cm.nodes if i != args.versus)
+        versus = cartan._check_node(args.versus, cm.size, "removed node")
+        theta_q = tuple(i for i in cm.nodes if i != versus)
         q = parabolic.parabolic_subset(cm, theta_q)
         return _dump(
             {

@@ -24,7 +24,6 @@ For a maximal Θ the only α is c:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import cartan, roots, weyl
 from .cartan import CartanMatrix
@@ -234,7 +233,7 @@ def finite_self_associate(
     return _certificate(cm, theta, longest, witness, None, bound, searched)
 
 
-@lru_cache(maxsize=64)
+@cartan._memo
 def maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
     """Levi type of every maximal subset, in omitted-node order; classified
     once per ambient."""

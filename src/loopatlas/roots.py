@@ -10,7 +10,6 @@ nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import cartan
 from .cartan import CartanMatrix
@@ -53,7 +52,7 @@ def is_negative(beta: Coords) -> bool:
     return any(beta) and all(b <= 0 for b in beta)
 
 
-@lru_cache(maxsize=256)
+@cartan._memo
 def _positive(cm: CartanMatrix, nodes: tuple[int, ...]) -> tuple[Coords, ...]:
     """Positive roots of the principal submatrix on ``nodes``, in ambient
     coordinates and sorted by height then lexicographically: the simple
@@ -89,7 +88,7 @@ def all_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
     return _signed(positive_roots(cm))
 
 
-@lru_cache(maxsize=256)
+@cartan._memo
 def highest_root(cm: CartanMatrix) -> Coords:
     """Unique maximal root of an irreducible finite matrix.
 
@@ -116,7 +115,7 @@ def marks(cm: CartanMatrix) -> Coords:
     return highest_root(cm)
 
 
-@lru_cache(maxsize=256)
+@cartan._memo
 def comarks(cm: CartanMatrix) -> Coords:
     """Coefficients of the highest-root coroot over the simple coroots.
 
@@ -144,7 +143,7 @@ def dual_coxeter(cm: CartanMatrix) -> int:
     return 1 + sum(comarks(fin))
 
 
-@lru_cache(maxsize=256)
+@cartan._memo
 def finite_part(cm: CartanMatrix) -> CartanMatrix:
     """Top-left block of an affine matrix, the attached node removed."""
     if not cm.is_affine:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
@@ -104,7 +103,7 @@ def act(w: WeylElement, beta: Coords) -> Coords:
     return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in matrix)
 
 
-@lru_cache(maxsize=64)
+@cartan._memo
 def _moves(cm: CartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each 0-based node i, the pairs (c, a_ci) with a_ci != 0: the
     reflection at i changes coordinate i and those of its Dynkin
@@ -308,7 +307,7 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     return _longest(cm, cartan._check_subset(cm, nodes))
 
 
-@lru_cache(maxsize=256)
+@cartan._memo
 def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
     """``longest_element`` of a checked subset, built once per (ambient,
     subset)."""
@@ -424,16 +423,14 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
 
 
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
-    """Element counts per length, mostly a sizing aid for searches."""
-    return _ball_sizes(cm, cartan._check_bound(max_length, "max_length"))
-
-
-@lru_cache(maxsize=4)
-def _ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
+    """Element counts per length, mostly a sizing aid for searches; walked
+    on every call, never stored."""
+    max_length = cartan._check_bound(max_length, "max_length")
     return tuple(heights.shape[0] for _, heights, *_ in _levels(cm, max_length))
 
 
-ball_sizes.cache_clear = _ball_sizes.cache_clear  # for callers that time a cold walk
+# empties the whole fact store, for callers that time a cold walk
+ball_sizes.cache_clear = cartan._fact.cache_clear
 
 
 def element_to_json(w: WeylElement) -> dict:

@@ -549,7 +549,7 @@ def test_classify_memo_keeps_int_and_float_rows_apart():
     ]
     for first, second in cases:
         for order in ((first, second), (second, first)):
-            cartan._classified.cache_clear()
+            cartan._fact.cache_clear()
             for rows in order + order:
                 _agrees_with_oracle(rows)
 
@@ -729,3 +729,12 @@ def test_all_types_catalog():
     ]
     with pytest.raises(UnsupportedRankError):
         cartan.all_types(12)
+
+
+@pytest.mark.parametrize("bad", [0, -1, np.int64(-3), 10])
+@pytest.mark.parametrize("affine", [True, False])
+def test_all_types_outside_the_catalog_ranks_raise(bad, affine):
+    """Below rank 1 the catalog would be empty, a silent truncation, so it
+    is refused like ranks past the catalog."""
+    with pytest.raises(UnsupportedRankError, match="catalog covers ranks 1..9"):
+        cartan.all_types(bad, affine=affine)

@@ -413,6 +413,28 @@ def test_out_of_range_node_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags,node",
+    [
+        (("--remove", "9"), 9),
+        (("--remove", "0"), 0),
+        (("--remove", "1", "--versus", "7"), 7),
+        (("--remove", "1", "--versus", "0"), 0),
+    ],
+)
+def test_associate_names_the_out_of_range_node(capsys, flags, node):
+    code, out, err = run(capsys, "associate", "A2affine", *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: removed node {node} out of range 1..3\n"
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_atlas_below_rank_one_is_a_domain_error(capsys, rank):
+    code, out, err = run(capsys, "atlas", "--max-rank", rank)
+    assert (code, out) == (1, "")
+    assert err == f"error: catalog covers ranks 1..9, got {rank}\n"
+
+
 def test_godement_overflow_is_a_domain_error():
     # the central value's float sum used to raise a raw OverflowError (exit 2)
     _assert_domain_error_in_subprocess("godement", "A2affine", "--nu", f"[{10**400}, 1.5, 0]")

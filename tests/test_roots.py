@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ambient
-from loopatlas import cartan, roots, weyl
+from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError
 
 ALL_FINITE = [(s, r) for s, (lo, hi) in cartan.RANK_RANGE.items() for r in range(lo, hi + 1)]
@@ -196,38 +197,109 @@ def test_finite_part_round_trip():
         assert cartan.affinize(fin).entries == cm.entries
 
 
+def test_one_fact_store_serves_every_memoised_function():
+    """Only the fact store and the catalog constant carry a cache.  Each
+    memoised function keeps its module (a tracer that wraps a module's own
+    functions finds it by that), its ``__wrapped__`` original, and its
+    keyword calls."""
+    modules = (cartan, roots, weyl, parabolic)
+    cached = {(m.__name__, name) for m in modules for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
+    assert cached == {("loopatlas.cartan", "_fact"), ("loopatlas.cartan", "_catalog")}
+    assert weyl.ball_sizes.cache_clear == cartan._fact.cache_clear  # callers that time a cold walk
+    a2, a2_affine = cartan.finite_cartan("A", 2), cartan.parse_type("A2affine")
+    calls = [
+        (cartan.affinize, (a2,)),
+        (cartan._classified, (a2.entries,)),
+        (cartan._component_types, (a2_affine, (1, 2))),
+        (roots._positive, (a2, (1, 2))),
+        (roots.highest_root, (a2,)),
+        (roots.comarks, (a2,)),
+        (roots.finite_part, (a2_affine,)),
+        (weyl._moves, (a2,)),
+        (weyl._longest, (a2_affine, (1, 2))),
+        (parabolic.maximal_levi_types, (a2_affine,)),
+    ]
+    for fn, args in calls:
+        original = fn.__wrapped__
+        module = next(m for m in modules if vars(m).get(fn.__name__) is fn)
+        assert fn.__module__ == original.__module__ == module.__name__
+        assert not hasattr(original, "__wrapped__")
+        keywords = dict(zip(inspect.signature(original).parameters, args))
+        assert fn(**keywords) == fn(*args) == original(*args)
+
+
 def test_root_caches_stay_bounded_on_permuted_matrices():
-    """257 distinct node-permuted A6affine matrices, the attached node kept
-    last, through the cached root functions: each cache stays within its
-    bound, and every answer is the unpermuted one relabelled, also for the
-    matrices whose entries were evicted."""
-    cm = cartan.parse_type("A6affine")
+    """Node-permuted E6affine matrices, the attached node kept last, through
+    the memoised functions of every module until the fact store has evicted
+    all that the first eight put in: the store stays within its bound, every
+    answer is the unpermuted one relabelled, and the evicted matrices get
+    the same answers again."""
+    cm = cartan.parse_type("E6affine")
     n = cm.size
-    caches = [roots._positive, roots.highest_root, roots.comarks, roots.finite_part]
-    rng = random.Random(0)
-    want_delta, want_g = roots.delta(cm), roots.dual_coxeter(cm)
-    want_count = len(roots.positive_roots(roots.finite_part(cm)))
-    seen = {}
-    while len(seen) < 257:
-        p = rng.sample(range(n - 1), n - 1) + [n - 1]
-        rows = tuple(tuple(cm.entries[i][j] for j in p) for i in p)
-        seen.setdefault(rows, p)
+    theta = (1, 2, 4)
+    fin = roots.finite_part(cm)
+    want = (
+        roots.dual_coxeter(cm),
+        roots.delta(cm),
+        roots.positive_roots(fin),
+        roots.highest_root(fin),
+        parabolic.maximal_levi_types(cm),
+    )
 
     def answers(rows):
         m = cartan.from_matrix(rows)
-        return roots.dual_coxeter(m), roots.delta(m), roots.positive_roots(roots.finite_part(m))
+        f = roots.finite_part(m)
+        return (
+            roots.dual_coxeter(m),
+            roots.delta(m),
+            roots.positive_roots(f),
+            roots.highest_root(f),
+            parabolic.maximal_levi_types(m),
+            cartan.component_types(m, theta),
+            weyl.longest_element(m, theta).matrix,
+            weyl.longest_element(m, range(1, n)).matrix,
+        )
 
-    first = {rows: answers(rows) for rows in seen}
-    for rows, p in seen.items():
-        g, delta, positive = first[rows]
-        assert g == want_g
-        assert delta == tuple(want_delta[i] for i in p)
-        assert len(positive) == want_count
-    for cache in caches:
-        assert cache.cache_info().maxsize == 256
-        assert cache.cache_info().currsize <= 256, cache
-    for rows in list(seen)[:8]:  # evicted by now
-        assert answers(rows) == first[rows]
+    def relabelled(p, vec):
+        return tuple(vec[i] for i in p)
+
+    def check(p, got):
+        g, delta, positive, highest, levis, types, longest, w0 = got
+        assert g == want[0]
+        assert delta == relabelled(p, want[1])
+        assert set(positive) == {relabelled(p[:-1], r) for r in want[2]}
+        assert highest == relabelled(p[:-1], want[3])
+        assert levis == relabelled(p, want[4])
+        images = [p[i - 1] + 1 for i in theta]
+        assert types == cartan.component_types(cm, images)
+        for subset, matrix in ((images, longest), (range(1, n), w0)):
+            ref = weyl.longest_element(cm, subset).matrix
+            assert matrix == tuple(tuple(ref[i][j] for j in p) for i in p)
+
+    store = cartan._fact
+    store.cache_clear()
+    rng = random.Random(0)
+    first = {}
+    for _ in range(2000):
+        p = rng.sample(range(n - 1), n - 1) + [n - 1]
+        rows = tuple(tuple(cm.entries[i][j] for j in p) for i in p)
+        if rows in first:
+            continue
+        first[rows] = p, answers(rows)
+        check(*first[rows])
+        info = store.cache_info()
+        assert info.currsize <= info.maxsize
+        if len(first) == 8:
+            put_in_by_eight = info.misses
+        if len(first) > 8 and info.misses - info.currsize >= put_in_by_eight:
+            break
+    else:
+        pytest.fail("the store never evicted the first matrices")
+    assert store.cache_info().currsize == store.cache_info().maxsize
+    for rows, (p, got) in list(first.items())[:8]:
+        misses = store.cache_info().misses
+        assert answers(rows) == got
+        assert store.cache_info().misses > misses  # recomputed, not read back
 
 
 def test_affine_roots_a1_counts():
