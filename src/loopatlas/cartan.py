@@ -17,9 +17,8 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial, update_wrapper
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     ClassificationError,
@@ -174,30 +173,38 @@ def symmetrizer(cm: CartanMatrix | Rows) -> tuple[int, ...]:
     """Positive integers d with d[i]*A[i][j] == d[j]*A[j][i], minimal per
     connected component.
 
-    Short roots receive the larger d.  Raises if no such d exists.
+    Short roots receive the larger d.  Raises if no such d exists.  Exact
+    integer arithmetic, computed once per distinct rows.
     """
-    rows = _rows(cm)
+    return _symmetrizer(_rows(cm))
+
+
+@_memo
+def _symmetrizer(rows: Rows) -> tuple[int, ...]:
     n = len(rows)
-    d: list[Fraction | int | None] = [None] * n
+    d = [0] * n  # 0 until the node is reached
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
         comp = [start]
         for i in comp:  # grows while it is read: breadth-first over the component
             for j in range(n):
                 # a one-sided zero leaves j to the check below
-                if j != i and rows[i][j] and rows[j][i] and d[j] is None:
-                    d[j] = d[i] * Fraction(rows[i][j], rows[j][i])
+                if j != i and rows[i][j] and rows[j][i] and not d[j]:
+                    # the least rescale that makes den divide num; d[j] is then
+                    # coprime to it, so the component stays primitive
+                    num, den = d[i] * rows[i][j], rows[j][i]
+                    scale = abs(den) // gcd(num, den)
+                    if scale > 1:
+                        for k in comp:
+                            d[k] *= scale
+                        num *= scale
+                    d[j] = num // den
                     comp.append(j)
-        # scale this component to minimal positive integers; a ratio of
-        # opposite signs forces a negative entry, and no scaling mends that
+        # a ratio of opposite signs forces a negative entry, and no scaling mends that
         if any(d[i] < 0 for i in comp):
             raise InvalidCartanMatrixError("matrix is not symmetrizable")
-        scale = lcm(*(d[i].denominator for i in comp))
-        g = gcd(*(int(d[i] * scale) for i in comp))
-        for i in comp:
-            d[i] = int(d[i] * scale) // g
     for i in range(n):
         for j in range(n):
             if d[i] * rows[i][j] != d[j] * rows[j][i]:
@@ -576,6 +583,19 @@ def _items(seq, what: str):
         raise InvalidSubsetError(f"{what} {seq!r} is not a sequence") from None
 
 
+def _ambient(obj, kind=None) -> CartanMatrix:
+    """The ambient matrix a public entry point reads: ``obj`` itself, or,
+    given a ``kind``, the ambient of ``obj``, which must be a ``kind``."""
+    if kind is not None:
+        if not isinstance(obj, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise InvalidSubsetError(f"{obj!r} is not {article} {kind.__name__}")
+        obj = obj.ambient
+    if not isinstance(obj, CartanMatrix):
+        raise InvalidSubsetError(f"ambient {obj!r} is not a CartanMatrix")
+    return obj
+
+
 def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
     """Sorted node subset; the input is read once, duplicates rejected."""
     given = tuple(_check_node(i, cm.size) for i in _items(nodes, "node list"))
@@ -590,7 +610,11 @@ def subdiagram(cm: CartanMatrix, nodes) -> CartanMatrix:
     again (a principal submatrix of a valid matrix is valid): affine only
     when it keeps every node of an affine matrix, labelled as by
     ``from_matrix``."""
-    subset = _check_subset(cm, nodes)
+    return _subdiagram(cm, _check_subset(cm, nodes))
+
+
+def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
+    """``subdiagram`` of a checked subset."""
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
     rows = tuple(tuple(cm.entries[i - 1][j - 1] for j in subset) for i in subset)

@@ -122,10 +122,11 @@ def maximal_parabolics(cm: CartanMatrix) -> tuple[ParabolicSubset, ...]:
 
 
 def levi_type(p: ParabolicSubset) -> LeviType:
-    return LeviType(
-        components=cartan.component_types(p.ambient, p.nodes),
-        center_rank=p.ambient.size - len(p.nodes),
-    )
+    return _levi_type(p.ambient, cartan._check_subset(p.ambient, p.nodes))
+
+
+def _levi_type(cm: CartanMatrix, subset: tuple[int, ...]) -> LeviType:
+    return LeviType(components=cartan._component_types(cm, subset), center_rank=cm.size - len(subset))
 
 
 def associate_necessary(p: ParabolicSubset, q: ParabolicSubset) -> bool:
@@ -163,7 +164,7 @@ def _certificates(
     out = []
     for removed_node in removed_nodes:
         theta = tuple(i for i in cm.nodes if i != removed_node)
-        out.append(_certificate(cm, theta, weyl.longest_element(cm, theta), None, null, bound, searched))
+        out.append(_certificate(cm, theta, weyl._longest(cm, theta), None, null, bound, searched))
     return tuple(out)
 
 
@@ -189,7 +190,7 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
     always negative (see the module docstring).  The certificate carries
     the structural obstruction; ``search_bound`` is the radius of the
     ball that ``searched`` counts."""
-    cm = p.ambient
+    cm = cartan._ambient(p, ParabolicSubset)
     if not cm.is_affine:
         raise InvalidCartanMatrixError("use finite_self_associate over a finite ambient")
     if not p.is_maximal:
@@ -200,7 +201,7 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
 def maximal_certificates(cm: CartanMatrix, search_bound: int = 16) -> tuple[AssociateCertificate, ...]:
     """Certificates for every maximal subset, in omitted-node order, each
     counting the ball of radius ``search_bound``."""
-    if not cm.is_affine:
+    if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("maximal_certificates runs over an affine ambient")
     return _certificates(cm, cm.nodes, search_bound)
 
@@ -213,7 +214,7 @@ def finite_self_associate(
     when σ fixes the omitted node and N − N_Θ ≤ ``max_length``.
     ``searched`` is the size of the ball of that radius; the default, N,
     the number of positive roots, covers the whole group."""
-    if cm.is_affine:
+    if cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("ambient must be finite")
     if not cartan.irreducible(cm):
         raise InvalidCartanMatrixError("ambient must be irreducible")
@@ -222,14 +223,14 @@ def finite_self_associate(
             f"finite verdicts are limited to rank {FINITE_RANK_LIMIT}; got rank {cm.size}"
         )
     removed_node = cartan._check_node(removed_node, cm.size)
-    w0 = weyl.longest_element(cm, cm.nodes)
+    w0 = weyl._longest(cm, cm.nodes)
     bound = w0.length if max_length is None else cartan._check_bound(max_length)
     theta = tuple(i for i in cm.nodes if i != removed_node)
-    longest = weyl.longest_element(cm, theta)
+    longest = weyl._longest(cm, theta)
     # column c of w0 is w0·α_c = −α_σ(c), so σ(c) = c exactly when its entry c is −1
     fixed = w0.matrix[removed_node - 1][removed_node - 1] == -1
     witness = weyl.compose(w0, longest) if fixed and w0.length - longest.length <= bound else None
-    searched = sum(weyl._length_counts(cartan.component_types(cm, cm.nodes), bound))
+    searched = sum(weyl._length_counts(cartan._component_types(cm, cm.nodes), bound))
     return _certificate(cm, theta, longest, witness, None, bound, searched)
 
 
@@ -237,14 +238,14 @@ def finite_self_associate(
 def maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
     """Levi type of every maximal subset, in omitted-node order; classified
     once per ambient."""
-    return tuple(levi_type(p) for p in maximal_parabolics(cm))
+    return tuple(_levi_type(cm, p.nodes) for p in maximal_parabolics(cm))
 
 
 def constant_term_report(cert: AssociateCertificate) -> ConstantTermReport:
     """The constant-term rule on the certificate of a maximal subset: the
     contribution is trivial when the subset is not self-associate and no
     other maximal subset matches its Levi component multiset."""
-    levis = maximal_levi_types(cert.ambient)
+    levis = maximal_levi_types(cartan._ambient(cert, AssociateCertificate))
     mine = levis[cert.removed_node - 1].components
     matches = tuple(
         (q, levis[q - 1].components == mine) for q in cert.ambient.nodes if q != cert.removed_node

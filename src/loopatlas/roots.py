@@ -94,20 +94,33 @@ def highest_root(cm: CartanMatrix) -> Coords:
 
     It is the unique dominant long root (Humphreys, Introduction to Lie
     Algebras, §10.4), reached by ascent: start from a long simple root
-    (smallest symmetrizer entry) and reflect at any node where the
+    (smallest symmetrizer entry) and reflect at the first node where the
     pairing is negative, which raises the height, until none is left.
+    The pairings of β with the simple coroots are kept as a vector: the
+    reflection at i changes them at i and its Dynkin neighbours only.
     """
     if cm.is_affine:
         raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
     if not cartan.irreducible(cm):
         raise InvalidCartanMatrixError("highest root needs an irreducible matrix")
+    rows = cm.entries
     d = cartan.symmetrizer(cm)
-    beta = simple_root(cm, d.index(min(d)) + 1)
-    while (i := next((i for i in cm.nodes if pairing(cm, beta, i) < 0), None)) is not None:
-        if height(beta) > _HEIGHT_CAP:
+    start = d.index(min(d))
+    beta = [0] * cm.size
+    beta[start] = 1
+    values = list(rows[start])  # values[j] is the pairing of β with coroot j
+    while True:
+        for i, value in enumerate(values):
+            if value < 0:
+                break
+        else:
+            return tuple(beta)
+        if sum(beta) > _HEIGHT_CAP:
             raise InvalidCartanMatrixError("root ascent did not terminate; matrix is not finite type")
-        beta = reflect(cm, beta, i)
-    return beta
+        beta[i] -= value
+        for j, a in enumerate(rows[i]):
+            if a:
+                values[j] -= value * a
 
 
 def marks(cm: CartanMatrix) -> Coords:
@@ -148,7 +161,7 @@ def finite_part(cm: CartanMatrix) -> CartanMatrix:
     """Top-left block of an affine matrix, the attached node removed."""
     if not cm.is_affine:
         raise InvalidCartanMatrixError("matrix is not affine")
-    return cartan.subdiagram(cm, range(1, cm.size))
+    return cartan._subdiagram(cm, cm.nodes[:-1])
 
 
 def delta(cm: CartanMatrix) -> Coords:

@@ -60,19 +60,11 @@ class WeylElement:
         return f"WeylElement({letters})"
 
 
-def _check_element(w) -> WeylElement:
-    if not isinstance(w, WeylElement):
-        raise InvalidSubsetError(f"{w!r} is not a WeylElement")
-    if not isinstance(w.ambient, CartanMatrix):
-        raise InvalidSubsetError(f"ambient {w.ambient!r} is not a CartanMatrix")
-    return w
-
-
 def _stored_matrix(w) -> tuple[list[int], Matrix]:
     """The letters and matrix of an element, for the readers of its matrix:
     the word is read like an input word, and the stored matrix must be the
     matrix of that word, which must be reduced."""
-    cm = _check_element(w).ambient
+    cm = cartan._ambient(w, WeylElement)
     moves = _moves(cm)
     letters = _letters(w.word, cm.size)
     matrix = _matrix(moves, letters)
@@ -223,14 +215,14 @@ def reduce_word(cm: CartanMatrix, word) -> tuple[int, ...]:
 
 def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """Product acting as w1 after w2."""
-    cm = _check_element(w1).ambient
-    if cm != _check_element(w2).ambient:
+    cm = cartan._ambient(w1, WeylElement)
+    if cm != cartan._ambient(w2, WeylElement):
         raise MixedAmbientError("cannot compose elements over different ambient matrices")
     return _element(cm, _letters(w1.word, cm.size) + _letters(w2.word, cm.size))
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    cm = _check_element(w).ambient
+    cm = cartan._ambient(w, WeylElement)
     return _element(cm, _letters(w.word, cm.size)[::-1])
 
 
@@ -242,7 +234,7 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
     roots s_{i_k}…s_{i_{j+1}}(α_{i_j}), one per letter, so the count always
     equals the length.
     """
-    cm = _check_element(w).ambient
+    cm = cartan._ambient(w, WeylElement)
     word = _letters(w.word, cm.size)
     found = []
     for j, letter in enumerate(word):
@@ -297,13 +289,15 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     height vector: repeatedly apply the smallest in-subset reflection whose
     simple root is still sent positive (h_i > 0).  The resulting length is
     checked against the count of induced positive roots, summed in closed
-    form over the classified components.
+    form over the classified components.  The ambient and the subset are
+    checked here; the library's own subsets go to ``_longest`` directly.
 
     The element keeps this ascent word, which certificates publish as
     ``levi_longest_word``.  It is reduced but not canonical for 186 of the
     192 maximal Levis up to rank 8 and for every finite group but A1 and
     A2, so compare longest elements by matrix.
     """
+    cm = cartan._ambient(cm)
     return _longest(cm, cartan._check_subset(cm, nodes))
 
 
@@ -311,12 +305,17 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
 def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
     """``longest_element`` of a checked subset, built once per (ambient,
     subset)."""
-    types = cartan.component_types(cm, subset)  # rejects a subset that is not of finite type
+    types = cartan._component_types(cm, subset)  # rejects a subset that is not of finite type
     expected = sum(_positive_root_count(series, rank) for series, rank in types)
     moves = _moves(cm)
     h = [1] * cm.size
     letters: list[int] = []
-    while (i := next((i for i in subset if h[i - 1] > 0), None)) is not None:
+    while True:
+        for i in subset:
+            if h[i - 1] > 0:
+                break
+        else:  # no h_i > 0 left on the subset: the longest element is reached
+            break
         _step(moves, h, i - 1)
         letters.append(i)
     if len(letters) != expected:
@@ -333,9 +332,10 @@ def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
     The coefficient on the removed root is always exactly 1: those
     reflections only ever add multiples of their own simple roots.
     """
+    cm = cartan._ambient(cm)
     removed = cartan._check_node(removed, cm.size)
     others = tuple(i for i in cm.nodes if i != removed)
-    return _removed_image(longest_element(cm, others), removed)
+    return _removed_image(_longest(cm, others), removed)
 
 
 def _removed_image(longest: WeylElement, removed: int) -> Coords:

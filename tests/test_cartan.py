@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import ambient
 import classifier
+import symmetrizer
 from loopatlas import cartan
 from loopatlas.errors import (
     ClassificationError,
@@ -192,6 +193,42 @@ def test_symmetrizer_short_roots_get_larger_entry():
             for j in range(rank):
                 # d_i / d_j == |alpha_j|^2 / |alpha_i|^2
                 assert d[i] * norms[i] == d[j] * norms[j]
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
+def test_symmetrizer_matches_fraction_oracle():
+    """The integer symmetrizer against the fraction one: the same tuple, or
+    the same error class and message, on every catalog matrix with its
+    nodes permuted, on block sums (components interleaved by the
+    permutation), on rows that have no symmetrizer, alone and beside a
+    valid block, and on seeded random rows."""
+    rng = random.Random(18)
+    catalog = [rows for *_, rows in classifier.catalog()]
+    refused = [
+        [[2, -1], [1, 2]],  # off-diagonal signs disagree
+        [[2, 1], [-1, 2]],
+        [[2, 0, 0], [0, 2, -2], [0, 1, 2]],
+        [[2, -1, -2], [-2, 2, -1], [-1, -2, 2]],  # 3-cycle with unbalanced ratio product
+        [[2, -1], [0, 2]],  # one-sided zeros
+        [[2, 0], [-1, 2]],
+        [[2, -1, 0], [-1, 2, 0], [0, -3, 2]],
+    ]
+    refused += [_block_sum(catalog[3], rows) for rows in refused]
+    for rows in refused:
+        assert _outcome(symmetrizer.symmetrizer, rows) == ("InvalidCartanMatrixError", "matrix is not symmetrizable")
+    cases = [_permuted(rows, rng) for rows in catalog]
+    cases += [_permuted(_block_sum(*rng.sample(catalog, 2)), rng) for _ in range(40)]
+    cases += [_block_sum(catalog[0], catalog[1]), _block_sum(catalog[5], _block_sum(catalog[2], catalog[9]))]
+    cases += [
+        [[2 if i == j else rng.choice((0, 0, -1, -2, -3, -4, 1)) for j in range(n)] for i in range(n)]
+        for n in [rng.randint(1, 6) for _ in range(300)]
+    ]
+    for rows in cases + refused:
+        assert _outcome(cartan.symmetrizer, rows) == _outcome(symmetrizer.symmetrizer, rows), rows
 
 
 # --- determinant ------------------------------------------------------------

@@ -619,6 +619,12 @@ _API = {
     "determinant": lambda cm, a, b, t, x: cartan.determinant(a),
     "null_vector": lambda cm, a, b, t, x: cartan.null_vector(a),
     "dominant_integral": lambda cm, a, b, t, x: criterion.dominant_integral(cm, a),
+    "maximal_certificates_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_certificates(x),
+    "is_self_associate_non_subset": lambda cm, a, b, t, x: parabolic.is_self_associate(x),
+    "finite_self_associate_non_ambient": lambda cm, a, b, t, x: parabolic.finite_self_associate(x, 1),
+    "constant_term_report_non_certificate": lambda cm, a, b, t, x: parabolic.constant_term_report(x),
+    "removed_node_image_non_ambient": lambda cm, a, b, t, x: weyl.removed_node_image(x, 1),
+    "longest_element_non_ambient": lambda cm, a, b, t, x: weyl.longest_element(x, ()),
 }
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
@@ -705,6 +711,12 @@ def _api_call(draw):
 @example(("act_element", cartan.parse_type("A2affine"), [1], 5, [1, 0, 0], 0))
 @example(("element_to_json_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("element_to_json", cartan.parse_type("A2affine"), 5, [], [], 0))
+@example(("maximal_certificates_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("is_self_associate_non_subset", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("finite_self_associate_non_ambient", cartan.parse_type("A2"), [], [], [], 5))
+@example(("constant_term_report_non_certificate", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("removed_node_image_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("longest_element_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
 # and these were answered: a negative entry, (1, -1), and an image () from a matrix the word does not give
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [1, 2]], [], [], 0))
 @example(("act_element", cartan.parse_type("A2affine"), [1], [], [1, 0, 0], 0))

@@ -652,3 +652,22 @@ def test_certificate_json_with_witness():
     obj = parabolic.certificate_to_json(cert)
     assert obj["witness"]["word"] == [2, 1, 2]
     assert obj["null_root"] is None
+
+
+def test_non_ambients_are_rejected():
+    # each of these used to raise a raw AttributeError
+    cm = _cm("A2affine")
+    cases = [
+        (lambda: parabolic.maximal_certificates(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: parabolic.finite_self_associate(5, 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.removed_node_image(5, 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.longest_element(5, ()), "ambient 5 is not a CartanMatrix"),
+        (lambda: parabolic.is_self_associate(5), "5 is not a ParabolicSubset"),
+        (lambda: parabolic.is_self_associate(parabolic.ParabolicSubset(5, (1,))), "ambient 5 is not a CartanMatrix"),
+        (lambda: parabolic.constant_term_report(5), "5 is not an AssociateCertificate"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidSubsetError, match=f"^{message}$"):
+            call()
+    cert = parabolic.maximal_certificates(cm)[0]
+    assert parabolic.constant_term_report(cert).certificate is cert

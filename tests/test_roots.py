@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ def test_closure_valve_stops_on_a_hand_built_infinite_matrix():
     for call in (roots.positive_roots, lambda c: roots.roots_in_span(c, c.nodes)):
         with pytest.raises(InvalidCartanMatrixError, match="root closure did not terminate"):
             call(cm)
+
+
+@pytest.mark.parametrize("rows", [((2, -3, 0), (-3, 2, -1), (0, -1, 2)), ((2, -2), (-2, 2))])
+def test_ascent_valve_stops_on_a_hand_built_infinite_matrix(rows):
+    # irreducible and symmetrizable but flagged finite by hand: only the
+    # height cap stops the highest-root ascent
+    cm = cartan.CartanMatrix(entries=rows, is_affine=False)
+    with pytest.raises(InvalidCartanMatrixError, match="^root ascent did not terminate; matrix is not finite type$"):
+        roots.highest_root(cm)
 
 
 def test_positive_roots_rejects_affine():
@@ -214,6 +224,7 @@ def test_one_fact_store_serves_every_memoised_function():
         (roots._positive, (a2, (1, 2))),
         (roots.highest_root, (a2,)),
         (roots.comarks, (a2,)),
+        (cartan._symmetrizer, (a2.entries,)),
         (roots.finite_part, (a2_affine,)),
         (weyl._moves, (a2,)),
         (weyl._longest, (a2_affine, (1, 2))),
@@ -226,6 +237,51 @@ def test_one_fact_store_serves_every_memoised_function():
         assert not hasattr(original, "__wrapped__")
         keywords = dict(zip(inspect.signature(original).parameters, args))
         assert fn(**keywords) == fn(*args) == original(*args)
+
+
+def _calls(fn, run) -> int:
+    """How often the body of ``fn`` runs during ``run()``."""
+    code, count = getattr(fn, "__wrapped__", fn).__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_cold_ascents_take_no_public_detours():
+    """Call counts, not timings: a cold highest root reads its pairings off
+    a vector it keeps, and cold certificates pass the subsets they build
+    straight through, checking none of them again."""
+    finite, affine = cartan.all_types(9, affine=False), cartan.all_types(8)
+    assert (len(finite), len(affine)) == (35, 31)
+    cartan._fact.cache_clear()
+    assert _calls(roots.pairing, lambda: [roots.highest_root(cm) for cm in finite]) == 0
+    cartan._fact.cache_clear()
+    assert _calls(cartan._check_subset, lambda: [parabolic.maximal_certificates(cm, 12) for cm in affine]) == 0
+
+
+def test_symmetrizer_runs_once_per_distinct_rows():
+    b3 = cartan.finite_cartan("B", 3)
+    same = [b3, cartan.finite_cartan("B", 3), b3.entries, [list(row) for row in b3.entries]]
+    cartan._fact.cache_clear()
+    assert _calls(cartan._symmetrizer, lambda: [cartan.symmetrizer(x) for x in same]) == 1
+    cartan._fact.cache_clear()
+    assert _calls(cartan._symmetrizer, lambda: (roots.highest_root(b3), roots.comarks(b3))) == 1
+
+    def refuse_twice():
+        for _ in range(2):
+            with pytest.raises(InvalidCartanMatrixError, match="not symmetrizable"):
+                cartan.symmetrizer([[2, -1], [1, 2]])
+
+    assert _calls(cartan._symmetrizer, refuse_twice) == 2  # an error is never stored
 
 
 def test_root_caches_stay_bounded_on_permuted_matrices():
