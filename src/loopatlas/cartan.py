@@ -651,6 +651,7 @@ def irreducible(cm: CartanMatrix) -> bool:
 def component_types(cm: CartanMatrix, nodes) -> tuple[tuple[str, int], ...]:
     """Classified connected components of the induced subdiagram, as a
     sorted tuple of (series, rank) pairs.  Empty subset gives ()."""
+    cm = _ambient(cm)
     return _component_types(cm, _check_subset(cm, nodes))
 
 

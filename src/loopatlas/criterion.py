@@ -61,7 +61,7 @@ def _check_functional(f) -> None:
 
 def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
     _check_functional(f)
-    if not cm.is_affine:
+    if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("spectral parameters live over an affine ambient")
     if f.size != cm.size:
         raise InvalidSubsetError(

@@ -18,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from operator import add, mul
+from typing import NamedTuple
 
 from . import cartan, criterion, roots, serialize
 from .cartan import CartanMatrix
@@ -114,47 +115,55 @@ def _kernel(
     weights,
     cusp_pairing,
     left: tuple,
-    right_conjugate: tuple,
+    rights,
     point: tuple[complex, ...],
     *,
     leading_minus: bool,
     by_truncation: bool,
     pole_tolerance: float,
-) -> tuple:
-    """The kernel formula, the only one, on checked inputs: ``left`` holds
-    the first shifted parameter's values and ``right_conjugate`` the
-    complex conjugates of the second's, ``point`` is the truncation point
-    as complex numbers and ``weights`` the ambient's central coroot.
-    Returns ``(value, pole, denominator)``, the value None on a pole.  The
-    cusp pairing is converted only where a value is formed, so a pole
-    never needs it to fit in a float.
+) -> list[tuple]:
+    """The kernel formula, the only one, on checked inputs, for one row of
+    points: ``left`` holds the first shifted parameter's values and each
+    entry of ``rights`` the complex conjugates of a second one's, ``point``
+    is the truncation point as complex numbers and ``weights`` the
+    ambient's central coroot.  Returns one ``(value, pole, denominator)``
+    per entry of ``rights``, in order, the value None on a pole; a point
+    that overflows raises before any later point is formed.  Every point
+    runs the same float operations in the same order whether it comes in
+    a row or alone.  The cusp pairing is converted only where a value is
+    formed, so a pole never needs it to fit in a float.
     """
+    exp, isfinite = cmath.exp, cmath.isfinite
+    out = []
+    append = out.append
     try:
-        summed = tuple(map(add, left, right_conjugate))
-        at_truncation = sum(map(mul, summed, point))
-        # Two finite parameters can sum to an infinity.  The point is complex,
-        # so a non-finite summed entry makes its product non-finite, and a
-        # complex sum stays non-finite once any term is: checking the summed
-        # parameter only here rejects exactly what checking it always would.
-        if not cmath.isfinite(at_truncation):
-            criterion._check_finite(summed)
-        if by_truncation:
-            denominator = at_truncation
-        else:
-            denominator = complex(sum(map(mul, weights, summed)))
-        if abs(denominator) < pole_tolerance:
-            return None, True, denominator
-        try:
-            growth = cmath.exp(at_truncation)
-        except ValueError:  # an infinite phase, reached by overflow, has no exponential
-            growth = complex(math.nan)
-        value = complex(cusp_pairing) * growth / denominator
-        finite = cmath.isfinite(value) and cmath.isfinite(denominator)
+        for right_conjugate in rights:
+            summed = tuple(map(add, left, right_conjugate))
+            at_truncation = sum(map(mul, summed, point))
+            # Two finite parameters can sum to an infinity.  The point is complex,
+            # so a non-finite summed entry makes its product non-finite, and a
+            # complex sum stays non-finite once any term is: checking the summed
+            # parameter only here rejects exactly what checking it always would.
+            if not isfinite(at_truncation):
+                criterion._check_finite(summed)
+            if by_truncation:
+                denominator = at_truncation
+            else:
+                denominator = complex(sum(map(mul, weights, summed)))
+            if abs(denominator) < pole_tolerance:
+                append((None, True, denominator))
+                continue
+            try:
+                growth = exp(at_truncation)
+            except ValueError:  # an infinite phase, reached by overflow, has no exponential
+                growth = complex(math.nan)
+            value = complex(cusp_pairing) * growth / denominator
+            if not (isfinite(value) and isfinite(denominator)):
+                raise RegionError(_OVERFLOW)
+            append((-value if leading_minus else value, False, denominator))
     except OverflowError:
-        finite = False
-    if not finite:
-        raise RegionError(_OVERFLOW)
-    return (-value if leading_minus else value), False, denominator
+        raise RegionError(_OVERFLOW) from None
+    return out
 
 
 def _conjugate(values: tuple) -> tuple:
@@ -171,11 +180,11 @@ def inner_product(
     if not isinstance(request, TruncatedPairing):
         raise NumberTypeError(f"request {request!r} is not a TruncatedPairing")
     _check_tolerance(pole_tolerance)
-    value, pole, denominator = _kernel(
+    ((value, pole, denominator),) = _kernel(
         roots.central_coroot(request.ambient),
         request.cusp_pairing,
         request.left.values,
-        _conjugate(request.right.values),
+        (_conjugate(request.right.values),),
         _complex_point(request.truncation),
         leading_minus=leading_minus,
         by_truncation=False,
@@ -202,11 +211,11 @@ def pairing_kernel(
             f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
             f"{DENOMINATOR_TRUNCATION!r}, got {denominator!r}"
         )
-    value, pole, denominator = _kernel(
+    ((value, pole, denominator),) = _kernel(
         roots.central_coroot(ambient),
         cusp_pairing,
         mu.values,
-        _conjugate(mu_prime.values),
+        (_conjugate(mu_prime.values),),
         _complex_point(truncation),
         leading_minus=False,
         by_truncation=denominator == DENOMINATOR_TRUNCATION,
@@ -215,8 +224,13 @@ def pairing_kernel(
     return KernelValue(value=value, pole=pole, denominator=denominator)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
+    """One grid point of a scan, a ``NamedTuple``: immutable, read by
+    attribute, printed as ``ScanPoint(nu=..., ...)`` and hashed as the tuple
+    of its fields.  It equals that plain tuple too.  ``region_scan`` builds
+    each one with ``tuple.__new__``, which skips the generated
+    ``__new__``."""
+
     nu: tuple          # unshifted parameter values of the first series
     nu_prime: tuple
     denominator: complex
@@ -246,9 +260,10 @@ def region_scan(
     Each parameter is shifted and checked once, and so are the truncation
     point, the cusp pairing and the tolerance, each when the grid first
     reaches it; a scan therefore raises the error that evaluating its
-    points one by one would raise first.  Each second parameter is also
-    conjugated once, so a point does only the work that needs both
-    parameters, and every point equals ``inner_product`` on its shifted
+    points one by one would raise first.  The first row goes one point at
+    a time, since it meets each second parameter for the first time; every
+    later row is one ``_kernel`` call over the conjugated second
+    parameters.  Every point equals ``inner_product`` on its shifted
     parameters bit for bit.  If either side is empty the report is empty
     and nothing is checked.
     """
@@ -256,31 +271,35 @@ def region_scan(
     nu_primes = tuple(cartan._items(nu_primes, "second parameter list"))
     if not nus or not nu_primes:
         return ScanReport(points=(), n_points=0, n_poles=0)
+    left = _shifted(ambient, nus[0])
+    rights = []  # conjugated shifted second parameters
+    row = []
+    for nu_prime in nu_primes:
+        rights.append(_conjugate(_shifted(ambient, nu_prime)))
+        if len(rights) == 1:  # first point
+            checked = _check_point(ambient, cusp_pairing, truncation)
+            _check_tolerance(pole_tolerance)
+            point = _complex_point(checked)
+            weights = roots.central_coroot(ambient)
+        row += _kernel(
+            weights, cusp_pairing, left, rights[-1:], point,
+            leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,
+        )
+    prime_values = [f.values for f in nu_primes]
+    new = tuple.__new__
     pts = []
+    append = pts.append
     n_poles = 0
-    rights = []  # conjugated shifted second parameters, each made when the first row reaches it
-    for nu in nus:
-        left = _shifted(ambient, nu)
-        for j, nu_prime in enumerate(nu_primes):
-            if j == len(rights):  # first row only
-                rights.append(_conjugate(_shifted(ambient, nu_prime)))
-                if j == 0:  # first point
-                    checked = _check_point(ambient, cusp_pairing, truncation)
-                    _check_tolerance(pole_tolerance)
-                    point = _complex_point(checked)
-                    weights = roots.central_coroot(ambient)
-            value, pole, denominator = _kernel(
-                weights,
-                cusp_pairing,
-                left,
-                rights[j],
-                point,
-                leading_minus=True,
-                by_truncation=False,
-                pole_tolerance=pole_tolerance,
+    for i, nu in enumerate(nus):
+        if i:
+            row = _kernel(
+                weights, cusp_pairing, _shifted(ambient, nu), rights, point,
+                leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,
             )
+        nu_values = nu.values
+        for nu_prime_values, (value, pole, denominator) in zip(prime_values, row):
             n_poles += pole
-            pts.append(ScanPoint(nu.values, nu_prime.values, denominator, pole, value))
+            append(new(ScanPoint, (nu_values, nu_prime_values, denominator, pole, value)))
     return ScanReport(points=tuple(pts), n_points=len(pts), n_poles=n_poles)
 
 
@@ -300,8 +319,11 @@ def scan_to_json(report: ScanReport) -> dict:
 
     Each distinct parameter tuple is encoded once: points that share a
     ``nu`` or ``nu_prime`` tuple (a row or a column of a ``region_scan``
-    grid) share the encoded list.  The dict is a serialization surface;
-    copy it before mutating it.
+    grid) share the encoded list.  Each point is unpacked once, and a grid
+    row reuses the list of its ``nu``.  Numbers come out as
+    ``serialize.encode_number`` gives them; a complex denominator with a
+    nonzero imaginary part is written as that ``[re, im]`` pair directly.
+    The dict is a serialization surface; copy it before mutating it.
     """
     encoded: dict[int, list] = {}  # keyed on identity; the report keeps every tuple alive
 
@@ -311,17 +333,22 @@ def scan_to_json(report: ScanReport) -> dict:
             out = encoded[id(values)] = serialize.encode_values(values)
         return out
 
-    return {
-        "n_points": report.n_points,
-        "n_poles": report.n_poles,
-        "points": [
-            {
-                "nu": encode(p.nu),
-                "nu_prime": encode(p.nu_prime),
-                "denominator": serialize.encode_number(p.denominator),
-                "pole": p.pole,
-                "value": None if p.value is None else [p.value.real, p.value.imag],
-            }
-            for p in report.points
-        ],
-    }
+    encode_number = serialize.encode_number
+    points = []
+    append = points.append
+    row_nu = row_encoded = object()
+    for nu, nu_prime, denominator, pole, value in report.points:
+        if nu is not row_nu:
+            row_nu, row_encoded = nu, encode(nu)
+        append({
+            "nu": row_encoded,
+            "nu_prime": encode(nu_prime),
+            "denominator": (
+                [denominator.real, denominator.imag]
+                if type(denominator) is complex and denominator.imag
+                else encode_number(denominator)
+            ),
+            "pole": pole,
+            "value": None if value is None else [value.real, value.imag],
+        })
+    return {"n_points": report.n_points, "n_poles": report.n_poles, "points": points}

@@ -103,7 +103,7 @@ class ConstantTermReport:
 
 def parabolic_subset(cm: CartanMatrix, nodes) -> ParabolicSubset:
     """Validated proper subset of an affine ambient."""
-    if not cm.is_affine:
+    if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("parabolic subsets live over an affine ambient")
     subset = cartan._check_subset(cm, nodes)
     if len(subset) >= cm.size:
@@ -113,7 +113,7 @@ def parabolic_subset(cm: CartanMatrix, nodes) -> ParabolicSubset:
 
 def maximal_parabolics(cm: CartanMatrix) -> tuple[ParabolicSubset, ...]:
     """One maximal subset per omitted node, in node order."""
-    if not cm.is_affine:
+    if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("parabolic subsets live over an affine ambient")
     return tuple(
         ParabolicSubset(ambient=cm, nodes=tuple(j for j in cm.nodes if j != i))
@@ -122,7 +122,8 @@ def maximal_parabolics(cm: CartanMatrix) -> tuple[ParabolicSubset, ...]:
 
 
 def levi_type(p: ParabolicSubset) -> LeviType:
-    return _levi_type(p.ambient, cartan._check_subset(p.ambient, p.nodes))
+    cm = cartan._ambient(p, ParabolicSubset)
+    return _levi_type(cm, cartan._check_subset(cm, p.nodes))
 
 
 def _levi_type(cm: CartanMatrix, subset: tuple[int, ...]) -> LeviType:

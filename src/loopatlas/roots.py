@@ -79,7 +79,7 @@ def _signed(positive: tuple[Coords, ...]) -> tuple[Coords, ...]:
 def positive_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
     """All positive roots of a finite matrix by the closure of ``_positive``,
     sorted by height then lexicographically."""
-    if cm.is_affine:
+    if cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
     return _positive(cm, cm.nodes)
 
@@ -150,9 +150,10 @@ def comarks(cm: CartanMatrix) -> Coords:
     return tuple(out)
 
 
+@cartan._memo
 def dual_coxeter(cm: CartanMatrix) -> int:
     """One plus the comark sum of the finite part."""
-    fin = finite_part(cm) if cm.is_affine else cm
+    fin = finite_part(cm) if cartan._ambient(cm).is_affine else cm
     return 1 + sum(comarks(fin))
 
 
@@ -169,10 +170,11 @@ def delta(cm: CartanMatrix) -> Coords:
     return marks(finite_part(cm)) + (1,)
 
 
+@cartan._memo
 def central_coroot(cm: CartanMatrix) -> Coords:
     """Coefficients of the canonical central element over the simple
     coroots: (comarks, 1)."""
-    return comarks(finite_part(cm)) + (1,)
+    return comarks(finite_part(cartan._ambient(cm))) + (1,)
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,7 @@ def _element(cm: CartanMatrix, letters: list[int]) -> WeylElement:
 def from_word(cm: CartanMatrix, word) -> WeylElement:
     """Element of a letter sequence; stores the canonical reduced word and
     builds the matrix from it, not from the input."""
+    cm = cartan._ambient(cm)
     return _element(cm, _letters(word, cm.size))
 
 
@@ -425,6 +426,7 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length, mostly a sizing aid for searches; walked
     on every call, never stored."""
+    cm = cartan._ambient(cm)
     max_length = cartan._check_bound(max_length, "max_length")
     return tuple(heights.shape[0] for _, heights, *_ in _levels(cm, max_length))
 

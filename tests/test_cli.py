@@ -625,6 +625,19 @@ _API = {
     "constant_term_report_non_certificate": lambda cm, a, b, t, x: parabolic.constant_term_report(x),
     "removed_node_image_non_ambient": lambda cm, a, b, t, x: weyl.removed_node_image(x, 1),
     "longest_element_non_ambient": lambda cm, a, b, t, x: weyl.longest_element(x, ()),
+    "levi_type_non_subset": lambda cm, a, b, t, x: parabolic.levi_type(x),
+    "parabolic_subset_non_ambient": lambda cm, a, b, t, x: parabolic.parabolic_subset(x, a),
+    "maximal_parabolics_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_parabolics(x),
+    "component_types_non_ambient": lambda cm, a, b, t, x: cartan.component_types(x, a),
+    "positive_roots_non_ambient": lambda cm, a, b, t, x: roots.positive_roots(x),
+    "dual_coxeter_non_ambient": lambda cm, a, b, t, x: roots.dual_coxeter(x),
+    "central_coroot_non_ambient": lambda cm, a, b, t, x: roots.central_coroot(x),
+    "from_word_non_ambient": lambda cm, a, b, t, x: weyl.from_word(x, a),
+    "ball_sizes_non_ambient": lambda cm, a, b, t, x: weyl.ball_sizes(x, 1),
+    "central_value_non_ambient": lambda cm, a, b, t, x: criterion.central_value(x, _f(a)),
+    "godement_cuspidal_non_ambient": lambda cm, a, b, t, x: criterion.godement_cuspidal(x, _f(a)),
+    "pairing_kernel_non_ambient": lambda cm, a, b, t, x: maass_selberg.pairing_kernel(x, 1.0, _f(a), _f(b), t),
+    "region_scan_non_ambient": lambda cm, a, b, t, x: maass_selberg.region_scan(x, [_f(a)], [_f(b)], t),
 }
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
@@ -717,6 +730,19 @@ def _api_call(draw):
 @example(("constant_term_report_non_certificate", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("removed_node_image_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("longest_element_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("levi_type_non_subset", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("parabolic_subset_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("maximal_parabolics_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("component_types_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("positive_roots_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("dual_coxeter_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("central_coroot_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("from_word_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("ball_sizes_non_ambient", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("central_value_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [], [], 5))
+@example(("godement_cuspidal_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [], [], 5))
+@example(("pairing_kernel_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 0], [0, 0, 0], 5))
+@example(("region_scan_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 0], [0, 0, 0], 5))
 # and these were answered: a negative entry, (1, -1), and an image () from a matrix the word does not give
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [1, 2]], [], [], 0))
 @example(("act_element", cartan.parse_type("A2affine"), [1], [], [1, 0, 0], 0))

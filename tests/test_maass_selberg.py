@@ -334,6 +334,42 @@ def test_mixed_scans_are_pinned():
     assert digest.hexdigest() == MIXED_SCANS_SHA256
 
 
+def test_scan_point_keeps_the_frozen_dataclass_contract():
+    """The repr format, the hash (a frozen dataclass hashes the tuple of
+    its fields), attribute access and immutability are those of the frozen
+    dataclass a point used to be; the reprs were printed by it."""
+    cm = _cm("A1affine")
+    nus = [criterion.functional((-3.0, -2)), criterion.functional((-1, -1))]
+    nu_primes = [criterion.functional((-2.5, 1 - 1.5j)), criterion.functional((-1, -1))]
+    points = ms.region_scan(cm, nus, nu_primes, (0.25, 0.5)).points
+    assert [repr(p) for p in points[::3]] == [
+        "ScanPoint(nu=(-3.0, -2), nu_prime=(-2.5, (1-1.5j)), denominator=(-2.5+1.5j), pole=False, "
+        "value=(0.06523297291888962+0.22653298846029774j))",
+        "ScanPoint(nu=(-1, -1), nu_prime=(-1, -1), denominator=0j, pole=True, value=None)",
+    ]
+    for p in points:
+        fields = (p.nu, p.nu_prime, p.denominator, p.pole, p.value)
+        assert hash(p) == hash(fields)
+        assert p == fields  # unlike the dataclass, a point equals the plain tuple
+        for name in ms.ScanPoint._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+    assert ms.ScanPoint._fields == ("nu", "nu_prime", "denominator", "pole", "value")
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 1), (4, 7)])
+def test_region_scan_calls_the_kernel_once_per_row(n, m, body_calls):
+    """Call counts, not timings: the first row meets each second parameter
+    for the first time and goes point by point; every later row is one
+    call.  An n x m scan enters the kernel at most m + n - 1 times."""
+    cm, nus, nu_primes, truncation, pairing = _mixed_grid("G2affine", 1)
+    nus, nu_primes = (nus * 2)[:n], (nu_primes * 2)[:m]
+    report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
+    assert report.n_points == n * m
+    calls = body_calls(ms._kernel, lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing))
+    assert calls <= m + n - 1
+
+
 # --- validation -------------------------------------------------------------
 
 

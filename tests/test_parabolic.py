@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import ambient
 import series_counts
 import walks
-from loopatlas import cartan, parabolic, roots, weyl
+from loopatlas import cartan, criterion, maass_selberg, parabolic, roots, weyl
 from loopatlas.errors import (
     InvalidCartanMatrixError,
     InvalidSubsetError,
@@ -657,6 +657,7 @@ def test_certificate_json_with_witness():
 def test_non_ambients_are_rejected():
     # each of these used to raise a raw AttributeError
     cm = _cm("A2affine")
+    f = criterion.functional((0, 0, 0))
     cases = [
         (lambda: parabolic.maximal_certificates(5), "ambient 5 is not a CartanMatrix"),
         (lambda: parabolic.finite_self_associate(5, 1), "ambient 5 is not a CartanMatrix"),
@@ -665,6 +666,20 @@ def test_non_ambients_are_rejected():
         (lambda: parabolic.is_self_associate(5), "5 is not a ParabolicSubset"),
         (lambda: parabolic.is_self_associate(parabolic.ParabolicSubset(5, (1,))), "ambient 5 is not a CartanMatrix"),
         (lambda: parabolic.constant_term_report(5), "5 is not an AssociateCertificate"),
+        (lambda: parabolic.levi_type(5), "5 is not a ParabolicSubset"),
+        (lambda: parabolic.levi_type(parabolic.ParabolicSubset(5, (1,))), "ambient 5 is not a CartanMatrix"),
+        (lambda: parabolic.parabolic_subset(5, ()), "ambient 5 is not a CartanMatrix"),
+        (lambda: parabolic.maximal_parabolics(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.component_types(5, ()), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.positive_roots(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.dual_coxeter(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.central_coroot(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.from_word(5, ()), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.ball_sizes(5, 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: criterion.central_value(5, f), "ambient 5 is not a CartanMatrix"),
+        (lambda: criterion.godement_cuspidal(5, f), "ambient 5 is not a CartanMatrix"),
+        (lambda: maass_selberg.pairing_kernel(5, 1.0, f, f, (0, 0, 0)), "ambient 5 is not a CartanMatrix"),
+        (lambda: maass_selberg.region_scan(5, [f], [f], (0, 0, 0)), "ambient 5 is not a CartanMatrix"),
     ]
     for call, message in cases:
         with pytest.raises(InvalidSubsetError, match=f"^{message}$"):

@@ -1,7 +1,6 @@
 import hashlib
 import inspect
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -226,6 +225,8 @@ def test_one_fact_store_serves_every_memoised_function():
         (roots.comarks, (a2,)),
         (cartan._symmetrizer, (a2.entries,)),
         (roots.finite_part, (a2_affine,)),
+        (roots.dual_coxeter, (a2_affine,)),
+        (roots.central_coroot, (a2_affine,)),
         (weyl._moves, (a2,)),
         (weyl._longest, (a2_affine, (1, 2))),
         (parabolic.maximal_levi_types, (a2_affine,)),
@@ -239,49 +240,32 @@ def test_one_fact_store_serves_every_memoised_function():
         assert fn(**keywords) == fn(*args) == original(*args)
 
 
-def _calls(fn, run) -> int:
-    """How often the body of ``fn`` runs during ``run()``."""
-    code, count = getattr(fn, "__wrapped__", fn).__code__, 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code is code:
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return count
-
-
-def test_cold_ascents_take_no_public_detours():
+def test_cold_ascents_take_no_public_detours(body_calls):
     """Call counts, not timings: a cold highest root reads its pairings off
     a vector it keeps, and cold certificates pass the subsets they build
     straight through, checking none of them again."""
     finite, affine = cartan.all_types(9, affine=False), cartan.all_types(8)
     assert (len(finite), len(affine)) == (35, 31)
     cartan._fact.cache_clear()
-    assert _calls(roots.pairing, lambda: [roots.highest_root(cm) for cm in finite]) == 0
+    assert body_calls(roots.pairing, lambda: [roots.highest_root(cm) for cm in finite]) == 0
     cartan._fact.cache_clear()
-    assert _calls(cartan._check_subset, lambda: [parabolic.maximal_certificates(cm, 12) for cm in affine]) == 0
+    assert body_calls(cartan._check_subset, lambda: [parabolic.maximal_certificates(cm, 12) for cm in affine]) == 0
 
 
-def test_symmetrizer_runs_once_per_distinct_rows():
+def test_symmetrizer_runs_once_per_distinct_rows(body_calls):
     b3 = cartan.finite_cartan("B", 3)
     same = [b3, cartan.finite_cartan("B", 3), b3.entries, [list(row) for row in b3.entries]]
     cartan._fact.cache_clear()
-    assert _calls(cartan._symmetrizer, lambda: [cartan.symmetrizer(x) for x in same]) == 1
+    assert body_calls(cartan._symmetrizer, lambda: [cartan.symmetrizer(x) for x in same]) == 1
     cartan._fact.cache_clear()
-    assert _calls(cartan._symmetrizer, lambda: (roots.highest_root(b3), roots.comarks(b3))) == 1
+    assert body_calls(cartan._symmetrizer, lambda: (roots.highest_root(b3), roots.comarks(b3))) == 1
 
     def refuse_twice():
         for _ in range(2):
             with pytest.raises(InvalidCartanMatrixError, match="not symmetrizable"):
                 cartan.symmetrizer([[2, -1], [1, 2]])
 
-    assert _calls(cartan._symmetrizer, refuse_twice) == 2  # an error is never stored
+    assert body_calls(cartan._symmetrizer, refuse_twice) == 2  # an error is never stored
 
 
 def test_root_caches_stay_bounded_on_permuted_matrices():
@@ -296,6 +280,7 @@ def test_root_caches_stay_bounded_on_permuted_matrices():
     fin = roots.finite_part(cm)
     want = (
         roots.dual_coxeter(cm),
+        roots.central_coroot(cm),
         roots.delta(cm),
         roots.positive_roots(fin),
         roots.highest_root(fin),
@@ -307,6 +292,7 @@ def test_root_caches_stay_bounded_on_permuted_matrices():
         f = roots.finite_part(m)
         return (
             roots.dual_coxeter(m),
+            roots.central_coroot(m),
             roots.delta(m),
             roots.positive_roots(f),
             roots.highest_root(f),
@@ -320,12 +306,13 @@ def test_root_caches_stay_bounded_on_permuted_matrices():
         return tuple(vec[i] for i in p)
 
     def check(p, got):
-        g, delta, positive, highest, levis, types, longest, w0 = got
+        g, central, delta, positive, highest, levis, types, longest, w0 = got
         assert g == want[0]
-        assert delta == relabelled(p, want[1])
-        assert set(positive) == {relabelled(p[:-1], r) for r in want[2]}
-        assert highest == relabelled(p[:-1], want[3])
-        assert levis == relabelled(p, want[4])
+        assert central == relabelled(p, want[1])
+        assert delta == relabelled(p, want[2])
+        assert set(positive) == {relabelled(p[:-1], r) for r in want[3]}
+        assert highest == relabelled(p[:-1], want[4])
+        assert levis == relabelled(p, want[5])
         images = [p[i - 1] + 1 for i in theta]
         assert types == cartan.component_types(cm, images)
         for subset, matrix in ((images, longest), (range(1, n), w0)):
