@@ -336,17 +336,30 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     return CartanMatrix(entries=rows, is_affine=False, label=f"{series}{rank}")
 
 
-@_memo
 def affinize(cm: CartanMatrix) -> CartanMatrix:
     """Untwisted affinization: append the attached node as index l+1.
 
     The new row is the negative of the highest root evaluated on each simple
     coroot; the new column is the negative of each simple root evaluated on
-    the highest-root coroot (comark expansion).  Both integer null-vector
-    identities, (marks, 1) on the left and (comarks, 1) on the right, are
-    asserted on the result.  Kept in the fact store, so the catalog reuses
-    the matrices ``all_types`` built.
+    the highest-root coroot (comark expansion).  Kept in the fact store, so
+    the catalog reuses the matrices ``all_types`` built.
+
+    The result A is checked by products, with no elimination: v = (marks, 1)
+    and u = (comarks, 1) must be positive integer vectors with v·A = 0 and
+    A·u = 0.  A satisfies the generalized Cartan matrix axioms, its finite
+    part is irreducible, and a_{l+1,l+1} = 2 with either product zero at the
+    new node forces an edge to it, so A is indecomposable.  By Kac,
+    *Infinite-dimensional Lie Algebras*, Theorem 4.3, a positive null vector
+    then makes A affine of corank 1, so u and v span its right and left null
+    spaces; ending in 1, each is the primitive positive null vector that
+    ``null_vector`` returns.  So this is the same check as comparing
+    ``null_vector`` on both sides with them.
     """
+    return _affinize(_ambient(cm))
+
+
+@_memo
+def _affinize(cm: CartanMatrix) -> CartanMatrix:
     if cm.is_affine:
         raise InvalidCartanMatrixError("matrix is already affine")
     if not irreducible(cm):
@@ -372,11 +385,16 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     rows.append(border_row)
     entries = tuple(tuple(r) for r in rows)
     _check_gcm_axioms(entries)
-    if null_vector(entries, "left") != a + (1,):
+    v, u = a + (1,), nv + (1,)
+    if not _positive_ints(v) or any(sum(x * y for x, y in zip(v, col)) for col in zip(*entries)):
         raise InvalidCartanMatrixError("left null vector does not extend the marks")
-    if null_vector(entries, "right") != nv + (1,):
+    if not _positive_ints(u) or any(sum(x * y for x, y in zip(row, u)) for row in entries):
         raise InvalidCartanMatrixError("right null vector does not extend the comarks")
     return CartanMatrix(entries=entries, is_affine=True, label=label)
+
+
+def _positive_ints(vec) -> bool:
+    return all(isinstance(x, int) and x > 0 for x in vec)
 
 
 def from_matrix(rows_in) -> CartanMatrix:
@@ -483,7 +501,7 @@ def _catalog() -> dict[tuple, list[tuple[str, int, bool, Rows, list]]]:
     three."""
     out: dict[tuple, list] = {}
     for fin in all_types(MAX_RANK, affine=False):
-        for affine, entries in ((False, fin.entries), (True, affinize(fin).entries)):
+        for affine, entries in ((False, fin.entries), (True, _affinize(fin).entries)):
             sigs = _node_signatures(entries)
             out.setdefault(_key(entries, sigs), []).append(
                 (fin.label[0], int(fin.label[1:]), affine, entries, sigs)
@@ -531,6 +549,7 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
 
 def diagram(cm: CartanMatrix) -> DynkinDiagram:
     """Diagram with bond multiplicities and short-end markers."""
+    cm = _ambient(cm)
     rows = cm.entries
     n = cm.size
     edges = []
@@ -610,6 +629,7 @@ def subdiagram(cm: CartanMatrix, nodes) -> CartanMatrix:
     again (a principal submatrix of a valid matrix is valid): affine only
     when it keeps every node of an affine matrix, labelled as by
     ``from_matrix``."""
+    cm = _ambient(cm)
     return _subdiagram(cm, _check_subset(cm, nodes))
 
 
@@ -641,6 +661,7 @@ def _components(rows: Rows, nodes) -> list[list[int]]:
 def components(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     """Connected components of the diagram, each sorted, in order of their
     smallest node."""
+    cm = _ambient(cm)
     return tuple(tuple(i + 1 for i in comp) for comp in _components(cm.entries, range(cm.size)))
 
 
@@ -683,10 +704,11 @@ def parse_type(text: str) -> CartanMatrix:
     if not s or s[0].upper() not in RANK_RANGE or not s[1:].isdigit():
         raise InvalidCartanMatrixError(f"cannot parse type label {text!r}")
     cm = finite_cartan(s[0].upper(), int(s[1:]))
-    return affinize(cm) if affine else cm
+    return _affinize(cm) if affine else cm
 
 
 def to_json(cm: CartanMatrix) -> dict:
+    cm = _ambient(cm)
     if cm.label:
         series = cm.label[0]
         rank_text = cm.label[1:-6] if cm.is_affine else cm.label[1:]
@@ -707,7 +729,7 @@ def from_json(obj: dict) -> CartanMatrix:
     if "series" not in obj or "rank" not in obj:
         raise InvalidCartanMatrixError('give a "matrix", or a "series" and a "rank"')
     cm = finite_cartan(str(obj["series"]).upper(), obj["rank"])
-    return affinize(cm) if affine else cm
+    return _affinize(cm) if affine else cm
 
 
 def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...]:
@@ -720,5 +742,5 @@ def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...
     for series, (lo, hi) in RANK_RANGE.items():
         for rank in range(3 if series == "C" else lo, min(hi, max_rank) + 1):
             cm = finite_cartan(series, rank)
-            out.append(affinize(cm) if affine else cm)
+            out.append(_affinize(cm) if affine else cm)
     return tuple(out)

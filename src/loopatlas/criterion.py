@@ -94,7 +94,7 @@ def _is_exact(x) -> bool:
 
 def weyl_vector(cm: CartanMatrix) -> LinearFunctional:
     """The functional taking the value 1 on every simple coroot."""
-    if not cm.is_affine:
+    if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("spectral parameters live over an affine ambient")
     return LinearFunctional(values=(1,) * cm.size)
 
@@ -109,7 +109,7 @@ def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
     values plus the attached-node value.  Exact when the inputs are; a
     float sum that overflows raises ``RegionError``."""
     _check_dimension(cm, f)
-    weights = roots.central_coroot(cm)
+    weights = roots._central_coroot(cm)
     if all(map(_is_exact, f.values)):
         return _exact_sum(weights, f.values)
     try:
@@ -152,8 +152,8 @@ def godement_cuspidal(cm: CartanMatrix, f: LinearFunctional) -> RegionReport:
     tolerance of 1e-12 against the -g boundary locus only; the -2g edge
     stays a sharp split between convergent and continued.
     """
-    g = roots.dual_coxeter(cm)
-    central = central_value(cm, f)
+    central = central_value(cm, f)  # checks the ambient first
+    g = roots._dual_coxeter(cm)
     re = _real(central)
     tolerance = 0 if _is_exact(re) else BOUNDARY_TOLERANCE
     if abs(re + g) <= tolerance:
@@ -196,6 +196,7 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
 
 def dominant_integral(cm: CartanMatrix, values) -> bool:
     """All integer values nonnegative with at least one positive."""
+    cm = cartan._ambient(cm)
     vals = tuple(cartan._items(values, "vector"))
     if len(vals) != cm.size:
         raise InvalidSubsetError(

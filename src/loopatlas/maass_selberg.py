@@ -181,7 +181,7 @@ def inner_product(
         raise NumberTypeError(f"request {request!r} is not a TruncatedPairing")
     _check_tolerance(pole_tolerance)
     ((value, pole, denominator),) = _kernel(
-        roots.central_coroot(request.ambient),
+        roots._central_coroot(request.ambient),
         request.cusp_pairing,
         request.left.values,
         (_conjugate(request.right.values),),
@@ -212,7 +212,7 @@ def pairing_kernel(
             f"{DENOMINATOR_TRUNCATION!r}, got {denominator!r}"
         )
     ((value, pole, denominator),) = _kernel(
-        roots.central_coroot(ambient),
+        roots._central_coroot(ambient),
         cusp_pairing,
         mu.values,
         (_conjugate(mu_prime.values),),
@@ -280,7 +280,7 @@ def region_scan(
             checked = _check_point(ambient, cusp_pairing, truncation)
             _check_tolerance(pole_tolerance)
             point = _complex_point(checked)
-            weights = roots.central_coroot(ambient)
+            weights = roots._central_coroot(ambient)
         row += _kernel(
             weights, cusp_pairing, left, rights[-1:], point,
             leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,

@@ -133,7 +133,7 @@ def _levi_type(cm: CartanMatrix, subset: tuple[int, ...]) -> LeviType:
 def associate_necessary(p: ParabolicSubset, q: ParabolicSubset) -> bool:
     """Necessary condition for two subsets to be associate: equal Levi
     component multisets.  Symmetric and reflexive."""
-    if p.ambient != q.ambient:
+    if cartan._ambient(p, ParabolicSubset) != cartan._ambient(q, ParabolicSubset):
         raise MixedAmbientError("subsets live over different ambient matrices")
     return levi_type(p).components == levi_type(q).components
 
@@ -153,7 +153,7 @@ def _certificates(
     """
     bound = cartan._check_bound(bound)
     null = roots.delta(cm)
-    if any(weyl.reflect(cm, null, i) != null for i in cm.nodes):
+    if any(roots._reflect(cm, null, i) != null for i in cm.nodes):
         raise LoopAtlasError("generator moved the isotropic vector")
     series, rank, _ = cartan._classified(cm.entries)
     counts = list(weyl._length_counts(((series, rank),), bound))
@@ -170,7 +170,8 @@ def _certificates(
 
 
 def _certificate(cm, theta, longest, witness, null, bound, searched) -> AssociateCertificate:
-    """Certificate of a maximal subset, given the longest element of its group."""
+    """Certificate of a maximal subset, given the ascent word of the longest
+    element of its group; w0_Θ·α_c is read off that word by a column walk."""
     removed_node = next(i for i in cm.nodes if i not in theta)
     return AssociateCertificate(
         ambient=cm,
@@ -178,8 +179,8 @@ def _certificate(cm, theta, longest, witness, null, bound, searched) -> Associat
         removed_node=removed_node,
         self_associate=witness is not None,
         witness=witness,
-        levi_longest_word=longest.word,
-        removed_image=weyl._removed_image(longest, removed_node),
+        levi_longest_word=longest,
+        removed_image=weyl._removed_image(cm, longest, removed_node),
         null_root=null,
         search_bound=bound,
         searched=searched,
@@ -225,20 +226,24 @@ def finite_self_associate(
         )
     removed_node = cartan._check_node(removed_node, cm.size)
     w0 = weyl._longest(cm, cm.nodes)
-    bound = w0.length if max_length is None else cartan._check_bound(max_length)
+    bound = len(w0) if max_length is None else cartan._check_bound(max_length)
     theta = tuple(i for i in cm.nodes if i != removed_node)
     longest = weyl._longest(cm, theta)
-    # column c of w0 is w0·α_c = −α_σ(c), so σ(c) = c exactly when its entry c is −1
-    fixed = w0.matrix[removed_node - 1][removed_node - 1] == -1
-    witness = weyl.compose(w0, longest) if fixed and w0.length - longest.length <= bound else None
+    # w0·α_c = −α_σ(c), so σ(c) = c exactly when its entry c is −1
+    fixed = weyl._image(weyl._moves(cm), w0, removed_node)[removed_node - 1] == -1
+    witness = weyl._element(cm, list(w0 + longest)) if fixed and len(w0) - len(longest) <= bound else None
     searched = sum(weyl._length_counts(cartan._component_types(cm, cm.nodes), bound))
     return _certificate(cm, theta, longest, witness, None, bound, searched)
 
 
-@cartan._memo
 def maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
     """Levi type of every maximal subset, in omitted-node order; classified
     once per ambient."""
+    return _maximal_levi_types(cartan._ambient(cm))
+
+
+@cartan._memo
+def _maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
     return tuple(_levi_type(cm, p.nodes) for p in maximal_parabolics(cm))
 
 
@@ -246,7 +251,7 @@ def constant_term_report(cert: AssociateCertificate) -> ConstantTermReport:
     """The constant-term rule on the certificate of a maximal subset: the
     contribution is trivial when the subset is not self-associate and no
     other maximal subset matches its Levi component multiset."""
-    levis = maximal_levi_types(cartan._ambient(cert, AssociateCertificate))
+    levis = _maximal_levi_types(cartan._ambient(cert, AssociateCertificate))
     mine = levis[cert.removed_node - 1].components
     matches = tuple(
         (q, levis[q - 1].components == mine) for q in cert.ambient.nodes if q != cert.removed_node

@@ -20,13 +20,26 @@ Coords = tuple[int, ...]
 _HEIGHT_CAP = 1000  # safety valve for the closure and ascent loops
 
 
+# The public readers below gate their ambient; the closure and the
+# inversions walk, which already hold a checked one, call the ungated
+# helpers and gain no frame per step.
+
+
 def simple_root(cm: CartanMatrix, i: int) -> Coords:
+    return _simple_root(cartan._ambient(cm), i)
+
+
+def _simple_root(cm: CartanMatrix, i: int) -> Coords:
     i = cartan._check_node(i, cm.size)
     return tuple(1 if k == i - 1 else 0 for k in range(cm.size))
 
 
 def pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
     """Value of the root vector on the j-th simple coroot."""
+    return _pairing(cartan._ambient(cm), beta, j)
+
+
+def _pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
     if len(beta) != cm.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {cm.size}")
     j = cartan._check_node(j, cm.size)
@@ -36,7 +49,11 @@ def pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
 
 def reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
     """Image of a root vector under the node-i reflection."""
-    value = pairing(cm, beta, i)
+    return _reflect(cartan._ambient(cm), beta, i)
+
+
+def _reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
+    value = _pairing(cm, beta, i)
     return tuple(b - value if k == i - 1 else b for k, b in enumerate(beta))
 
 
@@ -60,10 +77,10 @@ def _positive(cm: CartanMatrix, nodes: tuple[int, ...]) -> tuple[Coords, ...]:
     positive.  Exact, since a non-simple positive root pairs positively
     with some simple coroot and that reflection lowers it to a positive
     root (Humphreys, Introduction to Lie Algebras, §10.2)."""
-    level = {simple_root(cm, i) for i in nodes}
+    level = {_simple_root(cm, i) for i in nodes}
     found = set(level)
     while level:
-        nxt = {up for beta in level for i in nodes if is_positive(up := reflect(cm, beta, i))} - found
+        nxt = {up for beta in level for i in nodes if is_positive(up := _reflect(cm, beta, i))} - found
         if any(height(r) > _HEIGHT_CAP for r in nxt):
             raise InvalidCartanMatrixError("root closure did not terminate; matrix is not finite type")
         found |= nxt
@@ -88,7 +105,11 @@ def all_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
     return _signed(positive_roots(cm))
 
 
-@cartan._memo
+# Each memoised fact has a public gate in front of it: the fact store
+# hashes its arguments, so the gate must run first.  Callers that hold a
+# checked ambient read the private entry directly.
+
+
 def highest_root(cm: CartanMatrix) -> Coords:
     """Unique maximal root of an irreducible finite matrix.
 
@@ -99,6 +120,11 @@ def highest_root(cm: CartanMatrix) -> Coords:
     The pairings of β with the simple coroots are kept as a vector: the
     reflection at i changes them at i and its Dynkin neighbours only.
     """
+    return _highest_root(cartan._ambient(cm))
+
+
+@cartan._memo
+def _highest_root(cm: CartanMatrix) -> Coords:
     if cm.is_affine:
         raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
     if not cartan.irreducible(cm):
@@ -125,10 +151,9 @@ def highest_root(cm: CartanMatrix) -> Coords:
 
 def marks(cm: CartanMatrix) -> Coords:
     """Coefficients of the highest root over the simple roots."""
-    return highest_root(cm)
+    return _highest_root(cartan._ambient(cm))
 
 
-@cartan._memo
 def comarks(cm: CartanMatrix) -> Coords:
     """Coefficients of the highest-root coroot over the simple coroots.
 
@@ -137,10 +162,15 @@ def comarks(cm: CartanMatrix) -> Coords:
     mark i · min(d) / d_i: always an integer, and equal to the mark in the
     simply laced case.
     """
+    return _comarks(cartan._ambient(cm))
+
+
+@cartan._memo
+def _comarks(cm: CartanMatrix) -> Coords:
     d = cartan.symmetrizer(cm)
     low = min(d)
     out = []
-    for i, a in enumerate(marks(cm)):
+    for i, a in enumerate(_highest_root(cm)):
         comark, rest = divmod(a * low, d[i])
         if rest or comark <= 0:
             raise InvalidCartanMatrixError(
@@ -150,16 +180,23 @@ def comarks(cm: CartanMatrix) -> Coords:
     return tuple(out)
 
 
-@cartan._memo
 def dual_coxeter(cm: CartanMatrix) -> int:
     """One plus the comark sum of the finite part."""
-    fin = finite_part(cm) if cartan._ambient(cm).is_affine else cm
-    return 1 + sum(comarks(fin))
+    return _dual_coxeter(cartan._ambient(cm))
 
 
 @cartan._memo
+def _dual_coxeter(cm: CartanMatrix) -> int:
+    return 1 + sum(_comarks(_finite_part(cm) if cm.is_affine else cm))
+
+
 def finite_part(cm: CartanMatrix) -> CartanMatrix:
     """Top-left block of an affine matrix, the attached node removed."""
+    return _finite_part(cartan._ambient(cm))
+
+
+@cartan._memo
+def _finite_part(cm: CartanMatrix) -> CartanMatrix:
     if not cm.is_affine:
         raise InvalidCartanMatrixError("matrix is not affine")
     return cartan._subdiagram(cm, cm.nodes[:-1])
@@ -167,14 +204,18 @@ def finite_part(cm: CartanMatrix) -> CartanMatrix:
 
 def delta(cm: CartanMatrix) -> Coords:
     """Primitive isotropic root vector: (marks, 1)."""
-    return marks(finite_part(cm)) + (1,)
+    return _highest_root(_finite_part(cartan._ambient(cm))) + (1,)
 
 
-@cartan._memo
 def central_coroot(cm: CartanMatrix) -> Coords:
     """Coefficients of the canonical central element over the simple
     coroots: (comarks, 1)."""
-    return comarks(finite_part(cartan._ambient(cm))) + (1,)
+    return _central_coroot(cartan._ambient(cm))
+
+
+@cartan._memo
+def _central_coroot(cm: CartanMatrix) -> Coords:
+    return _comarks(_finite_part(cm)) + (1,)
 
 
 @dataclass(frozen=True)
@@ -190,6 +231,7 @@ class RootSystemData:
 
 
 def root_system(cm: CartanMatrix) -> RootSystemData:
+    cm = cartan._ambient(cm)
     return RootSystemData(
         label=cm.label,
         positive=positive_roots(cm),
@@ -217,10 +259,10 @@ class AffineRootSlice:
 
 def affine_roots(cm: CartanMatrix, depth: int) -> AffineRootSlice:
     """Slice of the affine root system, organized by level."""
-    if not cm.is_affine:
+    if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("matrix is not affine")
     depth = cartan._check_bound(depth, "depth")
-    fin = finite_part(cm)
+    fin = _finite_part(cm)
     finite = all_roots(fin)
     dl = delta(cm)
     real = []
@@ -252,6 +294,7 @@ def roots_in_span(cm: CartanMatrix, nodes) -> tuple[Coords, ...]:
     of their principal submatrix by the closure of ``_positive``, sorted by
     height then lexicographically.  All nodes of an affine matrix span its
     isotropic roots too, so they are rejected."""
+    cm = cartan._ambient(cm)
     subset = cartan._check_subset(cm, nodes)
     if len(subset) == cm.size and cm.is_affine:
         raise InvalidSubsetError("span of all nodes is the whole affine system; a proper subset is required")

@@ -159,6 +159,7 @@ def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
     The height vector alone cannot tell a non-element from an element, so
     the word's own matrix is rebuilt and compared.  Every entry must be an
     integer.  Elements longer than 10,000 are refused."""
+    cm = cartan._ambient(cm)
     try:
         rows = tuple(tuple(cartan._check_int(x, "entry") for x in r) for r in matrix)
     except (TypeError, InvalidSubsetError):  # not rows of integers
@@ -211,6 +212,7 @@ def simple(cm: CartanMatrix, i: int) -> WeylElement:
 def reduce_word(cm: CartanMatrix, word) -> tuple[int, ...]:
     """Canonical reduced word equal to the given letter sequence, read off
     the height vector alone."""
+    cm = cartan._ambient(cm)
     return _reduce(_moves(cm), _letters(word, cm.size))
 
 
@@ -239,9 +241,9 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
     word = _letters(w.word, cm.size)
     found = []
     for j, letter in enumerate(word):
-        beta = roots.simple_root(cm, letter)
+        beta = roots._simple_root(cm, letter)
         for later in word[j + 1 :]:
-            beta = reflect(cm, beta, later)
+            beta = roots._reflect(cm, beta, later)
         found.append(beta)
     return tuple(sorted(found, key=lambda r: (roots.height(r), r)))
 
@@ -286,26 +288,37 @@ def _length_counts(types, cap: int) -> tuple[int, ...]:
 def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     """Longest element of the subgroup generated by the given nodes.
 
-    The node subset must induce a finite system.  Greedy ascent on the
-    height vector: repeatedly apply the smallest in-subset reflection whose
-    simple root is still sent positive (h_i > 0).  The resulting length is
-    checked against the count of induced positive roots, summed in closed
-    form over the classified components.  The ambient and the subset are
-    checked here; the library's own subsets go to ``_longest`` directly.
+    The node subset must induce a finite system.  The ambient and the
+    subset are checked here, and the element is built once per (ambient,
+    subset) from the ascent word of ``_longest``, its matrix included.
 
-    The element keeps this ascent word, which certificates publish as
+    The element keeps that ascent word, which certificates publish as
     ``levi_longest_word``.  It is reduced but not canonical for 186 of the
     192 maximal Levis up to rank 8 and for every finite group but A1 and
     A2, so compare longest elements by matrix.
     """
     cm = cartan._ambient(cm)
-    return _longest(cm, cartan._check_subset(cm, nodes))
+    return _longest_element(cm, cartan._check_subset(cm, nodes))
 
 
 @cartan._memo
-def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
-    """``longest_element`` of a checked subset, built once per (ambient,
-    subset)."""
+def _longest_element(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
+    """``longest_element`` of a checked subset."""
+    word = _longest(cm, subset)
+    return WeylElement(ambient=cm, word=word, matrix=_matrix(_moves(cm), word))
+
+
+@cartan._memo
+def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascent word of the longest element of a checked subset's group,
+    found once per (ambient, subset); no matrix is built.
+
+    Greedy ascent on the height vector: repeatedly apply the smallest
+    in-subset reflection whose simple root is still sent positive
+    (h_i > 0).  The resulting length is checked against the count of
+    induced positive roots, summed in closed form over the classified
+    components.  The library's own subsets come here directly.
+    """
     types = cartan._component_types(cm, subset)  # rejects a subset that is not of finite type
     expected = sum(_positive_root_count(series, rank) for series, rank in types)
     moves = _moves(cm)
@@ -323,7 +336,7 @@ def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
         raise LoopAtlasError(
             f"longest element search made {len(letters)} steps, expected {expected}"
         )
-    return WeylElement(ambient=cm, word=tuple(letters), matrix=_matrix(moves, letters))
+    return tuple(letters)
 
 
 def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
@@ -336,13 +349,31 @@ def removed_node_image(cm: CartanMatrix, removed: int) -> Coords:
     cm = cartan._ambient(cm)
     removed = cartan._check_node(removed, cm.size)
     others = tuple(i for i in cm.nodes if i != removed)
-    return _removed_image(_longest(cm, others), removed)
+    return _removed_image(cm, _longest(cm, others), removed)
 
 
-def _removed_image(longest: WeylElement, removed: int) -> Coords:
-    """Column ``removed`` of the longest element of the other nodes'
-    subgroup, checked to keep coefficient 1 there and to be positive."""
-    image = tuple(row[removed - 1] for row in longest.matrix)
+def _image(moves, word, c: int) -> list[int]:
+    """w·α_c for the element of a word of valid letters: column c of its
+    action matrix, walked from e_c through the word's reflections right to
+    left.  Each is the pairing rule of ``roots.reflect`` on one integer
+    list, s_k(β)_k = β_k − Σ_j β_j·a_jk over the pairs ``moves`` lists for
+    k, so a letter costs O(degree), not O(n)."""
+    beta = [0] * len(moves)
+    beta[c - 1] = 1
+    for i in reversed(word):
+        k = i - 1
+        value = 0
+        for j, a in moves[k]:
+            value += beta[j] * a
+        beta[k] -= value
+    return beta
+
+
+def _removed_image(cm: CartanMatrix, word: tuple[int, ...], removed: int) -> Coords:
+    """w0_Θ·α_c for the ascent word of w0_Θ, Θ the nodes other than c =
+    ``removed``, read by one column walk (``_image``); checked to keep
+    coefficient 1 at c and to be positive."""
+    image = tuple(_image(_moves(cm), word, removed))
     if image[removed - 1] != 1:
         raise LoopAtlasError("removed-root coefficient drifted from 1")
     if not roots.is_positive(image):
@@ -404,9 +435,10 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     """All elements of length at most max_length, shortest first.
 
     Within a length, elements stream in ascending order of their matrix
-    tuples.  Finite groups are exhausted when levels empty out.  The bound
-    is checked when this is called, before anything is iterated."""
-    return _enumerate(cm, cartan._check_bound(max_length, "max_length"))
+    tuples.  Finite groups are exhausted when levels empty out.  The ambient
+    and the bound are checked when this is called, before anything is
+    iterated."""
+    return _enumerate(cartan._ambient(cm), cartan._check_bound(max_length, "max_length"))
 
 
 def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:

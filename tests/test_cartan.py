@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import ambient
 import classifier
 import symmetrizer
-from loopatlas import cartan
+from loopatlas import cartan, roots
 from loopatlas.errors import (
     ClassificationError,
     InvalidCartanMatrixError,
@@ -354,6 +354,64 @@ def test_affinize_rejects_affine_and_reducible():
     reducible = cartan.from_matrix([[2, 0], [0, 2]])
     with pytest.raises(InvalidCartanMatrixError):
         cartan.affinize(reducible)
+
+
+_CORRUPTIONS = {
+    "first_plus_one": lambda t: (t[0] + 1,) + t[1:],
+    "last_minus_one": lambda t: t[:-1] + (t[-1] - 1,),
+    "ends_swapped": lambda t: t[-1:] + t[1:-1] + t[:1] if len(t) > 1 else t,
+    "doubled": lambda t: tuple(2 * x for x in t),
+    "first_negated": lambda t: (-t[0],) + t[1:],
+}
+
+
+def _null_vector_verdict(fin, a, nv):
+    """The check ``affinize`` made before it checked by products: the
+    bordered matrix built from marks ``a`` and comarks ``nv``, its axioms,
+    then ``null_vector`` on each side compared with (a, 1) and (nv, 1).
+    None when accepted, else the message."""
+    n = fin.size
+    rows = [list(r) + [-sum(nv[i] * r[i] for i in range(n))] for r in fin.entries]
+    rows.append([-sum(a[i] * fin.entries[i][j] for i in range(n)) for j in range(n)] + [2])
+    try:
+        cartan._check_gcm_axioms(rows)
+        if cartan.null_vector(rows, "left") != a + (1,):
+            return "left null vector does not extend the marks"
+        if cartan.null_vector(rows, "right") != nv + (1,):
+            return "right null vector does not extend the comarks"
+    except InvalidCartanMatrixError as exc:
+        return str(exc)
+    return None
+
+
+def test_affinize_checks_by_products_what_the_null_vectors_checked(monkeypatch):
+    """Corrupted marks or comarks are accepted or refused exactly as the
+    two eliminations decided.  A nonsingular bordered matrix, which
+    ``null_vector`` refused for its corank, now fails the left product."""
+    changed = 0
+    for fin in cartan.all_types(9, affine=False):
+        expected = cartan.affinize(fin).entries
+        good = {"marks": roots.marks(fin), "comarks": roots.comarks(fin)}
+        for side in good:
+            for corrupt in _CORRUPTIONS.values():
+                given = dict(good, **{side: corrupt(good[side])})
+                want = _null_vector_verdict(fin, given["marks"], given["comarks"])
+                cartan._fact.cache_clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(roots, side, lambda cm, vec=given[side]: vec)
+                    try:
+                        got = cartan.affinize(fin).entries
+                    except InvalidCartanMatrixError as exc:
+                        got = str(exc)
+                if want is None:
+                    assert got == expected
+                elif want == "matrix has corank 0, expected 1":
+                    assert got == "left null vector does not extend the marks"
+                    changed += 1
+                else:
+                    assert got == want
+    cartan._fact.cache_clear()
+    assert changed == 72
 
 
 # --- from_matrix ------------------------------------------------------------

@@ -638,6 +638,46 @@ _API = {
     "godement_cuspidal_non_ambient": lambda cm, a, b, t, x: criterion.godement_cuspidal(x, _f(a)),
     "pairing_kernel_non_ambient": lambda cm, a, b, t, x: maass_selberg.pairing_kernel(x, 1.0, _f(a), _f(b), t),
     "region_scan_non_ambient": lambda cm, a, b, t, x: maass_selberg.region_scan(x, [_f(a)], [_f(b)], t),
+    # the same gate, with a drawn scalar, vector or list of rows as the ambient
+    "subdiagram_non_ambient": lambda cm, a, b, t, x: cartan.subdiagram(a, (1,)),
+    "components_non_ambient": lambda cm, a, b, t, x: cartan.components(a),
+    "irreducible_non_ambient": lambda cm, a, b, t, x: cartan.irreducible(a),
+    "diagram_non_ambient": lambda cm, a, b, t, x: cartan.diagram(a),
+    "affinize_non_ambient": lambda cm, a, b, t, x: cartan.affinize(a),
+    "to_json_non_ambient": lambda cm, a, b, t, x: cartan.to_json(a),
+    "highest_root_non_ambient": lambda cm, a, b, t, x: roots.highest_root(a),
+    "marks_non_ambient": lambda cm, a, b, t, x: roots.marks(a),
+    "comarks_non_ambient": lambda cm, a, b, t, x: roots.comarks(a),
+    "finite_part_non_ambient": lambda cm, a, b, t, x: roots.finite_part(a),
+    "delta_non_ambient": lambda cm, a, b, t, x: roots.delta(a),
+    "root_system_non_ambient": lambda cm, a, b, t, x: roots.root_system(a),
+    "affine_roots_non_ambient": lambda cm, a, b, t, x: roots.affine_roots(a, 1),
+    "positive_real_roots_non_ambient": lambda cm, a, b, t, x: roots.positive_real_roots(a, 1),
+    "simple_root_non_ambient": lambda cm, a, b, t, x: roots.simple_root(a, 1),
+    "pairing_non_ambient": lambda cm, a, b, t, x: roots.pairing(a, b, 1),
+    "roots_in_span_non_ambient": lambda cm, a, b, t, x: roots.roots_in_span(a, (1,)),
+    "reduce_word_non_ambient": lambda cm, a, b, t, x: weyl.reduce_word(a, b),
+    "word_from_matrix_non_ambient": lambda cm, a, b, t, x: weyl.word_from_matrix(a, [b, t]),
+    "reflect_non_ambient": lambda cm, a, b, t, x: weyl.reflect(a, b, 1),
+    "enumerate_elements_non_ambient": lambda cm, a, b, t, x: weyl.enumerate_elements(a, 1),
+    "weyl_vector_non_ambient": lambda cm, a, b, t, x: criterion.weyl_vector(a),
+    "dominant_integral_non_ambient": lambda cm, a, b, t, x: criterion.dominant_integral(a, b),
+    "associate_necessary_non_ambient": lambda cm, a, b, t, x: parabolic.associate_necessary(a, a),
+    "maximal_levi_types_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_levi_types(a),
+    "dual_coxeter_rows": lambda cm, a, b, t, x: roots.dual_coxeter(a),
+    "central_coroot_rows": lambda cm, a, b, t, x: roots.central_coroot(a),
+}
+# these take their ambient from a drawn scalar, vector or list of rows
+_ROWS_AS_AMBIENT = {
+    "subdiagram_non_ambient", "components_non_ambient", "irreducible_non_ambient",
+    "diagram_non_ambient", "affinize_non_ambient", "to_json_non_ambient",
+    "highest_root_non_ambient", "marks_non_ambient", "comarks_non_ambient",
+    "finite_part_non_ambient", "delta_non_ambient", "root_system_non_ambient",
+    "affine_roots_non_ambient", "positive_real_roots_non_ambient", "simple_root_non_ambient",
+    "pairing_non_ambient", "roots_in_span_non_ambient", "reduce_word_non_ambient",
+    "word_from_matrix_non_ambient", "reflect_non_ambient", "enumerate_elements_non_ambient",
+    "weyl_vector_non_ambient", "dominant_integral_non_ambient", "associate_necessary_non_ambient",
+    "maximal_levi_types_non_ambient", "dual_coxeter_rows", "central_coroot_rows",
 }
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
@@ -647,11 +687,11 @@ _SEQUENCE_CALLS = {
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
     "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
-}
+} | _ROWS_AS_AMBIENT
 # these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json"}
 # and these read matrix rows, drawn as lists of vectors
-_MATRIX_CALLS = {"classify", "symmetrizer", "determinant", "null_vector", "act_element", "element_to_json"}
+_MATRIX_CALLS = {"classify", "symmetrizer", "determinant", "null_vector", "act_element", "element_to_json"} | _ROWS_AS_AMBIENT
 
 
 @st.composite
@@ -743,6 +783,41 @@ def _api_call(draw):
 @example(("godement_cuspidal_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [], [], 5))
 @example(("pairing_kernel_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 0], [0, 0, 0], 5))
 @example(("region_scan_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 0], [0, 0, 0], 5))
+# each of these raised a raw AttributeError on an ambient of 5
+@example(("subdiagram_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("components_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("irreducible_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("diagram_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("affinize_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("to_json_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("highest_root_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("marks_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("comarks_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("finite_part_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("delta_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("root_system_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("affine_roots_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("positive_real_roots_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("simple_root_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("pairing_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("roots_in_span_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("reduce_word_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("word_from_matrix_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("reflect_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("enumerate_elements_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("weyl_vector_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("dominant_integral_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("associate_necessary_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+@example(("maximal_levi_types_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
+# and these raised a raw TypeError (unhashable list) from the fact store, before any gate ran
+@example(("affinize_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("highest_root_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("marks_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("comarks_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("finite_part_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("maximal_levi_types_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("dual_coxeter_rows", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
+@example(("central_coroot_rows", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
 # and these were answered: a negative entry, (1, -1), and an image () from a matrix the word does not give
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [1, 2]], [], [], 0))
 @example(("act_element", cartan.parse_type("A2affine"), [1], [], [1, 0, 0], 0))

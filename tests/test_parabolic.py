@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -680,7 +681,42 @@ def test_non_ambients_are_rejected():
         (lambda: criterion.godement_cuspidal(5, f), "ambient 5 is not a CartanMatrix"),
         (lambda: maass_selberg.pairing_kernel(5, 1.0, f, f, (0, 0, 0)), "ambient 5 is not a CartanMatrix"),
         (lambda: maass_selberg.region_scan(5, [f], [f], (0, 0, 0)), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.subdiagram(5, (1,)), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.components(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.irreducible(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.diagram(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.affinize(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: cartan.to_json(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.highest_root(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.marks(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.comarks(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.finite_part(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.delta(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.root_system(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.affine_roots(5, 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.positive_real_roots(5, 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.simple_root(5, 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.pairing(5, (1, 0, 0), 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: roots.roots_in_span(5, (1,)), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.reduce_word(5, (1,)), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.word_from_matrix(5, ((1,),)), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.reflect(5, (1, 0, 0), 1), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.enumerate_elements(5, 1), "ambient 5 is not a CartanMatrix"),  # checked before iterating
+        (lambda: criterion.weyl_vector(5), "ambient 5 is not a CartanMatrix"),
+        (lambda: criterion.dominant_integral(5, (1, 0, 0)), "ambient 5 is not a CartanMatrix"),
+        (lambda: parabolic.associate_necessary(5, 5), "5 is not a ParabolicSubset"),
+        (lambda: parabolic.associate_necessary(parabolic.maximal_parabolics(cm)[0], 5), "5 is not a ParabolicSubset"),
+        (lambda: parabolic.maximal_levi_types(5), "ambient 5 is not a CartanMatrix"),
     ]
+    # matrix rows in place of the ambient used to raise a raw TypeError
+    # (unhashable list) from the fact store before any gate ran
+    rows = [[2, -2], [-2, 2]]
+    rows_message = re.escape(f"ambient {rows!r} is not a CartanMatrix")
+    for call in (
+        roots.dual_coxeter, roots.central_coroot, roots.highest_root, roots.finite_part,
+        roots.marks, roots.comarks, cartan.affinize, parabolic.maximal_levi_types,
+    ):
+        cases.append((lambda call=call: call(rows), rows_message))
     for call, message in cases:
         with pytest.raises(InvalidSubsetError, match=f"^{message}$"):
             call()

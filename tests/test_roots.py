@@ -210,34 +210,45 @@ def test_one_fact_store_serves_every_memoised_function():
     """Only the fact store and the catalog constant carry a cache.  Each
     memoised function keeps its module (a tracer that wraps a module's own
     functions finds it by that), its ``__wrapped__`` original, and its
-    keyword calls."""
+    keyword calls.  Every memoised function is private; a public name in
+    front of one is a plain function, its gate, that gives the same
+    answer."""
     modules = (cartan, roots, weyl, parabolic)
     cached = {(m.__name__, name) for m in modules for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
     assert cached == {("loopatlas.cartan", "_fact"), ("loopatlas.cartan", "_catalog")}
     assert weyl.ball_sizes.cache_clear == cartan._fact.cache_clear  # callers that time a cold walk
     a2, a2_affine = cartan.finite_cartan("A", 2), cartan.parse_type("A2affine")
     calls = [
-        (cartan.affinize, (a2,)),
-        (cartan._classified, (a2.entries,)),
-        (cartan._component_types, (a2_affine, (1, 2))),
-        (roots._positive, (a2, (1, 2))),
-        (roots.highest_root, (a2,)),
-        (roots.comarks, (a2,)),
-        (cartan._symmetrizer, (a2.entries,)),
-        (roots.finite_part, (a2_affine,)),
-        (roots.dual_coxeter, (a2_affine,)),
-        (roots.central_coroot, (a2_affine,)),
-        (weyl._moves, (a2,)),
-        (weyl._longest, (a2_affine, (1, 2))),
-        (parabolic.maximal_levi_types, (a2_affine,)),
+        (cartan._affinize, (a2,), cartan.affinize),
+        (cartan._classified, (a2.entries,), None),
+        (cartan._component_types, (a2_affine, (1, 2)), None),
+        (roots._positive, (a2, (1, 2)), None),
+        (roots._highest_root, (a2,), roots.highest_root),
+        (roots._comarks, (a2,), roots.comarks),
+        (cartan._symmetrizer, (a2.entries,), None),
+        (roots._finite_part, (a2_affine,), roots.finite_part),
+        (roots._dual_coxeter, (a2_affine,), roots.dual_coxeter),
+        (roots._central_coroot, (a2_affine,), roots.central_coroot),
+        (weyl._moves, (a2,), None),
+        (weyl._longest, (a2_affine, (1, 2)), None),
+        (weyl._longest_element, (a2_affine, (1, 2)), None),
+        (parabolic._maximal_levi_types, (a2_affine,), parabolic.maximal_levi_types),
     ]
-    for fn, args in calls:
+    memoised = {
+        (m.__name__, name) for m in modules for name, obj in vars(m).items()
+        if getattr(obj, "func", None) is cartan._fact
+    }
+    assert memoised == {(fn.__module__, fn.__name__) for fn, _, _ in calls}
+    for fn, args, gate in calls:
         original = fn.__wrapped__
         module = next(m for m in modules if vars(m).get(fn.__name__) is fn)
         assert fn.__module__ == original.__module__ == module.__name__
+        assert fn.__name__.startswith("_")
         assert not hasattr(original, "__wrapped__")
         keywords = dict(zip(inspect.signature(original).parameters, args))
         assert fn(**keywords) == fn(*args) == original(*args)
+        if gate is not None:
+            assert inspect.isfunction(gate) and gate(*args) == fn(*args)
 
 
 def test_cold_ascents_take_no_public_detours(body_calls):

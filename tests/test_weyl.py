@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import ambient
 import series_counts
 import walks
-from loopatlas import cartan, roots, weyl
+from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import (
     InvalidSubsetError,
     LoopAtlasError,
@@ -452,6 +452,54 @@ def test_removed_node_image_coefficient_one(label):
         assert image[i - 1] == 1
         assert roots.is_positive(image)
 
+
+@pytest.mark.parametrize(
+    "cm", cartan.all_types(9) + cartan.all_types(6, affine=False), ids=lambda cm: cm.label
+)
+def test_removed_image_is_the_column_of_the_longest_matrix(cm):
+    """The column walk reads w0_Θ·α_c as column c of the action matrix of
+    the ascent word, and as ``roots.reflect`` applied letter by letter,
+    right to left, to α_c; w0·α_c for the whole finite group too."""
+    moves = weyl._moves(cm)
+
+    def by_reflect(word, c):
+        beta = roots.simple_root(cm, c)
+        for i in reversed(word):
+            beta = roots.reflect(cm, beta, i)
+        return beta
+
+    for c in cm.nodes:
+        word = weyl._longest(cm, tuple(i for i in cm.nodes if i != c))
+        column = tuple(row[c - 1] for row in weyl._matrix(moves, word))
+        assert weyl._removed_image(cm, word, c) == column == by_reflect(word, c)
+        if not cm.is_affine:
+            w0 = weyl._longest(cm, cm.nodes)
+            column = tuple(row[c - 1] for row in weyl._matrix(moves, w0))
+            assert tuple(weyl._image(moves, w0, c)) == column == by_reflect(w0, c)
+
+
+def test_removed_image_refuses_a_word_through_the_removed_node():
+    cm = _cm("A2affine")
+    with pytest.raises(LoopAtlasError, match="drifted from 1"):
+        weyl._removed_image(cm, (2, 1), 1)  # s_2·s_1·α_1 = −α_1 − α_2
+
+
+def test_cold_certificates_build_no_matrix_and_run_no_elimination(body_calls):
+    """Call counts, not timings: a cold atlas (the catalog, the 31 affine
+    types and their 192 maximal certificates) reads each Levi's longest
+    element as a word and checks each affinization by products."""
+
+    def atlas():
+        cartan._fact.cache_clear()
+        cartan._catalog.cache_clear()
+        return [parabolic.maximal_certificates(cm, 12) for cm in cartan.all_types(8)]
+
+    assert body_calls(weyl._matrix, atlas) == 0
+    assert body_calls(cartan._eliminate, atlas) == 0
+    assert sum(map(len, atlas())) == 192
+    cm = _cm("E6")
+    w0 = weyl.longest_element(cm, cm.nodes)  # the public element still carries its matrix
+    assert w0.matrix == weyl._matrix(weyl._moves(cm), w0.word)
 
 # --- enumeration ------------------------------------------------------------
 
