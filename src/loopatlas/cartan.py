@@ -7,9 +7,9 @@ attached node of an affine matrix is always the last index.
 
 Exact linear algebra reads off one fraction-free (Bareiss) echelon:
 determinant, corank, null vectors, and the Sylvester test for finite type.
-Types are recognised against a catalog with one matrix per finite and
-untwisted affine class, indexed by an isomorphism invariant, and each
-distinct input is classified once.
+Types are recognised by the shape of the Dynkin diagram, which names each
+candidate type and its node order, and one exact comparison with the
+Bourbaki matrix; each distinct input is classified once.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def _finite_entries(series: str, rank: int) -> list[list[int]]:
 
 def finite_cartan(series: str, rank: int) -> CartanMatrix:
     """Bourbaki Cartan matrix of the given finite series and rank."""
-    if series not in RANK_RANGE:
+    if not isinstance(series, str) or series not in RANK_RANGE:
         raise InvalidCartanMatrixError(f"unknown series {series!r}")
     rank = _check_int(rank, "rank")
     lo, hi = RANK_RANGE[series]
@@ -342,7 +342,7 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     The new row is the negative of the highest root evaluated on each simple
     coroot; the new column is the negative of each simple root evaluated on
     the highest-root coroot (comark expansion).  Kept in the fact store, so
-    the catalog reuses the matrices ``all_types`` built.
+    classification reuses the matrices ``all_types`` built.
 
     The result A is checked by products, with no elimination: v = (marks, 1)
     and u = (comarks, 1) must be positive integer vectors with v·A = 0 and
@@ -367,8 +367,8 @@ def _affinize(cm: CartanMatrix) -> CartanMatrix:
     if cm.label is not None:
         label = f"{cm.label}affine"
     else:
-        # raw input: classify for the label; safe here because the catalog
-        # itself is built from labeled matrices and never reenters
+        # raw input: classify for the label; safe here because
+        # classification affinizes labeled matrices only and never reenters
         series, rank = _classified(cm.entries)[:2]
         label = f"{series}{rank}affine"
     from . import roots  # deferred: roots builds on finite matrices only
@@ -410,39 +410,30 @@ def from_matrix(rows_in) -> CartanMatrix:
     n = len(rows)
     # Sylvester test: with no row swap, pivot k is the k-th leading minor
     # of the symmetrization, whose rank is also the rank of the rows
-    d = symmetrizer(rows)
+    d = _symmetrizer(rows)
     echelon, pivots, swaps = _eliminate([[d[i] * x for x in row] for i, row in enumerate(rows)])
     if len(pivots) == n and not swaps and all(echelon[k][k] > 0 for k in range(n)):
-        found = _type(rows)
-        label = f"{found[0]}{found[1]}" if found else None
-        return CartanMatrix(entries=rows, is_affine=False, label=label)
+        return _labelled(rows, False)
     if len(pivots) != n - 1:
         raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
-    found = _type(rows)
+    found = _affine(rows)
     if found is None:
         raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
-    series, rank, _ = found
-    # The rows relabel a catalog affinization, so deleting some node leaves
-    # its finite type; that node must be the last.
-    finite = (series, rank, False)
-    if _type(rows, drop=n - 1) != finite:
-        at = next(c for c in range(n - 2, -1, -1) if _type(rows, drop=c) == finite)
+    series, rank, at = found  # the last node that can be the attached one
+    if at != n - 1:
         raise InvalidCartanMatrixError(
             f"affine input must list the attached node last; found it at position {at + 1}"
         )
     return CartanMatrix(entries=rows, is_affine=True, label=f"{series}{rank}affine")
 
 
-def _type(rows: Rows, drop: int | None = None) -> tuple[str, int, bool] | None:
-    """classify() of the rows less the 0-based node ``drop``, None when
-    nothing in the catalog matches."""
-    if drop is not None:
-        keep = [i for i in range(len(rows)) if i != drop]
-        rows = tuple(tuple(rows[i][j] for j in keep) for i in keep)
+def _labelled(rows: Rows, affine: bool) -> CartanMatrix:
+    """The rows as a matrix, labelled when ``classify`` names their type."""
     try:
-        return _classified(rows)
+        series, rank, _ = _classified(rows)
     except ClassificationError:
-        return None
+        return CartanMatrix(entries=rows, is_affine=affine)
+    return CartanMatrix(entries=rows, is_affine=affine, label=f"{series}{rank}{'affine' if affine else ''}")
 
 
 # --- classification ---------------------------------------------------------
@@ -450,73 +441,74 @@ def _type(rows: Rows, drop: int | None = None) -> tuple[str, int, bool] | None:
 _NO_MATCH = "matrix matches no catalogued type of rank <= %d" % MAX_RANK
 
 
-def _node_signatures(rows: Rows) -> list[tuple[tuple[int, int], ...]]:
-    """Per node, the sorted (out, in) entry pairs of its Dynkin edges."""
+@_memo
+def _bourbaki(series: str, rank: int, affine: bool) -> Rows:
+    """Entries of the Bourbaki matrix of a type, or of its affinization."""
+    cm = finite_cartan(series, rank)
+    return _affinize(cm).entries if affine else cm.entries
+
+
+def _principal(rows, nodes) -> Rows:
+    """The rows and columns of ``rows`` at the 0-based ``nodes``, in order."""
+    return tuple(tuple(map(rows[i].__getitem__, nodes)) for i in nodes)
+
+
+def _finite(rows: Rows, nodes) -> tuple[str, int, list[int]] | None:
+    """(series, rank, order) when the rows and columns at ``order``, an
+    ordering of the 0-based ``nodes``, are a finite Bourbaki matrix, else
+    None.  A connected finite diagram is a path or has three arms at one
+    node (Kac, *Infinite-dimensional Lie Algebras*, §4.8), and the shape
+    names the candidate orders: a path both ways as A, B, C, F, G (B before
+    C keeps the B2 class), arms (1, 1, k) as D and (1, 2, k) as E.  Other
+    orders differ by an automorphism of the D or E graph, which fixes the
+    matrix; a wrong guess fails its comparison.
+    """
+    adj = {i: [j for j in nodes if j != i and (rows[i][j] or rows[j][i])] for i in nodes}
+
+    def arm(i, prev):  # the nodes from i away from prev, while the way on is unique
+        out = [i]
+        while len(step := [j for j in adj[i] if j != prev]) == 1:
+            prev, i = i, step[0]
+            out.append(i)
+        return out
+
+    path = next((arm(i, None) for i in nodes if len(adj[i]) < 2), [])
+    forks = [i for i in nodes if len(adj[i]) == 3]
+    candidates = [(series, order) for series in "ABCFG" for order in (path, path[::-1])]
+    if len(forks) == 1:
+        b = forks[0]
+        p, q, r = sorted((arm(j, b) for j in adj[b]), key=len)
+        candidates += [("D", r[::-1] + [b] + p + q), ("E", [q[-1]] + p + [q[0], b] + r)]
+    n = len(adj)
+    for series, order in candidates:
+        lo, hi = RANK_RANGE[series]
+        if len(order) == n and lo <= n <= hi and _principal(rows, order) == _bourbaki(series, n, False):
+            return series, n, order
+    return None
+
+
+@_memo
+def _affine(rows: Rows) -> tuple[str, int, int] | None:
+    """(series, rank, c) when the rows are an untwisted affinization with
+    the attached node at the 0-based index c, the largest such c, else
+    None.  A finite automorphism fixes the highest root, so one order of
+    the rows less c is compared, with c last."""
     n = len(rows)
-    return [
-        tuple(sorted((rows[i][j], rows[j][i]) for j in range(n) if j != i and rows[i][j] != 0))
-        for i in range(n)
-    ]
-
-
-def _key(rows: Rows, sigs) -> tuple:
-    """Isomorphism invariant the catalog is indexed by: size, sorted
-    entries and sorted node signatures."""
-    return len(rows), tuple(sorted(x for row in rows for x in row)), tuple(sorted(sigs))
-
-
-def _isomorphic(a: Rows, b: Rows, sig_a, sig_b) -> bool:
-    """Permutation equivalence of two square matrices with the same
-    ``_key``, by backtracking over nodes of equal signature."""
-    n = len(a)
-    order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
-    image: list[int | None] = [None] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in range(n):
-            if used[j] or sig_b[j] != sig_a[i]:
-                continue
-            if any(a[i][ii] != b[j][image[ii]] or a[ii][i] != b[image[ii]][j] for ii in order[:k]):
-                continue
-            image[i] = j
-            used[j] = True
-            if extend(k + 1):
-                return True
-            image[i] = None
-            used[j] = False
-        return False
-
-    return extend(0)
-
-
-@lru_cache(maxsize=1)
-def _catalog() -> dict[tuple, list[tuple[str, int, bool, Rows, list]]]:
-    """One representative per isomorphism class, finite and affine, from
-    the finite list of all_types (the rank-2 B/C class is B2), bucketed by
-    ``_key``; each keeps its node signatures.  No bucket holds more than
-    three."""
-    out: dict[tuple, list] = {}
-    for fin in all_types(MAX_RANK, affine=False):
-        for affine, entries in ((False, fin.entries), (True, _affinize(fin).entries)):
-            sigs = _node_signatures(entries)
-            out.setdefault(_key(entries, sigs), []).append(
-                (fin.label[0], int(fin.label[1:]), affine, entries, sigs)
-            )
-    return out
+    for c in range(n - 1, -1, -1) if n <= MAX_RANK + 1 else ():
+        found = _finite(rows, [i for i in range(n) if i != c])
+        if found and _principal(rows, found[2] + [c]) == _bourbaki(found[0], found[1], True):
+            return found[0], found[1], c
+    return None
 
 
 @_memo
 def _classified(rows: Rows) -> tuple[str, int, bool]:
     """``classify`` of square rows, once per distinct rows; a
     ClassificationError is raised again on every call, never cached."""
-    sigs = _node_signatures(rows)
-    for series, rank, affine, entries, sig_b in _catalog().get(_key(rows, sigs), ()):
-        if _isomorphic(rows, entries, sigs, sig_b):
-            return series, rank, affine
+    if found := _finite(rows, range(len(rows))):
+        return found[0], found[1], False
+    if found := _affine(rows):
+        return found[0], found[1], True
     raise ClassificationError(_NO_MATCH)
 
 
@@ -531,9 +523,9 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
     """(series, rank, affine) of the isomorphism class, Bourbaki labels.
 
     The rank-2 B/C class reports as ("B", 2, ...).  Raises
-    ClassificationError when nothing in the catalog matches (for instance
-    reducible input) and when the input is not square rows of real
-    numbers.
+    ClassificationError when the rows are no finite or untwisted affine
+    type of rank at most MAX_RANK (for instance reducible input) and when
+    the input is not square rows of real numbers.
     """
     if isinstance(cm, CartanMatrix):
         return _classified(cm.entries)
@@ -637,11 +629,7 @@ def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
     """``subdiagram`` of a checked subset."""
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
-    rows = tuple(tuple(cm.entries[i - 1][j - 1] for j in subset) for i in subset)
-    affine = cm.is_affine and len(subset) == cm.size
-    found = _type(rows)
-    label = f"{found[0]}{found[1]}{'affine' if affine else ''}" if found else None
-    return CartanMatrix(entries=rows, is_affine=affine, label=label)
+    return _labelled(_principal(cm.entries, [i - 1 for i in subset]), cm.is_affine and len(subset) == cm.size)
 
 
 def _components(rows: Rows, nodes) -> list[list[int]]:
@@ -684,7 +672,7 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
     second validation."""
     out = []
     for comp in _components(cm.entries, [i - 1 for i in subset]):
-        series, rank, affine = _classified(tuple(tuple(cm.entries[i][j] for j in comp) for i in comp))
+        series, rank, affine = _classified(_principal(cm.entries, comp))
         if affine:
             raise InvalidSubsetError("subset spans an affine component")
         out.append((series, rank))
@@ -696,7 +684,7 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
 
 def parse_type(text: str) -> CartanMatrix:
     """Parse a type label like "A2", "E6affine", "C2affine"."""
-    s = text.strip()
+    s = text.strip() if isinstance(text, str) else ""
     affine = False
     if s.endswith("affine"):
         affine = True

@@ -58,15 +58,24 @@ def _reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
 
 
 def height(beta: Coords) -> int:
-    return sum(beta)
+    try:
+        return sum(beta)
+    except TypeError:
+        raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
 
 
 def is_positive(beta: Coords) -> bool:
-    return any(beta) and all(b >= 0 for b in beta)
+    try:
+        return any(beta) and all(b >= 0 for b in beta)
+    except TypeError:
+        raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
 
 
 def is_negative(beta: Coords) -> bool:
-    return any(beta) and all(b <= 0 for b in beta)
+    try:
+        return any(beta) and all(b <= 0 for b in beta)
+    except TypeError:
+        raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
 
 
 @cartan._memo

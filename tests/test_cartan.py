@@ -2,7 +2,7 @@ import copy
 import json
 import pickle
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -467,18 +467,38 @@ def test_from_matrix_label_survives_relabelling_of_finite_nodes(cm):
         assert (got.label, got.is_affine) == (cm.label, True)
 
 
-@pytest.mark.parametrize("label", ["G2affine", "F4affine", "E8affine"])
+def _dropped(rows, c):
+    keep = [i for i in range(len(rows)) if i != c]
+    return [[rows[i][j] for j in keep] for i in keep]
+
+
+def _attached_outcome(rows):
+    """What ``from_matrix`` answers for relabelled affine rows, read off the
+    oracle: accepted when dropping the last node leaves the finite type,
+    else the largest node whose dropping does."""
+    series, rank, _ = classifier.classify(rows)
+    n = len(rows)
+    at = max(c for c in range(n) if _outcome(classifier.classify, _dropped(rows, c)) == (series, rank, False))
+    return f"{series}{rank}affine" if at == n - 1 else f"found it at position {at + 1}"
+
+
+@pytest.mark.parametrize("label", [cm.label for cm in cartan.all_types(9)])
 def test_from_matrix_reports_where_the_attached_node_sits(label):
-    # these diagrams have no automorphisms, so the attached node is the
-    # only node whose deletion leaves the finite type
+    """The attached node moved to every position, the finite nodes in
+    order.  Where a diagram automorphism moves the attached node, another
+    node can play its part, and the last such node is reported."""
     cm = cartan.parse_type(label)
     n = cm.size
-    for k in range(1, n):
+    for k in range(1, n + 1):
         perm = list(range(n - 1))
         perm.insert(k - 1, n - 1)
         rows = [[cm.entries[i][j] for j in perm] for i in perm]
-        with pytest.raises(InvalidCartanMatrixError, match=f"found it at position {k}$"):
-            cartan.from_matrix(rows)
+        want = _attached_outcome(rows)
+        if want == label:
+            assert cartan.from_matrix(rows).label == label
+        else:
+            with pytest.raises(InvalidCartanMatrixError, match=f"{want}$"):
+                cartan.from_matrix(rows)
 
 
 def test_from_matrix_accepts_any_cycle_rotation():
@@ -544,12 +564,6 @@ def test_classify_rejects_unknown():
         cartan.classify(((2, 0), (0, 2)))
 
 
-def test_catalog_buckets_are_small():
-    buckets = cartan._catalog()
-    assert sum(map(len, buckets.values())) == 70
-    assert max(map(len, buckets.values())) == 3
-
-
 def _outcome(classify, rows):
     """A label, or the class name and message of the error raised."""
     try:
@@ -581,6 +595,63 @@ def test_classify_matches_oracle_on_permuted_catalog():
     for series, rank, affine, rows in classifier.catalog():
         for _ in range(3):
             assert _agrees_with_oracle(_permuted(rows, rng)) == (series, rank, affine)
+
+
+def test_classify_matches_oracle_on_all_small_rows():
+    """Every 2x2 rows with off-diagonal entries in -4..0 and every 3x3 rows
+    with off-diagonal entries in -3..0: 4,121 inputs, most of them no type."""
+    inputs = [[[2, a], [b, 2]] for a in range(-4, 1) for b in range(-4, 1)]
+    for a, b, c, d, e, f in product(range(-3, 1), repeat=6):
+        inputs.append([[2, a, b], [c, 2, d], [e, f, 2]])
+    assert len(inputs) == 4121
+    labels = [_agrees_with_oracle(rows) for rows in inputs]
+    assert sum(label[0] != "ClassificationError" for label in labels) == 31
+
+
+def test_transposed_affine_matrices_are_twisted_unless_simply_laced():
+    """The transpose of a non-simply-laced affinization is a twisted affine
+    matrix: no untwisted type, and ``from_matrix`` says so."""
+    rng = random.Random(21)
+    for series, rank, affine, rows in classifier.catalog():
+        if not affine:
+            continue
+        transposed = [list(col) for col in zip(*rows)]
+        for _ in range(3):
+            permuted = _permuted(transposed, rng)
+            got = _agrees_with_oracle(permuted)
+            if series in "ADE":
+                assert got == (series, rank, True)
+            else:
+                assert got[0] == "ClassificationError"
+                with pytest.raises(TwistedTypeError):
+                    cartan.from_matrix(permuted)
+
+
+def _path(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def test_rows_above_max_rank_classify_as_nothing():
+    """Above MAX_RANK no type is catalogued: A10 and D10 are finite rows
+    without a label, and an 11-node cycle is refused as a twisted shape."""
+    a10, d10 = _path(10), _path(10)
+    d10[8][9] = d10[9][8] = 0
+    d10[7][9] = d10[9][7] = -1
+    for rows in (a10, d10):
+        cm = cartan.from_matrix(rows)
+        assert (cm.is_affine, cm.label) == (False, None)
+        with pytest.raises(ClassificationError, match=r"^matrix matches no catalogued type of rank <= 9$"):
+            cartan.classify(rows)
+    cycle = _path(11)
+    cycle[0][10] = cycle[10][0] = -1
+    with pytest.raises(TwistedTypeError, match="not an untwisted affinization"):
+        cartan.from_matrix(cycle)
+
+
+def test_from_matrix_reads_its_rows_once(body_calls):
+    rows = [list(row) for row in cartan.parse_type("E8affine").entries]
+    cartan._fact.cache_clear()
+    assert body_calls(cartan._read_rows, lambda: cartan.from_matrix(rows)) == 1
 
 
 def test_classify_matches_oracle_on_levi_components():
@@ -757,6 +828,14 @@ def test_parse_type():
     for bad in ("", "A", "H4", "A2b", "affine", "E6 affine"):
         with pytest.raises(InvalidCartanMatrixError):
             cartan.parse_type(bad)
+
+
+def test_non_text_labels_and_series_are_rejected():
+    # each of these used to raise a raw AttributeError or TypeError
+    with pytest.raises(InvalidCartanMatrixError, match="^cannot parse type label 5$"):
+        cartan.parse_type(5)
+    with pytest.raises(InvalidCartanMatrixError, match=r"^unknown series \[\[2, -2\], \[-2, 2\]\]$"):
+        cartan.finite_cartan([[2, -2], [-2, 2]], 1)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("C", 2), ("E", 7), ("G", 2)])

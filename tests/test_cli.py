@@ -666,6 +666,11 @@ _API = {
     "maximal_levi_types_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_levi_types(a),
     "dual_coxeter_rows": lambda cm, a, b, t, x: roots.dual_coxeter(a),
     "central_coroot_rows": lambda cm, a, b, t, x: roots.central_coroot(a),
+    "parse_type": lambda cm, a, b, t, x: cartan.parse_type(a),
+    "finite_cartan": lambda cm, a, b, t, x: cartan.finite_cartan(a, x),
+    "height": lambda cm, a, b, t, x: roots.height(a),
+    "is_positive": lambda cm, a, b, t, x: roots.is_positive(a),
+    "is_negative": lambda cm, a, b, t, x: roots.is_negative(a),
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
@@ -687,11 +692,14 @@ _SEQUENCE_CALLS = {
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
     "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
+    "parse_type", "finite_cartan", "height", "is_positive", "is_negative",
 } | _ROWS_AS_AMBIENT
 # these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json"}
 # and these read matrix rows, drawn as lists of vectors
-_MATRIX_CALLS = {"classify", "symmetrizer", "determinant", "null_vector", "act_element", "element_to_json"} | _ROWS_AS_AMBIENT
+_MATRIX_CALLS = {
+    "classify", "symmetrizer", "determinant", "null_vector", "act_element", "element_to_json", "finite_cartan",
+} | _ROWS_AS_AMBIENT
 
 
 @st.composite
@@ -821,6 +829,12 @@ def _api_call(draw):
 # and these were answered: a negative entry, (1, -1), and an image () from a matrix the word does not give
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [1, 2]], [], [], 0))
 @example(("act_element", cartan.parse_type("A2affine"), [1], [], [1, 0, 0], 0))
+# and these raised a raw AttributeError ('int' object has no attribute 'strip') or TypeError
+@example(("parse_type", cartan.parse_type("A2"), 5, [], [], 0))
+@example(("finite_cartan", cartan.parse_type("A2"), [[2, -2], [-2, 2]], [], [], 1))
+@example(("height", cartan.parse_type("A2"), 5, [], [], 0))
+@example(("is_positive", cartan.parse_type("A2"), 5, [], [], 0))
+@example(("is_negative", cartan.parse_type("A2"), 5, [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

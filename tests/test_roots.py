@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ def test_positive_roots_match_ambient_oracle(series, rank):
 def test_positive_root_counts(series, rank):
     cm = cartan.finite_cartan(series, rank)
     assert len(roots.positive_roots(cm)) == KNOWN_POSITIVE_COUNTS[(series, rank)]
+
+
+@pytest.mark.parametrize("reader", [roots.height, roots.is_positive, roots.is_negative])
+@pytest.mark.parametrize("beta", [5, None, ["a", 1]])
+def test_root_vector_readers_reject_non_vectors(reader, beta):
+    # each of these used to raise a raw TypeError
+    with pytest.raises(InvalidSubsetError, match=re.escape(f"vector {beta!r} is not a sequence of numbers")):
+        reader(beta)
 
 
 def test_positive_roots_sorted_by_height_then_lex():
@@ -207,20 +216,21 @@ def test_finite_part_round_trip():
 
 
 def test_one_fact_store_serves_every_memoised_function():
-    """Only the fact store and the catalog constant carry a cache.  Each
-    memoised function keeps its module (a tracer that wraps a module's own
-    functions finds it by that), its ``__wrapped__`` original, and its
-    keyword calls.  Every memoised function is private; a public name in
-    front of one is a plain function, its gate, that gives the same
-    answer."""
+    """Only the fact store carries a cache.  Each memoised function keeps
+    its module (a tracer that wraps a module's own functions finds it by
+    that), its ``__wrapped__`` original, and its keyword calls.  Every
+    memoised function is private; a public name in front of one is a
+    plain function, its gate, that gives the same answer."""
     modules = (cartan, roots, weyl, parabolic)
     cached = {(m.__name__, name) for m in modules for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
-    assert cached == {("loopatlas.cartan", "_fact"), ("loopatlas.cartan", "_catalog")}
+    assert cached == {("loopatlas.cartan", "_fact")}
     assert weyl.ball_sizes.cache_clear == cartan._fact.cache_clear  # callers that time a cold walk
     a2, a2_affine = cartan.finite_cartan("A", 2), cartan.parse_type("A2affine")
     calls = [
         (cartan._affinize, (a2,), cartan.affinize),
         (cartan._classified, (a2.entries,), None),
+        (cartan._affine, (a2_affine.entries,), None),
+        (cartan._bourbaki, ("A", 2, True), None),
         (cartan._component_types, (a2_affine, (1, 2)), None),
         (roots._positive, (a2, (1, 2)), None),
         (roots._highest_root, (a2,), roots.highest_root),

@@ -485,13 +485,13 @@ def test_removed_image_refuses_a_word_through_the_removed_node():
 
 
 def test_cold_certificates_build_no_matrix_and_run_no_elimination(body_calls):
-    """Call counts, not timings: a cold atlas (the catalog, the 31 affine
-    types and their 192 maximal certificates) reads each Levi's longest
-    element as a word and checks each affinization by products."""
+    """Call counts, not timings: a cold atlas (the 31 affine types, their
+    192 maximal certificates and the classification of every Levi) reads
+    each Levi's longest element as a word and checks each affinization by
+    products."""
 
     def atlas():
         cartan._fact.cache_clear()
-        cartan._catalog.cache_clear()
         return [parabolic.maximal_certificates(cm, 12) for cm in cartan.all_types(8)]
 
     assert body_calls(weyl._matrix, atlas) == 0
