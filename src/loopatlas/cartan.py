@@ -594,14 +594,20 @@ def _items(seq, what: str):
         raise InvalidSubsetError(f"{what} {seq!r} is not a sequence") from None
 
 
+def _instance(obj, kind):
+    """``obj``, which must be a ``kind``: the gate of every entry point
+    that reads one of the library's own records."""
+    if not isinstance(obj, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidSubsetError(f"{obj!r} is not {article} {kind.__name__}")
+    return obj
+
+
 def _ambient(obj, kind=None) -> CartanMatrix:
     """The ambient matrix a public entry point reads: ``obj`` itself, or,
     given a ``kind``, the ambient of ``obj``, which must be a ``kind``."""
     if kind is not None:
-        if not isinstance(obj, kind):
-            article = "an" if kind.__name__[0] in "AEIOU" else "a"
-            raise InvalidSubsetError(f"{obj!r} is not {article} {kind.__name__}")
-        obj = obj.ambient
+        obj = _instance(obj, kind).ambient
     if not isinstance(obj, CartanMatrix):
         raise InvalidSubsetError(f"ambient {obj!r} is not a CartanMatrix")
     return obj

@@ -212,6 +212,7 @@ def dominant_integral(cm: CartanMatrix, values) -> bool:
 
 
 def functional_to_json(f: LinearFunctional) -> dict:
+    _check_functional(f)
     out = {"values": serialize.encode_values(f.values)}
     if f.d_value is not None:
         out["d_value"] = serialize.encode_number(f.d_value)
@@ -235,6 +236,7 @@ def functional_from_json(obj) -> LinearFunctional:
 
 
 def region_to_json(report: RegionReport) -> dict:
+    cartan._instance(report, RegionReport)
     return {
         "region": report.region,
         "nu_c": serialize.encode_number(report.central),

@@ -307,6 +307,7 @@ def region_scan(
 
 
 def value_to_json(kv: KernelValue) -> dict:
+    cartan._instance(kv, KernelValue)
     return {
         "value": None if kv.value is None else [kv.value.real, kv.value.imag],
         "pole": kv.pole,
@@ -325,6 +326,7 @@ def scan_to_json(report: ScanReport) -> dict:
     nonzero imaginary part is written as that ``[re, im]`` pair directly.
     The dict is a serialization surface; copy it before mutating it.
     """
+    cartan._instance(report, ScanReport)
     encoded: dict[int, list] = {}  # keyed on identity; the report keeps every tuple alive
 
     def encode(values) -> list:

@@ -288,10 +288,12 @@ def constant_term_is_trivial(p: ParabolicSubset, search_bound: int = 0) -> Const
 
 
 def levi_to_json(lt: LeviType) -> dict:
+    cartan._instance(lt, LeviType)
     return {"components": list(lt.labels), "center_rank": lt.center_rank}
 
 
 def certificate_to_json(cert: AssociateCertificate) -> dict:
+    cartan._instance(cert, AssociateCertificate)
     return {
         "ambient": cartan.to_json(cert.ambient),
         "theta": list(cert.theta),

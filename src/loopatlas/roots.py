@@ -64,18 +64,33 @@ def height(beta: Coords) -> int:
         raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
 
 
-def is_positive(beta: Coords) -> bool:
+def _signs(beta) -> tuple[bool, bool]:
+    """Whether some entry is above 0 and whether some is below, read in
+    one pass that compares every entry, so a non-number anywhere is
+    refused.  A NaN counts as both, so its vector is neither positive nor
+    negative."""
+    up = down = False
     try:
-        return any(beta) and all(b >= 0 for b in beta)
+        for b in beta:
+            if b > 0:
+                up = True
+            elif b < 0:
+                down = True
+            elif b:
+                up = down = True
     except TypeError:
         raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
+    return up, down
+
+
+def is_positive(beta: Coords) -> bool:
+    up, down = _signs(beta)
+    return up and not down
 
 
 def is_negative(beta: Coords) -> bool:
-    try:
-        return any(beta) and all(b <= 0 for b in beta)
-    except TypeError:
-        raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
+    up, down = _signs(beta)
+    return down and not up
 
 
 @cartan._memo
@@ -311,6 +326,7 @@ def roots_in_span(cm: CartanMatrix, nodes) -> tuple[Coords, ...]:
 
 
 def root_system_to_json(data: RootSystemData) -> dict:
+    cartan._instance(data, RootSystemData)
     return {
         "label": data.label,
         "positive_roots": [list(r) for r in data.positive],
@@ -322,6 +338,7 @@ def root_system_to_json(data: RootSystemData) -> dict:
 
 
 def affine_slice_to_json(data: AffineRootSlice) -> dict:
+    cartan._instance(data, AffineRootSlice)
     return {
         "label": data.label,
         "depth": data.depth,

@@ -7,19 +7,26 @@ first.  Concretely ``from_word(cm, (i, j))`` acts as the node-i reflection
 applied to the image under the node-j reflection reading right to left;
 its action matrix is the product S_i S_j.
 
+The reflection S_i differs from the identity only in row i, so the matrix
+of a word differs from the identity only in the rows of its letters:
+``_matrix`` builds those rows and shares the rest, one tuple of identity
+rows per size (``_unit_rows``, a fact-store entry).
+
 Every word is read off the height vector h_j = ht(w·α_j), the column sums
 of the action matrix.  Right multiplication by s_i maps h to
 h - h_i·A[:, i] and lengthens w exactly when h_i > 0 (Humphreys,
 *Reflection Groups and Coxeter Groups* §5.4); like each row of the
-matrix, h changes only at i and its Dynkin neighbours, which is all the
-per-element path touches.  The canonical word of w ends in its smallest
-right descent, the first i with h_i < 0, and continues leftward with the
-canonical word of w·s_i (a normal form in the sense of Björner–Brenti,
-*Combinatorics of Coxeter Groups* ch. 3).  So the word operations reduce first and build
-once: ``from_word``, ``inverse`` and ``compose`` read the letters once,
-step h from all ones through them, strip the canonical word off h and
-build the action matrix from that word alone; ``reduce_word`` builds no
-matrix at all.
+matrix, h changes only at i and its Dynkin neighbours.  That step,
+h_j -= h_i·a_ji over the pairs ``_moves`` lists for i, is written out
+where it runs: in ``_reduce``, ``_canonical_word`` and ``_longest``.
+The canonical word of w ends in its smallest right descent, the first i
+with h_i < 0, and continues leftward with the canonical word of w·s_i (a
+normal form in the sense of Björner–Brenti, *Combinatorics of Coxeter
+Groups* ch. 3).  So the word operations reduce first and build once:
+``from_word``, ``inverse`` and ``compose`` read the letters once, step h
+from all ones through them, strip the canonical word off h and build the
+action matrix from that word alone; ``reduce_word`` builds no matrix at
+all.
 
 The level engine keeps per element only h and a link to its parent w,
 and keeps w·s_i only when i is its smallest right descent, a test on the
@@ -104,29 +111,33 @@ def _moves(cm: CartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((c, a) for c, a in enumerate(col) if a) for col in columns)
 
 
+@cartan._memo
+def _unit_rows(n: int) -> Matrix:
+    """The rows of the n × n identity, one tuple shared by every matrix of
+    that size."""
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
 def _matrix(moves, letters) -> Matrix:
     """Action matrix of a sequence of valid letters, right-multiplying the
-    identity by each reflection in turn (``moves`` is ``_moves(cm)``)."""
-    n = len(moves)
-    rows = [[0] * n for _ in range(n)]
-    for r, row in enumerate(rows):
-        row[r] = 1
+    identity by each reflection in turn (``moves`` is ``_moves(cm)``).
+    Only the rows of nodes that occur as letters move; each becomes a list
+    when its node first occurs, and every other row is the shared
+    identity row."""
+    rows = list(_unit_rows(len(moves)))
+    moving: list[list[int]] = []
     for i in letters:
-        move = moves[i - 1]
-        for row in rows:
-            pivot = row[i - 1]
+        k = i - 1
+        if type(rows[k]) is tuple:
+            rows[k] = row = list(rows[k])
+            moving.append(row)
+        move = moves[k]
+        for row in moving:
+            pivot = row[k]
             if pivot:
                 for c, a in move:
                     row[c] -= pivot * a
-    return tuple(map(tuple, rows))
-
-
-def _step(moves, h: list[int], i: int) -> None:
-    """Turn the height vector of w into that of w·s_{i+1}, in place:
-    h_j -= h_i·a_ji at the j that ``_moves`` lists for i."""
-    hi = h[i]
-    for j, a in moves[i]:
-        h[j] -= hi * a
+    return tuple([tuple(row) if type(row) is list else row for row in rows])
 
 
 def _canonical_word(moves, h: list[int], limit: int) -> tuple[int, ...]:
@@ -146,7 +157,9 @@ def _canonical_word(moves, h: list[int], limit: int) -> tuple[int, ...]:
                 f"descent extraction stopped after {limit} letters; "
                 f"the matrix is not a group element of length at most {limit}"
             )
-        _step(moves, h, c)
+        hc = h[c]
+        for j, a in moves[c]:
+            h[j] -= hc * a
         letters.append(c + 1)
 
 
@@ -185,7 +198,9 @@ def _reduce(moves, letters: list[int]) -> tuple[int, ...]:
     height vector; no matrix is built."""
     h = [1] * len(moves)
     for i in letters:
-        _step(moves, h, i - 1)
+        hi = h[i - 1]
+        for j, a in moves[i - 1]:
+            h[j] -= hi * a
     # the reduced length never exceeds the input's length
     return _canonical_word(moves, h, len(letters))
 
@@ -330,7 +345,9 @@ def _longest(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[int, ...]:
                 break
         else:  # no h_i > 0 left on the subset: the longest element is reached
             break
-        _step(moves, h, i - 1)
+        hi = h[i - 1]
+        for j, a in moves[i - 1]:
+            h[j] -= hi * a
         letters.append(i)
     if len(letters) != expected:
         raise LoopAtlasError(

@@ -671,6 +671,14 @@ _API = {
     "height": lambda cm, a, b, t, x: roots.height(a),
     "is_positive": lambda cm, a, b, t, x: roots.is_positive(a),
     "is_negative": lambda cm, a, b, t, x: roots.is_negative(a),
+    "certificate_to_json_non_certificate": lambda cm, a, b, t, x: parabolic.certificate_to_json(x),
+    "levi_to_json_non_levi": lambda cm, a, b, t, x: parabolic.levi_to_json(x),
+    "functional_to_json_non_functional": lambda cm, a, b, t, x: criterion.functional_to_json(x),
+    "region_to_json_non_report": lambda cm, a, b, t, x: criterion.region_to_json(x),
+    "root_system_to_json_non_data": lambda cm, a, b, t, x: roots.root_system_to_json(x),
+    "affine_slice_to_json_non_slice": lambda cm, a, b, t, x: roots.affine_slice_to_json(x),
+    "value_to_json_non_value": lambda cm, a, b, t, x: maass_selberg.value_to_json(x),
+    "scan_to_json_non_report": lambda cm, a, b, t, x: maass_selberg.scan_to_json(x),
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
@@ -835,6 +843,15 @@ def _api_call(draw):
 @example(("height", cartan.parse_type("A2"), 5, [], [], 0))
 @example(("is_positive", cartan.parse_type("A2"), 5, [], [], 0))
 @example(("is_negative", cartan.parse_type("A2"), 5, [], [], 0))
+# and the serializers raised a raw AttributeError on a record of 5
+@example(("certificate_to_json_non_certificate", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("levi_to_json_non_levi", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("functional_to_json_non_functional", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("region_to_json_non_report", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("root_system_to_json_non_data", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("affine_slice_to_json_non_slice", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("value_to_json_non_value", cartan.parse_type("A2affine"), [], [], [], 5))
+@example(("scan_to_json_non_report", cartan.parse_type("A2affine"), [], [], [], 5))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

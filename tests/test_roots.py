@@ -1,7 +1,9 @@
 import hashlib
 import inspect
+import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,11 +61,32 @@ def test_positive_root_counts(series, rank):
 
 
 @pytest.mark.parametrize("reader", [roots.height, roots.is_positive, roots.is_negative])
-@pytest.mark.parametrize("beta", [5, None, ["a", 1]])
+@pytest.mark.parametrize("beta", [5, None, ["a", 1], [1, "a"], [-1, "a"], [None]])
 def test_root_vector_readers_reject_non_vectors(reader, beta):
-    # each of these used to raise a raw TypeError
+    # the first three used to raise a raw TypeError; the sign readers
+    # answered the last three without reading every entry
     with pytest.raises(InvalidSubsetError, match=re.escape(f"vector {beta!r} is not a sequence of numbers")):
         reader(beta)
+
+
+@pytest.mark.parametrize(
+    "beta,signs",
+    [
+        ((1, 0), (True, False)),
+        ((0, -1), (False, True)),
+        ((Fraction(1, 2), 0.0), (True, False)),
+        ((0, 0), (False, False)),
+        ((), (False, False)),
+        ((1, -1), (False, False)),
+        ((math.nan,), (False, False)),
+        ((1, math.nan), (False, False)),
+        ((-1, math.nan), (False, False)),
+    ],
+)
+def test_sign_readers_answer_as_before_on_numbers(beta, signs):
+    """Some entry nonzero and none of the other sign; a NaN entry makes
+    a vector neither positive nor negative, as ``any``/``all`` gave."""
+    assert (roots.is_positive(beta), roots.is_negative(beta)) == signs
 
 
 def test_positive_roots_sorted_by_height_then_lex():
@@ -240,6 +263,7 @@ def test_one_fact_store_serves_every_memoised_function():
         (roots._dual_coxeter, (a2_affine,), roots.dual_coxeter),
         (roots._central_coroot, (a2_affine,), roots.central_coroot),
         (weyl._moves, (a2,), None),
+        (weyl._unit_rows, (3,), None),
         (weyl._longest, (a2_affine, (1, 2)), None),
         (weyl._longest_element, (a2_affine, (1, 2)), None),
         (parabolic._maximal_levi_types, (a2_affine,), parabolic.maximal_levi_types),

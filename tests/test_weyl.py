@@ -166,14 +166,34 @@ def test_reduce_is_idempotent_and_consistent(cw):
     assert weyl.word_from_matrix(cm, w.matrix) == w.word
 
 
-@given(type_and_word())
-def test_matrix_is_product_of_reflections(cw):
-    cm, word = cw
-    w = weyl.from_word(cm, word)
-    acc = weyl.identity(cm)
-    for i in word:
-        acc = weyl.compose(acc, weyl.simple(cm, i))
-    assert acc.matrix == w.matrix
+ROW_TYPES = cartan.all_types(9) + cartan.all_types(8, affine=False)
+
+
+def test_matrix_is_product_of_reflections():
+    """On seeded reduced and non-reduced words of length 0-60 over every
+    affine type up to rank 9 and every finite type up to rank 8, the
+    matrix is the dense product of the letters' reflections, and so is
+    the product of the simple elements on the short words.  A reflection
+    moves one row, so the row of a node missing from the canonical word
+    is the identity row: the very tuple that the identity holds, and any
+    other element whose word misses that node."""
+    for cm in ROW_TYPES:
+        rng = random.Random(f"{cm.label} rows")
+        ident = weyl.identity(cm)
+        for length in range(0, 61, 6):
+            for word in (_random_word(rng, cm, length), _random_reduced_word(rng, cm, length)):
+                w = weyl.from_word(cm, word)
+                other = weyl.from_word(cm, _random_word(rng, cm, length))
+                assert w.matrix == _dense_matrix(cm.entries, word), (cm.label, word)
+                if length <= 12:
+                    acc = ident
+                    for i in word:
+                        acc = weyl.compose(acc, weyl.simple(cm, i))
+                    assert acc.matrix == w.matrix
+                for r in set(cm.nodes) - set(w.word):
+                    assert w.matrix[r - 1] is ident.matrix[r - 1], (cm.label, word, r)
+                    if r not in other.word:
+                        assert w.matrix[r - 1] is other.matrix[r - 1]
 
 
 @given(type_and_word())
