@@ -181,6 +181,8 @@ def _run_godement(args) -> str:
 
 
 def _run_ms(args) -> str:
+    if args.denominator and not args.kernel:
+        raise ValueError("--denominator needs --kernel")
     cm = _resolve_type(args)
     nu = _parse_functional(args, args.nu, None, cm.size)
     nu_prime = _parse_functional(args, args.nu_prime, None, cm.size)
@@ -197,7 +199,7 @@ def _run_ms(args) -> str:
             left,
             right,
             truncation,
-            denominator=args.denominator,
+            denominator=args.denominator or maass_selberg.DENOMINATOR_CENTRAL,
             pole_tolerance=args.tolerance,
         )
     else:
@@ -269,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     godement = subs.add_parser("godement", help="convergence region of a spectral parameter")
     _add_type_args(godement)
-    godement.add_argument("--nu", help="JSON array of values, [re, im] pairs allowed")
-    godement.add_argument("--uniform", type=float, help="same value on every coroot")
+    source = godement.add_mutually_exclusive_group()
+    source.add_argument("--nu", help="JSON array of values, [re, im] pairs allowed")
+    source.add_argument("--uniform", type=float, help="same value on every coroot")
     godement.set_defaults(run=_run_godement)
 
     ms = subs.add_parser("ms", help="truncated inner product of two series")
@@ -280,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--truncation", help="JSON array, truncation point (default zeros)")
     ms.add_argument("--pairing", default="1", help="cusp pairing constant, JSON number")
     ms.add_argument("--tolerance", type=float, default=maass_selberg.POLE_TOLERANCE)
-    ms.add_argument("--kernel", action="store_true", help="kernel variant, no leading minus")
+    sign = ms.add_mutually_exclusive_group()
+    sign.add_argument("--kernel", action="store_true", help="kernel variant, no leading minus")
     ms.add_argument(
         "--denominator",
         choices=(maass_selberg.DENOMINATOR_CENTRAL, maass_selberg.DENOMINATOR_TRUNCATION),
-        default=maass_selberg.DENOMINATOR_CENTRAL,
-        help="kernel variant only",
+        help="kernel variant only (default central)",
     )
-    ms.add_argument("--plain-sign", action="store_true", help="drop the leading minus")
+    sign.add_argument("--plain-sign", action="store_true", help="drop the leading minus")
     ms.set_defaults(run=_run_ms)
 
     rootscmd = subs.add_parser("roots", help="root system inventory")

@@ -20,8 +20,7 @@ from math import lcm
 from . import cartan, roots, serialize
 from .cartan import CartanMatrix
 from .errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError, RegionError
-
-Number = int | float | complex | Fraction
+from .serialize import Number
 
 BOUNDARY_TOLERANCE = 1e-12  # float comparisons against the -g locus
 
@@ -59,10 +58,16 @@ def _check_functional(f) -> None:
         raise NumberTypeError(f"spectral parameter {f!r} is not a LinearFunctional")
 
 
-def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
-    _check_functional(f)
+def _check_affine(cm) -> CartanMatrix:
+    """The one affine-ambient gate of the spectral entry points."""
     if not cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("spectral parameters live over an affine ambient")
+    return cm
+
+
+def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
+    _check_functional(f)
+    _check_affine(cm)
     if f.size != cm.size:
         raise InvalidSubsetError(
             f"functional has {f.size} values, ambient has {cm.size} coroots"
@@ -71,9 +76,16 @@ def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
 
 
 def _check_number(x, what: str) -> None:
-    """An int, float, complex or Fraction; bools are not numbers here."""
-    if isinstance(x, bool) or not isinstance(x, (int, float, complex, Fraction)):
+    """The one number rule: the kinds ``serialize`` writes, never a bool."""
+    if isinstance(x, bool) or not isinstance(x, Number):
         raise NumberTypeError(f"{what} {x!r} is not a number")
+
+
+def _check_numbers(values, what: str) -> None:
+    """Every value a number, then every float finite."""
+    for x in values:
+        _check_number(x, what)
+    _check_finite(values, what)
 
 
 def _check_finite(values, what: str = "functional value") -> None:
@@ -83,19 +95,13 @@ def _check_finite(values, what: str = "functional value") -> None:
             raise RegionError(f"{what} {x!r} is not finite")
 
 
-def _real(x: Number):
-    # int, float, and Fraction all expose themselves through .real
-    return x.real
-
-
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def weyl_vector(cm: CartanMatrix) -> LinearFunctional:
     """The functional taking the value 1 on every simple coroot."""
-    if not cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("spectral parameters live over an affine ambient")
+    _check_affine(cm)
     return LinearFunctional(values=(1,) * cm.size)
 
 
@@ -134,7 +140,7 @@ def godement_minimal(f: LinearFunctional) -> bool:
     values raise ``RegionError``."""
     _check_functional(f)
     _check_finite(f.values)
-    return all(_real(x) < -2 for x in f.values)
+    return all(x.real < -2 for x in f.values)
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,7 @@ def godement_cuspidal(cm: CartanMatrix, f: LinearFunctional) -> RegionReport:
     """
     central = central_value(cm, f)  # checks the ambient first
     g = roots._dual_coxeter(cm)
-    re = _real(central)
+    re = central.real
     tolerance = 0 if _is_exact(re) else BOUNDARY_TOLERANCE
     if abs(re + g) <= tolerance:
         region = REGION_BOUNDARY
@@ -172,10 +178,10 @@ def implication_check(cm: CartanMatrix, f: LinearFunctional) -> bool:
 
     Returns True when the implication holds for this parameter (either the
     hypothesis fails or the conclusion is verified)."""
+    _check_dimension(cm, f)
     if not godement_minimal(f):
         return True
-    g = roots.dual_coxeter(cm)
-    return _real(central_value(cm, f)) < -2 * g
+    return central_value(cm, f).real < -2 * roots._dual_coxeter(cm)
 
 
 def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
@@ -183,10 +189,9 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
 
     The target must sit strictly inside the convergent region; each coroot
     value is target / g, exact for exact targets."""
-    _check_number(target, "central target")
-    _check_finite((target,), "central target")
-    g = roots.dual_coxeter(cm)
-    if not _real(target) < -2 * g:
+    _check_numbers((target,), "central target")
+    g = roots._dual_coxeter(_check_affine(cm))
+    if not target.real < -2 * g:
         raise RegionError(
             f"central target {target!r} is not strictly below -2g = {-2 * g}"
         )

@@ -8,7 +8,8 @@ drops the leading minus and can divide by the literal value at the
 truncation point instead of the central value; both denominators are
 exposed, neither is silently merged.  A vanishing denominator is reported
 as a pole result, never a crash or an infinity; a value too large for a
-float, and any non-finite or non-numeric input, raises ``RegionError``.
+float, and any non-finite input, raises ``RegionError``, and a
+non-numeric input raises ``NumberTypeError``.
 """
 
 from __future__ import annotations
@@ -46,39 +47,27 @@ class TruncatedPairing:
     truncation: tuple[float, ...]
 
     def __post_init__(self):
-        truncation = _check_inputs(self.ambient, self.cusp_pairing, self.left, self.right, self.truncation)
+        """The input check, whose rules ``region_scan`` applies once per
+        input: parameter and truncation lengths match the ambient, the
+        truncation coordinates and the cusp pairing are numbers, and every
+        float is finite."""
+        criterion._check_dimension(self.ambient, self.left)
+        criterion._check_dimension(self.ambient, self.right)
+        truncation = _check_point(self.ambient, self.cusp_pairing, self.truncation)
         object.__setattr__(self, "truncation", truncation)  # read once, so a generator is kept too
 
 
-def _check_inputs(ambient, cusp_pairing, left, right, truncation) -> tuple:
-    """The input check of ``TruncatedPairing`` and ``pairing_kernel``, whose
-    rules ``region_scan`` applies once per input: parameter and truncation
-    lengths match the ambient, the truncation coordinates and the cusp
-    pairing are numbers, and every float is finite.  Returns the
-    truncation point as a tuple."""
-    criterion._check_dimension(ambient, left)
-    criterion._check_dimension(ambient, right)
-    return _check_point(ambient, cusp_pairing, truncation)
-
-
 def _check_point(ambient, cusp_pairing, truncation) -> tuple:
-    """The part of ``_check_inputs`` that does not involve the parameters."""
+    """The part of the input check that does not involve the parameters;
+    returns the truncation point as a tuple."""
     truncation = tuple(cartan._items(truncation, "truncation point"))
     if len(truncation) != ambient.size:
         raise InvalidSubsetError(
             f"truncation point has {len(truncation)} coordinates, ambient has {ambient.size}"
         )
-    _check_numbers(truncation, "truncation coordinate")
-    _check_numbers((cusp_pairing,), "cusp pairing")
+    criterion._check_numbers(truncation, "truncation coordinate")
+    criterion._check_numbers((cusp_pairing,), "cusp pairing")
     return truncation
-
-
-def _check_numbers(values, what: str) -> None:
-    """Reject bools and non-numbers, then non-finite floats."""
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, numbers.Number):
-            raise RegionError(f"{what} {x!r} is not a number")
-    criterion._check_finite(values, what)
 
 
 def _check_tolerance(pole_tolerance) -> None:
@@ -170,6 +159,23 @@ def _conjugate(values: tuple) -> tuple:
     return tuple(x.conjugate() for x in values)
 
 
+def _evaluate(
+    request: TruncatedPairing, *, leading_minus: bool, by_truncation: bool, pole_tolerance: float
+) -> KernelValue:
+    """``_kernel`` at the one point of a checked request."""
+    ((value, pole, denominator),) = _kernel(
+        roots._central_coroot(request.ambient),
+        request.cusp_pairing,
+        request.left.values,
+        (_conjugate(request.right.values),),
+        _complex_point(request.truncation),
+        leading_minus=leading_minus,
+        by_truncation=by_truncation,
+        pole_tolerance=pole_tolerance,
+    )
+    return KernelValue(value=value, pole=pole, denominator=denominator)
+
+
 def inner_product(
     request: TruncatedPairing,
     *,
@@ -180,17 +186,7 @@ def inner_product(
     if not isinstance(request, TruncatedPairing):
         raise NumberTypeError(f"request {request!r} is not a TruncatedPairing")
     _check_tolerance(pole_tolerance)
-    ((value, pole, denominator),) = _kernel(
-        roots._central_coroot(request.ambient),
-        request.cusp_pairing,
-        request.left.values,
-        (_conjugate(request.right.values),),
-        _complex_point(request.truncation),
-        leading_minus=leading_minus,
-        by_truncation=False,
-        pole_tolerance=pole_tolerance,
-    )
-    return KernelValue(value=value, pole=pole, denominator=denominator)
+    return _evaluate(request, leading_minus=leading_minus, by_truncation=False, pole_tolerance=pole_tolerance)
 
 
 def pairing_kernel(
@@ -204,24 +200,19 @@ def pairing_kernel(
     pole_tolerance: float = POLE_TOLERANCE,
 ) -> KernelValue:
     """Kernel variant: no leading minus, selectable denominator."""
-    truncation = _check_inputs(ambient, cusp_pairing, mu, mu_prime, truncation)
+    request = TruncatedPairing(ambient, cusp_pairing, mu, mu_prime, truncation)
     _check_tolerance(pole_tolerance)
     if denominator not in (DENOMINATOR_CENTRAL, DENOMINATOR_TRUNCATION):
         raise RegionError(
             f"denominator mode must be {DENOMINATOR_CENTRAL!r} or "
             f"{DENOMINATOR_TRUNCATION!r}, got {denominator!r}"
         )
-    ((value, pole, denominator),) = _kernel(
-        roots._central_coroot(ambient),
-        cusp_pairing,
-        mu.values,
-        (_conjugate(mu_prime.values),),
-        _complex_point(truncation),
+    return _evaluate(
+        request,
         leading_minus=False,
         by_truncation=denominator == DENOMINATOR_TRUNCATION,
         pole_tolerance=pole_tolerance,
     )
-    return KernelValue(value=value, pole=pole, denominator=denominator)
 
 
 class ScanPoint(NamedTuple):

@@ -35,7 +35,6 @@ Dynkin edges at i: every element comes out once, with no deduplication.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -96,9 +95,7 @@ def act(w: WeylElement, beta: Coords) -> Coords:
     beta = tuple(cartan._items(beta, "vector"))
     if len(beta) != w.ambient.size:
         raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {w.ambient.size}")
-    for x in beta:
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise InvalidSubsetError(f"coordinate {x!r} is not an integer")
+    beta = [cartan._check_int(x, "coordinate") for x in beta]
     return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in matrix)
 
 

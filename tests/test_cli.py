@@ -3,8 +3,11 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -192,6 +195,29 @@ def test_ms_kernel_truncation_denominator(capsys):
     assert obj["pole"] is False
     assert obj["denominator"] == -1
     assert abs(obj["value"][0] - 2 * 0.36787944117144233 / -1) <= 1e-15
+
+
+_MS = ["ms", "A1affine", "--nu", "[-2, 0]", "--nu-prime", "[-2, 0]"]
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (_MS + ["--denominator", "truncation"], ("--denominator", "--kernel")),
+        (_MS + ["--kernel", "--plain-sign"], ("--plain-sign", "--kernel")),
+        (["godement", "A1affine", "--nu", "[-3, -3]", "--uniform", "-3"], ("--uniform", "--nu")),
+    ],
+)
+def test_a_flag_the_command_would_drop_is_a_usage_error(capsys, argv, flags):
+    # each of these used to exit 0 with one flag silently ignored
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse reports its own usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in flags)
 
 
 # --- atlas ------------------------------------------------------------------
@@ -570,7 +596,13 @@ def test_cli_fuzz_exits_cleanly(capsys, argv):
 
 API_TYPES = ["A2", "A1affine", "A2affine", "C2affine", "G2affine"]
 
-_api_numbers = st.one_of(_numbers, st.builds(complex, st.floats(-500, 500), st.floats()))
+_api_numbers = st.one_of(
+    _numbers,
+    st.builds(complex, st.floats(-500, 500), st.floats()),
+    # kinds outside the number rule, then non-finite complex values and an exact Fraction
+    st.sampled_from([Decimal("1"), Decimal("-7.5"), Decimal("NaN"), numpy.float32(1), numpy.float32(math.nan)]),
+    st.sampled_from([complex(math.inf, 0), complex(-3, math.nan), Fraction(-7, 2)]),
+)
 _api_scalars = st.one_of(_api_numbers, st.integers(-2, 3), st.text(max_size=3))
 
 

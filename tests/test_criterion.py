@@ -261,6 +261,18 @@ def test_godement_minimal_rejects_non_finite_values(value):
         criterion.implication_check(cm, f)
 
 
+def test_implication_check_reads_its_inputs():
+    # a parameter that is not everywhere minimal used to give True unread
+    f = criterion.functional([0, 0, 0])
+    with pytest.raises(InvalidSubsetError, match="ambient 5 is not a CartanMatrix"):
+        criterion.implication_check(5, f)
+    with pytest.raises(InvalidCartanMatrixError, match="spectral parameters live over an affine ambient"):
+        criterion.implication_check(_cm("A2"), f)
+    with pytest.raises(InvalidSubsetError, match="functional has 3 values, ambient has 2 coroots"):
+        criterion.implication_check(_cm("A1affine"), f)
+    assert criterion.implication_check(_cm("A2affine"), f)
+
+
 # --- reconstruction from a central target -----------------------------------
 
 
@@ -293,6 +305,12 @@ def test_extend_from_central_rejects_shallow_targets():
         with pytest.raises(RegionError):
             criterion.extend_from_central(cm, target)
     criterion.extend_from_central(cm, Fraction(-4000001, 1000000))
+
+
+def test_extend_from_central_needs_affine_ambient():
+    # over A2 it used to return (-100/3, -100/3), a functional no other entry point takes
+    with pytest.raises(InvalidCartanMatrixError, match="spectral parameters live over an affine ambient"):
+        criterion.extend_from_central(_cm("A2"), -100)
 
 
 def test_extend_from_central_rejects_non_numbers_and_non_finite_targets():

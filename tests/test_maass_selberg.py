@@ -3,9 +3,11 @@ import hashlib
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -578,21 +580,36 @@ def test_huge_integer_parameter_is_a_region_error():
         ms.pairing_kernel(cm, 1.0, huge, small, (0.1, 0.2, 0.3))
 
 
-@pytest.mark.parametrize("bad", ["1", "x", None, True, [1.0]])
+@pytest.mark.parametrize(
+    "bad", ["1", "x", None, True, [1.0], Decimal("1"), numpy.float32(1), numpy.int64(1)]
+)
 def test_non_numeric_truncation_and_pairing_are_rejected(bad):
-    # "1" used to be read through complex(), the others raised raw errors
+    # One number rule for every number input: int, float, complex or Fraction.
+    # "1" used to be read through complex(), and the other non-numbers raised raw
+    # errors.  Truncation coordinates and cusp pairings raised RegionError and
+    # took any numbers.Number, so Decimal and numpy.float32 were evaluated.
     cm = _cm("A2affine")
     f = criterion.functional((0.5, -1, -1))
-    with pytest.raises(RegionError, match="truncation coordinate .* is not a number"):
-        ms.region_scan(cm, [f], [f], (bad, 0, 0))
-    with pytest.raises(RegionError, match="truncation coordinate .* is not a number"):
-        ms.pairing_kernel(cm, 1.0, f, f, (0, bad, 0))
-    with pytest.raises(RegionError, match="truncation coordinate .* is not a number"):
-        ms.TruncatedPairing(ambient=cm, cusp_pairing=1.0, left=f, right=f, truncation=(0, 0, bad))
-    with pytest.raises(RegionError, match="cusp pairing .* is not a number"):
-        ms.region_scan(cm, [f], [f], (0, 0, 0), cusp_pairing=bad)
-    with pytest.raises(RegionError, match="cusp pairing .* is not a number"):
-        ms.pairing_kernel(cm, bad, f, f, (0, 0, 0))
+    calls = {
+        "functional value": [lambda: criterion.functional((0.5, bad, -1))],
+        "central target": [lambda: criterion.extend_from_central(cm, bad)],
+        "truncation coordinate": [
+            lambda: ms.region_scan(cm, [f], [f], (bad, 0, 0)),
+            lambda: ms.pairing_kernel(cm, 1.0, f, f, (0, bad, 0)),
+            lambda: ms.TruncatedPairing(ambient=cm, cusp_pairing=1.0, left=f, right=f, truncation=(0, 0, bad)),
+        ],
+        "cusp pairing": [
+            lambda: ms.region_scan(cm, [f], [f], (0, 0, 0), cusp_pairing=bad),
+            lambda: ms.pairing_kernel(cm, bad, f, f, (0, 0, 0)),
+            lambda: ms.TruncatedPairing(ambient=cm, cusp_pairing=bad, left=f, right=f, truncation=(0, 0, 0)),
+        ],
+    }
+    if bad is not None:  # a d value of None means there is none
+        calls["d value"] = [lambda: criterion.functional((0.5, -1, -1), d_value=bad)]
+    for what, runs in calls.items():
+        for run in runs:
+            with pytest.raises(NumberTypeError, match=f"{what} .* is not a number"):
+                run()
 
 
 @pytest.mark.parametrize("tolerance", ["x", None, True, 1e-9j])

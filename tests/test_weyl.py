@@ -94,6 +94,10 @@ def test_act_rejects_non_integer_coordinates():
     for beta in [(1.5, 0), (True, 0), (1, 2.0), (Fraction(1), 0)]:
         with pytest.raises(InvalidSubsetError, match="not an integer"):
             weyl.act(s, beta)
+    with pytest.raises(InvalidSubsetError, match="^coordinate 1.5 is not an integer$"):
+        weyl.act(s, (1.5, 0))
+    # numpy integers are read as Python ints, as letters and nodes are
+    assert [type(x) for x in weyl.act(s, (np.int64(1), 0))] == [int, int]
     assert weyl.act(s, (np.int64(1), 0)) == (-1, 0)
 
 
