@@ -207,9 +207,7 @@ def dominant_integral(cm: CartanMatrix, values) -> bool:
         raise InvalidSubsetError(
             f"vector has {len(vals)} values, ambient has {cm.size} coroots"
         )
-    for x in vals:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise NumberTypeError(f"dominance test needs integers, got {x!r}")
+    vals = [cartan._check_int(x, "coordinate") for x in vals]
     return all(x >= 0 for x in vals) and any(x > 0 for x in vals)
 
 

@@ -14,11 +14,13 @@ For a maximal Θ the only α is c:
 - Affine ambient: Θ ∪ {c} is the whole diagram, whose group is infinite,
   so no elementary element and no witness exists at any length.  The
   certificate records the structural trace of that obstruction and runs
-  no search.  ``search_bound`` is the radius of a ball that ``searched``
-  counts in closed form, by Bott's formula W_a(q) = W(q)·Π_i 1/(1 − q^{m_i})
-  with W(q) the Poincaré polynomial of the finite part and m_i its
-  exponents (Bott 1956; Macdonald 1972, "The Poincaré series of a
-  Coxeter group").
+  no search.
+
+Either way ``search_bound`` is the radius of a ball that ``searched``
+counts in closed form, summing the group's Poincaré series
+(``weyl._length_series``, which ``weyl.ball_sizes`` reads too): Bott's
+formula W_a(q) = W(q)·Π_i 1/(1 − q^{m_i}) over an affine ambient, with
+W(q) the Poincaré polynomial of the finite part and m_i its exponents.
 """
 
 from __future__ import annotations
@@ -148,20 +150,15 @@ def _certificates(
 
     No affine witness exists (see the module docstring), so nothing is
     searched.  ``searched`` is the number of elements of length at most
-    ``bound``, the same for every omitted node: the coefficients of
-    Bott's series W_a(q) = W(q)·Π_i 1/(1 − q^{m_i}) up to q^bound, summed.
+    ``bound``, the same for every omitted node: the coefficients of the
+    shared length series ``weyl._length_series``, Bott's W_a(q) here, up
+    to q^bound, summed.
     """
     bound = cartan._check_bound(bound)
     null = roots.delta(cm)
     if any(roots._reflect(cm, null, i) != null for i in cm.nodes):
         raise LoopAtlasError("generator moved the isotropic vector")
-    series, rank, _ = cartan._classified(cm.entries)
-    counts = list(weyl._length_counts(((series, rank),), bound))
-    for m in weyl._exponents(series, rank):
-        # times 1/(1 − q^m): a running sum with stride m
-        for k in range(m, bound + 1):
-            counts[k] += counts[k - m]
-    searched = sum(counts)
+    searched = sum(weyl._length_series(cm.entries, bound))
     out = []
     for removed_node in removed_nodes:
         theta = tuple(i for i in cm.nodes if i != removed_node)
@@ -232,7 +229,7 @@ def finite_self_associate(
     # w0·α_c = −α_σ(c), so σ(c) = c exactly when its entry c is −1
     fixed = weyl._image(weyl._moves(cm), w0, removed_node)[removed_node - 1] == -1
     witness = weyl._element(cm, list(w0 + longest)) if fixed and len(w0) - len(longest) <= bound else None
-    searched = sum(weyl._length_counts(cartan._component_types(cm, cm.nodes), bound))
+    searched = sum(weyl._length_series(cm.entries, bound))
     return _certificate(cm, theta, longest, witness, None, bound, searched)
 
 

@@ -28,9 +28,11 @@ from all ones through them, strip the canonical word off h and build the
 action matrix from that word alone; ``reduce_word`` builds no matrix at
 all.
 
-The level engine keeps per element only h and a link to its parent w,
-and keeps w·s_i only when i is its smallest right descent, a test on the
-Dynkin edges at i: every element comes out once, with no deduplication.
+``enumerate_elements`` is the one walk: level by level it keeps w·s_i
+only when i is its smallest right descent, a test on h and the Dynkin
+edges at i, so every element comes out once, with no deduplication.
+Counting needs no walk: ``ball_sizes`` reads the Poincaré series
+(``_length_series``), which the certificates in ``parabolic`` sum too.
 """
 
 from __future__ import annotations
@@ -284,16 +286,39 @@ def _positive_root_count(series: str, rank: int) -> int:
     return sum(_exponents(series, rank))
 
 
-def _length_counts(types, cap: int) -> tuple[int, ...]:
-    """Element counts per length 0..cap of the finite group whose
-    components have the given (series, rank) types, read off the product
-    of their Poincaré polynomials."""
-    counts = [1] + [0] * cap
-    for series, rank in types:
+@cartan._memo
+def _series_types(rows) -> tuple[tuple[str, int, bool], ...]:
+    """(series, rank, affine) of each connected component of the rows'
+    diagram, classified once per distinct rows."""
+    nodes = range(len(rows))
+    return tuple(cartan._classified(cartan._principal(rows, comp)) for comp in cartan._components(rows, nodes))
+
+
+def _length_series(rows, bound: int) -> tuple[int, ...]:
+    """Element counts per length 0..bound of the group of the rows, trailing
+    zero levels dropped: its Poincaré series, a product over the diagram's
+    components.  A finite component of exponents m_i contributes
+    Π_i (1 + q + ... + q^m_i); an affine one contributes Bott's
+    W_a(q) = W(q)·Π_i 1/(1 − q^{m_i}), W(q) that of its finite part
+    (Bott 1956; Macdonald 1972, "The Poincaré series of a Coxeter group").
+    A finite group's series stops at its longest element, whatever the
+    bound.  The components are read off the rows, so the affine flag of
+    an ambient plays no part; a component of no type the library names
+    raises ClassificationError."""
+    types = _series_types(rows)
+    if not any(affine for *_, affine in types):
+        bound = min(bound, sum(_positive_root_count(series, rank) for series, rank, _ in types))
+    counts = [1] + [0] * bound
+    for series, rank, affine in types:
         for m in _exponents(series, rank):
             # times 1 + q + ... + q^m: a running sum over a window of m + 1
             running = list(accumulate(counts))
             counts = [s - (running[k - m - 1] if k > m else 0) for k, s in enumerate(running)]
+            if affine:  # times 1/(1 − q^m): a running sum with stride m
+                for k in range(m, bound + 1):
+                    counts[k] += counts[k - m]
+    while not counts[-1]:
+        counts.pop()
     return tuple(counts)
 
 
@@ -395,54 +420,7 @@ def _removed_image(cm: CartanMatrix, word: tuple[int, ...], removed: int) -> Coo
     return image
 
 
-# --- breadth-first level engine --------------------------------------------
-
-
-def _levels(cm: CartanMatrix, max_length: int) -> Iterator[
-    tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]
-]:
-    """Yield (length, heights, parent, letter) by level.
-
-    ``heights`` is an int64 array of shape (count, n) whose row for w holds
-    ht(w·α_j).  Element k is w·s_i for w = element ``parent[k]`` of the
-    previous level and the 0-based i = ``letter[k]`` (None at length 0).
-    Each parent's children come in letter order, so a level is in
-    lexicographic order of its words and the stream is shortlex ordered and
-    deterministic.  Only the current level is held.
-    """
-    import numpy as np  # here, not at module level: only the walks need it
-
-    n = cm.size
-    a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
-    edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
-    state = np.ones((1, 1, n), dtype=np.int64)  # a stack of one row per element, its heights
-    parent = letter = None
-    for length in range(max_length + 1):
-        heights = state[:, 0]
-        yield length, heights, parent, letter
-        if length == max_length:
-            return
-        negative = heights < 0
-        # i is the smallest right descent of w·s_i when h_i > 0 and every j < i
-        # with h_j < 0 is a neighbour with h_j + h_i·|a_ji| ≥ 0; where h_i > 0,
-        # blocking[:, i] counts the j that fail
-        blocking = np.cumsum(negative, axis=1, dtype=np.min_scalar_type(n))
-        for j, i, a in edges:
-            blocking[:, i] -= negative[:, j] & (heights[:, j] >= heights[:, i] * a)
-        keep = (blocking == 0) & (heights > 0)
-        parent, letter = np.nonzero(keep)
-        del negative, blocking, keep  # building the children below sets the peak memory
-        if parent.shape[0] == 0:
-            return
-        state = _reflect(state, parent, letter, a_t)
-
-
-def _reflect(stack, parent, letter, a_t):
-    """``stack[parent]``·s_letter: each row x moves as heights do, x_j -= x_i·a_ji."""
-    step = a_t[letter][:, None, :] * stack[parent, :, letter][:, :, None]
-    out = stack[parent]
-    out -= step
-    return out
+# --- breadth-first enumeration -----------------------------------------------
 
 
 def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
@@ -456,28 +434,52 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
 
 
 def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
-    import numpy as np
+    """Breadth-first walk by level; only the current level is held, as an
+    int64 stack of action matrices, one per element, and its words.
+
+    Element k of the next level is w·s_i for w = element ``parent[k]`` and
+    the 0-based i = ``letter[k]``; each parent's children come in letter
+    order, so every element comes out once, with no deduplication."""
+    import numpy as np  # here, not at module level: only the walk needs it
 
     n = cm.size
-    a_t = np.array(cm.entries, dtype=np.int64).T
+    a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
+    edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
     matrices, words = np.eye(n, dtype=np.int64)[None], [()]
-    for _, _, parent, letter in _levels(cm, max_length):
-        if parent is not None:
-            matrices = _reflect(matrices, parent, letter, a_t)  # M·S_i
-            words = [words[p] + (i + 1,) for p, i in zip(parent.tolist(), letter.tolist())]
+    for length in range(max_length + 1):
         for r in np.lexsort(matrices.reshape(-1, n * n).T[::-1]).tolist():
             yield WeylElement(ambient=cm, word=words[r], matrix=tuple(map(tuple, matrices[r].tolist())))
+        if length == max_length:
+            return
+        heights = matrices.sum(axis=1)  # the column sums, ht(w·α_j)
+        negative = heights < 0
+        # i is the smallest right descent of w·s_i when h_i > 0 and every j < i
+        # with h_j < 0 is a neighbour with h_j + h_i·|a_ji| ≥ 0; where h_i > 0,
+        # blocking[:, i] counts the j that fail
+        blocking = np.cumsum(negative, axis=1, dtype=np.min_scalar_type(n))
+        for j, i, a in edges:
+            blocking[:, i] -= negative[:, j] & (heights[:, j] >= heights[:, i] * a)
+        parent, letter = np.nonzero((blocking == 0) & (heights > 0))
+        del heights, negative, blocking  # building the children below sets the peak memory
+        if parent.shape[0] == 0:
+            return
+        # M·S_i: each row x of M moves as the heights do, x_j -= x_i·a_ji
+        pivots = matrices[parent, :, letter][:, :, None]
+        matrices = matrices[parent]
+        matrices -= a_t[letter][:, None, :] * pivots
+        words = [words[p] + (i + 1,) for p, i in zip(parent.tolist(), letter.tolist())]
 
 
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
-    """Element counts per length, mostly a sizing aid for searches; walked
-    on every call, never stored."""
+    """Element counts per length up to max_length, trailing zero levels
+    dropped: the group's Poincaré series (``_length_series``), in closed
+    form on every call and never stored.  Raises ClassificationError when
+    a component of the diagram is no type the library names."""
     cm = cartan._ambient(cm)
-    max_length = cartan._check_bound(max_length, "max_length")
-    return tuple(heights.shape[0] for _, heights, *_ in _levels(cm, max_length))
+    return _length_series(cm.entries, cartan._check_bound(max_length, "max_length"))
 
 
-# empties the whole fact store, for callers that time a cold walk
+# empties the whole fact store, for callers that time a cold call
 ball_sizes.cache_clear = cartan._fact.cache_clear
 
 

@@ -376,7 +376,7 @@ def test_import_and_pointwise_commands_leave_numpy_unloaded():
 
 
 def test_atlas_and_associate_leave_numpy_unloaded():
-    # the certificates count their ball in closed form; they walk no levels
+    # the certificates and ball_sizes count the ball in closed form; nothing walks
     code = "\n".join(
         [
             "import contextlib, io, sys",
@@ -387,6 +387,9 @@ def test_atlas_and_associate_leave_numpy_unloaded():
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert cli.main(['associate', 'E6affine', '--remove', '4', '--max-length', '8']) == 0",
             "assert 'numpy' not in sys.modules, 'associate'",
+            "from loopatlas import cartan, weyl",
+            "assert weyl.ball_sizes(cartan.parse_type('E8affine'), 24)[24] == 4924393",
+            "assert 'numpy' not in sys.modules, 'ball_sizes'",
         ]
     )
     done = _run_python("-c", code)

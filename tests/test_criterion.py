@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -343,13 +345,13 @@ def test_dominant_integral():
     assert criterion.dominant_integral(cm, (2, 3, 1))
     assert not criterion.dominant_integral(cm, (0, 0, 0))
     assert not criterion.dominant_integral(cm, (1, -1, 0))
-    with pytest.raises(TypeError):
-        criterion.dominant_integral(cm, (1.0, 0, 0))
-    with pytest.raises(TypeError):
-        criterion.dominant_integral(cm, (True, 0, 0))
-    for bad in ((1.0, 0, 0), (True, 0, 0), ("1", 0, 0)):
-        with pytest.raises(NumberTypeError, match="needs integers"):
-            criterion.dominant_integral(cm, bad)
+    # coordinates follow the integer rule of weyl.act: numpy integers in,
+    # floats, bools and strings out
+    assert criterion.dominant_integral(cm, (np.int64(1), 0, 0))
+    assert not criterion.dominant_integral(cm, (np.int64(-1), 0, 0))
+    for bad in (1.0, True, "1"):
+        with pytest.raises(InvalidSubsetError, match=re.escape(f"coordinate {bad!r} is not an integer")):
+            criterion.dominant_integral(cm, (bad, 0, 0))
     with pytest.raises(InvalidSubsetError):
         criterion.dominant_integral(cm, (1, 0))
 

@@ -167,7 +167,7 @@ def test_certificate_shape_a2_affine():
     assert cert.removed_node == 1
     assert cert.theta == (2, 3)
     assert cert.search_bound == 4
-    assert cert.searched == sum(weyl.ball_sizes(cm, 4))
+    assert cert.searched == sum(series_counts.affine_counts("A", 2, 4))
     assert cert.levi_longest_word == weyl.longest_element(cm, (2, 3)).word
     assert cert.removed_image == weyl.removed_node_image(cm, 1)
     assert cert.null_root == roots.delta(cm)
@@ -198,7 +198,7 @@ def test_maximal_certificates_report_the_ball_size():
     assert len(certs) == 3
     assert [c.removed_node for c in certs] == [1, 2, 3]
     assert len({c.searched for c in certs}) == 1
-    expected = sum(weyl.ball_sizes(cm, 6))
+    expected = sum(series_counts.affine_counts("G", 2, 6))
     for c in certs:
         assert not c.self_associate
         assert c.searched == expected
@@ -207,11 +207,12 @@ def test_maximal_certificates_report_the_ball_size():
 
 @pytest.mark.parametrize("label", ["A2affine", "G2affine", "D4affine"])
 def test_searched_is_the_ball_size_at_every_bound(label):
-    """``searched``, counted by Bott's formula, is the size of the ball the
-    level engine walks."""
+    """``searched``, counted by Bott's formula, is the ball size of the
+    series oracle."""
     cm = _cm(label)
+    series, rank, _ = cartan.classify(cm)
     for bound in range(9):
-        want = sum(weyl.ball_sizes(cm, bound))
+        want = sum(series_counts.affine_counts(series, rank, bound))
         assert [c.searched for c in parabolic.maximal_certificates(cm, bound)] == [want] * cm.size
 
 
@@ -336,11 +337,11 @@ def test_exact_witness_rule_matches_the_matrix_test():
 
 def test_affine_certificates_build_no_element(monkeypatch):
     """No affine certificate has a witness, so none is built, and the ball
-    is counted in closed form: no level walk runs either."""
+    is counted in closed form: no walk runs either."""
     calls = []
-    from_word, levels = weyl.from_word, weyl._levels
+    from_word, walk = weyl.from_word, weyl._enumerate
     monkeypatch.setattr(weyl, "from_word", lambda *args: calls.append(args) or from_word(*args))
-    monkeypatch.setattr(weyl, "_levels", lambda *args: calls.append(args) or levels(*args))
+    monkeypatch.setattr(weyl, "_enumerate", lambda *args: calls.append(args) or walk(*args))
     for cm in cartan.all_types(8):
         assert not any(c.self_associate for c in parabolic.maximal_certificates(cm, 12))
     assert calls == []
@@ -365,10 +366,10 @@ def test_searched_is_the_quotient_walk_times_the_levi_ball(cm):
 
 
 def test_finite_verdicts_walk_no_levels(monkeypatch):
-    """The finite verdict is read off in closed form: no level walk runs."""
+    """The finite verdict is read off in closed form: no walk runs."""
     calls = []
-    levels = weyl._levels
-    monkeypatch.setattr(weyl, "_levels", lambda *args: calls.append(args) or levels(*args))
+    walk = weyl._enumerate
+    monkeypatch.setattr(weyl, "_enumerate", lambda *args: calls.append(args) or walk(*args))
     for cm in cartan.all_types(parabolic.FINITE_RANK_LIMIT, affine=False):
         for node in cm.nodes:
             parabolic.finite_self_associate(cm, node)
@@ -575,7 +576,7 @@ def test_finite_bound_can_miss_the_witness():
     cm = _cm("B2")
     cert = parabolic.finite_self_associate(cm, 2, max_length=2)
     assert not cert.self_associate
-    assert cert.searched == sum(weyl.ball_sizes(cm, 2))
+    assert cert.searched == sum(series_counts.finite_counts("B", 2, 2))
 
 
 def test_finite_rank_limit():

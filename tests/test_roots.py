@@ -247,7 +247,7 @@ def test_one_fact_store_serves_every_memoised_function():
     modules = (cartan, roots, weyl, parabolic)
     cached = {(m.__name__, name) for m in modules for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
     assert cached == {("loopatlas.cartan", "_fact")}
-    assert weyl.ball_sizes.cache_clear == cartan._fact.cache_clear  # callers that time a cold walk
+    assert weyl.ball_sizes.cache_clear == cartan._fact.cache_clear  # callers that time a cold call
     a2, a2_affine = cartan.finite_cartan("A", 2), cartan.parse_type("A2affine")
     calls = [
         (cartan._affinize, (a2,), cartan.affinize),
@@ -264,6 +264,7 @@ def test_one_fact_store_serves_every_memoised_function():
         (roots._central_coroot, (a2_affine,), roots.central_coroot),
         (weyl._moves, (a2,), None),
         (weyl._unit_rows, (3,), None),
+        (weyl._series_types, (a2_affine.entries,), None),
         (weyl._longest, (a2_affine, (1, 2)), None),
         (weyl._longest_element, (a2_affine, (1, 2)), None),
         (parabolic._maximal_levi_types, (a2_affine,), parabolic.maximal_levi_types),

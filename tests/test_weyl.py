@@ -14,6 +14,7 @@ import series_counts
 import walks
 from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import (
+    ClassificationError,
     InvalidSubsetError,
     LoopAtlasError,
     MixedAmbientError,
@@ -579,12 +580,14 @@ def test_enumeration_is_graded_and_deterministic():
     ],
 )
 def test_ball_sizes_match_generating_function(label, series, rank):
-    """Level counts equal the coefficients of the length series."""
+    """Level counts equal the coefficients of the length series, and so do
+    the per-length counts of the walk."""
     cap = 10
     cm = _cm(label)
     got = weyl.ball_sizes(cm, cap)
     want = tuple(series_counts.affine_counts(series, rank, cap))
     assert got == want
+    assert _walked_counts(cm, cap) == list(want)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
@@ -598,6 +601,19 @@ def test_finite_ball_sizes_match_generating_function(series, rank):
         want.pop()
     assert list(got) == want
     assert sum(got) == series_counts.finite_order(series, rank)
+    assert _walked_counts(cm, cap) == want
+    # the series stops at the longest element, so a huge bound costs nothing
+    assert weyl.ball_sizes(cm, 10**12) == got
+
+
+def _walked_counts(cm, cap):
+    """Element count per length of ``enumerate_elements``."""
+    counts = [0] * (cap + 1)
+    for w in weyl.enumerate_elements(cm, cap):
+        counts[w.length] += 1
+    while counts[-1] == 0:
+        counts.pop()
+    return counts
 
 
 @pytest.mark.parametrize("label", ["A3affine", "G2affine", "D4affine"])
@@ -617,7 +633,20 @@ def test_rank_nine_ball_sizes_match_generating_function(series):
 def test_finite_length_counts_match_generating_function(cm):
     series, rank, _ = cartan.classify(cm)
     cap = 40
-    assert list(weyl._length_counts([(series, rank)], cap)) == series_counts.finite_counts(series, rank, cap)
+    want = series_counts.finite_counts(series, rank, cap)
+    while want[-1] == 0:
+        want.pop()
+    assert list(weyl.ball_sizes(cm, cap)) == want
+
+
+def _block_sum(*parts):
+    """Rows of the block-diagonal matrix of the given square rows."""
+    n = sum(len(p) for p in parts)
+    out, offset = [], 0
+    for p in parts:
+        out += [[0] * offset + list(r) + [0] * (n - offset - len(p)) for r in p]
+        offset += len(p)
+    return out
 
 
 def test_length_counts_multiply_over_components():
@@ -626,8 +655,12 @@ def test_length_counts_multiply_over_components():
     for series, rank in (("A", 1), ("B", 3), ("G", 2)):
         factor = series_counts.finite_counts(series, rank, cap)
         want = [sum(want[j] * factor[k - j] for j in range(k + 1)) for k in range(cap + 1)]
-    assert list(weyl._length_counts([("A", 1), ("B", 3), ("G", 2)], cap)) == want
-    assert weyl._length_counts([], 3) == (1, 0, 0, 0)
+    parts = [cartan.finite_cartan(series, rank).entries for series, rank in (("A", 1), ("B", 3), ("G", 2))]
+    cm = cartan.from_matrix(_block_sum(*parts))
+    assert list(weyl.ball_sizes(cm, cap)) == want
+    # the longest element has length 1 + 9 + 6; the levels beyond are dropped
+    assert len(weyl.ball_sizes(cm, 20)) == 17
+    assert weyl.ball_sizes(cm, 10**9) == weyl.ball_sizes(cm, 20)
 
 
 def _series_quotient(num: list[int], den: list[int]) -> list[int]:
@@ -737,11 +770,13 @@ def test_batched_walks_pin():
 
 
 def test_walk_without_omitted_nodes_has_no_rows():
-    """The library's engine walks the whole group only; the quotient walk
-    with omitted nodes and α_c-rows lives in the test oracle ``walks``."""
-    assert list(inspect.signature(weyl._levels).parameters) == ["cm", "max_length"]
-    for level in weyl._levels(_cm("A2affine"), 3):
-        assert len(level) == 4
+    """The library's walk covers the whole group and yields elements only;
+    the quotient walk with omitted nodes and α_c-rows lives in the test
+    oracle ``walks``."""
+    assert list(inspect.signature(weyl._enumerate).parameters) == ["cm", "max_length"]
+    elements = list(weyl._enumerate(_cm("A2affine"), 3))
+    assert all(type(w) is weyl.WeylElement for w in elements)
+    assert len(elements) == sum(series_counts.affine_counts("A", 2, 3))
 
 
 @pytest.mark.parametrize("bound", [2.5, None, True, "3"])
@@ -761,6 +796,33 @@ def test_ball_sizes_check_the_bound_before_the_cache(bound):
 
 def test_ball_sizes_have_no_depth_limit():
     assert weyl.ball_sizes(_cm("A1affine"), 40000) == (1,) + (2,) * 40000
+
+
+def test_ball_sizes_reach_bounds_no_walk_could():
+    """E8affine at bound 24 has a level of 4,924,393 elements; the series
+    counts it without holding any."""
+    assert list(weyl.ball_sizes(_cm("E8affine"), 24)) == series_counts.affine_counts("E", 8, 24)
+
+
+def test_ball_sizes_read_the_rows_not_the_affine_flag():
+    """Answers the walk gave before the series, pinned: each component is
+    classified from its own rows."""
+    a2 = cartan.finite_cartan("A", 2).entries
+    g2 = cartan.finite_cartan("G", 2).entries
+    a1_affine = _cm("A1affine").entries
+    assert weyl.ball_sizes(cartan.CartanMatrix(a2, True), 6) == (1, 2, 2, 1)
+    hand_built = cartan.CartanMatrix(tuple(map(tuple, _block_sum(a1_affine, ((2,),)))), True)
+    assert weyl.ball_sizes(hand_built, 6) == (1, 3, 4, 4, 4, 4, 4)
+    assert weyl.ball_sizes(cartan.from_matrix(_block_sum(g2, a2)), 6) == (1, 4, 8, 11, 12, 12, 11)
+
+
+def test_ball_sizes_refuse_components_of_no_named_type():
+    """A component the library cannot name has no series here: A10 rows
+    (above MAX_RANK) and a hyperbolic rank-2 matrix."""
+    a10 = [[2 if i == j else -(abs(i - j) == 1) for j in range(10)] for i in range(10)]
+    for cm in (cartan.from_matrix(a10), cartan.CartanMatrix(((2, -3), (-3, 2)), False)):
+        with pytest.raises(ClassificationError, match=re.escape(cartan._NO_MATCH)):
+            weyl.ball_sizes(cm, 3)
 
 
 def test_enumeration_checks_its_bound_when_called():
