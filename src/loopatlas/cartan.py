@@ -5,11 +5,12 @@ root ``i`` on simple coroot ``j``, so short columns carry the more negative
 entries.  Node numbering is Bourbaki, 1-based at the API surface.  The
 attached node of an affine matrix is always the last index.
 
-Exact linear algebra reads off one fraction-free (Bareiss) echelon:
-determinant, corank, null vectors, and the Sylvester test for finite type.
 Types are recognised by the shape of the Dynkin diagram, which names each
 candidate type and its node order, and one exact comparison with the
-Bourbaki matrix; each distinct input is classified once.
+Bourbaki matrix; each distinct input is classified once.  That is the
+finite-type test too: a connected matrix is finite exactly when its diagram
+is one of A–G (Kac, *Infinite-dimensional Lie Algebras*, §4.8).  One
+fraction-free (Bareiss) echelon gives determinant, corank, null vectors.
 """
 
 from __future__ import annotations
@@ -30,16 +31,18 @@ from .errors import (
 
 Rows = tuple[tuple[int, ...], ...]
 
-MAX_RANK = 9
+# The one size limit on every matrix built or named, for time and memory:
+# 25 nodes is ``atlas --max-rank 24``, which runs in under a second.
+MAX_NODES = 25
 
 # Constructor ranges per series.  C2 is admitted (it is a valid matrix,
 # needed for the rank-2 affine family); classify() canonicalizes the rank-2
 # B/C isomorphism class to B2.
 RANK_RANGE = {
-    "A": (1, MAX_RANK),
-    "B": (2, MAX_RANK),
-    "C": (2, MAX_RANK),
-    "D": (4, MAX_RANK),
+    "A": (1, MAX_NODES),
+    "B": (2, MAX_NODES),
+    "C": (2, MAX_NODES),
+    "D": (4, MAX_NODES),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -163,6 +166,12 @@ def _read_rows(rows_in, entry=_as_int) -> Rows:
     if any(len(row) != len(rows) for row in rows):
         raise InvalidCartanMatrixError("matrix must be square")
     return rows
+
+
+def _check_size(n: int) -> None:
+    """The size limit on a matrix of n nodes."""
+    if n > MAX_NODES:
+        raise UnsupportedRankError(f"matrices are limited to {MAX_NODES} nodes, got {n}")
 
 
 def _rows(cm: CartanMatrix | Rows) -> Rows:
@@ -362,6 +371,7 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
 def _affinize(cm: CartanMatrix) -> CartanMatrix:
     if cm.is_affine:
         raise InvalidCartanMatrixError("matrix is already affine")
+    _check_size(cm.size + 1)
     if not irreducible(cm):
         raise InvalidCartanMatrixError("affinization needs an irreducible matrix")
     if cm.label is not None:
@@ -398,26 +408,31 @@ def _positive_ints(vec) -> bool:
 
 
 def from_matrix(rows_in) -> CartanMatrix:
-    """Validate raw integer rows as a finite or untwisted affine matrix.
+    """Validate symmetrizable raw integer rows of at most ``MAX_NODES``
+    nodes (UnsupportedRankError above) as a finite or untwisted affine
+    matrix.
 
-    Finite means positive definite symmetrization (reducible allowed, label
-    set when the type classifies).  Corank-one input must be an untwisted
+    Finite means every component classifies as finite (reducible allowed,
+    labelled when connected).  Affine input must be an untwisted
     affinization with the attached node last; anything else is rejected,
-    with a distinct error for twisted shapes.
+    with a distinct error for corank-one (twisted) shapes.
     """
     rows = _read_rows(rows_in)
-    _check_gcm_axioms(rows)
     n = len(rows)
-    # Sylvester test: with no row swap, pivot k is the k-th leading minor
-    # of the symmetrization, whose rank is also the rank of the rows
-    d = _symmetrizer(rows)
-    echelon, pivots, swaps = _eliminate([[d[i] * x for x in row] for i, row in enumerate(rows)])
-    if len(pivots) == n and not swaps and all(echelon[k][k] > 0 for k in range(n)):
-        return _labelled(rows, False)
-    if len(pivots) != n - 1:
-        raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
+    _check_size(n)
+    _check_gcm_axioms(rows)
+    _symmetrizer(rows)  # refuses non-symmetrizable rows before classification
+    try:
+        types = _series_types(rows)
+    except ClassificationError:
+        types = ()
+    if types and not any(affine for *_, affine in types):
+        label = "%s%d" % types[0][:2] if len(types) == 1 else None
+        return CartanMatrix(entries=rows, is_affine=False, label=label)
     found = _affine(rows)
     if found is None:
+        if len(_eliminate(rows)[1]) != n - 1:
+            raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
         raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
     series, rank, at = found  # the last node that can be the attached one
     if at != n - 1:
@@ -427,25 +442,15 @@ def from_matrix(rows_in) -> CartanMatrix:
     return CartanMatrix(entries=rows, is_affine=True, label=f"{series}{rank}affine")
 
 
-def _labelled(rows: Rows, affine: bool) -> CartanMatrix:
-    """The rows as a matrix, labelled when ``classify`` names their type."""
-    try:
-        series, rank, _ = _classified(rows)
-    except ClassificationError:
-        return CartanMatrix(entries=rows, is_affine=affine)
-    return CartanMatrix(entries=rows, is_affine=affine, label=f"{series}{rank}{'affine' if affine else ''}")
-
-
 # --- classification ---------------------------------------------------------
 
-_NO_MATCH = "matrix matches no catalogued type of rank <= %d" % MAX_RANK
+_NO_MATCH = f"matrix matches no finite or untwisted affine type of at most {MAX_NODES} nodes"
 
 
 @_memo
 def _bourbaki(series: str, rank: int, affine: bool) -> Rows:
     """Entries of the Bourbaki matrix of a type, or of its affinization."""
-    cm = finite_cartan(series, rank)
-    return _affinize(cm).entries if affine else cm.entries
+    return _named(series, rank, affine).entries
 
 
 def _principal(rows, nodes) -> Rows:
@@ -494,7 +499,7 @@ def _affine(rows: Rows) -> tuple[str, int, int] | None:
     None.  A finite automorphism fixes the highest root, so one order of
     the rows less c is compared, with c last."""
     n = len(rows)
-    for c in range(n - 1, -1, -1) if n <= MAX_RANK + 1 else ():
+    for c in range(n - 1, -1, -1):
         found = _finite(rows, [i for i in range(n) if i != c])
         if found and _principal(rows, found[2] + [c]) == _bourbaki(found[0], found[1], True):
             return found[0], found[1], c
@@ -505,6 +510,8 @@ def _affine(rows: Rows) -> tuple[str, int, int] | None:
 def _classified(rows: Rows) -> tuple[str, int, bool]:
     """``classify`` of square rows, once per distinct rows; a
     ClassificationError is raised again on every call, never cached."""
+    if len(rows) > MAX_NODES:
+        raise ClassificationError(_NO_MATCH)
     if found := _finite(rows, range(len(rows))):
         return found[0], found[1], False
     if found := _affine(rows):
@@ -524,8 +531,8 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
 
     The rank-2 B/C class reports as ("B", 2, ...).  Raises
     ClassificationError when the rows are no finite or untwisted affine
-    type of rank at most MAX_RANK (for instance reducible input) and when
-    the input is not square rows of real numbers.
+    type of at most MAX_NODES nodes (for instance reducible input) and
+    when the input is not square rows of real numbers.
     """
     if isinstance(cm, CartanMatrix):
         return _classified(cm.entries)
@@ -635,7 +642,13 @@ def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
     """``subdiagram`` of a checked subset."""
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
-    return _labelled(_principal(cm.entries, [i - 1 for i in subset]), cm.is_affine and len(subset) == cm.size)
+    rows = _principal(cm.entries, [i - 1 for i in subset])
+    affine = cm.is_affine and len(subset) == cm.size
+    try:
+        series, rank, _ = _classified(rows)
+    except ClassificationError:
+        return CartanMatrix(entries=rows, is_affine=affine)
+    return CartanMatrix(entries=rows, is_affine=affine, label=f"{series}{rank}{'affine' if affine else ''}")
 
 
 def _components(rows: Rows, nodes) -> list[list[int]]:
@@ -685,6 +698,14 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
     return tuple(sorted(out))
 
 
+@_memo
+def _series_types(rows: Rows) -> tuple[tuple[str, int, bool], ...]:
+    """(series, rank, affine) of each connected component of the rows'
+    diagram, classified once per distinct rows within the size limit."""
+    _check_size(len(rows))
+    return tuple(_classified(_principal(rows, comp)) for comp in _components(rows, range(len(rows))))
+
+
 # --- parsing and serialization ---------------------------------------------
 
 
@@ -697,7 +718,12 @@ def parse_type(text: str) -> CartanMatrix:
         s = s[: -len("affine")]
     if not s or s[0].upper() not in RANK_RANGE or not s[1:].isdigit():
         raise InvalidCartanMatrixError(f"cannot parse type label {text!r}")
-    cm = finite_cartan(s[0].upper(), int(s[1:]))
+    return _named(s[0].upper(), int(s[1:]), affine)
+
+
+def _named(series, rank, affine: bool) -> CartanMatrix:
+    """The Bourbaki matrix of a type, or its affinization."""
+    cm = finite_cartan(series, rank)
     return _affinize(cm) if affine else cm
 
 
@@ -722,19 +748,18 @@ def from_json(obj: dict) -> CartanMatrix:
         return from_matrix(obj["matrix"])
     if "series" not in obj or "rank" not in obj:
         raise InvalidCartanMatrixError('give a "matrix", or a "series" and a "rank"')
-    cm = finite_cartan(str(obj["series"]).upper(), obj["rank"])
-    return _affinize(cm) if affine else cm
+    return _named(str(obj["series"]).upper(), obj["rank"], affine)
 
 
 def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...]:
     """One representative per isomorphism class with finite rank <= max_rank,
     in series then rank order.  C starts at rank 3 (the rank-2 class is B2)."""
     max_rank = _check_int(max_rank, "rank")
-    if not 1 <= max_rank <= MAX_RANK:
-        raise UnsupportedRankError(f"catalog covers ranks 1..{MAX_RANK}, got {max_rank}")
-    out = []
-    for series, (lo, hi) in RANK_RANGE.items():
-        for rank in range(3 if series == "C" else lo, min(hi, max_rank) + 1):
-            cm = finite_cartan(series, rank)
-            out.append(_affinize(cm) if affine else cm)
-    return tuple(out)
+    top = MAX_NODES - affine
+    if not 1 <= max_rank <= top:
+        raise UnsupportedRankError(f"types of at most {MAX_NODES} nodes have ranks 1..{top}, got {max_rank}")
+    return tuple(
+        _named(series, rank, affine)
+        for series, (lo, hi) in RANK_RANGE.items()
+        for rank in range(3 if series == "C" else lo, min(hi, max_rank) + 1)
+    )

@@ -18,7 +18,7 @@ class TwistedTypeError(InvalidCartanMatrixError):
 
 
 class ClassificationError(LoopAtlasError, ValueError):
-    """Matrix matches no catalogued isomorphism class."""
+    """Matrix is no finite or untwisted affine type the library names."""
 
 
 class MixedAmbientError(LoopAtlasError, ValueError):
@@ -31,6 +31,11 @@ class InvalidSubsetError(LoopAtlasError, ValueError):
 
 class UnsupportedRankError(LoopAtlasError, ValueError):
     """Rank outside the supported range for this operation."""
+
+
+class EntryOverflowError(LoopAtlasError, OverflowError):
+    """Exact integer entries that the fixed-width array holding them could
+    no longer hold."""
 
 
 class RegionError(LoopAtlasError, ValueError):

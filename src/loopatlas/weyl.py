@@ -43,7 +43,7 @@ from typing import Iterator
 
 from . import cartan, roots
 from .cartan import CartanMatrix
-from .errors import InvalidSubsetError, LoopAtlasError, MixedAmbientError
+from .errors import EntryOverflowError, InvalidSubsetError, LoopAtlasError, MixedAmbientError
 
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -286,14 +286,6 @@ def _positive_root_count(series: str, rank: int) -> int:
     return sum(_exponents(series, rank))
 
 
-@cartan._memo
-def _series_types(rows) -> tuple[tuple[str, int, bool], ...]:
-    """(series, rank, affine) of each connected component of the rows'
-    diagram, classified once per distinct rows."""
-    nodes = range(len(rows))
-    return tuple(cartan._classified(cartan._principal(rows, comp)) for comp in cartan._components(rows, nodes))
-
-
 def _length_series(rows, bound: int) -> tuple[int, ...]:
     """Element counts per length 0..bound of the group of the rows, trailing
     zero levels dropped: its Poincaré series, a product over the diagram's
@@ -305,7 +297,7 @@ def _length_series(rows, bound: int) -> tuple[int, ...]:
     bound.  The components are read off the rows, so the affine flag of
     an ambient plays no part; a component of no type the library names
     raises ClassificationError."""
-    types = _series_types(rows)
+    types = cartan._series_types(rows)
     if not any(affine for *_, affine in types):
         bound = min(bound, sum(_positive_root_count(series, rank) for series, rank, _ in types))
     counts = [1] + [0] * bound
@@ -429,7 +421,9 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     Within a length, elements stream in ascending order of their matrix
     tuples.  Finite groups are exhausted when levels empty out.  The ambient
     and the bound are checked when this is called, before anything is
-    iterated."""
+    iterated.  A walk whose next level could hold an entry past int64
+    raises EntryOverflowError before that level, so every level it yields
+    is whole."""
     return _enumerate(cartan._ambient(cm), cartan._check_bound(max_length, "max_length"))
 
 
@@ -439,12 +433,22 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
 
     Element k of the next level is w·s_i for w = element ``parent[k]`` and
     the 0-based i = ``letter[k]``; each parent's children come in letter
-    order, so every element comes out once, with no deduplication."""
+    order, so every element comes out once, with no deduplication.
+
+    A child's entries x_j − x_i·a_ji are at most grow·max|M| in size, grow
+    = 1 + max|a_ji|.  ``top`` carries that bound down the levels; only
+    past int64 is max|M| read off the level, and if the bound from it is
+    past int64 too, the walk raises rather than wrap."""
     import numpy as np  # here, not at module level: only the walk needs it
 
     n = cm.size
+    int64_max = int(np.iinfo(np.int64).max)
+    grow = 1 + max(abs(a) for row in cm.entries for a in row)
+    if grow > int64_max:  # not even the matrix itself fits
+        raise EntryOverflowError("matrix entries past int64; the walk does not start")
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
     edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
+    top = 1  # a bound on max|M| over the level
     matrices, words = np.eye(n, dtype=np.int64)[None], [()]
     for length in range(max_length + 1):
         for r in np.lexsort(matrices.reshape(-1, n * n).T[::-1]).tolist():
@@ -463,6 +467,13 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
         del heights, negative, blocking  # building the children below sets the peak memory
         if parent.shape[0] == 0:
             return
+        top *= grow
+        if top > int64_max:
+            top = grow * int(np.abs(matrices).max())
+            if top > int64_max:
+                raise EntryOverflowError(
+                    f"level {length + 1} could hold entries past int64; the walk stops at length {length}"
+                )
         # M·S_i: each row x of M moves as the heights do, x_j -= x_i·a_ji
         pivots = matrices[parent, :, letter][:, :, None]
         matrices = matrices[parent]
@@ -474,7 +485,8 @@ def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length up to max_length, trailing zero levels
     dropped: the group's Poincaré series (``_length_series``), in closed
     form on every call and never stored.  Raises ClassificationError when
-    a component of the diagram is no type the library names."""
+    a component of the diagram is no type the library names, and
+    UnsupportedRankError above the size limit."""
     cm = cartan._ambient(cm)
     return _length_series(cm.entries, cartan._check_bound(max_length, "max_length"))
 

@@ -7,6 +7,10 @@ the affine matrix appends the negated highest root as its last simple
 root.  ``classify`` scans the whole catalog, and each candidate of the
 same size and entry multiset is tested for permutation equivalence by
 backtracking over nodes of equal signature.
+
+The catalog names every type of at most 9 nodes, so the oracle is exact on
+such inputs (and on the catalog's own rows); ``NO_MATCH`` is worded as the
+library words it, for types of at most 25 nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 import ambient
 
 SERIES = {"A": (1, 9), "B": (2, 9), "C": (3, 9), "D": (4, 9), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-NO_MATCH = "matrix matches no catalogued type of rank <= 9"
+NO_MATCH = "matrix matches no finite or untwisted affine type of at most 25 nodes"
 
 
 class ClassificationError(Exception):

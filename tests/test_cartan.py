@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import ambient
 import classifier
+import closed_forms
 import symmetrizer
 from loopatlas import cartan, roots
 from loopatlas.errors import (
@@ -20,7 +21,12 @@ from loopatlas.errors import (
     UnsupportedRankError,
 )
 
-ALL_FINITE = [(s, r) for s, (lo, hi) in cartan.RANK_RANGE.items() for r in range(lo, hi + 1)]
+# The sweeps stop at rank 9, where the Euclidean and catalog oracles are
+# cheap; ranks 10..N are checked against ``closed_forms`` below.
+RANKS_TO_9 = {"A": (1, 9), "B": (2, 9), "C": (2, 9), "D": (4, 9), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+ALL_FINITE = [(s, r) for s, (lo, hi) in RANKS_TO_9.items() for r in range(lo, hi + 1)]
+N = 25  # the size limit, in nodes
+NO_MATCH = r"^matrix matches no finite or untwisted affine type of at most 25 nodes$"
 
 
 # --- construction -----------------------------------------------------------
@@ -86,11 +92,17 @@ def test_hash_is_cached_and_never_carried_along():
 
 
 def test_unsupported_ranks():
-    for series, rank in [("A", 0), ("A", 10), ("D", 3), ("E", 5), ("E", 9), ("F", 5), ("G", 3)]:
+    assert cartan.MAX_NODES == N
+    for series, rank in [("A", 0), ("A", N + 1), ("D", 3), ("D", N + 1), ("E", 5), ("E", 9), ("F", 5), ("G", 3)]:
         with pytest.raises(UnsupportedRankError):
             cartan.finite_cartan(series, rank)
     with pytest.raises(InvalidCartanMatrixError):
         cartan.finite_cartan("H", 3)
+    assert cartan.finite_cartan("D", N).size == N
+    # an affine type of rank N would have N + 1 nodes
+    for build in (lambda: cartan.parse_type(f"A{N}affine"), lambda: cartan.affinize(cartan.finite_cartan("C", N))):
+        with pytest.raises(UnsupportedRankError, match=f"^matrices are limited to {N} nodes, got {N + 1}$"):
+            build()
 
 
 def test_ranks_must_be_integers():
@@ -157,7 +169,7 @@ def test_raw_rows_are_rejected_with_library_errors(bad, message):
     for call in (cartan.symmetrizer, cartan.determinant, cartan.null_vector, cartan.from_matrix):
         with pytest.raises(InvalidCartanMatrixError, match=message):
             call(bad)
-    with pytest.raises(ClassificationError, match=r"matches no catalogued type of rank <= 9$"):
+    with pytest.raises(ClassificationError, match=NO_MATCH):
         cartan.classify(bad)
 
 
@@ -631,27 +643,187 @@ def _path(n):
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
 
 
-def test_rows_above_max_rank_classify_as_nothing():
-    """Above MAX_RANK no type is catalogued: A10 and D10 are finite rows
-    without a label, and an 11-node cycle is refused as a twisted shape."""
+def _cycle(n):
+    rows = _path(n)
+    rows[0][n - 1] = rows[n - 1][0] = -1
+    return rows
+
+
+def test_rows_above_rank_nine_are_named():
+    """A10 and D10 rows are labelled, and an 11-node cycle is A10affine.
+    While the classifier stopped at rank 9, they were unlabelled rows and
+    a twisted shape."""
     a10, d10 = _path(10), _path(10)
     d10[8][9] = d10[9][8] = 0
     d10[7][9] = d10[9][7] = -1
-    for rows in (a10, d10):
+    for rows, series in ((a10, "A"), (d10, "D")):
         cm = cartan.from_matrix(rows)
-        assert (cm.is_affine, cm.label) == (False, None)
-        with pytest.raises(ClassificationError, match=r"^matrix matches no catalogued type of rank <= 9$"):
+        assert (cm.is_affine, cm.label) == (False, f"{series}10")
+        assert cartan.classify(rows) == (series, 10, False)
+    assert cartan.from_matrix(_cycle(11)).label == "A10affine"
+    assert cartan.from_matrix(_cycle(N)).label == f"A{N - 1}affine"
+
+
+def test_rows_above_the_size_limit_are_refused_up_front(body_calls):
+    """N + 1 nodes and more: ``from_matrix`` refuses with the limit and
+    ``classify`` names no type, before either searches the diagram."""
+    dense = [[2 if i == j else -2 for j in range(200)] for i in range(200)]
+    for rows in (_path(N + 1), _cycle(N + 1), _cycle(60), dense):
+        n = len(rows)
+        cartan._fact.cache_clear()
+        with pytest.raises(UnsupportedRankError, match=f"^matrices are limited to {N} nodes, got {n}$"):
+            cartan.from_matrix(rows)
+        with pytest.raises(UnsupportedRankError):
+            cartan.from_json({"matrix": rows})
+        with pytest.raises(ClassificationError, match=NO_MATCH):
             cartan.classify(rows)
-    cycle = _path(11)
-    cycle[0][10] = cycle[10][0] = -1
-    with pytest.raises(TwistedTypeError, match="not an untwisted affinization"):
-        cartan.from_matrix(cycle)
+        with pytest.raises(ClassificationError, match=NO_MATCH):
+            cartan.classify(cartan.CartanMatrix(tuple(map(tuple, rows)), False))
+        assert body_calls(cartan._finite, lambda: _outcome(cartan.from_matrix, rows)) == 0
+        assert body_calls(cartan._symmetrizer, lambda: _outcome(cartan.from_matrix, rows)) == 0
 
 
 def test_from_matrix_reads_its_rows_once(body_calls):
     rows = [list(row) for row in cartan.parse_type("E8affine").entries]
     cartan._fact.cache_clear()
     assert body_calls(cartan._read_rows, lambda: cartan.from_matrix(rows)) == 1
+
+
+# --- ranks 10..N against closed forms ----------------------------------------
+
+
+def _relabelled(rows, rng, affine):
+    """The rows with their nodes permuted by rng, the attached node of an
+    affine matrix kept last."""
+    perm = list(range(len(rows) - affine))
+    rng.shuffle(perm)
+    perm += [len(rows) - 1] * affine
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def test_classical_types_match_the_closed_forms_up_to_the_size_limit():
+    """A–D at every rank 10..N, finite and affine: the library's matrix is
+    the closed-form one, and ``classify`` and ``from_matrix`` name a seeded
+    node permutation of it (the attached node kept last)."""
+    rng = random.Random(26)
+    for series in closed_forms.SERIES:
+        for rank in range(10, N + 1):
+            for affine in (False, True) if rank < N else (False,):
+                label = f"{series}{rank}{'affine' if affine else ''}"
+                rows = closed_forms.cartan_rows(series, rank, affine)
+                assert cartan.parse_type(label).entries == rows
+                rows = _relabelled(rows, rng, affine)
+                assert cartan.classify(rows) == (series, rank, affine), label
+                cm = cartan.from_matrix(rows)
+                assert (cm.label, cm.is_affine) == (label, affine)
+
+
+def test_json_round_trip_at_the_size_limit():
+    """Every label ``from_matrix`` writes reads back: N nodes round-trip
+    by label and by matrix, and N + 1 nodes are refused either way."""
+    for label in (f"A{N}", f"D{N}", f"B{N - 1}affine", f"C{N - 1}affine"):
+        cm = cartan.parse_type(label)
+        assert cm.size == N
+        for obj in (cartan.to_json(cm), {"matrix": [list(row) for row in cm.entries]}):
+            back = cartan.from_json(json.loads(json.dumps(obj)))
+            assert (back.entries, back.is_affine, back.label) == (cm.entries, cm.is_affine, cm.label)
+    for obj in ({"series": "A", "rank": N + 1}, {"series": "D", "rank": N, "affine": True}, {"matrix": _path(N + 1)}):
+        with pytest.raises(UnsupportedRankError):
+            cartan.from_json(obj)
+
+
+# --- from_matrix against the Sylvester test -----------------------------------
+
+
+def _sylvester_verdict(rows):
+    """The verdict of the Sylvester test, computed here on Leibniz minors
+    of the symmetrization: "finite" when every leading minor is positive;
+    "corank one" when the determinant vanishes and a principal minor of
+    size n - 1 does not (a symmetric matrix of rank r has a nonsingular
+    principal r × r submatrix); else "neither".  The zero-pattern and
+    symmetrizer refusals come first, as in ``from_matrix``."""
+    n = len(rows)
+    if any((rows[i][j] == 0) != (rows[j][i] == 0) for i in range(n) for j in range(n)):
+        return "axioms"
+    try:
+        d = symmetrizer.symmetrizer(rows)
+    except symmetrizer.InvalidCartanMatrixError:
+        return "not symmetrizable"
+    sym = [[d[i] * x for x in row] for i, row in enumerate(rows)]
+    if all(_leibniz([row[:k] for row in sym[:k]]) > 0 for k in range(1, n + 1)):
+        return "finite"
+    if _leibniz(sym) == 0 and any(_leibniz(_dropped(sym, c)) for c in range(n)):
+        return "corank one"
+    return "neither"
+
+
+def _from_matrix_verdict(rows):
+    """``from_matrix``'s answer in the same terms: an affine label, the
+    attached-node position and a twisted shape are all corank one."""
+    try:
+        cm = cartan.from_matrix(rows)
+    except TwistedTypeError:
+        return "corank one"
+    except InvalidCartanMatrixError as exc:
+        return {
+            "matrix is neither finite type nor corank one": "neither",
+            "matrix is not symmetrizable": "not symmetrizable",
+        }.get(str(exc), "corank one" if "attached node last" in str(exc) else "axioms")
+    return "corank one" if cm.is_affine else "finite"
+
+
+# mostly no bond, so that trees and short cycles, and with them
+# symmetrizable rows, are common
+_BONDS = [(0, 0)] * 9 + [(-1, -1)] * 3 + [(-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1)]
+
+
+def _seeded_rows(rng, n):
+    """Rows that satisfy the axioms, one random bond per pair of nodes."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = rng.choice(_BONDS)
+    return rows
+
+
+def test_from_matrix_verdict_is_sylvesters():
+    """The 4,121 small rows, seeded 4–6-node rows, the catalog's 4–6-node
+    matrices permuted and transposed, and block sums: finite, corank one
+    or neither exactly as the Sylvester test decides."""
+    rng = random.Random(2026)
+    inputs = [[[2, a], [b, 2]] for a in range(-4, 1) for b in range(-4, 1)]
+    inputs += [[[2, a, b], [c, 2, d], [e, f, 2]] for a, b, c, d, e, f in product(range(-3, 1), repeat=6)]
+    assert len(inputs) == 4121
+    inputs += [_seeded_rows(rng, rng.randint(4, 6)) for _ in range(200)]
+    catalog = [rows for *_, rows in classifier.catalog()]
+    for rows in catalog:
+        if 4 <= len(rows) <= 6:
+            inputs += [_permuted(rows, rng), _permuted([list(col) for col in zip(*rows)], rng)]
+    small = [rows for rows in catalog if len(rows) <= 3]
+    inputs += [_permuted(_block_sum(*rng.sample(small, 2)), rng) for _ in range(40)]
+    verdicts = [_sylvester_verdict(rows) for rows in inputs]
+    for rows, want in zip(inputs, verdicts):
+        assert _from_matrix_verdict(rows) == want, rows
+    assert {v: verdicts.count(v) for v in set(verdicts)}.keys() == {
+        "axioms", "not symmetrizable", "finite", "corank one", "neither"
+    }
+
+
+def test_from_matrix_eliminates_only_to_refuse(body_calls):
+    """Finite and affine answers come from classification alone; the
+    corank count runs once per refusal, to name it."""
+    rng = random.Random(9)
+    accepted = [_relabelled(rows, rng, affine) for *_, affine, rows in classifier.catalog()]
+    accepted += [_block_sum(accepted[0], accepted[4]), closed_forms.cartan_rows("D", N, False)]
+    refused = [[[2, -4], [-1, 2]], [[2, -3], [-3, 2]], _block_sum(accepted[1], accepted[0]), _cycle(N)]
+    refused[-1][0][1] = refused[-1][1][0] = -2  # a cycle with one double bond
+    cartan._fact.cache_clear()
+    assert body_calls(cartan._eliminate, lambda: [cartan.from_matrix(rows) for rows in accepted]) == 0
+    assert body_calls(cartan._eliminate, lambda: [_outcome(cartan.from_matrix, rows) for rows in refused]) == 4
+    assert [type(_outcome(cartan.from_matrix, rows)) for rows in accepted] == [cartan.CartanMatrix] * len(accepted)
+    assert [_outcome(cartan.from_matrix, rows)[0] for rows in refused] == [
+        "TwistedTypeError", "InvalidCartanMatrixError", "TwistedTypeError", "InvalidCartanMatrixError"
+    ]
 
 
 def test_classify_matches_oracle_on_levi_components():
@@ -901,14 +1073,19 @@ def test_all_types_catalog():
     assert [cm.label for cm in finite] == [
         "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
     ]
-    with pytest.raises(UnsupportedRankError):
-        cartan.all_types(12)
+    # the size limit: A..D up to rank N - 1 affine (95 classes) and N finite (99)
+    affine, finite = cartan.all_types(N - 1), cartan.all_types(N, affine=False)
+    assert (len(affine), len(finite)) == (95, 99)
+    assert affine[-6].label == f"D{N - 1}affine" and finite[-6].label == f"D{N}"
+    with pytest.raises(UnsupportedRankError, match=f"ranks 1..{N - 1}, got {N}$"):
+        cartan.all_types(N)
 
 
-@pytest.mark.parametrize("bad", [0, -1, np.int64(-3), 10])
+@pytest.mark.parametrize("bad", [0, -1, np.int64(-3), N + 1])
 @pytest.mark.parametrize("affine", [True, False])
 def test_all_types_outside_the_catalog_ranks_raise(bad, affine):
-    """Below rank 1 the catalog would be empty, a silent truncation, so it
-    is refused like ranks past the catalog."""
-    with pytest.raises(UnsupportedRankError, match="catalog covers ranks 1..9"):
+    """Below rank 1 the list would be empty, a silent truncation, so it is
+    refused like ranks past the size limit."""
+    top = N - 1 if affine else N
+    with pytest.raises(UnsupportedRankError, match=f"^types of at most {N} nodes have ranks 1..{top}, got {bad}$"):
         cartan.all_types(bad, affine=affine)

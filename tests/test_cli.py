@@ -461,7 +461,17 @@ def test_associate_names_the_out_of_range_node(capsys, flags, node):
 def test_atlas_below_rank_one_is_a_domain_error(capsys, rank):
     code, out, err = run(capsys, "atlas", "--max-rank", rank)
     assert (code, out) == (1, "")
-    assert err == f"error: catalog covers ranks 1..9, got {rank}\n"
+    assert err == f"error: types of at most 25 nodes have ranks 1..24, got {rank}\n"
+
+
+def test_atlas_reaches_the_size_limit(capsys):
+    """Affine ranks above 9 are tabulated, up to 24; 25 would have 26 nodes."""
+    code, out, err = run(capsys, "atlas", "--max-rank", "10", "--max-length", "2", "--format", "tsv")
+    assert (code, err) == (0, "")
+    types = [line.split("\t")[0] for line in out.splitlines()[1:]]
+    assert types.count("A10affine") == 11 and types.count("D10affine") == 11
+    code, out, err = run(capsys, "atlas", "--max-rank", "25")
+    assert (code, out, err) == (1, "", "error: types of at most 25 nodes have ranks 1..24, got 25\n")
 
 
 def test_godement_overflow_is_a_domain_error():

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ambient
+import closed_forms
 from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError
 
-ALL_FINITE = [(s, r) for s, (lo, hi) in cartan.RANK_RANGE.items() for r in range(lo, hi + 1)]
+# The sweeps stop at rank 9, where the tables below end; ranks 10..N are
+# checked against ``closed_forms``.
+RANKS_TO_9 = {"A": (1, 9), "B": (2, 9), "C": (2, 9), "D": (4, 9), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+ALL_FINITE = [(s, r) for s, (lo, hi) in RANKS_TO_9.items() for r in range(lo, hi + 1)]
+N = 25  # the size limit, in nodes
 
 KNOWN_POSITIVE_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10, ("A", 5): 15,
@@ -202,6 +207,25 @@ def test_dual_coxeter(series, rank):
     assert roots.dual_coxeter(aff) == roots.dual_coxeter(cm)
 
 
+def test_classical_series_match_the_closed_forms_up_to_the_size_limit():
+    """A–D at ranks 10..N: the positive-root count as the length of the
+    longest element and of the Poincaré polynomial (and of the root
+    closure at rank 10), the highest root, and the dual Coxeter number of
+    the finite type and of its affinization."""
+    for series in closed_forms.SERIES:
+        for rank in range(10, N + 1):
+            cm = cartan.finite_cartan(series, rank)
+            count = closed_forms.positive_root_count(series, rank)
+            assert weyl.longest_element(cm, cm.nodes).length == count
+            assert len(weyl.ball_sizes(cm, 2 * count)) == count + 1
+            assert roots.highest_root(cm) == closed_forms.marks(series, rank)
+            if rank == 10:
+                assert len(roots.positive_roots(cm)) == count
+            assert roots.dual_coxeter(cm) == closed_forms.dual_coxeter(series, rank)
+            if rank < N:
+                assert roots.dual_coxeter(cartan.affinize(cm)) == closed_forms.dual_coxeter(series, rank)
+
+
 def test_highest_root_needs_irreducible():
     cm = cartan.from_matrix([[2, 0], [0, 2]])
     with pytest.raises(InvalidCartanMatrixError):
@@ -255,6 +279,7 @@ def test_one_fact_store_serves_every_memoised_function():
         (cartan._affine, (a2_affine.entries,), None),
         (cartan._bourbaki, ("A", 2, True), None),
         (cartan._component_types, (a2_affine, (1, 2)), None),
+        (cartan._series_types, (a2_affine.entries,), None),
         (roots._positive, (a2, (1, 2)), None),
         (roots._highest_root, (a2,), roots.highest_root),
         (roots._comarks, (a2,), roots.comarks),
@@ -264,7 +289,6 @@ def test_one_fact_store_serves_every_memoised_function():
         (roots._central_coroot, (a2_affine,), roots.central_coroot),
         (weyl._moves, (a2,), None),
         (weyl._unit_rows, (3,), None),
-        (weyl._series_types, (a2_affine.entries,), None),
         (weyl._longest, (a2_affine, (1, 2)), None),
         (weyl._longest_element, (a2_affine, (1, 2)), None),
         (parabolic._maximal_levi_types, (a2_affine,), parabolic.maximal_levi_types),

@@ -15,9 +15,11 @@ import walks
 from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import (
     ClassificationError,
+    EntryOverflowError,
     InvalidSubsetError,
     LoopAtlasError,
     MixedAmbientError,
+    UnsupportedRankError,
 )
 
 SMALL_TYPES = ["A2", "B2", "G2", "A3", "B3", "A1affine", "A2affine", "C2affine", "G2affine"]
@@ -816,13 +818,52 @@ def test_ball_sizes_read_the_rows_not_the_affine_flag():
     assert weyl.ball_sizes(cartan.from_matrix(_block_sum(g2, a2)), 6) == (1, 4, 8, 11, 12, 12, 11)
 
 
+def _path(n):
+    return tuple(tuple(2 if i == j else -(abs(i - j) == 1) for j in range(n)) for i in range(n))
+
+
 def test_ball_sizes_refuse_components_of_no_named_type():
-    """A component the library cannot name has no series here: A10 rows
-    (above MAX_RANK) and a hyperbolic rank-2 matrix."""
-    a10 = [[2 if i == j else -(abs(i - j) == 1) for j in range(10)] for i in range(10)]
-    for cm in (cartan.from_matrix(a10), cartan.CartanMatrix(((2, -3), (-3, 2)), False)):
-        with pytest.raises(ClassificationError, match=re.escape(cartan._NO_MATCH)):
-            weyl.ball_sizes(cm, 3)
+    """A component the library cannot name has no series here: a
+    hyperbolic rank-2 matrix.  Nor has a hand-built ambient above the size
+    limit, connected or not."""
+    with pytest.raises(ClassificationError, match=re.escape(cartan._NO_MATCH)):
+        weyl.ball_sizes(cartan.CartanMatrix(((2, -3), (-3, 2)), False), 3)
+    for rows in (_path(26), _block_sum(_path(13), _path(13))):
+        with pytest.raises(UnsupportedRankError, match="^matrices are limited to 25 nodes, got 26$"):
+            weyl.ball_sizes(cartan.CartanMatrix(tuple(map(tuple, rows)), False), 3)
+
+
+def test_ball_sizes_answer_at_ranks_ten_to_the_size_limit():
+    """A10 rows get the walk's answer back, and at 25 nodes the series
+    agrees with the walk's per-length counts, finite and affine."""
+    assert weyl.ball_sizes(cartan.from_matrix(_path(10)), 3) == (1, 10, 54, 209)
+    for label in ("A25", "B25", "D24affine"):
+        cm = _cm(label)
+        counts = [0] * 4
+        for w in weyl.enumerate_elements(cm, 3):
+            counts[w.length] += 1
+        assert weyl.ball_sizes(cm, 3) == tuple(counts), label
+
+
+def test_enumeration_refuses_to_wrap():
+    """Entries of the hyperbolic ((2, -3), (-3, 2)) grow geometrically with
+    length.  To bound 40 the walk is whole, two elements at every positive
+    length, as the group has.  Bound 60 would need entries past int64: the
+    walk raises, and every level it yields before that is whole."""
+    cm = cartan.CartanMatrix(((2, -3), (-3, 2)), False)
+    counts = [0] * 61
+    for w in weyl.enumerate_elements(cm, 40):
+        counts[w.length] += 1
+    assert counts[:41] == [1] + [2] * 40
+    counts = [0] * 61
+    with pytest.raises(EntryOverflowError, match="past int64"):
+        for w in weyl.enumerate_elements(cm, 60):
+            counts[w.length] += 1
+    reached = max(k for k, c in enumerate(counts) if c)
+    assert 40 <= reached < 60 and counts[: reached + 1] == [1] + [2] * reached
+    # entries past int64 in the matrix itself used to escape as numpy's OverflowError
+    with pytest.raises(EntryOverflowError, match="past int64"):
+        list(weyl.enumerate_elements(cartan.CartanMatrix(((2, -10**20), (-1, 2)), False), 3))
 
 
 def test_enumeration_checks_its_bound_when_called():
