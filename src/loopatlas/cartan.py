@@ -15,7 +15,6 @@ fraction-free (Bareiss) echelon gives determinant, corank, null vectors.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
@@ -148,19 +147,23 @@ def _check_gcm_axioms(rows: Rows) -> None:
 
 
 def _as_int(x) -> int:
-    """Accept ints and integral floats (JSON), reject everything else."""
-    if isinstance(x, int) and not isinstance(x, bool):
+    """The one matrix-entry rule: an integer (numpy integers included,
+    bools not) or an integral float, which is what JSON gives."""
+    if type(x) is int:
         return x
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    raise InvalidCartanMatrixError(f"non-integer entry {x!r}")
-
-
-def _read_rows(rows_in, entry=_as_int) -> Rows:
-    """The one reader of raw rows: a square tuple of tuples, each entry
-    passed through ``entry``."""
     try:
-        rows = tuple(tuple(map(entry, row)) for row in rows_in)
+        return _check_int(x, "entry")
+    except InvalidSubsetError:
+        raise InvalidCartanMatrixError(f"non-integer entry {x!r}") from None
+
+
+def _read_rows(rows_in) -> Rows:
+    """The one reader of raw rows: a square tuple of tuples of ``_as_int``
+    entries."""
+    try:
+        rows = tuple(tuple(map(_as_int, row)) for row in rows_in)
     except TypeError:  # the input or one of its rows is not iterable
         raise InvalidCartanMatrixError("matrix is not a list of rows") from None
     if any(len(row) != len(rows) for row in rows):
@@ -268,7 +271,7 @@ def null_vector(cm: CartanMatrix | Rows, side: str = "right") -> tuple[int, ...]
     if side == "left":
         rows = tuple(zip(*rows))
     elif side != "right":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise InvalidSubsetError(f"side must be 'left' or 'right', got {side!r}")
     echelon, pivots, _ = _eliminate(rows)
     n = len(rows)
     if len(pivots) != n - 1:
@@ -429,7 +432,9 @@ def from_matrix(rows_in) -> CartanMatrix:
     if types and not any(affine for *_, affine in types):
         label = "%s%d" % types[0][:2] if len(types) == 1 else None
         return CartanMatrix(entries=rows, is_affine=False, label=label)
-    found = _affine(rows)
+    # only connected rows can be an affinization; named types count the components
+    connected = len(types) == 1 if types else len(_components(rows, range(n))) == 1
+    found = _affine(rows) if connected else None
     if found is None:
         if len(_eliminate(rows)[1]) != n - 1:
             raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
@@ -519,25 +524,17 @@ def _classified(rows: Rows) -> tuple[str, int, bool]:
     raise ClassificationError(_NO_MATCH)
 
 
-def _real(x):
-    """A matrix entry for ``classify``: any real number, as given."""
-    if not isinstance(x, numbers.Real):
-        raise InvalidCartanMatrixError(f"non-real entry {x!r}")
-    return x
-
-
 def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
     """(series, rank, affine) of the isomorphism class, Bourbaki labels.
 
     The rank-2 B/C class reports as ("B", 2, ...).  Raises
     ClassificationError when the rows are no finite or untwisted affine
     type of at most MAX_NODES nodes (for instance reducible input) and
-    when the input is not square rows of real numbers.
+    when the input is not square rows of matrix entries: integers (numpy
+    integers included, bools not) or integral floats.
     """
-    if isinstance(cm, CartanMatrix):
-        return _classified(cm.entries)
     try:
-        rows = _read_rows(cm, _real)
+        rows = _rows(cm)
     except InvalidCartanMatrixError:
         raise ClassificationError(_NO_MATCH) from None
     return _classified(rows)
@@ -575,6 +572,13 @@ def _check_int(x, what: str) -> int:
     if value is None:
         raise InvalidSubsetError(f"{what} {x!r} is not an integer")
     return value
+
+
+def _check_bool(x, what: str, error) -> bool:
+    """One flag: a bool, and nothing else read as one."""
+    if not isinstance(x, bool):
+        raise error(f"{what} {x!r} is not a boolean")
+    return x
 
 
 def _check_node(i, size: int, what: str = "node") -> int:
@@ -685,17 +689,13 @@ def component_types(cm: CartanMatrix, nodes) -> tuple[tuple[str, int], ...]:
 
 @_memo
 def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
-    """``component_types`` of a checked subset, classified once per
-    (ambient, subset).  Each component's principal submatrix is classified
-    as it stands: a principal submatrix of a validated matrix needs no
-    second validation."""
-    out = []
-    for comp in _components(cm.entries, [i - 1 for i in subset]):
-        series, rank, affine = _classified(_principal(cm.entries, comp))
-        if affine:
-            raise InvalidSubsetError("subset spans an affine component")
-        out.append((series, rank))
-    return tuple(sorted(out))
+    """``component_types`` of a checked subset, once per (ambient, subset):
+    the ``_series_types`` of its principal submatrix, which needs no second
+    validation, with affine components refused, sorted."""
+    types = _series_types(_principal(cm.entries, [i - 1 for i in subset]))
+    if any(affine for *_, affine in types):
+        raise InvalidSubsetError("subset spans an affine component")
+    return tuple(sorted((series, rank) for series, rank, _ in types))
 
 
 @_memo
@@ -741,9 +741,7 @@ def from_json(obj: dict) -> CartanMatrix:
     and an integer "rank"; "affine", when present, is a boolean."""
     if not isinstance(obj, dict):
         raise InvalidCartanMatrixError(f"matrix description {obj!r} is not a JSON object")
-    affine = obj.get("affine", False)
-    if not isinstance(affine, bool):
-        raise InvalidCartanMatrixError(f'"affine" {affine!r} is not a boolean')
+    affine = _check_bool(obj.get("affine", False), '"affine"', InvalidCartanMatrixError)
     if "matrix" in obj:
         return from_matrix(obj["matrix"])
     if "series" not in obj or "rank" not in obj:
@@ -755,7 +753,7 @@ def all_types(max_rank: int = 8, affine: bool = True) -> tuple[CartanMatrix, ...
     """One representative per isomorphism class with finite rank <= max_rank,
     in series then rank order.  C starts at rank 3 (the rank-2 class is B2)."""
     max_rank = _check_int(max_rank, "rank")
-    top = MAX_NODES - affine
+    top = MAX_NODES - _check_bool(affine, "affine", InvalidCartanMatrixError)
     if not 1 <= max_rank <= top:
         raise UnsupportedRankError(f"types of at most {MAX_NODES} nodes have ranks 1..{top}, got {max_rank}")
     return tuple(

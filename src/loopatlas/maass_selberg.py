@@ -185,6 +185,7 @@ def inner_product(
     """Truncated inner product of the two series the request describes."""
     if not isinstance(request, TruncatedPairing):
         raise NumberTypeError(f"request {request!r} is not a TruncatedPairing")
+    cartan._check_bool(leading_minus, "leading_minus", RegionError)
     _check_tolerance(pole_tolerance)
     return _evaluate(request, leading_minus=leading_minus, by_truncation=False, pole_tolerance=pole_tolerance)
 

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -161,6 +162,10 @@ def test_symmetrizer_refuses_opposite_signs():
         ("ab", "non-integer entry 'a'"),
         ([[2, "x"], ["x", 2]], "non-integer entry 'x'"),
         ([[2, -1j], [-1, 2]], "non-integer entry"),
+        ([[2, True], [True, 2]], "non-integer entry True"),  # a bool is no integer entry
+        ([[2, np.True_], [np.True_, 2]], "non-integer entry np.True_"),
+        (np.eye(2, dtype=bool), "non-integer entry np.True_"),
+        (np.full((2, 2), 2, dtype=np.float32), r"non-integer entry np.float32\(2.0\)"),
     ],
 )
 def test_raw_rows_are_rejected_with_library_errors(bad, message):
@@ -171,6 +176,26 @@ def test_raw_rows_are_rejected_with_library_errors(bad, message):
             call(bad)
     with pytest.raises(ClassificationError, match=NO_MATCH):
         cartan.classify(bad)
+
+
+def test_numpy_integer_arrays_read_as_lists():
+    """int8 and int64 arrays of every catalog type up to rank 8, its nodes
+    permuted (the attached node kept last), give the answers, or the
+    errors, of the same rows as lists.  ``from_matrix`` and the entry
+    readers behind it used to refuse numpy integers."""
+    rng = random.Random(27)
+    calls = (cartan.from_matrix, cartan.symmetrizer, cartan.determinant, cartan.null_vector, cartan.classify)
+    seen = 0
+    for *_, affine, rows in classifier.catalog():
+        if len(rows) - affine > 8:
+            continue
+        rows = _relabelled(rows, rng, affine)
+        want = [_outcome(call, rows) for call in calls]
+        assert type(want[0]) is cartan.CartanMatrix
+        for dtype in (np.int8, np.int64):
+            assert [_outcome(call, np.array(rows, dtype=dtype)) for call in calls] == want, rows
+        seen += 1
+    assert seen == 62  # 31 finite types and their affinizations
 
 
 # --- symmetrizer ------------------------------------------------------------
@@ -826,6 +851,32 @@ def test_from_matrix_eliminates_only_to_refuse(body_calls):
     ]
 
 
+def test_from_matrix_tries_affine_only_on_connected_rows(body_calls):
+    """Disconnected rows are no affinization: ``_affine`` runs on each
+    component while the rows are classified, and never on the whole rows,
+    which go straight to the corank count.  It ran once more before."""
+    e8, d7 = (cartan.parse_type(label).entries for label in ("E8affine", "D7affine"))
+    cases = [
+        (_block_sum(e8, d7), 2, InvalidCartanMatrixError, "^matrix is neither finite type nor corank one$"),
+        (_block_sum(e8, [[2]]), 1, TwistedTypeError, "^corank-one matrix is not an untwisted affinization$"),
+    ]
+    for rows, calls, error, message in cases:
+        cartan._fact.cache_clear()
+        assert body_calls(cartan._affine, lambda: _outcome(cartan.from_matrix, rows)) == calls
+        with pytest.raises(error, match=message):
+            cartan.from_matrix(rows)
+
+
+def test_component_types_of_a_hand_built_ambient_keep_the_size_limit():
+    """Component types are read through the one split, which refuses rows
+    past the size limit, as ``ball_sizes`` does."""
+    for n in (N + 1, 40):
+        cm = cartan.CartanMatrix(tuple(map(tuple, _path(n))), False)
+        with pytest.raises(UnsupportedRankError, match=f"^matrices are limited to {N} nodes, got {n}$"):
+            cartan.component_types(cm, cm.nodes)
+        assert cartan.component_types(cm, range(1, N + 1)) == (("A", N),)
+
+
 def test_classify_matches_oracle_on_levi_components():
     """Every connected component of every maximal subset, and of seeded
     random subsets, of the 35 affine types up to rank 9; whole reducible
@@ -876,7 +927,10 @@ def test_classify_matches_oracle_on_edge_cases(rows):
 
 def test_classify_memo_keeps_int_and_float_rows_apart():
     """Int rows and equal float rows share a memo entry and a label;
-    unequal float rows do not, and errors are raised on every call."""
+    unequal float rows do not, and errors are raised on every call.  Rows
+    of entries that are neither integers nor integral floats (a
+    ``Fraction``, a ``numpy.float32``) name no type, whatever the memo
+    holds: they are no matrix entries."""
     e6 = _permuted(cartan.parse_type("E6affine").entries, random.Random(7))
     cases = [
         (e6, [[float(x) for x in row] for row in e6]),
@@ -890,6 +944,17 @@ def test_classify_memo_keeps_int_and_float_rows_apart():
             cartan._fact.cache_clear()
             for rows in order + order:
                 _agrees_with_oracle(rows)
+    a2 = [[2, -1], [-1, 2]]
+    for kind in (Fraction, np.float32):
+        other = [[kind(x) for x in row] for row in a2]
+        for order in ((a2, other), (other, a2)):
+            cartan._fact.cache_clear()
+            for rows in order + order:
+                if rows is a2:
+                    assert cartan.classify(rows) == ("A", 2, False)
+                else:
+                    with pytest.raises(ClassificationError, match=NO_MATCH):
+                        cartan.classify(rows)
 
 
 # --- diagram ----------------------------------------------------------------
@@ -1079,6 +1144,21 @@ def test_all_types_catalog():
     assert affine[-6].label == f"D{N - 1}affine" and finite[-6].label == f"D{N}"
     with pytest.raises(UnsupportedRankError, match=f"ranks 1..{N - 1}, got {N}$"):
         cartan.all_types(N)
+
+
+@pytest.mark.parametrize("flag", ["x", 2, 1, 0, None, np.True_])
+def test_all_types_refuses_a_flag_that_is_not_a_bool(flag):
+    """``affine="x"`` raised a raw TypeError, and ``affine=2`` was read as
+    affine."""
+    with pytest.raises(InvalidCartanMatrixError, match=f"^affine {flag!r} is not a boolean$"):
+        cartan.all_types(3, affine=flag)
+
+
+@pytest.mark.parametrize("side", ["up", "", None, 0, True])
+def test_null_vector_refuses_a_side_that_is_neither(side):
+    """A bad side raised a bare ValueError."""
+    with pytest.raises(InvalidSubsetError, match=f"^side must be 'left' or 'right', got {side!r}$"):
+        cartan.null_vector(cartan.parse_type("A2affine"), side)
 
 
 @pytest.mark.parametrize("bad", [0, -1, np.int64(-3), N + 1])

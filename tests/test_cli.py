@@ -635,6 +635,9 @@ _API = {
     ),
     "region_scan_lists": lambda cm, a, b, t, x: maass_selberg.region_scan(cm, a, b, t),
     "inner_product_request": lambda cm, a, b, t, x: maass_selberg.inner_product(x),
+    "inner_product_flag": lambda cm, a, b, t, x: maass_selberg.inner_product(
+        maass_selberg.TruncatedPairing(cm, 1.0, _f(a), _f(b), t), leading_minus=x
+    ),
     "affine_roots": lambda cm, a, b, t, x: roots.affine_roots(cm, x),
     "from_word": lambda cm, a, b, t, x: weyl.from_word(cm, a),
     "reduce_word": lambda cm, a, b, t, x: weyl.reduce_word(cm, a),
@@ -663,6 +666,8 @@ _API = {
     "symmetrizer": lambda cm, a, b, t, x: cartan.symmetrizer(a),
     "determinant": lambda cm, a, b, t, x: cartan.determinant(a),
     "null_vector": lambda cm, a, b, t, x: cartan.null_vector(a),
+    "null_vector_side": lambda cm, a, b, t, x: cartan.null_vector(cm, x),
+    "all_types_flag": lambda cm, a, b, t, x: cartan.all_types(3, affine=x),
     "dominant_integral": lambda cm, a, b, t, x: criterion.dominant_integral(cm, a),
     "maximal_certificates_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_certificates(x),
     "is_self_associate_non_subset": lambda cm, a, b, t, x: parabolic.is_self_associate(x),
@@ -888,6 +893,11 @@ def _api_call(draw):
 @example(("height", cartan.parse_type("A2"), 5, [], [], 0))
 @example(("is_positive", cartan.parse_type("A2"), 5, [], [], 0))
 @example(("is_negative", cartan.parse_type("A2"), 5, [], [], 0))
+# and these raised a raw TypeError or ValueError, or read a flag that is no bool by its truth value
+@example(("all_types_flag", cartan.parse_type("A2"), [], [], [], "x"))
+@example(("all_types_flag", cartan.parse_type("A2"), [], [], [], 2))
+@example(("null_vector_side", cartan.parse_type("A2affine"), [], [], [], "up"))
+@example(("inner_product_flag", cartan.parse_type("A1affine"), [0, 0], [0, 0], [0, 0], "no"))
 # and the serializers raised a raw AttributeError on a record of 5
 @example(("certificate_to_json_non_certificate", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("levi_to_json_non_levi", cartan.parse_type("A2affine"), [], [], [], 5))

@@ -59,6 +59,10 @@ def test_leading_minus_toggle():
     minus = ms.inner_product(req)
     assert minus.value == -plus.value
     assert minus.denominator == plus.denominator
+    # a non-bool flag was read by its truth value: "no" as True
+    for flag in ("no", 0, 1, None, numpy.True_):
+        with pytest.raises(RegionError, match=f"^leading_minus {flag!r} is not a boolean$"):
+            ms.inner_product(req, leading_minus=flag)
 
 
 # --- pole handling ----------------------------------------------------------
