@@ -154,19 +154,24 @@ class RegionReport:
 def godement_cuspidal(cm: CartanMatrix, f: LinearFunctional) -> RegionReport:
     """Classify the central value against the -2g / -g thresholds.
 
-    Exact inputs compare exactly.  Floating inputs use an absolute
-    tolerance of 1e-12 against the -g boundary locus only; the -2g edge
-    stays a sharp split between convergent and continued.
+    Exact inputs compare exactly, as integers: the numerator of the
+    central value against -g and -2g times its denominator.  Floating
+    inputs use an absolute tolerance of 1e-12 against the -g boundary
+    locus only; the -2g edge stays a sharp split between convergent and
+    continued.
     """
     central = central_value(cm, f)  # checks the ambient first
     g = roots._dual_coxeter(cm)
     re = central.real
-    tolerance = 0 if _is_exact(re) else BOUNDARY_TOLERANCE
-    if abs(re + g) <= tolerance:
+    if _is_exact(re):  # both sides times the denominator, so all on integers
+        x, edge, tolerance = re.numerator, -g * re.denominator, 0
+    else:
+        x, edge, tolerance = re, -g, BOUNDARY_TOLERANCE
+    if abs(x - edge) <= tolerance:
         region = REGION_BOUNDARY
-    elif re < -2 * g:
+    elif x < 2 * edge:
         region = REGION_CONVERGENT
-    elif re < -g:
+    elif x < edge:
         region = REGION_CONTINUED
     else:
         region = REGION_OUTSIDE

@@ -31,6 +31,8 @@ all.
 ``enumerate_elements`` is the one walk: level by level it keeps w·s_i
 only when i is its smallest right descent, a test on h and the Dynkin
 edges at i, so every element comes out once, with no deduplication.
+A row of w·s_i depends only on the row of w and on i, so the walk keeps
+each distinct row once and moves row ids, not matrices.
 Counting needs no walk: ``ball_sizes`` reads the Poincaré series
 (``_length_series``), which the certificates in ``parabolic`` sum too.
 """
@@ -53,7 +55,9 @@ Matrix = tuple[tuple[int, ...], ...]
 class WeylElement:
     """Group element: reduced word plus exact action matrix.  The word is
     canonical except on ``longest_element`` results, so compare elements
-    by matrix, not by dataclass equality."""
+    by matrix, not by dataclass equality.  The matrix is a tuple of row
+    tuples, and a row may be one object shared with other elements: the
+    identity rows, and every row within one ``enumerate_elements`` walk."""
 
     ambient: CartanMatrix
     word: tuple[int, ...]
@@ -421,24 +425,34 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     Within a length, elements stream in ascending order of their matrix
     tuples.  Finite groups are exhausted when levels empty out.  The ambient
     and the bound are checked when this is called, before anything is
-    iterated.  A walk whose next level could hold an entry past int64
-    raises EntryOverflowError before that level, so every level it yields
-    is whole."""
+    iterated.  Equal rows of the yielded matrices are one tuple, shared by
+    the whole walk, so a caller that keeps the elements holds one new
+    matrix tuple per element, not one per row.  A walk whose next level
+    could hold an entry past int64 raises EntryOverflowError before that
+    level, so every level it yields is whole."""
     return _enumerate(cartan._ambient(cm), cartan._check_bound(max_length, "max_length"))
 
 
 def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
-    """Breadth-first walk by level; only the current level is held, as an
-    int64 stack of action matrices, one per element, and its words.
+    """Breadth-first walk by level.  Only the current level is held: for
+    each element the ids of its matrix rows (int32), its height vector
+    (int64) and its word.  The rows are exact tuples of ints in a table
+    local to the walk, each distinct row once.
 
     Element k of the next level is w·s_i for w = element ``parent[k]`` and
     the 0-based i = ``letter[k]``; each parent's children come in letter
-    order, so every element comes out once, with no deduplication.
+    order, so every element comes out once, with no deduplication.  Each
+    row x of M·S_i is x_j − x_i·a_ji, a function of x and i alone, so
+    ``step[k, i]``, the id of row k times S_i, is computed once, the first
+    time a level needs it.  The heights move as the rows do.  Distinct
+    rows compare as their ranks in tuple order, so a level's lexsort reads
+    one rank per row instead of every entry.
 
-    A child's entries x_j − x_i·a_ji are at most grow·max|M| in size, grow
-    = 1 + max|a_ji|.  ``top`` carries that bound down the levels; only
-    past int64 is max|M| read off the level, and if the bound from it is
-    past int64 too, the walk raises rather than wrap."""
+    A child's entries are at most grow·max|M| in size, grow = 1 +
+    max|a_ji|.  ``top`` carries that bound down the levels; only past
+    int64 is max|M| read off the level's rows, and if the bound from it is
+    past int64 too, the walk raises rather than wrap: new rows and the
+    heights are computed in int64."""
     import numpy as np  # here, not at module level: only the walk needs it
 
     n = cm.size
@@ -448,14 +462,23 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
         raise EntryOverflowError("matrix entries past int64; the walk does not start")
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
     edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
+    rows = list(_unit_rows(n))  # row id -> row
+    row_ids = {row: k for k, row in enumerate(rows)}
+    step = np.full((n, n), -1, dtype=np.int32)  # -1: not needed yet
     top = 1  # a bound on max|M| over the level
-    matrices, words = np.eye(n, dtype=np.int64)[None], [()]
+    level, heights, words = np.arange(n, dtype=np.int32)[None], np.ones((1, n), dtype=np.int64), [()]
     for length in range(max_length + 1):
-        for r in np.lexsort(matrices.reshape(-1, n * n).T[::-1]).tolist():
-            yield WeylElement(ambient=cm, word=words[r], matrix=tuple(map(tuple, matrices[r].tolist())))
+        present = np.flatnonzero(np.bincount(level.ravel())).tolist()  # the ids of the level's rows
+        rank = np.empty(len(rows), dtype=np.int32)
+        rank[sorted(present, key=rows.__getitem__)] = np.arange(len(present), dtype=np.int32)
+        table = np.fromiter(rows, object, len(rows))
+        order = np.lexsort(rank[level].T[::-1])
+        for start in range(0, len(order), 4096):  # a block at a time, not a whole level of row lists
+            block = order[start : start + 4096]
+            for r, matrix in zip(block.tolist(), table[level[block]].tolist()):
+                yield WeylElement(ambient=cm, word=words[r], matrix=tuple(matrix))
         if length == max_length:
             return
-        heights = matrices.sum(axis=1)  # the column sums, ht(w·α_j)
         negative = heights < 0
         # i is the smallest right descent of w·s_i when h_i > 0 and every j < i
         # with h_j < 0 is a neighbour with h_j + h_i·|a_ji| ≥ 0; where h_i > 0,
@@ -464,20 +487,31 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
         for j, i, a in edges:
             blocking[:, i] -= negative[:, j] & (heights[:, j] >= heights[:, i] * a)
         parent, letter = np.nonzero((blocking == 0) & (heights > 0))
-        del heights, negative, blocking  # building the children below sets the peak memory
+        del negative, blocking, order
         if parent.shape[0] == 0:
             return
         top *= grow
         if top > int64_max:
-            top = grow * int(np.abs(matrices).max())
+            top = grow * max(abs(x) for k in present for x in rows[k])
             if top > int64_max:
                 raise EntryOverflowError(
                     f"level {length + 1} could hold entries past int64; the walk stops at length {length}"
                 )
-        # M·S_i: each row x of M moves as the heights do, x_j -= x_i·a_ji
-        pivots = matrices[parent, :, letter][:, :, None]
-        matrices = matrices[parent]
-        matrices -= a_t[letter][:, None, :] * pivots
+        # w·s_i: h_j -= h_i·a_ji, and row k becomes row step[k, i]
+        heights = heights[parent] - a_t[letter] * heights[parent, letter][:, None]
+        level = level[parent]
+        moved = step[level, letter[:, None]]
+        e, c = np.nonzero(moved < 0)
+        if len(e):  # the (row, letter) pairs met for the first time, all at once
+            pairs = np.unique(level[e, c].astype(np.int64) * n + letter[e])
+            k, i = pairs // n, pairs % n
+            x = np.array([rows[j] for j in k.tolist()], dtype=np.int64)
+            x -= x[np.arange(len(x)), i][:, None] * a_t[i]
+            step[k, i] = [row_ids.setdefault(row, len(row_ids)) for row in map(tuple, x.tolist())]
+            rows = list(row_ids)
+            step = np.vstack([step, np.full((len(rows) - len(step), n), -1, dtype=np.int32)])
+            moved = step[level, letter[:, None]]
+        level = moved
         words = [words[p] + (i + 1,) for p, i in zip(parent.tolist(), letter.tolist())]
 
 

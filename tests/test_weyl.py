@@ -866,6 +866,28 @@ def test_enumeration_refuses_to_wrap():
         list(weyl.enumerate_elements(cartan.CartanMatrix(((2, -10**20), (-1, 2)), False), 3))
 
 
+def test_enumeration_is_exact_past_narrow_integers():
+    """The hyperbolic walk to bound 40 has entries past 32,767 and past
+    2^31 − 1.  Every matrix it yields is the one the numpy-free word path
+    builds, in Python ints."""
+    cm = cartan.CartanMatrix(((2, -3), (-3, 2)), False)
+    walk = list(weyl.enumerate_elements(cm, 40))
+    assert len(walk) == 81
+    for w in walk:
+        assert w.matrix == weyl.from_word(cm, w.word).matrix
+    entries = [x for w in walk for row in w.matrix for x in row]
+    assert all(type(x) is int for x in entries)
+    assert max(map(abs, entries)) > 2**31 - 1 > 32_767
+
+
+def test_enumeration_shares_equal_rows():
+    """Within one walk equal rows are one tuple object, so a caller that
+    keeps the elements holds one new tuple per element, not one per row."""
+    walk = list(weyl.enumerate_elements(_cm("E6affine"), 6))
+    rows = [r for w in walk for r in w.matrix]
+    assert len({id(r) for r in rows}) == len(set(rows)) < len(rows) // 10
+
+
 def test_enumeration_checks_its_bound_when_called():
     with pytest.raises(InvalidSubsetError, match="max_length"):
         weyl.enumerate_elements(_cm("A2"), "3")
