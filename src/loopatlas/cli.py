@@ -48,7 +48,7 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in stripped.split(","))
 
 
-def _parse_functional(args, flag_value: str | None, uniform, size: int) -> criterion.LinearFunctional:
+def _parse_functional(flag_value: str | None, uniform, size: int) -> criterion.LinearFunctional:
     if flag_value is not None:
         return criterion.functional_from_json(json.loads(flag_value))
     if uniform is not None:
@@ -126,14 +126,7 @@ def _run_levi(args) -> str:
     cm = _resolve_type(args)
     p = parabolic.parabolic_subset(cm, _parse_nodes(args.theta))
     lt = parabolic.levi_type(p)
-    return _dump(
-        {
-            "type": cm.label,
-            "theta": list(p.nodes),
-            "components": list(lt.labels),
-            "center_rank": lt.center_rank,
-        }
-    )
+    return _dump({"type": cm.label, "theta": list(p.nodes), **parabolic.levi_to_json(lt)})
 
 
 def _run_associate(args) -> str:
@@ -173,7 +166,7 @@ def _run_associate(args) -> str:
 
 def _run_godement(args) -> str:
     cm = _resolve_type(args)
-    f = _parse_functional(args, args.nu, args.uniform, cm.size)
+    f = _parse_functional(args.nu, args.uniform, cm.size)
     report = criterion.godement_cuspidal(cm, f)
     out = {"type": cm.label}
     out.update(criterion.region_to_json(report))
@@ -184,8 +177,8 @@ def _run_ms(args) -> str:
     if args.denominator and not args.kernel:
         raise ValueError("--denominator needs --kernel")
     cm = _resolve_type(args)
-    nu = _parse_functional(args, args.nu, None, cm.size)
-    nu_prime = _parse_functional(args, args.nu_prime, None, cm.size)
+    nu = _parse_functional(args.nu, None, cm.size)
+    nu_prime = _parse_functional(args.nu_prime, None, cm.size)
     left = criterion.shift_by_weyl_vector(nu)
     right = criterion.shift_by_weyl_vector(nu_prime)
     truncation = (

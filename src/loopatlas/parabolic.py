@@ -155,15 +155,23 @@ def _certificates(
     to q^bound, summed.
     """
     bound = cartan._check_bound(bound)
-    null = roots.delta(cm)
-    if any(roots._reflect(cm, null, i) != null for i in cm.nodes):
-        raise LoopAtlasError("generator moved the isotropic vector")
+    null = _null_root(cm)
     searched = sum(weyl._length_series(cm.entries, bound))
     out = []
     for removed_node in removed_nodes:
         theta = tuple(i for i in cm.nodes if i != removed_node)
         out.append(_certificate(cm, theta, weyl._longest(cm, theta), None, null, bound, searched))
     return tuple(out)
+
+
+@cartan._memo
+def _null_root(cm: CartanMatrix) -> Coords:
+    """δ of an affine ambient, checked once per ambient to be fixed by
+    every generator."""
+    null = roots.delta(cm)
+    if any(roots._reflect(cm, null, i) != null for i in cm.nodes):
+        raise LoopAtlasError("generator moved the isotropic vector")
+    return null
 
 
 def _certificate(cm, theta, longest, witness, null, bound, searched) -> AssociateCertificate:

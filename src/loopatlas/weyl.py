@@ -32,7 +32,8 @@ all.
 only when i is its smallest right descent, a test on h and the Dynkin
 edges at i, so every element comes out once, with no deduplication.
 A row of w·s_i depends only on the row of w and on i, so the walk keeps
-each distinct row once and moves row ids, not matrices.
+each distinct row once, steps a new one over ``_moves`` in Python ints as
+``_matrix`` does, and moves row ids, not matrices.
 Counting needs no walk: ``ball_sizes`` reads the Poincaré series
 (``_length_series``), which the certificates in ``parabolic`` sum too.
 """
@@ -253,17 +254,14 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
 
     Read off the reduced word s_{i_1}…s_{i_k}: the inversions are the k
     roots s_{i_k}…s_{i_{j+1}}(α_{i_j}), one per letter, so the count always
-    equals the length.
+    equals the length.  Each is one column walk (``_image``) of α_{i_j}
+    through the letters after it, last letter last.
     """
     cm = cartan._ambient(w, WeylElement)
+    moves = _moves(cm)
     word = _letters(w.word, cm.size)
-    found = []
-    for j, letter in enumerate(word):
-        beta = roots._simple_root(cm, letter)
-        for later in word[j + 1 :]:
-            beta = roots._reflect(cm, beta, later)
-        found.append(beta)
-    return tuple(sorted(found, key=lambda r: (roots.height(r), r)))
+    found = [tuple(_image(moves, word[:j:-1], letter)) for j, letter in enumerate(word)]
+    return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
 def _exponents(series: str, rank: int) -> tuple[int, ...]:
@@ -427,9 +425,10 @@ def enumerate_elements(cm: CartanMatrix, max_length: int) -> Iterator[WeylElemen
     and the bound are checked when this is called, before anything is
     iterated.  Equal rows of the yielded matrices are one tuple, shared by
     the whole walk, so a caller that keeps the elements holds one new
-    matrix tuple per element, not one per row.  A walk whose next level
-    could hold an entry past int64 raises EntryOverflowError before that
-    level, so every level it yields is whole."""
+    matrix tuple per element, not one per row.  The matrices are exact;
+    only the height vectors are held in int64, and a walk whose next
+    level could hold a height past int64 raises EntryOverflowError before
+    that level, so every level it yields is whole."""
     return _enumerate(cartan._ambient(cm), cartan._check_bound(max_length, "max_length"))
 
 
@@ -443,16 +442,17 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     the 0-based i = ``letter[k]``; each parent's children come in letter
     order, so every element comes out once, with no deduplication.  Each
     row x of M·S_i is x_j − x_i·a_ji, a function of x and i alone, so
-    ``step[k, i]``, the id of row k times S_i, is computed once, the first
-    time a level needs it.  The heights move as the rows do.  Distinct
-    rows compare as their ranks in tuple order, so a level's lexsort reads
-    one rank per row instead of every entry.
+    ``step[k, i]``, the id of row k times S_i, is computed once, in Python
+    ints over ``_moves`` as ``_matrix`` steps a row, the first time a level
+    needs it.  Distinct rows compare as their ranks in tuple order, so a
+    level's lexsort reads one rank per row instead of every entry.
 
-    A child's entries are at most grow·max|M| in size, grow = 1 +
-    max|a_ji|.  ``top`` carries that bound down the levels; only past
-    int64 is max|M| read off the level's rows, and if the bound from it is
-    past int64 too, the walk raises rather than wrap: new rows and the
-    heights are computed in int64."""
+    The heights are the walk's one int64 state.  Column j of M is the real
+    root w·α_j, whose entries share one sign, so |h_j| bounds that column
+    (Kac, *Infinite-dimensional Lie Algebras* §5.1).  The descent test
+    reads h_i·a_ji and the next level's heights are h_j − h_i·a_ji, both at
+    most grow·max|h| in size, grow = 1 + max|a_ji|: when that passes int64
+    the walk raises before the test rather than wrap."""
     import numpy as np  # here, not at module level: only the walk needs it
 
     n = cm.size
@@ -461,17 +461,17 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     if grow > int64_max:  # not even the matrix itself fits
         raise EntryOverflowError("matrix entries past int64; the walk does not start")
     a_t = np.array(cm.entries, dtype=np.int64).T  # row i is column i of the matrix
-    edges = [(j, i, a) for i, move in enumerate(_moves(cm)) for j, a in move if j < i]
+    moves = _moves(cm)
+    edges = [(j, i, a) for i, move in enumerate(moves) for j, a in move if j < i]
     rows = list(_unit_rows(n))  # row id -> row
     row_ids = {row: k for k, row in enumerate(rows)}
+    table = np.fromiter(rows, object, len(rows))
     step = np.full((n, n), -1, dtype=np.int32)  # -1: not needed yet
-    top = 1  # a bound on max|M| over the level
     level, heights, words = np.arange(n, dtype=np.int32)[None], np.ones((1, n), dtype=np.int64), [()]
     for length in range(max_length + 1):
         present = np.flatnonzero(np.bincount(level.ravel())).tolist()  # the ids of the level's rows
         rank = np.empty(len(rows), dtype=np.int32)
         rank[sorted(present, key=rows.__getitem__)] = np.arange(len(present), dtype=np.int32)
-        table = np.fromiter(rows, object, len(rows))
         order = np.lexsort(rank[level].T[::-1])
         for start in range(0, len(order), 4096):  # a block at a time, not a whole level of row lists
             block = order[start : start + 4096]
@@ -479,6 +479,10 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
                 yield WeylElement(ambient=cm, word=words[r], matrix=tuple(matrix))
         if length == max_length:
             return
+        if grow * int(np.abs(heights).max()) > int64_max:
+            raise EntryOverflowError(
+                f"level {length + 1} could hold heights past int64; the walk stops at length {length}"
+            )
         negative = heights < 0
         # i is the smallest right descent of w·s_i when h_i > 0 and every j < i
         # with h_j < 0 is a neighbour with h_j + h_i·|a_ji| ≥ 0; where h_i > 0,
@@ -490,25 +494,20 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
         del negative, blocking, order
         if parent.shape[0] == 0:
             return
-        top *= grow
-        if top > int64_max:
-            top = grow * max(abs(x) for k in present for x in rows[k])
-            if top > int64_max:
-                raise EntryOverflowError(
-                    f"level {length + 1} could hold entries past int64; the walk stops at length {length}"
-                )
         # w·s_i: h_j -= h_i·a_ji, and row k becomes row step[k, i]
         heights = heights[parent] - a_t[letter] * heights[parent, letter][:, None]
         level = level[parent]
         moved = step[level, letter[:, None]]
         e, c = np.nonzero(moved < 0)
-        if len(e):  # the (row, letter) pairs met for the first time, all at once
-            pairs = np.unique(level[e, c].astype(np.int64) * n + letter[e])
-            k, i = pairs // n, pairs % n
-            x = np.array([rows[j] for j in k.tolist()], dtype=np.int64)
-            x -= x[np.arange(len(x)), i][:, None] * a_t[i]
-            step[k, i] = [row_ids.setdefault(row, len(row_ids)) for row in map(tuple, x.tolist())]
+        if len(e):  # the (row, letter) pairs met for the first time, in sorted order
+            for k, i in sorted(set(zip(level[e, c].tolist(), letter[e].tolist()))):
+                row = list(rows[k])
+                pivot = row[i]
+                for j, a in moves[i]:
+                    row[j] -= pivot * a
+                step[k, i] = row_ids.setdefault(tuple(row), len(row_ids))
             rows = list(row_ids)
+            table = np.fromiter(rows, object, len(rows))
             step = np.vstack([step, np.full((len(rows) - len(step), n), -1, dtype=np.int32)])
             moved = step[level, letter[:, None]]
         level = moved

@@ -71,13 +71,16 @@ def test_godement_json_values(capsys):
 
 
 def test_levi_branch_node(capsys):
-    obj = run_json(capsys, "levi", "E6affine", "--theta", "1,2,3,5,6,7")
-    assert obj == {
+    code, out, _ = run(capsys, "levi", "E6affine", "--theta", "1,2,3,5,6,7")
+    assert code == 0
+    expected = {
         "type": "E6affine",
         "theta": [1, 2, 3, 5, 6, 7],
         "components": ["A2", "A2", "A2"],
         "center_rank": 1,
     }
+    # the bytes, key order included: the type and theta, then levi_to_json
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_associate_verdict(capsys):

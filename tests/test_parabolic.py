@@ -347,6 +347,17 @@ def test_affine_certificates_build_no_element(monkeypatch):
     assert calls == []
 
 
+def test_isotropic_vector_is_checked_once_per_ambient(body_calls):
+    """Call counts, not timings: a warm certificate reads δ, checked against
+    every generator, from the fact store instead of reflecting it again."""
+    cm = _cm("E8affine")
+    subsets = parabolic.maximal_parabolics(cm)
+    check = lambda: [parabolic.constant_term_is_trivial(p) for p in subsets]
+    cartan._fact.cache_clear()
+    assert body_calls(roots._reflect, check) == cm.size
+    assert body_calls(roots._reflect, check) == 0
+
+
 @pytest.mark.parametrize("cm", cartan.all_types(9), ids=lambda cm: cm.label)
 def test_searched_is_the_quotient_walk_times_the_levi_ball(cm):
     """The independent route to ``searched``: every element factors

@@ -292,6 +292,7 @@ def test_one_fact_store_serves_every_memoised_function():
         (weyl._longest, (a2_affine, (1, 2)), None),
         (weyl._longest_element, (a2_affine, (1, 2)), None),
         (parabolic._maximal_levi_types, (a2_affine,), parabolic.maximal_levi_types),
+        (parabolic._null_root, (a2_affine,), None),
     ]
     memoised = {
         (m.__name__, name) for m in modules for name, obj in vars(m).items()

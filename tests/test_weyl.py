@@ -363,8 +363,10 @@ def test_inversions_explicit():
     cm = _cm("A2")
     w = weyl.from_word(cm, (1, 2))
     assert weyl.inversions(w) == ((0, 1), (1, 1))
-    w0 = weyl.from_word(cm, (1, 2, 1))
-    assert set(weyl.inversions(w0)) == set(roots.positive_roots(cm))
+    # the column walks of w0 give every positive root once, in the closure's order
+    for cm in cartan.all_types(8, affine=False):
+        w0 = weyl.longest_element(cm, cm.nodes)
+        assert weyl.inversions(w0) == roots.positive_roots(cm), cm.label
 
 
 def test_inversions_are_positive_roots_sent_negative():
@@ -864,6 +866,27 @@ def test_enumeration_refuses_to_wrap():
     # entries past int64 in the matrix itself used to escape as numpy's OverflowError
     with pytest.raises(EntryOverflowError, match="past int64"):
         list(weyl.enumerate_elements(cartan.CartanMatrix(((2, -10**20), (-1, 2)), False), 3))
+
+
+@pytest.mark.parametrize("rows", [((2, -3), (-3, 2)), ((2, -5), (-1, 2))])
+def test_enumeration_guards_the_heights(rows):
+    """The walk stops at the first level L whose heights, times grow = 1 +
+    max|a_ji|, pass int64: the bound on the descent test's products and on
+    the next level's heights.  Every level up to L is whole (two elements
+    at each positive length, as an infinite dihedral group has), and the
+    heights are read here as Python column sums of the yielded matrices."""
+    cm = cartan.CartanMatrix(rows, False)
+    grow = 1 + max(abs(a) for row in rows for a in row)
+    top = [0] * 201
+    counts = [0] * 201
+    with pytest.raises(EntryOverflowError, match="heights past int64"):
+        for w in weyl.enumerate_elements(cm, 200):
+            counts[w.length] += 1
+            top[w.length] = max(top[w.length], *(abs(sum(col)) for col in zip(*w.matrix)))
+    reached = max(k for k, c in enumerate(counts) if c)
+    assert counts[: reached + 1] == [1] + [2] * reached
+    assert all(grow * h <= 2**63 - 1 for h in top[:reached])
+    assert grow * top[reached] > 2**63 - 1
 
 
 def test_enumeration_is_exact_past_narrow_integers():
