@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from operator import add, mul
 from typing import NamedTuple
@@ -71,7 +70,7 @@ def _check_point(ambient, cusp_pairing, truncation) -> tuple:
 
 
 def _check_tolerance(pole_tolerance) -> None:
-    if isinstance(pole_tolerance, bool) or not isinstance(pole_tolerance, numbers.Real):
+    if isinstance(pole_tolerance, (bool, complex)) or not isinstance(pole_tolerance, serialize.Number):
         raise RegionError(f"pole tolerance {pole_tolerance!r} is not a real number")
     if not 0 < pole_tolerance < math.inf:
         raise RegionError(f"pole tolerance must be positive and finite, got {pole_tolerance!r}")

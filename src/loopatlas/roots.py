@@ -4,7 +4,10 @@ A root is a tuple of integer coefficients over the simple roots of its
 ambient matrix.  For an affine ambient of finite rank l the tuples have
 l + 1 entries and the isotropic generator has coordinate 1 in the last
 position.  A root vector is positive exactly when every coordinate is
-nonnegative.
+nonnegative.  The positive roots of a finite matrix, or of a Levi's
+span, are built, not searched for: they are the inversion set of the
+longest element, one column walk per letter of its reduced word
+(``_positive``).
 """
 
 from __future__ import annotations
@@ -17,19 +20,14 @@ from .errors import InvalidCartanMatrixError, InvalidSubsetError
 
 Coords = tuple[int, ...]
 
-_HEIGHT_CAP = 1000  # safety valve for the closure and ascent loops
 
-
-# The public readers below gate their ambient; the closure and the
-# inversions walk, which already hold a checked one, call the ungated
+# The public readers below gate their ambient; callers that already hold
+# a checked one (``parabolic``'s null-vector test) call the ungated
 # helpers and gain no frame per step.
 
 
 def simple_root(cm: CartanMatrix, i: int) -> Coords:
-    return _simple_root(cartan._ambient(cm), i)
-
-
-def _simple_root(cm: CartanMatrix, i: int) -> Coords:
+    cm = cartan._ambient(cm)
     i = cartan._check_node(i, cm.size)
     return tuple(1 if k == i - 1 else 0 for k in range(cm.size))
 
@@ -96,20 +94,14 @@ def is_negative(beta: Coords) -> bool:
 @cartan._memo
 def _positive(cm: CartanMatrix, nodes: tuple[int, ...]) -> tuple[Coords, ...]:
     """Positive roots of the principal submatrix on ``nodes``, in ambient
-    coordinates and sorted by height then lexicographically: the simple
-    roots of ``nodes`` closed under the reflections there that keep a root
-    positive.  Exact, since a non-simple positive root pairs positively
-    with some simple coroot and that reflection lowers it to a positive
-    root (Humphreys, Introduction to Lie Algebras, §10.2)."""
-    level = {_simple_root(cm, i) for i in nodes}
-    found = set(level)
-    while level:
-        nxt = {up for beta in level for i in nodes if is_positive(up := _reflect(cm, beta, i))} - found
-        if any(height(r) > _HEIGHT_CAP for r in nxt):
-            raise InvalidCartanMatrixError("root closure did not terminate; matrix is not finite type")
-        found |= nxt
-        level = nxt
-    return tuple(sorted(found, key=lambda r: (height(r), r)))
+    coordinates and sorted by height then lexicographically: the inversion
+    set of the longest element w0 of that subgroup, which sends exactly
+    the positive roots there negative, one per letter of a reduced word
+    (Humphreys, Reflection Groups and Coxeter Groups, §1.7 and §5.6).
+    ``weyl._longest`` refuses a subset that is not of finite type."""
+    from . import weyl  # here, not at module level: weyl imports roots
+
+    return weyl._inversions(weyl._moves(cm), weyl._longest(cm, nodes))
 
 
 def _signed(positive: tuple[Coords, ...]) -> tuple[Coords, ...]:
@@ -118,8 +110,8 @@ def _signed(positive: tuple[Coords, ...]) -> tuple[Coords, ...]:
 
 
 def positive_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
-    """All positive roots of a finite matrix by the closure of ``_positive``,
-    sorted by height then lexicographically."""
+    """All positive roots of a finite matrix (``_positive``), sorted by
+    height then lexicographically."""
     if cartan._ambient(cm).is_affine:
         raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
     return _positive(cm, cm.nodes)
@@ -151,7 +143,7 @@ def highest_root(cm: CartanMatrix) -> Coords:
 def _highest_root(cm: CartanMatrix) -> Coords:
     if cm.is_affine:
         raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
-    if not cartan.irreducible(cm):
+    if len(cartan._component_types(cm, cm.nodes)) != 1:
         raise InvalidCartanMatrixError("highest root needs an irreducible matrix")
     rows = cm.entries
     d = cartan.symmetrizer(cm)
@@ -165,8 +157,6 @@ def _highest_root(cm: CartanMatrix) -> Coords:
                 break
         else:
             return tuple(beta)
-        if sum(beta) > _HEIGHT_CAP:
-            raise InvalidCartanMatrixError("root ascent did not terminate; matrix is not finite type")
         beta[i] -= value
         for j, a in enumerate(rows[i]):
             if a:
@@ -315,8 +305,8 @@ def positive_real_roots(cm: CartanMatrix, depth: int) -> tuple[Coords, ...]:
 
 def roots_in_span(cm: CartanMatrix, nodes) -> tuple[Coords, ...]:
     """Ambient root vectors supported on the given simple roots: the roots
-    of their principal submatrix by the closure of ``_positive``, sorted by
-    height then lexicographically.  All nodes of an affine matrix span its
+    of their principal submatrix (``_positive``), sorted by height then
+    lexicographically.  All nodes of an affine matrix span its
     isotropic roots too, so they are rejected."""
     cm = cartan._ambient(cm)
     subset = cartan._check_subset(cm, nodes)

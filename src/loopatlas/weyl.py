@@ -254,12 +254,16 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
 
     Read off the reduced word s_{i_1}…s_{i_k}: the inversions are the k
     roots s_{i_k}…s_{i_{j+1}}(α_{i_j}), one per letter, so the count always
-    equals the length.  Each is one column walk (``_image``) of α_{i_j}
-    through the letters after it, last letter last.
+    equals the length.  The element is checked as ``act`` checks it.
     """
-    cm = cartan._ambient(w, WeylElement)
-    moves = _moves(cm)
-    word = _letters(w.word, cm.size)
+    letters, _ = _stored_matrix(w)
+    return _inversions(_moves(w.ambient), letters)
+
+
+def _inversions(moves, word) -> tuple[Coords, ...]:
+    """``inversions`` of a reduced word of valid letters: root j is one
+    column walk (``_image``) of α_{i_j} through the letters after it, last
+    letter last."""
     found = [tuple(_image(moves, word[:j:-1], letter)) for j, letter in enumerate(word)]
     return tuple(sorted(found, key=lambda r: (sum(r), r)))
 

@@ -616,7 +616,7 @@ def test_non_numeric_truncation_and_pairing_are_rejected(bad):
                 run()
 
 
-@pytest.mark.parametrize("tolerance", ["x", None, True, 1e-9j])
+@pytest.mark.parametrize("tolerance", ["x", None, True, 1e-9j, numpy.float32(1e-9), numpy.int64(1)])
 def test_non_real_pole_tolerance_is_rejected(tolerance):
     cm = _cm("A2affine")
     f = criterion.functional((0.5, -1, -1))

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import ambient
 import closed_forms
 from loopatlas import cartan, parabolic, roots, weyl
-from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError
+from loopatlas.errors import ClassificationError, InvalidCartanMatrixError, InvalidSubsetError, UnsupportedRankError
 
 # The sweeps stop at rank 9, where the tables below end; ranks 10..N are
 # checked against ``closed_forms``.
@@ -47,12 +47,12 @@ KNOWN_DUAL_COXETER = {
 }
 
 
-# --- positive root closure --------------------------------------------------
+# --- positive roots ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("series,rank", ALL_FINITE)
 def test_positive_roots_match_ambient_oracle(series, rank):
-    """The closure produces exactly the Euclidean root coordinates."""
+    """``positive_roots`` gives exactly the Euclidean root coordinates."""
     cm = cartan.finite_cartan(series, rank)
     got = set(roots.positive_roots(cm))
     want = ambient.positive_root_coords(series, rank)
@@ -110,21 +110,36 @@ def test_all_roots_symmetry():
     assert (0, 0, 0, 0) not in as_set
 
 
-def test_closure_valve_stops_on_a_hand_built_infinite_matrix():
-    # never validated, so only the height cap stops the closure
-    cm = cartan.CartanMatrix(entries=((2, -3), (-3, 2)), is_affine=False)
-    for call in (roots.positive_roots, lambda c: roots.roots_in_span(c, c.nodes)):
-        with pytest.raises(InvalidCartanMatrixError, match="root closure did not terminate"):
-            call(cm)
-
-
-@pytest.mark.parametrize("rows", [((2, -3, 0), (-3, 2, -1), (0, -1, 2)), ((2, -2), (-2, 2))])
-def test_ascent_valve_stops_on_a_hand_built_infinite_matrix(rows):
-    # irreducible and symmetrizable but flagged finite by hand: only the
-    # height cap stops the highest-root ascent
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        (((2, -3), (-3, 2)), ClassificationError, None),
+        (((2, -3, 0), (-3, 2, -1), (0, -1, 2)), ClassificationError, None),
+        (((2, -2), (-2, 2)), InvalidSubsetError, "subset spans an affine component"),
+        (cartan.parse_type("A24affine").entries, InvalidSubsetError, "subset spans an affine component"),
+        (closed_forms.cartan_rows("A", N + 1, False), UnsupportedRankError, None),
+    ],
+    ids=["hyperbolic-2", "hyperbolic-3", "A1affine", "A24affine", "path-26"],
+)
+def test_hand_built_rows_of_no_finite_type_are_refused_by_the_finite_type_test(rows, error, message):
+    # flagged finite by hand and never validated: every root list and every
+    # highest-root fact refuses the rows as the longest element does, at once
     cm = cartan.CartanMatrix(entries=rows, is_affine=False)
-    with pytest.raises(InvalidCartanMatrixError, match="^root ascent did not terminate; matrix is not finite type$"):
-        roots.highest_root(cm)
+    with pytest.raises(error) as want:
+        weyl.longest_element(cm, cm.nodes)
+    if message is not None:
+        assert str(want.value) == message
+    readers = (
+        roots.positive_roots,
+        lambda c: roots.roots_in_span(c, c.nodes),
+        roots.highest_root,
+        roots.marks,
+        roots.comarks,
+        roots.dual_coxeter,
+    )
+    for reader in readers:
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            reader(cm)
 
 
 def test_positive_roots_rejects_affine():
@@ -168,7 +183,7 @@ def test_highest_root_and_marks(series, rank):
 @pytest.mark.parametrize("series,rank", ALL_FINITE)
 def test_highest_root_ascent_ends_at_the_closure_top(series, rank):
     """The dominant ascent from a long simple root lands on the last root
-    of the string closure."""
+    of ``positive_roots``."""
     cm = cartan.finite_cartan(series, rank)
     assert roots.highest_root(cm) == roots.positive_roots(cm)[-1]
 
@@ -209,8 +224,8 @@ def test_dual_coxeter(series, rank):
 
 def test_classical_series_match_the_closed_forms_up_to_the_size_limit():
     """A–D at ranks 10..N: the positive-root count as the length of the
-    longest element and of the Poincaré polynomial (and of the root
-    closure at rank 10), the highest root, and the dual Coxeter number of
+    longest element and of the Poincaré polynomial (and of
+    ``positive_roots`` at rank 10), the highest root, and the dual Coxeter number of
     the finite type and of its affinization."""
     for series in closed_forms.SERIES:
         for rank in range(10, N + 1):
@@ -616,7 +631,7 @@ def _root_data_digest():
 
 
 def test_root_data_pin():
-    """Root closure, highest roots, comarks, finite parts, affine slices,
+    """Positive roots, highest roots, comarks, finite parts, affine slices,
     spans and subdiagrams, byte for byte as the α-string closure, the
     Gram-matrix comarks and the re-validated subdiagrams gave them."""
     assert _root_data_digest() == ROOT_DATA_SHA256

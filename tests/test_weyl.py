@@ -363,7 +363,7 @@ def test_inversions_explicit():
     cm = _cm("A2")
     w = weyl.from_word(cm, (1, 2))
     assert weyl.inversions(w) == ((0, 1), (1, 1))
-    # the column walks of w0 give every positive root once, in the closure's order
+    # the column walks of w0 give every positive root once, in positive_roots' order
     for cm in cartan.all_types(8, affine=False):
         w0 = weyl.longest_element(cm, cm.nodes)
         assert weyl.inversions(w0) == roots.positive_roots(cm), cm.label
@@ -1156,9 +1156,12 @@ def test_non_elements_are_rejected():
 
 
 def test_matrix_readers_check_the_stored_matrix():
-    """``act`` and ``element_to_json`` read the stored word like an input
-    word and refuse a stored matrix that is not that reduced word's."""
-    # act answered () for the first; the rest raised a raw TypeError or AttributeError
+    """``act``, ``element_to_json`` and ``inversions`` read the stored word
+    like an input word and refuse a stored matrix that is not that reduced
+    word's."""
+    # act answered () for the first; the rest raised a raw TypeError or
+    # AttributeError, except inversions, which answered ((-1, 0, 0), (1, 0, 0))
+    # for (1, 1): a negative root, and two roots for an element of length 0
     cm = _cm("A2affine")
     s1 = weyl.simple(cm, 1)
     cases = [
@@ -1171,6 +1174,9 @@ def test_matrix_readers_check_the_stored_matrix():
         (lambda: weyl.element_to_json(weyl.WeylElement(cm, (1, 1), weyl.identity(cm).matrix)),
          "stored word (1, 1) is not reduced"),
         (lambda: weyl.element_to_json(weyl.WeylElement(5, (1,), ())), "ambient 5 is not a CartanMatrix"),
+        (lambda: weyl.inversions(weyl.WeylElement(cm, (1, 1), ())), "stored matrix is not the matrix of the word (1, 1)"),
+        (lambda: weyl.inversions(weyl.WeylElement(cm, (1, 1), weyl.identity(cm).matrix)),
+         "stored word (1, 1) is not reduced"),
     ]
     for call, message in cases:
         with pytest.raises(InvalidSubsetError, match=f"^{re.escape(message)}$"):
@@ -1179,6 +1185,7 @@ def test_matrix_readers_check_the_stored_matrix():
     # non-canonical word included
     w0 = weyl.longest_element(cm, (1, 2))
     assert weyl.element_to_json(w0) == {"word": list(w0.word), "matrix": [list(r) for r in w0.matrix], "length": 3}
+    assert weyl.inversions(w0) == ((0, 1, 0), (1, 0, 0), (1, 1, 0))
     assert weyl.act(s1, (1, 0, 0)) == (-1, 0, 0)
 
 
