@@ -110,18 +110,7 @@ def test_all_roots_symmetry():
     assert (0, 0, 0, 0) not in as_set
 
 
-@pytest.mark.parametrize(
-    "rows,error,message",
-    [
-        (((2, -3), (-3, 2)), ClassificationError, None),
-        (((2, -3, 0), (-3, 2, -1), (0, -1, 2)), ClassificationError, None),
-        (((2, -2), (-2, 2)), InvalidSubsetError, "subset spans an affine component"),
-        (cartan.parse_type("A24affine").entries, InvalidSubsetError, "subset spans an affine component"),
-        (closed_forms.cartan_rows("A", N + 1, False), UnsupportedRankError, None),
-    ],
-    ids=["hyperbolic-2", "hyperbolic-3", "A1affine", "A24affine", "path-26"],
-)
-def test_hand_built_rows_of_no_finite_type_are_refused_by_the_finite_type_test(rows, error, message):
+def _refused_by_the_finite_type_test(rows, error, message):
     # flagged finite by hand and never validated: every root list and every
     # highest-root fact refuses the rows as the longest element does, at once
     cm = cartan.CartanMatrix(entries=rows, is_affine=False)
@@ -140,6 +129,36 @@ def test_hand_built_rows_of_no_finite_type_are_refused_by_the_finite_type_test(r
     for reader in readers:
         with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
             reader(cm)
+
+
+def test_closure_valve_stops_on_a_hand_built_infinite_matrix():
+    # hyperbolic rows: the finite-type test, not a height cap, stops them
+    _refused_by_the_finite_type_test(((2, -3), (-3, 2)), ClassificationError, None)
+
+
+ASCENT_VALVE_ROWS = {
+    ((2, -3, 0), (-3, 2, -1), (0, -1, 2)): (ClassificationError, None),
+    ((2, -2), (-2, 2)): (InvalidSubsetError, "subset spans an affine component"),
+}
+
+
+@pytest.mark.parametrize("rows", list(ASCENT_VALVE_ROWS))
+def test_ascent_valve_stops_on_a_hand_built_infinite_matrix(rows):
+    # irreducible and symmetrizable but no finite type: refused before the
+    # highest-root ascent, which no longer needs a height cap
+    _refused_by_the_finite_type_test(rows, *ASCENT_VALVE_ROWS[rows])
+
+
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        (cartan.parse_type("A24affine").entries, InvalidSubsetError, "subset spans an affine component"),
+        (closed_forms.cartan_rows("A", N + 1, False), UnsupportedRankError, None),
+    ],
+    ids=["A24affine", "path-26"],
+)
+def test_hand_built_rows_of_no_finite_type_are_refused_by_the_finite_type_test(rows, error, message):
+    _refused_by_the_finite_type_test(rows, error, message)
 
 
 def test_positive_roots_rejects_affine():
