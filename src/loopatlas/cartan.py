@@ -117,8 +117,8 @@ class DynkinDiagram:
 
 # Every derived fact lives in one bounded store, keyed on (function,
 # arguments); an exception is never stored.  The largest atlas the size
-# limit allows (``atlas --max-rank 24``) puts in 5,664 entries and the
-# default atlas 1,080, so 8192 entries hold either whole.
+# limit allows (``atlas --max-rank 24``) puts in 7,261 entries and the
+# default atlas 1,365, so 8192 entries hold either whole.
 @lru_cache(maxsize=8192)
 def _fact(fn, *args, **kwargs):
     return fn(*args, **kwargs)

@@ -152,11 +152,11 @@ def _certificates(
     searched.  ``searched`` is the number of elements of length at most
     ``bound``, the same for every omitted node: the coefficients of the
     shared length series ``weyl._length_series``, Bott's W_a(q) here, up
-    to q^bound, summed.
+    to q^bound, summed once per (ambient, bound) by ``weyl._ball_size``.
     """
     bound = cartan._check_bound(bound)
     null = _null_root(cm)
-    searched = sum(weyl._length_series(cm.entries, bound))
+    searched = weyl._ball_size(cm.entries, bound)
     out = []
     for removed_node in removed_nodes:
         theta = tuple(i for i in cm.nodes if i != removed_node)
@@ -237,7 +237,7 @@ def finite_self_associate(
     # w0·α_c = −α_σ(c), so σ(c) = c exactly when its entry c is −1
     fixed = weyl._image(weyl._moves(cm), w0, removed_node)[removed_node - 1] == -1
     witness = weyl._element(cm, list(w0 + longest)) if fixed and len(w0) - len(longest) <= bound else None
-    searched = sum(weyl._length_series(cm.entries, bound))
+    searched = weyl._ball_size(cm.entries, bound)
     return _certificate(cm, theta, longest, witness, None, bound, searched)
 
 

@@ -35,14 +35,19 @@ A row of w·s_i depends only on the row of w and on i, so the walk keeps
 each distinct row once, steps a new one over ``_moves`` in Python ints as
 ``_matrix`` does, and moves row ids, not matrices.
 Counting needs no walk: ``ball_sizes`` reads the Poincaré series
-(``_length_series``), which the certificates in ``parabolic`` sum too.
+(``_length_series``), which the certificates in ``parabolic`` sum too
+(``_ball_size``).
+
+An element is a ``WeylElement``, a ``NamedTuple`` of (ambient, word,
+matrix).  It is not checked where it is made, since the walk yields 10⁵
+of them, but where it is read (``_stored_matrix``, ``_letters``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator
+from itertools import accumulate, repeat
+from operator import add
+from typing import Iterator, NamedTuple
 
 from . import cartan, roots
 from .cartan import CartanMatrix
@@ -52,13 +57,16 @@ Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Group element: reduced word plus exact action matrix.  The word is
-    canonical except on ``longest_element`` results, so compare elements
-    by matrix, not by dataclass equality.  The matrix is a tuple of row
-    tuples, and a row may be one object shared with other elements: the
-    identity rows, and every row within one ``enumerate_elements`` walk."""
+class WeylElement(NamedTuple):
+    """Group element: reduced word plus exact action matrix, a
+    ``NamedTuple`` like ``maass_selberg.ScanPoint``: immutable, read by
+    attribute, hashed and printed as the tuple of its fields, and equal to
+    that plain tuple.  The word is canonical except on ``longest_element``
+    results, so compare elements by matrix, not by tuple equality.  The
+    matrix is a tuple of row tuples, and a row may be one object shared
+    with other elements: the identity rows, and every row within one
+    ``enumerate_elements`` walk.  The library builds every element with
+    ``tuple.__new__``, which skips the generated ``__new__``."""
 
     ambient: CartanMatrix
     word: tuple[int, ...]
@@ -214,7 +222,7 @@ def _element(cm: CartanMatrix, letters: list[int]) -> WeylElement:
     the canonical word."""
     moves = _moves(cm)
     word = _reduce(moves, letters)
-    return WeylElement(ambient=cm, word=word, matrix=_matrix(moves, word))
+    return tuple.__new__(WeylElement, (cm, word, _matrix(moves, word)))
 
 
 def from_word(cm: CartanMatrix, word) -> WeylElement:
@@ -320,6 +328,13 @@ def _length_series(rows, bound: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+@cartan._memo
+def _ball_size(rows, bound: int) -> int:
+    """Number of elements of length at most ``bound`` of the group of the
+    rows: ``_length_series`` summed, stored as one int per (rows, bound)."""
+    return sum(_length_series(rows, bound))
+
+
 def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
     """Longest element of the subgroup generated by the given nodes.
 
@@ -340,7 +355,7 @@ def longest_element(cm: CartanMatrix, nodes) -> WeylElement:
 def _longest_element(cm: CartanMatrix, subset: tuple[int, ...]) -> WeylElement:
     """``longest_element`` of a checked subset."""
     word = _longest(cm, subset)
-    return WeylElement(ambient=cm, word=word, matrix=_matrix(_moves(cm), word))
+    return tuple.__new__(WeylElement, (cm, word, _matrix(_moves(cm), word)))
 
 
 @cartan._memo
@@ -406,10 +421,11 @@ def _image(moves, word, c: int) -> list[int]:
     return beta
 
 
+@cartan._memo
 def _removed_image(cm: CartanMatrix, word: tuple[int, ...], removed: int) -> Coords:
     """w0_Θ·α_c for the ascent word of w0_Θ, Θ the nodes other than c =
-    ``removed``, read by one column walk (``_image``); checked to keep
-    coefficient 1 at c and to be positive."""
+    ``removed``, read by one column walk (``_image``) once per (ambient,
+    word, node); checked to keep coefficient 1 at c and to be positive."""
     image = tuple(_image(_moves(cm), word, removed))
     if image[removed - 1] != 1:
         raise LoopAtlasError("removed-root coefficient drifted from 1")
@@ -451,6 +467,12 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     needs it.  Distinct rows compare as their ranks in tuple order, so a
     level's lexsort reads one rank per row instead of every entry.
 
+    The walk stays lazy a block of 4096 elements at a time.  A block's
+    elements are built by one C-level ``map`` of ``tuple.__new__`` over
+    the block's words and row tuples, and the next level's words by one
+    ``map`` of ``operator.add`` over the parents' words and a per-walk
+    list of one-letter suffixes, so no Python code runs per element.
+
     The heights are the walk's one int64 state.  Column j of M is the real
     root w·α_j, whose entries share one sign, so |h_j| bounds that column
     (Kac, *Infinite-dimensional Lie Algebras* §5.1).  The descent test
@@ -471,6 +493,7 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
     row_ids = {row: k for k, row in enumerate(rows)}
     table = np.fromiter(rows, object, len(rows))
     step = np.full((n, n), -1, dtype=np.int32)  # -1: not needed yet
+    suffixes = [(i + 1,) for i in range(n)]  # the one-letter word of 0-based node i
     level, heights, words = np.arange(n, dtype=np.int32)[None], np.ones((1, n), dtype=np.int64), [()]
     for length in range(max_length + 1):
         present = np.flatnonzero(np.bincount(level.ravel())).tolist()  # the ids of the level's rows
@@ -479,8 +502,9 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
         order = np.lexsort(rank[level].T[::-1])
         for start in range(0, len(order), 4096):  # a block at a time, not a whole level of row lists
             block = order[start : start + 4096]
-            for r, matrix in zip(block.tolist(), table[level[block]].tolist()):
-                yield WeylElement(ambient=cm, word=words[r], matrix=tuple(matrix))
+            matrices = map(tuple, table[level[block]].tolist())
+            fields = zip(repeat(cm), map(words.__getitem__, block.tolist()), matrices)
+            yield from map(tuple.__new__, repeat(WeylElement), fields)
         if length == max_length:
             return
         if grow * int(np.abs(heights).max()) > int64_max:
@@ -515,7 +539,8 @@ def _enumerate(cm: CartanMatrix, max_length: int) -> Iterator[WeylElement]:
             step = np.vstack([step, np.full((len(rows) - len(step), n), -1, dtype=np.int32)])
             moved = step[level, letter[:, None]]
         level = moved
-        words = [words[p] + (i + 1,) for p, i in zip(parent.tolist(), letter.tolist())]
+        last = map(suffixes.__getitem__, letter.tolist())
+        words = list(map(add, map(words.__getitem__, parent.tolist()), last))
 
 
 def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:

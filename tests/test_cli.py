@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -255,6 +256,24 @@ def test_atlas_is_byte_identical(capsys):
     code2, out2, _ = run(capsys, "atlas", "--max-rank", "2", "--max-length", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# The atlas invariant: these TSV outputs have matched byte for byte since
+# they were first recorded.  --max-rank 24 (under a second) is pinned too,
+# the one atlas that reaches ranks 10 to 24.
+ATLAS_MD5 = {
+    (): "c20232bab41a0c8a696e827f91b540b5",
+    ("--max-length", "12"): "248bab7ab44d096b044a563d7e05e54c",
+    ("--max-rank", "9", "--max-length", "24"): "455280e24905fb6ae183be6197658d2b",
+    ("--max-rank", "24"): "7c93a06540fa3776751dbcc4156e2bd2",
+}
+
+
+@pytest.mark.parametrize("argv", list(ATLAS_MD5))
+def test_atlas_tsv_pin(capsys, argv):
+    code, out, err = run(capsys, "atlas", *argv, "--format", "tsv")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == ATLAS_MD5[argv]
 
 
 def test_atlas_tsv(capsys):
@@ -732,6 +751,13 @@ _API = {
     "affine_slice_to_json_non_slice": lambda cm, a, b, t, x: roots.affine_slice_to_json(x),
     "value_to_json_non_value": lambda cm, a, b, t, x: maass_selberg.value_to_json(x),
     "scan_to_json_non_report": lambda cm, a, b, t, x: maass_selberg.scan_to_json(x),
+    # an element iterates as (ambient, word, matrix), so it must still be refused as a sequence
+    "from_word_element": lambda cm, a, b, t, x: weyl.from_word(cm, weyl.simple(cm, 1)),
+    "reduce_word_element": lambda cm, a, b, t, x: weyl.reduce_word(cm, weyl.simple(cm, 1)),
+    "act_element_as_vector": lambda cm, a, b, t, x: weyl.act(weyl.simple(cm, 1), weyl.simple(cm, 1)),
+    "functional_element": lambda cm, a, b, t, x: criterion.functional(weyl.simple(cm, 1)),
+    "from_matrix_element": lambda cm, a, b, t, x: cartan.from_matrix(weyl.simple(cm, 1)),
+    "parabolic_subset_element": lambda cm, a, b, t, x: parabolic.parabolic_subset(cm, weyl.simple(cm, 1)),
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
@@ -910,6 +936,14 @@ def _api_call(draw):
 @example(("affine_slice_to_json_non_slice", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("value_to_json_non_value", cartan.parse_type("A2affine"), [], [], [], 5))
 @example(("scan_to_json_non_report", cartan.parse_type("A2affine"), [], [], [], 5))
+# and an element read as a word, vector, value list, matrix or node list, on
+# A2affine, whose three nodes match the element's three fields
+@example(("from_word_element", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("reduce_word_element", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("act_element_as_vector", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("functional_element", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("from_matrix_element", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("parabolic_subset_element", cartan.parse_type("A2affine"), [], [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API."""
     name, cm, a, b, t, x = call

@@ -325,6 +325,8 @@ def test_one_fact_store_serves_every_memoised_function():
         (weyl._unit_rows, (3,), None),
         (weyl._longest, (a2_affine, (1, 2)), None),
         (weyl._longest_element, (a2_affine, (1, 2)), None),
+        (weyl._removed_image, (a2_affine, weyl._longest(a2_affine, (2, 3)), 1), None),
+        (weyl._ball_size, (a2_affine.entries, 4), None),
         (parabolic._maximal_levi_types, (a2_affine,), parabolic.maximal_levi_types),
         (parabolic._null_root, (a2_affine,), None),
     ]

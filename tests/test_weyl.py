@@ -932,6 +932,53 @@ def test_element_json():
     }
 
 
+# --- the element record's contract -------------------------------------------
+
+# reprs of the B3affine walk to length 4, one per line, as the frozen
+# dataclass that the record used to be printed them
+ELEMENT_REPR_SHA256 = "50444053f3a01a19bf8e01d6220b8c8a34369f54bc4782e8295c4ee9cb26c701"
+
+
+def _record_elements():
+    """Elements from every path that builds one."""
+    cm = _cm("B3affine")
+    w1, w2 = weyl.from_word(cm, (1, 2, 3)), weyl.from_word(cm, (4, 2, 1, 2))
+    return [
+        w1, w2, weyl.inverse(w1), weyl.compose(w1, w2), weyl.identity(cm),
+        weyl.longest_element(cm, (1, 2, 3)), *weyl.enumerate_elements(cm, 2),
+    ]
+
+
+def test_elements_are_named_tuples():
+    for w in _record_elements():
+        assert type(w) is weyl.WeylElement
+        assert w == (w.ambient, w.word, w.matrix) == tuple(w)
+
+
+def test_element_hash_repr_and_str_read_the_fields():
+    for w in _record_elements():
+        assert hash(w) == hash((w.ambient, w.word, w.matrix))
+        assert repr(w) == f"WeylElement(ambient={w.ambient!r}, word={w.word!r}, matrix={w.matrix!r})"
+        assert str(w) == f"WeylElement({'.'.join(map(str, w.word)) or 'e'})"
+        assert w.length == len(w.word)
+    reprs = "\n".join(map(repr, weyl.enumerate_elements(_cm("B3affine"), 4)))
+    assert hashlib.sha256(reprs.encode()).hexdigest() == ELEMENT_REPR_SHA256
+
+
+def test_elements_are_immutable():
+    for w in _record_elements():
+        for field in ("ambient", "word", "matrix"):
+            with pytest.raises(AttributeError):
+                setattr(w, field, ())
+
+
+def test_walk_stays_lazy():
+    """A walk that built its levels ahead would not return at this bound;
+    ``test_enumeration_shares_equal_rows`` pins the walk's shared rows."""
+    first = next(weyl.enumerate_elements(_cm("E8affine"), 10**6))
+    assert first.word == () and first.matrix == weyl.identity(_cm("E8affine")).matrix
+
+
 # --- the symmetric bilinear form is invariant --------------------------------
 
 
