@@ -368,13 +368,11 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     ``null_vector`` returns.  So this is the same check as comparing
     ``null_vector`` on both sides with them.
     """
-    return _affinize(_ambient(cm))
+    return _affinize(_ambient(cm, affine=False))
 
 
 @_memo
 def _affinize(cm: CartanMatrix) -> CartanMatrix:
-    if cm.is_affine:
-        raise InvalidCartanMatrixError("matrix is already affine")
     _check_size(cm.size + 1)
     if not irreducible(cm):
         raise InvalidCartanMatrixError("affinization needs an irreducible matrix")
@@ -433,9 +431,9 @@ def from_matrix(rows_in) -> CartanMatrix:
     if types and not any(affine for *_, affine in types):
         label = "%s%d" % types[0][:2] if len(types) == 1 else None
         return CartanMatrix(entries=rows, is_affine=False, label=label)
-    # only connected rows can be an affinization; named types count the components
-    connected = len(types) == 1 if types else len(_components(rows, range(n))) == 1
-    found = _affine(rows) if connected else None
+    # only connected rows can be an affinization; unnamed rows are no affine
+    # type either, since classifying them already found ``_affine`` None
+    found = _affine(rows) if len(types) == 1 else None
     if found is None:
         if len(_eliminate(rows)[1]) != n - 1:
             raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
@@ -615,13 +613,17 @@ def _instance(obj, kind):
     return obj
 
 
-def _ambient(obj, kind=None) -> CartanMatrix:
+def _ambient(obj, kind=None, affine=None) -> CartanMatrix:
     """The ambient matrix a public entry point reads: ``obj`` itself, or,
-    given a ``kind``, the ambient of ``obj``, which must be a ``kind``."""
+    given a ``kind``, the ambient of ``obj``, which must be a ``kind``.
+    Given ``affine``, the ambient's flag must equal it: the one gate on
+    the ambient's kind."""
     if kind is not None:
         obj = _instance(obj, kind).ambient
     if not isinstance(obj, CartanMatrix):
         raise InvalidSubsetError(f"ambient {obj!r} is not a CartanMatrix")
+    if affine is not None and obj.is_affine != affine:
+        raise InvalidCartanMatrixError(f"ambient {obj} is {'not ' if affine else ''}affine")
     return obj
 
 
@@ -731,11 +733,15 @@ def _named(series, rank, affine: bool) -> CartanMatrix:
 
 
 def to_json(cm: CartanMatrix) -> dict:
+    """A type name for the Bourbaki rows of a labelled type, which
+    ``from_json`` rebuilds; the rows themselves otherwise, so a relabelled
+    node order reads back in its own numbering."""
     cm = _ambient(cm)
     if cm.label:
         series = cm.label[0]
-        rank_text = cm.label[1:-6] if cm.is_affine else cm.label[1:]
-        return {"series": series, "rank": int(rank_text), "affine": cm.is_affine}
+        rank = int(cm.label[1:-6] if cm.is_affine else cm.label[1:])
+        if cm.entries == _bourbaki(series, rank, cm.is_affine):
+            return {"series": series, "rank": rank, "affine": cm.is_affine}
     return {"matrix": [list(row) for row in cm.entries], "affine": cm.is_affine}
 
 

@@ -305,13 +305,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.run(args)
-    except LoopAtlasError as exc:
+    except (LoopAtlasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if text is not None:

@@ -19,7 +19,7 @@ from math import lcm
 
 from . import cartan, roots, serialize
 from .cartan import CartanMatrix
-from .errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError, RegionError
+from .errors import InvalidSubsetError, NumberTypeError, RegionError
 from .serialize import Number
 
 BOUNDARY_TOLERANCE = 1e-12  # float comparisons against the -g locus
@@ -58,16 +58,9 @@ def _check_functional(f) -> None:
         raise NumberTypeError(f"spectral parameter {f!r} is not a LinearFunctional")
 
 
-def _check_affine(cm) -> CartanMatrix:
-    """The one affine-ambient gate of the spectral entry points."""
-    if not cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("spectral parameters live over an affine ambient")
-    return cm
-
-
 def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
     _check_functional(f)
-    _check_affine(cm)
+    cartan._ambient(cm, affine=True)
     if f.size != cm.size:
         raise InvalidSubsetError(
             f"functional has {f.size} values, ambient has {cm.size} coroots"
@@ -101,7 +94,7 @@ def _is_exact(x) -> bool:
 
 def weyl_vector(cm: CartanMatrix) -> LinearFunctional:
     """The functional taking the value 1 on every simple coroot."""
-    _check_affine(cm)
+    cartan._ambient(cm, affine=True)
     return LinearFunctional(values=(1,) * cm.size)
 
 
@@ -195,7 +188,7 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
     The target must sit strictly inside the convergent region; each coroot
     value is target / g, exact for exact targets."""
     _check_numbers((target,), "central target")
-    g = roots._dual_coxeter(_check_affine(cm))
+    g = roots._dual_coxeter(cartan._ambient(cm, affine=True))
     if not target.real < -2 * g:
         raise RegionError(
             f"central target {target!r} is not strictly below -2g = {-2 * g}"

@@ -44,10 +44,18 @@ FINITE_RANK_LIMIT = 6  # the largest rank with finite verdicts; lifting it chang
 
 @dataclass(frozen=True)
 class ParabolicSubset:
-    """Proper subset of the nodes of an affine ambient matrix."""
+    """Proper subset of the nodes of an affine ambient matrix, checked
+    where it is made; ``nodes`` is kept sorted."""
 
     ambient: CartanMatrix
     nodes: tuple[int, ...]
+
+    def __post_init__(self):
+        cm = cartan._ambient(self.ambient, affine=True)
+        subset = cartan._check_subset(cm, self.nodes)
+        if len(subset) >= cm.size:
+            raise InvalidSubsetError("subset must be proper")
+        object.__setattr__(self, "nodes", subset)  # read once, so a generator is kept too
 
     @property
     def removed(self) -> tuple[int, ...]:
@@ -105,27 +113,17 @@ class ConstantTermReport:
 
 def parabolic_subset(cm: CartanMatrix, nodes) -> ParabolicSubset:
     """Validated proper subset of an affine ambient."""
-    if not cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("parabolic subsets live over an affine ambient")
-    subset = cartan._check_subset(cm, nodes)
-    if len(subset) >= cm.size:
-        raise InvalidSubsetError("subset must be proper")
-    return ParabolicSubset(ambient=cm, nodes=subset)
+    return ParabolicSubset(cm, nodes)
 
 
 def maximal_parabolics(cm: CartanMatrix) -> tuple[ParabolicSubset, ...]:
     """One maximal subset per omitted node, in node order."""
-    if not cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("parabolic subsets live over an affine ambient")
-    return tuple(
-        ParabolicSubset(ambient=cm, nodes=tuple(j for j in cm.nodes if j != i))
-        for i in cm.nodes
-    )
+    cm = cartan._ambient(cm, affine=True)
+    return tuple(ParabolicSubset(cm, tuple(j for j in cm.nodes if j != i)) for i in cm.nodes)
 
 
 def levi_type(p: ParabolicSubset) -> LeviType:
-    cm = cartan._ambient(p, ParabolicSubset)
-    return _levi_type(cm, cartan._check_subset(cm, p.nodes))
+    return _levi_type(cartan._ambient(p, ParabolicSubset), p.nodes)
 
 
 def _levi_type(cm: CartanMatrix, subset: tuple[int, ...]) -> LeviType:
@@ -198,8 +196,6 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
     the structural obstruction; ``search_bound`` is the radius of the
     ball that ``searched`` counts."""
     cm = cartan._ambient(p, ParabolicSubset)
-    if not cm.is_affine:
-        raise InvalidCartanMatrixError("use finite_self_associate over a finite ambient")
     if not p.is_maximal:
         raise InvalidSubsetError("self-associate verdicts are defined for maximal subsets")
     return _certificates(cm, p.removed, search_bound)[0]
@@ -208,8 +204,7 @@ def is_self_associate(p: ParabolicSubset, search_bound: int = 16) -> AssociateCe
 def maximal_certificates(cm: CartanMatrix, search_bound: int = 16) -> tuple[AssociateCertificate, ...]:
     """Certificates for every maximal subset, in omitted-node order, each
     counting the ball of radius ``search_bound``."""
-    if not cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("maximal_certificates runs over an affine ambient")
+    cm = cartan._ambient(cm, affine=True)
     return _certificates(cm, cm.nodes, search_bound)
 
 
@@ -221,8 +216,7 @@ def finite_self_associate(
     when σ fixes the omitted node and N − N_Θ ≤ ``max_length``.
     ``searched`` is the size of the ball of that radius; the default, N,
     the number of positive roots, covers the whole group."""
-    if cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("ambient must be finite")
+    cm = cartan._ambient(cm, affine=False)
     if not cartan.irreducible(cm):
         raise InvalidCartanMatrixError("ambient must be irreducible")
     if cm.size > FINITE_RANK_LIMIT:
@@ -249,7 +243,8 @@ def maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
 
 @cartan._memo
 def _maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:
-    return tuple(_levi_type(cm, p.nodes) for p in maximal_parabolics(cm))
+    cartan._ambient(cm, affine=True)  # constant_term_report reads it too
+    return tuple(_levi_type(cm, tuple(j for j in cm.nodes if j != i)) for i in cm.nodes)
 
 
 def constant_term_report(cert: AssociateCertificate) -> ConstantTermReport:

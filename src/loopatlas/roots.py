@@ -112,8 +112,7 @@ def _signed(positive: tuple[Coords, ...]) -> tuple[Coords, ...]:
 def positive_roots(cm: CartanMatrix) -> tuple[Coords, ...]:
     """All positive roots of a finite matrix (``_positive``), sorted by
     height then lexicographically."""
-    if cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
+    cm = cartan._ambient(cm, affine=False)
     return _positive(cm, cm.nodes)
 
 
@@ -141,8 +140,7 @@ def highest_root(cm: CartanMatrix) -> Coords:
 
 @cartan._memo
 def _highest_root(cm: CartanMatrix) -> Coords:
-    if cm.is_affine:
-        raise InvalidCartanMatrixError("ambient is affine; use affine_roots")
+    cartan._ambient(cm, affine=False)
     if len(cartan._component_types(cm, cm.nodes)) != 1:
         raise InvalidCartanMatrixError("highest root needs an irreducible matrix")
     rows = cm.entries
@@ -211,8 +209,7 @@ def finite_part(cm: CartanMatrix) -> CartanMatrix:
 
 @cartan._memo
 def _finite_part(cm: CartanMatrix) -> CartanMatrix:
-    if not cm.is_affine:
-        raise InvalidCartanMatrixError("matrix is not affine")
+    cartan._ambient(cm, affine=True)
     return cartan._subdiagram(cm, cm.nodes[:-1])
 
 
@@ -273,8 +270,7 @@ class AffineRootSlice:
 
 def affine_roots(cm: CartanMatrix, depth: int) -> AffineRootSlice:
     """Slice of the affine root system, organized by level."""
-    if not cartan._ambient(cm).is_affine:
-        raise InvalidCartanMatrixError("matrix is not affine")
+    cm = cartan._ambient(cm, affine=True)
     depth = cartan._check_bound(depth, "depth")
     fin = _finite_part(cm)
     finite = all_roots(fin)

@@ -313,6 +313,9 @@ def _length_series(rows, bound: int) -> tuple[int, ...]:
     raises ClassificationError."""
     types = cartan._series_types(rows)
     if not any(affine for *_, affine in types):
+        # clipped to N, the longest length, since every length up to N
+        # occurs: so no trailing level is zero.  A series with an affine
+        # factor has no zero coefficient at all.
         bound = min(bound, sum(_positive_root_count(series, rank) for series, rank, _ in types))
     counts = [1] + [0] * bound
     for series, rank, affine in types:
@@ -323,8 +326,6 @@ def _length_series(rows, bound: int) -> tuple[int, ...]:
             if affine:  # times 1/(1 − q^m): a running sum with stride m
                 for k in range(m, bound + 1):
                     counts[k] += counts[k - m]
-    while not counts[-1]:
-        counts.pop()
     return tuple(counts)
 
 

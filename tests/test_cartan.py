@@ -3,7 +3,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -384,6 +384,11 @@ def test_affinize_e6_attachment():
     assert col == (0, -1, 0, 0, 0, 0, 2)
 
 
+def test_affinize_labels_unlabelled_rows():
+    unlabelled = cartan.CartanMatrix(cartan.finite_cartan("A", 3).entries, False)
+    assert cartan.affinize(unlabelled) == cartan.parse_type("A3affine")
+
+
 def test_affinize_rejects_affine_and_reducible():
     affine = cartan.affinize(cartan.finite_cartan("A", 2))
     with pytest.raises(InvalidCartanMatrixError):
@@ -755,6 +760,26 @@ def test_json_round_trip_at_the_size_limit():
     for obj in ({"series": "A", "rank": N + 1}, {"series": "D", "rank": N, "affine": True}, {"matrix": _path(N + 1)}):
         with pytest.raises(UnsupportedRankError):
             cartan.from_json(obj)
+
+
+def test_json_round_trip_of_relabelled_node_orders():
+    """``to_json`` names a type only for its Bourbaki rows.  Up to six node
+    orders of each type to rank 8 (the attached node kept last), accepted
+    and labelled by ``from_matrix``, read back as the same matrix in their
+    own numbering; C2 and C2affine keep their names."""
+    by_name = 0
+    for cm in cartan.all_types(8, affine=False) + cartan.all_types(8, affine=True):
+        rows = cm.entries
+        for perm in islice(permutations(range(cm.finite_rank)), 6):
+            perm += (cm.size - 1,) * cm.is_affine
+            relabelled = cartan.from_matrix([[rows[i][j] for j in perm] for i in perm])
+            obj = json.loads(json.dumps(cartan.to_json(relabelled)))
+            assert cartan.from_json(obj) == relabelled, (cm.label, perm)
+            by_name += "series" in obj
+    assert by_name >= 62  # at least the Bourbaki order of each type
+    for label in ("C2", "C2affine"):
+        cm = cartan.parse_type(label)
+        assert cartan.to_json(cm) == {"series": "C", "rank": 2, "affine": cm.is_affine}
 
 
 # --- from_matrix against the Sylvester test -----------------------------------

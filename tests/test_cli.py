@@ -276,6 +276,19 @@ def test_atlas_tsv_pin(capsys, argv):
     assert hashlib.md5(out.encode()).hexdigest() == ATLAS_MD5[argv]
 
 
+def test_fact_store_holds_the_largest_atlas(capsys):
+    """The largest atlas the size limit allows fits the one fact store: a
+    warm rerun computes no fact again, and the store is not full."""
+    cartan._fact.cache_clear()
+    argv = ("atlas", "--max-rank", "24", "--format", "tsv")
+    assert run(capsys, *argv)[0] == 0
+    cold = cartan._fact.cache_info()
+    assert run(capsys, *argv)[0] == 0
+    warm = cartan._fact.cache_info()
+    assert warm.misses == cold.misses
+    assert warm.currsize < warm.maxsize
+
+
 def test_atlas_tsv(capsys):
     code, out, _ = run(
         capsys, "atlas", "--max-rank", "2", "--max-length", "2", "--format", "tsv"
@@ -758,6 +771,21 @@ _API = {
     "functional_element": lambda cm, a, b, t, x: criterion.functional(weyl.simple(cm, 1)),
     "from_matrix_element": lambda cm, a, b, t, x: cartan.from_matrix(weyl.simple(cm, 1)),
     "parabolic_subset_element": lambda cm, a, b, t, x: parabolic.parabolic_subset(cm, weyl.simple(cm, 1)),
+    # the record checks itself where it is made; the readers trust it
+    "parabolic_subset_record": lambda cm, a, b, t, x: parabolic.constant_term_is_trivial(parabolic.ParabolicSubset(cm, a)),
+    "parabolic_subset_record_repeated_node": lambda cm, a, b, t, x: parabolic.ParabolicSubset(cm, (1, 1)),
+    "parabolic_subset_record_text_nodes": lambda cm, a, b, t, x: parabolic.ParabolicSubset(cm, ("1", "2")),
+    "parabolic_subset_record_node_out_of_range": lambda cm, a, b, t, x: parabolic.ParabolicSubset(cm, (1, 9)),
+    "parabolic_subset_record_all_nodes": lambda cm, a, b, t, x: parabolic.ParabolicSubset(cm, cm.nodes),
+    "parabolic_subset_record_finite_ambient": lambda cm, a, b, t, x: parabolic.ParabolicSubset(
+        cartan.parse_type("A2"), (1,)
+    ),
+}
+# these must be refused, whatever is drawn
+_REFUSED = {
+    "parabolic_subset_record_repeated_node", "parabolic_subset_record_text_nodes",
+    "parabolic_subset_record_node_out_of_range", "parabolic_subset_record_all_nodes",
+    "parabolic_subset_record_finite_ambient",
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
@@ -775,7 +803,7 @@ _ROWS_AS_AMBIENT = {
 # bounds or value arrays, which may also be drawn as scalars
 _SEQUENCE_CALLS = {
     "from_word", "reduce_word", "inverse", "compose", "inversions", "act", "act_element", "element_to_json",
-    "word_from_matrix", "parabolic_subset", "levi_type", "longest_element",
+    "word_from_matrix", "parabolic_subset", "parabolic_subset_record", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
     "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
@@ -944,10 +972,19 @@ def _api_call(draw):
 @example(("functional_element", cartan.parse_type("A2affine"), [], [], [], 0))
 @example(("from_matrix_element", cartan.parse_type("A2affine"), [], [], [], 0))
 @example(("parabolic_subset_element", cartan.parse_type("A2affine"), [], [], [], 0))
+# and these records were made (constant_term_is_trivial answered the first three for nodes 2, 1 and 2)
+@example(("parabolic_subset_record_repeated_node", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("parabolic_subset_record_text_nodes", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("parabolic_subset_record_node_out_of_range", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("parabolic_subset_record_all_nodes", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("parabolic_subset_record_finite_ambient", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("parabolic_subset_record", cartan.parse_type("A2affine"), [1, 1], [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
-    """Only LoopAtlasError subclasses may escape the Python API."""
+    """Only LoopAtlasError subclasses may escape the Python API, and the
+    calls in ``_REFUSED`` must raise one."""
     name, cm, a, b, t, x = call
     try:
         _API[name](cm, a, b, t, x)
     except LoopAtlasError:
-        pass
+        return
+    assert name not in _REFUSED, f"{name} was answered"

@@ -66,6 +66,15 @@ def test_subset_from_a_generator():
     assert p.nodes == (1, 3)
 
 
+def test_subset_record_checks_itself():
+    # the record used to keep its nodes as given: (3, 1) and (1, 3) were two
+    # subsets, and a generator was stored unread (its refusals are in the API fuzz)
+    cm = _cm("A3affine")
+    p = parabolic.ParabolicSubset(cm, (i for i in (3, 1)))
+    assert p == parabolic.ParabolicSubset(cm, (1, 3)) == parabolic.parabolic_subset(cm, [3, 1])
+    assert p.nodes == (1, 3)
+
+
 def test_maximal_parabolics_one_per_node():
     for label in ["A1affine", "C3affine", "E6affine"]:
         cm = _cm(label)
@@ -734,3 +743,37 @@ def test_non_ambients_are_rejected():
             call()
     cert = parabolic.maximal_certificates(cm)[0]
     assert parabolic.constant_term_report(cert).certificate is cert
+
+
+def test_one_gate_on_the_ambient_kind():
+    """Every entry point that needs an affine, or a finite, ambient refuses
+    the other kind with the one message of ``cartan._ambient``."""
+    b2, a2_affine = _cm("B2"), _cm("A2affine")
+    f = criterion.functional((0, 0))
+    needs_affine = [
+        lambda: parabolic.parabolic_subset(b2, (1,)),
+        lambda: parabolic.ParabolicSubset(b2, (1,)),
+        lambda: parabolic.maximal_parabolics(b2),
+        lambda: parabolic.maximal_certificates(b2),
+        lambda: parabolic.maximal_levi_types(b2),
+        lambda: parabolic.constant_term_report(parabolic.finite_self_associate(b2, 2)),
+        lambda: roots.finite_part(b2),
+        lambda: roots.delta(b2),
+        lambda: roots.affine_roots(b2, 1),
+        lambda: criterion.weyl_vector(b2),
+        lambda: criterion.central_value(b2, f),
+        lambda: criterion.extend_from_central(b2, -100),
+        lambda: maass_selberg.pairing_kernel(b2, 1.0, f, f, (0, 0)),
+    ]
+    needs_finite = [
+        lambda: parabolic.finite_self_associate(a2_affine, 1),
+        lambda: roots.positive_roots(a2_affine),
+        lambda: roots.highest_root(a2_affine),
+        lambda: roots.marks(a2_affine),
+        lambda: cartan.affinize(a2_affine),
+    ]
+    for calls, message in ((needs_affine, "ambient CartanMatrix(B2) is not affine"),
+                           (needs_finite, "ambient CartanMatrix(A2affine) is affine")):
+        for call in calls:
+            with pytest.raises(InvalidCartanMatrixError, match=f"^{re.escape(message)}$"):
+                call()
