@@ -11,6 +11,7 @@ Bourbaki matrix; each distinct input is classified once.  That is the
 finite-type test too: a connected matrix is finite exactly when its diagram
 is one of A–G (Kac, *Infinite-dimensional Lie Algebras*, §4.8).  One
 fraction-free (Bareiss) echelon gives determinant, corank, null vectors.
+A ``CartanMatrix`` is checked where it is made, and its readers trust it.
 """
 
 from __future__ import annotations
@@ -50,15 +51,27 @@ RANK_RANGE = {
 
 @dataclass(frozen=True)
 class CartanMatrix:
-    """Immutable integer Cartan matrix with its affine flag and label.
-
-    ``label`` is a display string like ``"E6"`` or ``"E6affine"`` when the
-    type is known, None for raw unclassified input.
+    """Immutable integer Cartan matrix with its affine flag and label,
+    checked where it is made: the rows as ``from_matrix`` checks them,
+    stored as tuples of ints, and the flag and label by its type decision
+    (``_type``); a given label must name the same class ("C2" on C2 rows).
+    The one exception is ``_record``, for rows and a type just checked.
     """
 
     entries: Rows
     is_affine: bool
     label: str | None = None
+
+    def __post_init__(self):
+        rows = _check_gcm_axioms(_read_rows(self.entries))
+        affine = _check_bool(self.is_affine, "affine flag", InvalidCartanMatrixError)
+        kind, label = _type(rows) or (False, None)
+        named = None if self.label is None else parse_type(self.label)
+        if affine != kind or named and (label is None or _type(named.entries) != (kind, label)):
+            raise InvalidCartanMatrixError(
+                f"label {self.label!r} and affine flag {affine} do not fit rows of {label or 'no one named type'}"
+            )
+        self.__dict__.update(entries=rows, label=named.label if named else label)
 
     @property
     def size(self) -> int:
@@ -97,6 +110,14 @@ class CartanMatrix:
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
+def _record(rows: Rows, affine: bool, label: str | None) -> CartanMatrix:
+    """A CartanMatrix past ``__post_init__``, as the walk builds a
+    ``WeylElement``: classifying builds Bourbaki matrices through here."""
+    cm = object.__new__(CartanMatrix)
+    cm.__dict__.update(entries=rows, is_affine=affine, label=label)
+    return cm
+
+
 @dataclass(frozen=True)
 class Edge:
     """Diagram edge: ``bond`` is the product of the two off-diagonal
@@ -130,9 +151,11 @@ def _memo(fn):
     return update_wrapper(partial(_fact, fn), fn)
 
 
-def _check_gcm_axioms(rows: Rows) -> None:
-    """The generalized Cartan matrix axioms on square rows."""
+def _check_gcm_axioms(rows: Rows) -> Rows:
+    """Square rows within the size limit, which must satisfy the
+    generalized Cartan matrix axioms."""
     n = len(rows)
+    _check_size(n)
     if n == 0:
         raise InvalidCartanMatrixError("empty matrix")
     for i in range(n):
@@ -145,6 +168,7 @@ def _check_gcm_axioms(rows: Rows) -> None:
                 raise InvalidCartanMatrixError(f"positive off-diagonal entry at ({i + 1},{j + 1})")
             if (rows[i][j] == 0) != (rows[j][i] == 0):
                 raise InvalidCartanMatrixError(f"zero pattern not symmetric at ({i + 1},{j + 1})")
+    return rows
 
 
 def _as_int(x) -> int:
@@ -346,7 +370,7 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     if not lo <= rank <= hi:
         raise UnsupportedRankError(f"series {series} supports ranks {lo}..{hi}, got {rank}")
     rows = tuple(tuple(row) for row in _finite_entries(series, rank))
-    return CartanMatrix(entries=rows, is_affine=False, label=f"{series}{rank}")
+    return _record(rows, False, f"{series}{rank}")
 
 
 def affinize(cm: CartanMatrix) -> CartanMatrix:
@@ -374,15 +398,8 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
 @_memo
 def _affinize(cm: CartanMatrix) -> CartanMatrix:
     _check_size(cm.size + 1)
-    if not irreducible(cm):
-        raise InvalidCartanMatrixError("affinization needs an irreducible matrix")
-    if cm.label is not None:
-        label = f"{cm.label}affine"
-    else:
-        # raw input: classify for the label; safe here because
-        # classification affinizes labeled matrices only and never reenters
-        series, rank = _classified(cm.entries)[:2]
-        label = f"{series}{rank}affine"
+    if cm.label is None:  # flagged finite: reducible, or of no named type
+        raise InvalidCartanMatrixError("affinization needs a matrix of one finite type")
     from . import roots  # deferred: roots builds on finite matrices only
 
     a = roots.marks(cm)
@@ -402,7 +419,7 @@ def _affinize(cm: CartanMatrix) -> CartanMatrix:
         raise InvalidCartanMatrixError("left null vector does not extend the marks")
     if not _positive_ints(u) or any(sum(x * y for x, y in zip(row, u)) for row in entries):
         raise InvalidCartanMatrixError("right null vector does not extend the comarks")
-    return CartanMatrix(entries=entries, is_affine=True, label=label)
+    return _record(entries, True, cm.label + "affine")
 
 
 def _positive_ints(vec) -> bool:
@@ -419,31 +436,33 @@ def from_matrix(rows_in) -> CartanMatrix:
     affinization with the attached node last; anything else is rejected,
     with a distinct error for corank-one (twisted) shapes.
     """
-    rows = _read_rows(rows_in)
-    n = len(rows)
-    _check_size(n)
-    _check_gcm_axioms(rows)
+    rows = _check_gcm_axioms(_read_rows(rows_in))
     _symmetrizer(rows)  # refuses non-symmetrizable rows before classification
+    found = _type(rows)
+    if found is None:  # only a named connected type can be an affinization
+        if len(_eliminate(rows)[1]) != len(rows) - 1:
+            raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
+        raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
+    return _record(rows, *found)
+
+
+def _type(rows: Rows) -> tuple[bool, str | None] | None:
+    """The one type decision on checked rows, ``from_matrix``'s and the
+    constructor's: the flag and label of one named type (an affine one
+    with its attached node last), (False, None) for finite components,
+    None for any other rows."""
     try:
         types = _series_types(rows)
     except ClassificationError:
-        types = ()
-    if types and not any(affine for *_, affine in types):
-        label = "%s%d" % types[0][:2] if len(types) == 1 else None
-        return CartanMatrix(entries=rows, is_affine=False, label=label)
-    # only connected rows can be an affinization; unnamed rows are no affine
-    # type either, since classifying them already found ``_affine`` None
-    found = _affine(rows) if len(types) == 1 else None
-    if found is None:
-        if len(_eliminate(rows)[1]) != n - 1:
-            raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
-        raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
-    series, rank, at = found  # the last node that can be the attached one
-    if at != n - 1:
+        return None
+    if len(types) != 1:
+        return None if any(affine for *_, affine in types) else (False, None)
+    series, rank, affine = types[0]
+    if affine and (at := _affine(rows)[2]) != len(rows) - 1:
         raise InvalidCartanMatrixError(
             f"affine input must list the attached node last; found it at position {at + 1}"
         )
-    return CartanMatrix(entries=rows, is_affine=True, label=f"{series}{rank}affine")
+    return affine, f"{series}{rank}{'affine' * affine}"
 
 
 # --- classification ---------------------------------------------------------
@@ -637,10 +656,10 @@ def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
 
 
 def subdiagram(cm: CartanMatrix, nodes) -> CartanMatrix:
-    """Principal submatrix on a node subset, classified but not validated
-    again (a principal submatrix of a valid matrix is valid): affine only
-    when it keeps every node of an affine matrix, labelled as by
-    ``from_matrix``."""
+    """Principal submatrix on a node subset, not validated again (a
+    principal submatrix of a valid matrix is valid) but typed as by
+    ``from_matrix``: an affine type is refused unless its attached node
+    comes last."""
     cm = _ambient(cm)
     return _subdiagram(cm, _check_subset(cm, nodes))
 
@@ -650,12 +669,7 @@ def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
     rows = _principal(cm.entries, [i - 1 for i in subset])
-    affine = cm.is_affine and len(subset) == cm.size
-    try:
-        series, rank, _ = _classified(rows)
-    except ClassificationError:
-        return CartanMatrix(entries=rows, is_affine=affine)
-    return CartanMatrix(entries=rows, is_affine=affine, label=f"{series}{rank}{'affine' if affine else ''}")
+    return _record(rows, *(_type(rows) or (False, None)))
 
 
 def _components(rows: Rows, nodes) -> list[list[int]]:
@@ -706,8 +720,7 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
 @_memo
 def _series_types(rows: Rows) -> tuple[tuple[str, int, bool], ...]:
     """(series, rank, affine) of each connected component of the rows'
-    diagram, classified once per distinct rows within the size limit."""
-    _check_size(len(rows))
+    diagram, classified once per distinct rows."""
     return tuple(_classified(_principal(rows, comp)) for comp in _components(rows, range(len(rows))))
 
 
@@ -716,14 +729,17 @@ def _series_types(rows: Rows) -> tuple[tuple[str, int, bool], ...]:
 
 def parse_type(text: str) -> CartanMatrix:
     """Parse a type label like "A2", "E6affine", "C2affine"."""
+    return _named(*_parse_label(text))
+
+
+def _parse_label(text) -> tuple[str, int, bool]:
+    """(series, rank, affine) of a type label: the one label reader."""
     s = text.strip() if isinstance(text, str) else ""
-    affine = False
-    if s.endswith("affine"):
-        affine = True
-        s = s[: -len("affine")]
-    if not s or s[0].upper() not in RANK_RANGE or not s[1:].isdigit():
+    affine = s.endswith("affine")
+    s = s.removesuffix("affine")
+    if not s or s[0].upper() not in RANK_RANGE or not (s[1:].isascii() and s[1:].isdigit()):
         raise InvalidCartanMatrixError(f"cannot parse type label {text!r}")
-    return _named(s[0].upper(), int(s[1:]), affine)
+    return s[0].upper(), int(s[1:]), affine
 
 
 def _named(series, rank, affine: bool) -> CartanMatrix:
@@ -738,10 +754,9 @@ def to_json(cm: CartanMatrix) -> dict:
     node order reads back in its own numbering."""
     cm = _ambient(cm)
     if cm.label:
-        series = cm.label[0]
-        rank = int(cm.label[1:-6] if cm.is_affine else cm.label[1:])
-        if cm.entries == _bourbaki(series, rank, cm.is_affine):
-            return {"series": series, "rank": rank, "affine": cm.is_affine}
+        series, rank, affine = _parse_label(cm.label)
+        if cm.entries == _bourbaki(series, rank, affine):
+            return {"series": series, "rank": rank, "affine": affine}
     return {"matrix": [list(row) for row in cm.entries], "affine": cm.is_affine}
 
 

@@ -8,6 +8,8 @@ comark-weighted sum of coroot values plus the value on the attached node.
 Region thresholds are multiples of the dual Coxeter number g: strictly
 below -2g the everywhere-minimal parameters live, between -2g and -g lies
 the continuation range, -g is the boundary locus, beyond it is outside.
+A ``LinearFunctional`` checks its numbers where it is made, and their
+finiteness on each call that reads it (``_check_dimension``).
 """
 
 from __future__ import annotations

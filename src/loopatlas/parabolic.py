@@ -21,6 +21,8 @@ counts in closed form, summing the group's Poincaré series
 (``weyl._length_series``, which ``weyl.ball_sizes`` reads too): Bott's
 formula W_a(q) = W(q)·Π_i 1/(1 − q^{m_i}) over an affine ambient, with
 W(q) the Poincaré polynomial of the finite part and m_i its exponents.
+A ``ParabolicSubset`` is checked where it is made, as a ``CartanMatrix``
+is, and its readers trust it.
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ Counting needs no walk: ``ball_sizes`` reads the Poincaré series
 (``_ball_size``).
 
 An element is a ``WeylElement``, a ``NamedTuple`` of (ambient, word,
-matrix).  It is not checked where it is made, since the walk yields 10⁵
-of them, but where it is read (``_stored_matrix``, ``_letters``).
+matrix).  Unlike a ``CartanMatrix``, it is not checked where it is made,
+since the walk yields 10⁵ of them, but where it is read
+(``_stored_matrix``, ``_letters``).
 """
 
 from __future__ import annotations
@@ -548,8 +549,7 @@ def ball_sizes(cm: CartanMatrix, max_length: int) -> tuple[int, ...]:
     """Element counts per length up to max_length, trailing zero levels
     dropped: the group's Poincaré series (``_length_series``), in closed
     form on every call and never stored.  Raises ClassificationError when
-    a component of the diagram is no type the library names, and
-    UnsupportedRankError above the size limit."""
+    a component of the diagram is no type the library names."""
     cm = cartan._ambient(cm)
     return _length_series(cm.entries, cartan._check_bound(max_length, "max_length"))
 

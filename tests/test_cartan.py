@@ -92,6 +92,23 @@ def test_hash_is_cached_and_never_carried_along():
     assert hash(cartan.from_matrix(cm.entries)) == hash(cm)
 
 
+def test_a_record_stores_its_rows_as_from_matrix_reads_them():
+    """Lists and integral floats are stored as tuples of ints (numpy arrays
+    in ``test_numpy_integer_arrays_read_as_lists``): float rows once gave
+    positive roots that mixed floats and ints.  A label is read as ``parse_type`` reads it and kept when it names
+    the rows' class, so C2 rows keep "C2" and are labelled "B2" unlabelled."""
+    a2 = cartan.finite_cartan("A", 2)
+    for rows in ([[2, -1], [-1, 2]], ((2.0, -1.0), (-1.0, 2.0))):
+        cm = cartan.CartanMatrix(rows, False)
+        assert cm == a2 and hash(cm) == hash(a2)
+        assert all(type(x) is int for row in cm.entries for x in row)
+        assert all(type(x) is int for root in roots.positive_roots(cm) for x in root)
+    c2 = cartan.finite_cartan("C", 2).entries
+    assert cartan.CartanMatrix(c2, False, " c2 ").label == "C2"
+    assert cartan.CartanMatrix(c2, False).label == "B2"
+    assert cartan.CartanMatrix(cartan.parse_type("C2affine").entries, True, "C2affine").label == "C2affine"
+
+
 def test_unsupported_ranks():
     assert cartan.MAX_NODES == N
     for series, rank in [("A", 0), ("A", N + 1), ("D", 3), ("D", N + 1), ("E", 5), ("E", 9), ("F", 5), ("G", 3)]:
@@ -181,17 +198,19 @@ def test_raw_rows_are_rejected_with_library_errors(bad, message):
 def test_numpy_integer_arrays_read_as_lists():
     """int8 and int64 arrays of every catalog type up to rank 8, its nodes
     permuted (the attached node kept last), give the answers, or the
-    errors, of the same rows as lists.  ``from_matrix`` and the entry
-    readers behind it used to refuse numpy integers."""
+    errors, of the same rows as lists, and so does a record built of them.
+    ``from_matrix`` and the entry readers behind it used to refuse numpy
+    integers."""
     rng = random.Random(27)
-    calls = (cartan.from_matrix, cartan.symmetrizer, cartan.determinant, cartan.null_vector, cartan.classify)
     seen = 0
     for *_, affine, rows in classifier.catalog():
         if len(rows) - affine > 8:
             continue
         rows = _relabelled(rows, rng, affine)
+        calls = (cartan.from_matrix, cartan.symmetrizer, cartan.determinant, cartan.null_vector, cartan.classify)
+        calls += (lambda r: cartan.CartanMatrix(r, affine),)
         want = [_outcome(call, rows) for call in calls]
-        assert type(want[0]) is cartan.CartanMatrix
+        assert type(want[0]) is cartan.CartanMatrix and want[-1] == want[0]
         for dtype in (np.int8, np.int64):
             assert [_outcome(call, np.array(rows, dtype=dtype)) for call in calls] == want, rows
         seen += 1
@@ -695,8 +714,8 @@ def test_rows_above_rank_nine_are_named():
 
 
 def test_rows_above_the_size_limit_are_refused_up_front(body_calls):
-    """N + 1 nodes and more: ``from_matrix`` refuses with the limit and
-    ``classify`` names no type, before either searches the diagram."""
+    """N + 1 nodes and more: ``from_matrix`` and the record refuse with the
+    limit and ``classify`` names no type, before any searches the diagram."""
     dense = [[2 if i == j else -2 for j in range(200)] for i in range(200)]
     for rows in (_path(N + 1), _cycle(N + 1), _cycle(60), dense):
         n = len(rows)
@@ -707,8 +726,9 @@ def test_rows_above_the_size_limit_are_refused_up_front(body_calls):
             cartan.from_json({"matrix": rows})
         with pytest.raises(ClassificationError, match=NO_MATCH):
             cartan.classify(rows)
-        with pytest.raises(ClassificationError, match=NO_MATCH):
-            cartan.classify(cartan.CartanMatrix(tuple(map(tuple, rows)), False))
+        with pytest.raises(UnsupportedRankError, match=f"^matrices are limited to {N} nodes, got {n}$"):
+            cartan.CartanMatrix(tuple(map(tuple, rows)), False)
+        assert body_calls(cartan._finite, lambda: _outcome(lambda r: cartan.CartanMatrix(r, False), rows)) == 0
         assert body_calls(cartan._finite, lambda: _outcome(cartan.from_matrix, rows)) == 0
         assert body_calls(cartan._symmetrizer, lambda: _outcome(cartan.from_matrix, rows)) == 0
 
@@ -893,13 +913,14 @@ def test_from_matrix_tries_affine_only_on_connected_rows(body_calls):
 
 
 def test_component_types_of_a_hand_built_ambient_keep_the_size_limit():
-    """Component types are read through the one split, which refuses rows
-    past the size limit, as ``ball_sizes`` does."""
+    """A hand-built ambient past the size limit is refused where it is
+    made, so the one split needs no limit of its own; at the limit its
+    component types are read."""
     for n in (N + 1, 40):
-        cm = cartan.CartanMatrix(tuple(map(tuple, _path(n))), False)
         with pytest.raises(UnsupportedRankError, match=f"^matrices are limited to {N} nodes, got {n}$"):
-            cartan.component_types(cm, cm.nodes)
-        assert cartan.component_types(cm, range(1, N + 1)) == (("A", N),)
+            cartan.CartanMatrix(tuple(map(tuple, _path(n))), False)
+    cm = cartan.CartanMatrix(tuple(map(tuple, _path(N))), False)
+    assert cartan.component_types(cm, cm.nodes) == (("A", N),)
 
 
 def test_classify_matches_oracle_on_levi_components():

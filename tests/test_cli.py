@@ -12,6 +12,7 @@ import numpy
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import atlas
 import loopatlas
 from loopatlas import cartan, cli, criterion, maass_selberg, parabolic, roots, weyl
 from loopatlas.errors import LoopAtlasError
@@ -274,6 +275,29 @@ def test_atlas_tsv_pin(capsys, argv):
     code, out, err = run(capsys, "atlas", *argv, "--format", "tsv")
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == ATLAS_MD5[argv]
+
+
+@pytest.mark.parametrize("max_rank,bound,argv", [(8, 16, ()), (8, 12, ("--max-length", "12")),
+                                                 (9, 24, ("--max-rank", "9", "--max-length", "24"))])
+def test_atlas_pin_from_the_oracles_alone(max_rank, bound, argv):
+    """The pinned bytes, explained without the library: the Euclidean
+    matrices, the linear-scan classifier's Levi labels, the exponent
+    series' ball sizes and the constant-term rule on the Levi multisets
+    (``tests/atlas.py``) give every atlas the catalog reaches."""
+    assert hashlib.md5(atlas.tsv(max_rank, bound).encode()).hexdigest() == ATLAS_MD5[argv]
+
+
+def test_a_cold_default_atlas_builds_no_record_through_the_checks(capsys, monkeypatch):
+    """The library's own matrices take the private builder: a cold default
+    atlas runs the checked constructor no time, and a hand-built record
+    runs it once."""
+    calls = []
+    checked = cartan.CartanMatrix.__post_init__
+    monkeypatch.setattr(cartan.CartanMatrix, "__post_init__", lambda cm: calls.append(cm) or checked(cm))
+    cartan._fact.cache_clear()
+    assert run(capsys, "atlas")[0] == 0
+    assert calls == []
+    assert cartan.CartanMatrix(((2,),), False).label == "A1" and len(calls) == 1
 
 
 def test_fact_store_holds_the_largest_atlas(capsys):
@@ -658,6 +682,10 @@ def _f(values):
     return criterion.functional(values)
 
 
+_A2_LISTS = [[2, -1], [-1, 2]]
+_A2 = ((2, -1), (-1, 2))
+
+
 _API = {
     "central_value": lambda cm, a, b, t, x: criterion.central_value(cm, _f(a)),
     "godement_cuspidal": lambda cm, a, b, t, x: criterion.godement_cuspidal(cm, _f(a)),
@@ -780,12 +808,32 @@ _API = {
     "parabolic_subset_record_finite_ambient": lambda cm, a, b, t, x: parabolic.ParabolicSubset(
         cartan.parse_type("A2"), (1,)
     ),
+    # so does a Cartan matrix: rows read as ``from_matrix`` reads them ...
+    "cartan_matrix_record_lists": lambda cm, a, b, t, x: weyl.ball_sizes(cartan.CartanMatrix(_A2_LISTS, False), 3),
+    "cartan_matrix_record_numpy": lambda cm, a, b, t, x: roots.positive_roots(
+        cartan.CartanMatrix(numpy.array(_A2_LISTS), False)
+    ),
+    # ... and refused, with its flag and label, where it is made
+    "cartan_matrix_record_ragged": lambda cm, a, b, t, x: cartan.CartanMatrix(((2, -1), (-1,)), False),
+    "cartan_matrix_record_empty": lambda cm, a, b, t, x: cartan.CartanMatrix((), False),
+    "cartan_matrix_record_other_label": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, False, "E8"),
+    "cartan_matrix_record_flagged_affine": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, True),
+    "cartan_matrix_record_positive_entries": lambda cm, a, b, t, x: cartan.CartanMatrix(((2, 1), (1, 2)), False),
+    "cartan_matrix_record_one_sided_zero": lambda cm, a, b, t, x: cartan.CartanMatrix(((2, 0), (-1, 2)), False),
+    "cartan_matrix_record_int_flag": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, 1),
+    "cartan_matrix_record_labelled_flagged_affine": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, True, "A2"),
+    "cartan_matrix_record_label_foo": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, False, "foo"),
+    "cartan_matrix_record_label_z2": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, False, "Z2"),
 }
 # these must be refused, whatever is drawn
 _REFUSED = {
     "parabolic_subset_record_repeated_node", "parabolic_subset_record_text_nodes",
     "parabolic_subset_record_node_out_of_range", "parabolic_subset_record_all_nodes",
     "parabolic_subset_record_finite_ambient",
+    "cartan_matrix_record_ragged", "cartan_matrix_record_empty", "cartan_matrix_record_other_label",
+    "cartan_matrix_record_flagged_affine", "cartan_matrix_record_positive_entries",
+    "cartan_matrix_record_one_sided_zero", "cartan_matrix_record_int_flag",
+    "cartan_matrix_record_labelled_flagged_affine", "cartan_matrix_record_label_foo", "cartan_matrix_record_label_z2",
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
@@ -979,6 +1027,22 @@ def _api_call(draw):
 @example(("parabolic_subset_record_all_nodes", cartan.parse_type("A2affine"), [], [], [], 0))
 @example(("parabolic_subset_record_finite_ambient", cartan.parse_type("A2affine"), [], [], [], 0))
 @example(("parabolic_subset_record", cartan.parse_type("A2affine"), [1, 1], [], [], 0))
+# and these Cartan matrices were made: readers raised a raw TypeError on the first two, to_json a raw
+# ValueError on the last three, and the others were answered (A2 rows flagged affine were convergent at g = 2)
+@example(("cartan_matrix_record_lists", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_numpy", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_ragged", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_empty", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_other_label", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_flagged_affine", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_positive_entries", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_one_sided_zero", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_int_flag", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_labelled_flagged_affine", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_label_foo", cartan.parse_type("A2"), [], [], [], 0))
+@example(("cartan_matrix_record_label_z2", cartan.parse_type("A2"), [], [], [], 0))
+# and a label of a non-ASCII digit raised a raw ValueError from int()
+@example(("parse_type", cartan.parse_type("A2"), "A²", [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API, and the
     calls in ``_REFUSED`` must raise one."""
@@ -988,3 +1052,59 @@ def test_api_fuzz_raises_only_library_errors(call):
     except LoopAtlasError:
         return
     assert name not in _REFUSED, f"{name} was answered"
+
+
+_CATALOG = cartan.all_types(4, affine=False) + cartan.all_types(4)
+
+
+@st.composite
+def _hand_built_rows(draw):
+    """Rows a caller may build a record of: a catalog type to rank 4 with
+    its nodes permuted (the attached node anywhere), a block sum of two,
+    or rank-2 and rank-3 rows of freely drawn bonds, hyperbolic, twisted,
+    non-symmetrizable and named ones among them."""
+
+    def permuted():
+        rows = draw(st.sampled_from(_CATALOG)).entries
+        perm = draw(st.permutations(range(len(rows))))
+        return [[rows[i][j] for j in perm] for i in perm]
+
+    shape = draw(st.sampled_from(["permuted", "block", "bonds"]))
+    if shape == "permuted":
+        return permuted()
+    if shape == "block":
+        a, b = permuted(), permuted()
+        return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+    n = draw(st.integers(2, 3))
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                rows[i][j], rows[j][i] = -draw(st.integers(1, 4)), -draw(st.integers(1, 4))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built_rows(), st.booleans())
+@example([[2, -3], [-3, 2]], False)  # hyperbolic: made, flagged finite and unlabelled
+@example([[2, -1], [-4, 2]], True)  # twisted: no named type, so not affine
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], True)
+@example([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], True)
+def test_cartan_matrix_decides_the_type_as_from_matrix(rows, flag):
+    """Wherever ``from_matrix`` answers, the constructor given its flag
+    makes the same record and refuses the other flag; elsewhere it
+    refuses, or makes a record flagged finite with no label."""
+    try:
+        want = cartan.from_matrix(rows)
+    except LoopAtlasError:
+        want = None
+    if want is not None:
+        assert cartan.CartanMatrix(rows, want.is_affine) == want
+        with pytest.raises(LoopAtlasError):
+            cartan.CartanMatrix(rows, not want.is_affine)
+        return
+    try:
+        got = cartan.CartanMatrix(rows, flag)
+    except LoopAtlasError:
+        return
+    assert (got.entries, got.is_affine, got.label) == (tuple(map(tuple, rows)), False, None)

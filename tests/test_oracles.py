@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-ORACLES = ["ambient.py", "classifier.py", "closed_forms.py", "series_counts.py", "symmetrizer.py", "walks.py"]
+ORACLES = ["ambient.py", "atlas.py", "classifier.py", "closed_forms.py", "series_counts.py", "symmetrizer.py", "walks.py"]
 
 
 @pytest.mark.parametrize("name", ORACLES)

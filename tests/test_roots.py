@@ -14,6 +14,9 @@ import closed_forms
 from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import ClassificationError, InvalidCartanMatrixError, InvalidSubsetError, UnsupportedRankError
 
+# the refusal of rows of a named affine type flagged finite, where the record is made
+_AFFINE_FLAGGED_FINITE = "label None and affine flag False do not fit rows of {}"
+
 # The sweeps stop at rank 9, where the tables below end; ranks 10..N are
 # checked against ``closed_forms``.
 RANKS_TO_9 = {"A": (1, 9), "B": (2, 9), "C": (2, 9), "D": (4, 9), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -131,14 +134,21 @@ def _refused_by_the_finite_type_test(rows, error, message):
             reader(cm)
 
 
+def _refused_when_built(rows, error, message):
+    # rows past the size limit, or of a named affine type flagged finite:
+    # the record refuses them where it is made, before any reader
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cartan.CartanMatrix(entries=rows, is_affine=False)
+
+
 def test_closure_valve_stops_on_a_hand_built_infinite_matrix():
     # hyperbolic rows: the finite-type test, not a height cap, stops them
     _refused_by_the_finite_type_test(((2, -3), (-3, 2)), ClassificationError, None)
 
 
 ASCENT_VALVE_ROWS = {
-    ((2, -3, 0), (-3, 2, -1), (0, -1, 2)): (ClassificationError, None),
-    ((2, -2), (-2, 2)): (InvalidSubsetError, "subset spans an affine component"),
+    ((2, -3, 0), (-3, 2, -1), (0, -1, 2)): (_refused_by_the_finite_type_test, ClassificationError, None),
+    ((2, -2), (-2, 2)): (_refused_when_built, InvalidCartanMatrixError, _AFFINE_FLAGGED_FINITE.format("A1affine")),
 }
 
 
@@ -146,19 +156,28 @@ ASCENT_VALVE_ROWS = {
 def test_ascent_valve_stops_on_a_hand_built_infinite_matrix(rows):
     # irreducible and symmetrizable but no finite type: refused before the
     # highest-root ascent, which no longer needs a height cap
-    _refused_by_the_finite_type_test(rows, *ASCENT_VALVE_ROWS[rows])
+    refused, error, message = ASCENT_VALVE_ROWS[rows]
+    refused(rows, error, message)
 
 
 @pytest.mark.parametrize(
     "rows,error,message",
     [
-        (cartan.parse_type("A24affine").entries, InvalidSubsetError, "subset spans an affine component"),
-        (closed_forms.cartan_rows("A", N + 1, False), UnsupportedRankError, None),
+        (
+            cartan.parse_type("A24affine").entries,
+            InvalidCartanMatrixError,
+            _AFFINE_FLAGGED_FINITE.format("A24affine"),
+        ),
+        (
+            closed_forms.cartan_rows("A", N + 1, False),
+            UnsupportedRankError,
+            f"matrices are limited to {N} nodes, got {N + 1}",
+        ),
     ],
     ids=["A24affine", "path-26"],
 )
 def test_hand_built_rows_of_no_finite_type_are_refused_by_the_finite_type_test(rows, error, message):
-    _refused_by_the_finite_type_test(rows, error, message)
+    _refused_when_built(rows, error, message)
 
 
 def test_positive_roots_rejects_affine():

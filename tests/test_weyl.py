@@ -16,6 +16,7 @@ from loopatlas import cartan, parabolic, roots, weyl
 from loopatlas.errors import (
     ClassificationError,
     EntryOverflowError,
+    InvalidCartanMatrixError,
     InvalidSubsetError,
     LoopAtlasError,
     MixedAmbientError,
@@ -810,13 +811,17 @@ def test_ball_sizes_reach_bounds_no_walk_could():
 
 def test_ball_sizes_read_the_rows_not_the_affine_flag():
     """Answers the walk gave before the series, pinned: each component is
-    classified from its own rows."""
+    classified from its own rows.  A flag the rows contradict is refused
+    where the record is made: A2 rows, or A1affine ⊕ A1, flagged affine."""
     a2 = cartan.finite_cartan("A", 2).entries
     g2 = cartan.finite_cartan("G", 2).entries
     a1_affine = _cm("A1affine").entries
-    assert weyl.ball_sizes(cartan.CartanMatrix(a2, True), 6) == (1, 2, 2, 1)
-    hand_built = cartan.CartanMatrix(tuple(map(tuple, _block_sum(a1_affine, ((2,),)))), True)
-    assert weyl.ball_sizes(hand_built, 6) == (1, 3, 4, 4, 4, 4, 4)
+    block = tuple(map(tuple, _block_sum(a1_affine, ((2,),))))
+    for rows, kind in ((a2, "A2"), (block, "no one named type")):
+        refusal = f"^label None and affine flag True do not fit rows of {kind}$"
+        with pytest.raises(InvalidCartanMatrixError, match=refusal):
+            cartan.CartanMatrix(rows, True)
+    assert weyl.ball_sizes(cartan.CartanMatrix(block, False), 6) == (1, 3, 4, 4, 4, 4, 4)
     assert weyl.ball_sizes(cartan.from_matrix(_block_sum(g2, a2)), 6) == (1, 4, 8, 11, 12, 12, 11)
 
 
