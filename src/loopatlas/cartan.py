@@ -762,12 +762,13 @@ def to_json(cm: CartanMatrix) -> dict:
 
 def from_json(obj: dict) -> CartanMatrix:
     """Inverse of ``to_json``: an object with a "matrix", or with a "series"
-    and an integer "rank"; "affine", when present, is a boolean."""
+    and an integer "rank"; "affine", when present, is a boolean, and rows
+    given with it are built as ``CartanMatrix(rows, affine)``."""
     if not isinstance(obj, dict):
         raise InvalidCartanMatrixError(f"matrix description {obj!r} is not a JSON object")
     affine = _check_bool(obj.get("affine", False), '"affine"', InvalidCartanMatrixError)
     if "matrix" in obj:
-        return from_matrix(obj["matrix"])
+        return CartanMatrix(obj["matrix"], affine) if "affine" in obj else from_matrix(obj["matrix"])
     if "series" not in obj or "rank" not in obj:
         raise InvalidCartanMatrixError('give a "matrix", or a "series" and a "rank"')
     return _named(str(obj["series"]).upper(), obj["rank"], affine)

@@ -8,8 +8,9 @@ comark-weighted sum of coroot values plus the value on the attached node.
 Region thresholds are multiples of the dual Coxeter number g: strictly
 below -2g the everywhere-minimal parameters live, between -2g and -g lies
 the continuation range, -g is the boundary locus, beyond it is outside.
-A ``LinearFunctional`` checks its numbers where it is made, and their
-finiteness on each call that reads it (``_check_dimension``).
+A ``LinearFunctional`` reads its values once where it is made, stores
+them as a tuple and checks that each is a number; their finiteness is
+checked on each call that reads it (``_check_dimension``).
 """
 
 from __future__ import annotations
@@ -34,16 +35,19 @@ REGION_OUTSIDE = "outside"
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Values on the simple coroots, exact or floating as given."""
+    """Values on the simple coroots, exact or floating as given, read once
+    and stored as a tuple."""
 
     values: tuple[Number, ...]
     d_value: Number | None = None
 
     def __post_init__(self):
-        for x in self.values:
+        values = tuple(cartan._items(self.values, "functional values"))
+        for x in values:
             _check_number(x, "functional value")
         if self.d_value is not None:
             _check_number(self.d_value, "d value")
+        object.__setattr__(self, "values", values)  # read once, so a generator is kept too
 
     @property
     def size(self) -> int:
@@ -51,7 +55,7 @@ class LinearFunctional:
 
 
 def functional(values, d_value: Number | None = None) -> LinearFunctional:
-    return LinearFunctional(values=tuple(cartan._items(values, "functional values")), d_value=d_value)
+    return LinearFunctional(values, d_value)
 
 
 def _check_functional(f) -> None:

@@ -9,7 +9,9 @@ truncation point instead of the central value; both denominators are
 exposed, neither is silently merged.  A vanishing denominator is reported
 as a pole result, never a crash or an infinity; a value too large for a
 float, and any non-finite input, raises ``RegionError``, and a
-non-numeric input raises ``NumberTypeError``.
+non-numeric input raises ``NumberTypeError``.  A ``TruncatedPairing`` is
+checked where it is made, and ``region_scan`` checks its whole grid,
+through its first point's request, before it evaluates any point.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ _OVERFLOW = "kernel value or denominator overflows a float"
 class TruncatedPairing:
     """One evaluation request: ambient, cusp pairing constant, the two
     shifted spectral parameters, and the truncation point in coroot
-    coordinates."""
+    coordinates, checked where it is made; the point is stored as a
+    tuple."""
 
     ambient: CartanMatrix
     cusp_pairing: complex
@@ -46,27 +49,20 @@ class TruncatedPairing:
     truncation: tuple[float, ...]
 
     def __post_init__(self):
-        """The input check, whose rules ``region_scan`` applies once per
-        input: parameter and truncation lengths match the ambient, the
+        """The input check, which ``region_scan`` runs once, on its first
+        point: parameter and truncation lengths match the ambient, the
         truncation coordinates and the cusp pairing are numbers, and every
         float is finite."""
         criterion._check_dimension(self.ambient, self.left)
         criterion._check_dimension(self.ambient, self.right)
-        truncation = _check_point(self.ambient, self.cusp_pairing, self.truncation)
+        truncation = tuple(cartan._items(self.truncation, "truncation point"))
+        if len(truncation) != self.ambient.size:
+            raise InvalidSubsetError(
+                f"truncation point has {len(truncation)} coordinates, ambient has {self.ambient.size}"
+            )
+        criterion._check_numbers(truncation, "truncation coordinate")
+        criterion._check_numbers((self.cusp_pairing,), "cusp pairing")
         object.__setattr__(self, "truncation", truncation)  # read once, so a generator is kept too
-
-
-def _check_point(ambient, cusp_pairing, truncation) -> tuple:
-    """The part of the input check that does not involve the parameters;
-    returns the truncation point as a tuple."""
-    truncation = tuple(cartan._items(truncation, "truncation point"))
-    if len(truncation) != ambient.size:
-        raise InvalidSubsetError(
-            f"truncation point has {len(truncation)} coordinates, ambient has {ambient.size}"
-        )
-    criterion._check_numbers(truncation, "truncation coordinate")
-    criterion._check_numbers((cusp_pairing,), "cusp pairing")
-    return truncation
 
 
 def _check_tolerance(pole_tolerance) -> None:
@@ -248,13 +244,13 @@ def region_scan(
     """Tabulate the inner product over the product grid of unshifted
     parameters, in grid order, flagging the pole locus.
 
-    Each parameter is shifted and checked once, and so are the truncation
-    point, the cusp pairing and the tolerance, each when the grid first
-    reaches it; a scan therefore raises the error that evaluating its
-    points one by one would raise first.  The first row goes one point at
-    a time, since it meets each second parameter for the first time; every
-    later row is one ``_kernel`` call over the conjugated second
-    parameters.  Every point equals ``inner_product`` on its shifted
+    The whole grid is checked before any point is evaluated: the first
+    point's ``TruncatedPairing``, then each further second parameter and
+    each further first parameter, shifted and checked once, then the
+    tolerance.  A scan therefore raises what building every point's
+    request in grid order, then evaluating them in grid order, raises
+    first.  Each row is one ``_kernel`` call over the conjugated second
+    parameters, and every point equals ``inner_product`` on its shifted
     parameters bit for bit.  If either side is empty the report is empty
     and nothing is checked.
     """
@@ -262,31 +258,23 @@ def region_scan(
     nu_primes = tuple(cartan._items(nu_primes, "second parameter list"))
     if not nus or not nu_primes:
         return ScanReport(points=(), n_points=0, n_poles=0)
-    left = _shifted(ambient, nus[0])
-    rights = []  # conjugated shifted second parameters
-    row = []
-    for nu_prime in nu_primes:
-        rights.append(_conjugate(_shifted(ambient, nu_prime)))
-        if len(rights) == 1:  # first point
-            checked = _check_point(ambient, cusp_pairing, truncation)
-            _check_tolerance(pole_tolerance)
-            point = _complex_point(checked)
-            weights = roots._central_coroot(ambient)
-        row += _kernel(
-            weights, cusp_pairing, left, rights[-1:], point,
-            leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,
-        )
+    shift = criterion.shift_by_weyl_vector
+    first = TruncatedPairing(ambient, cusp_pairing, shift(nus[0]), shift(nu_primes[0]), truncation)
+    rights = [_conjugate(first.right.values)] + [_conjugate(_shifted(ambient, f)) for f in nu_primes[1:]]
+    lefts = [first.left.values] + [_shifted(ambient, f) for f in nus[1:]]
+    _check_tolerance(pole_tolerance)
+    point = _complex_point(first.truncation)
+    weights = roots._central_coroot(ambient)
     prime_values = [f.values for f in nu_primes]
     new = tuple.__new__
     pts = []
     append = pts.append
     n_poles = 0
-    for i, nu in enumerate(nus):
-        if i:
-            row = _kernel(
-                weights, cusp_pairing, _shifted(ambient, nu), rights, point,
-                leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,
-            )
+    for nu, left in zip(nus, lefts):
+        row = _kernel(
+            weights, cusp_pairing, left, rights, point,
+            leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,
+        )
         nu_values = nu.values
         for nu_prime_values, (value, pole, denominator) in zip(prime_values, row):
             n_poles += pole

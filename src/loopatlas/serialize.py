@@ -30,13 +30,18 @@ def encode_number(x: Number):
 
 
 def decode_number(obj) -> Number:
+    """A JSON number, or an ``[re, im]`` pair of JSON numbers."""
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        re, im = map(_decode_real, obj)
+        return complex(float(re), float(im))
+    return _decode_real(obj)
+
+
+def _decode_real(obj) -> int | float:
     if isinstance(obj, bool):
         raise TypeError("booleans are not numeric values here")
     if isinstance(obj, (int, float)):
         return obj
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        re, im = obj
-        return complex(float(re), float(im))
     raise TypeError(f"cannot decode {obj!r} as a number")
 
 

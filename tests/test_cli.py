@@ -554,9 +554,11 @@ def test_ms_overflow_is_a_domain_error():
 MS_FLAGS = ("ms", "A1affine", "--nu", "[-2, -2]", "--nu-prime", "[-2, -2]")
 
 
-@pytest.mark.parametrize("truncation", ["[true, 0]", '["1", 0]', "[null, 0]", "3", '"10"'])
+@pytest.mark.parametrize(
+    "truncation", ["[true, 0]", '["1", 0]', "[null, 0]", "3", '"10"', "[[true, 0], 0]", '[["1", 0], 0]']
+)
 def test_truncation_is_read_as_a_value_array(truncation):
-    # float(x) read true and "1" as 1.0 and exited 0
+    # float(x) read true and "1" as 1.0 and exited 0, bare and as a pair's part
     done = _run_module(*MS_FLAGS, "--truncation", truncation)
     assert done.returncode == 2
     assert done.stdout == ""
@@ -824,6 +826,12 @@ _API = {
     "cartan_matrix_record_labelled_flagged_affine": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, True, "A2"),
     "cartan_matrix_record_label_foo": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, False, "foo"),
     "cartan_matrix_record_label_z2": lambda cm, a, b, t, x: cartan.CartanMatrix(_A2, False, "Z2"),
+    # and a spectral parameter reads its values once, as a tuple
+    "linear_functional_record_list": lambda cm, a, b, t, x: hash(criterion.LinearFunctional([-3, -3])),
+    "linear_functional_record_generator": lambda cm, a, b, t, x: criterion.godement_cuspidal(
+        cm, criterion.LinearFunctional(-3 for _ in cm.nodes)
+    ),
+    "linear_functional_record_scalar": lambda cm, a, b, t, x: criterion.LinearFunctional(5),
 }
 # these must be refused, whatever is drawn
 _REFUSED = {
@@ -834,6 +842,7 @@ _REFUSED = {
     "cartan_matrix_record_flagged_affine", "cartan_matrix_record_positive_entries",
     "cartan_matrix_record_one_sided_zero", "cartan_matrix_record_int_flag",
     "cartan_matrix_record_labelled_flagged_affine", "cartan_matrix_record_label_foo", "cartan_matrix_record_label_z2",
+    "linear_functional_record_scalar",
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
@@ -1041,6 +1050,11 @@ def _api_call(draw):
 @example(("cartan_matrix_record_labelled_flagged_affine", cartan.parse_type("A2"), [], [], [], 0))
 @example(("cartan_matrix_record_label_foo", cartan.parse_type("A2"), [], [], [], 0))
 @example(("cartan_matrix_record_label_z2", cartan.parse_type("A2"), [], [], [], 0))
+# and these spectral parameters raised a raw TypeError: a list is unhashable, a generator was
+# exhausted by the check (no len()), and a scalar is not iterable
+@example(("linear_functional_record_list", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("linear_functional_record_generator", cartan.parse_type("A2affine"), [], [], [], 0))
+@example(("linear_functional_record_scalar", cartan.parse_type("A2affine"), [], [], [], 0))
 # and a label of a non-ASCII digit raised a raw ValueError from int()
 @example(("parse_type", cartan.parse_type("A2"), "A²", [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):
@@ -1090,10 +1104,14 @@ def _hand_built_rows(draw):
 @example([[2, -1], [-4, 2]], True)  # twisted: no named type, so not affine
 @example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], True)
 @example([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], True)
+@example([[2, -2, 0], [-2, 2, 0], [0, 0, 2]], False)  # A1affine + A1: made, flagged finite
 def test_cartan_matrix_decides_the_type_as_from_matrix(rows, flag):
     """Wherever ``from_matrix`` answers, the constructor given its flag
     makes the same record and refuses the other flag; elsewhere it
-    refuses, or makes a record flagged finite with no label."""
+    refuses, or makes a record flagged finite with no label.  JSON rows
+    with a flag are read by the constructor: every record it makes reads
+    back, and the other flag is refused (unnamed rows used to be refused
+    and the flag dropped)."""
     try:
         want = cartan.from_matrix(rows)
     except LoopAtlasError:
@@ -1102,9 +1120,13 @@ def test_cartan_matrix_decides_the_type_as_from_matrix(rows, flag):
         assert cartan.CartanMatrix(rows, want.is_affine) == want
         with pytest.raises(LoopAtlasError):
             cartan.CartanMatrix(rows, not want.is_affine)
-        return
-    try:
-        got = cartan.CartanMatrix(rows, flag)
-    except LoopAtlasError:
-        return
-    assert (got.entries, got.is_affine, got.label) == (tuple(map(tuple, rows)), False, None)
+        with pytest.raises(LoopAtlasError):
+            cartan.from_json({"matrix": rows, "affine": not want.is_affine})
+        got = want
+    else:
+        try:
+            got = cartan.CartanMatrix(rows, flag)
+        except LoopAtlasError:
+            return
+        assert (got.entries, got.is_affine, got.label) == (tuple(map(tuple, rows)), False, None)
+    assert cartan.from_json(json.loads(json.dumps(cartan.to_json(got)))) == got

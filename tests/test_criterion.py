@@ -377,9 +377,18 @@ def test_functional_json_without_d_value():
 
 @pytest.mark.parametrize("values", [3, None, 2.5])
 def test_functional_values_must_be_a_sequence(values):
-    # tuple(values) used to raise a raw TypeError
-    with pytest.raises(InvalidSubsetError, match="not a sequence"):
-        criterion.functional(values)
+    # tuple(values) used to raise a raw TypeError, and so did the record
+    for make in (criterion.functional, criterion.LinearFunctional):
+        with pytest.raises(InvalidSubsetError, match="not a sequence"):
+            make(values)
+
+
+def test_linear_functional_reads_its_values_once_as_a_tuple():
+    # a list was kept (unhashable, unequal to the tuple form) and a
+    # generator was exhausted by the check
+    f = criterion.LinearFunctional([-3, -3])
+    assert f == criterion.functional((-3, -3)) and hash(f) == hash(criterion.functional((-3, -3)))
+    assert criterion.LinearFunctional(x for x in (-3, -3)).values == (-3, -3)
 
 
 @pytest.mark.parametrize(
@@ -394,6 +403,8 @@ def test_functional_values_must_be_a_sequence(values):
         ([["a", 1]], "does not decode"),  # raw ValueError
         ([[10**400, 1]], "does not decode"),  # raw OverflowError
         (["1"], "does not decode"),
+        ([["1", 0]], "does not decode"),  # a pair's parts were read with float()
+        ([[True, 0]], "does not decode"),
     ],
 )
 def test_functional_from_json_rejects_malformed_objects(obj, match):

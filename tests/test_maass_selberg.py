@@ -268,19 +268,24 @@ def test_region_scan_counts_poles():
 
 
 def _pointwise_scan(cm, nus, nu_primes, truncation, pairing=1.0, tolerance=ms.POLE_TOLERANCE):
-    """Reference scan: one validated request per grid point."""
+    """Reference scan in two passes: one validated request per grid point,
+    every request built in grid order before any is evaluated."""
+    truncation = tuple(truncation)
+    requests = [
+        (nu, nu_prime, ms.TruncatedPairing(
+            ambient=cm,
+            cusp_pairing=pairing,
+            left=criterion.shift_by_weyl_vector(nu),
+            right=criterion.shift_by_weyl_vector(nu_prime),
+            truncation=truncation,
+        ))
+        for nu in nus
+        for nu_prime in nu_primes
+    ]
     points = []
-    for nu in nus:
-        for nu_prime in nu_primes:
-            request = ms.TruncatedPairing(
-                ambient=cm,
-                cusp_pairing=pairing,
-                left=criterion.shift_by_weyl_vector(nu),
-                right=criterion.shift_by_weyl_vector(nu_prime),
-                truncation=tuple(truncation),
-            )
-            out = ms.inner_product(request, pole_tolerance=tolerance)
-            points.append((nu.values, nu_prime.values, out.denominator, out.pole, out.value))
+    for nu, nu_prime, request in requests:
+        out = ms.inner_product(request, pole_tolerance=tolerance)
+        points.append((nu.values, nu_prime.values, out.denominator, out.pole, out.value))
     return points
 
 
@@ -365,15 +370,14 @@ def test_scan_point_keeps_the_frozen_dataclass_contract():
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 1), (4, 7)])
 def test_region_scan_calls_the_kernel_once_per_row(n, m, body_calls):
-    """Call counts, not timings: the first row meets each second parameter
-    for the first time and goes point by point; every later row is one
-    call.  An n x m scan enters the kernel at most m + n - 1 times."""
+    """Call counts, not timings: every row, the first included, is one
+    call, so an n x m scan enters the kernel exactly n times."""
     cm, nus, nu_primes, truncation, pairing = _mixed_grid("G2affine", 1)
     nus, nu_primes = (nus * 2)[:n], (nu_primes * 2)[:m]
     report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
     assert report.n_points == n * m
     calls = body_calls(ms._kernel, lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing))
-    assert calls <= m + n - 1
+    assert calls == n
 
 
 # --- validation -------------------------------------------------------------
@@ -387,8 +391,9 @@ def _outcome(run):
 
 
 def test_region_scan_raises_what_the_pointwise_scan_raises():
-    """A grid with one malformed input fails as the per-point loop does,
-    also when a valid point before it overflows."""
+    """A grid fails as the two-pass reference does: every input is checked
+    before any point is evaluated, so a malformed input is reported even
+    when a valid point before it overflows."""
     cm = _cm("A1affine")
     good = [criterion.functional((-1.5 + 0.5j * k, -2.0 - k)) for k in range(3)]
     overflow = criterion.functional((400, 400))  # exp overflows at the truncation point (1, 1)

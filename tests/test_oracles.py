@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-ORACLES = ["ambient.py", "atlas.py", "classifier.py", "closed_forms.py", "series_counts.py", "symmetrizer.py", "walks.py"]
+# every module here that is neither a test nor conftest.py is an oracle
+ORACLES = sorted(
+    path.name
+    for path in Path(__file__).parent.glob("*.py")
+    if not path.name.startswith("test_") and path.name != "conftest.py"
+)
 
 
 @pytest.mark.parametrize("name", ORACLES)
