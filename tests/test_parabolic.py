@@ -447,6 +447,23 @@ def test_finite_certificates_are_pinned():
     )
 
 
+CERTIFICATES_SHA256 = "8e0d823e40e2f582d17ea1978b6c86e70ae9ef75964df701c96899b3169c4044"
+
+
+def test_certificate_pin():
+    """sha256 over every certificate's trace: the 192 affine certificates
+    up to rank 8 at bound 16, then the 86 finite ones up to rank 6, every
+    node, as one sorted-key JSON text (about 104 kB).  The finite ranks are
+    the literal 6, so a change of ``FINITE_RANK_LIMIT`` does not move it."""
+    certs = [c for cm in cartan.all_types(8) for c in parabolic.maximal_certificates(cm, 16)]
+    assert len(certs) == 192
+    finite = [
+        parabolic.finite_self_associate(cm, node) for cm in cartan.all_types(6, affine=False) for node in cm.nodes
+    ]
+    assert len(finite) == 86
+    assert _certificates_sha256(certs + finite) == CERTIFICATES_SHA256
+
+
 # --- finite ambient: both verdicts occur ------------------------------------
 
 
