@@ -10,7 +10,7 @@ candidate type and its node order, and one exact comparison with the
 Bourbaki matrix; each distinct input is classified once.  That is the
 finite-type test too: a connected matrix is finite exactly when its diagram
 is one of A–G (Kac, *Infinite-dimensional Lie Algebras*, §4.8).  One
-fraction-free (Bareiss) echelon gives determinant, corank, null vectors.
+fraction-free (Bareiss) echelon gives the corank.
 A ``CartanMatrix`` is checked where it is made, and its readers trust it.
 """
 
@@ -116,24 +116,6 @@ def _record(rows: Rows, affine: bool, label: str | None) -> CartanMatrix:
     cm = object.__new__(CartanMatrix)
     cm.__dict__.update(entries=rows, is_affine=affine, label=label)
     return cm
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Diagram edge: ``bond`` is the product of the two off-diagonal
-    entries, ``short_end`` the short-root endpoint (None when the bond is
-    simply laced)."""
-
-    i: int
-    j: int
-    bond: int
-    short_end: int | None
-
-
-@dataclass(frozen=True)
-class DynkinDiagram:
-    nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
 
 
 # Every derived fact lives in one bounded store, keyed on (function,
@@ -277,43 +259,6 @@ def _eliminate(rows) -> tuple[list[list[int]], tuple[int, ...], int]:
     return mat, tuple(pivots), swaps
 
 
-def determinant(cm: CartanMatrix | Rows) -> int:
-    """Exact determinant of the Cartan matrix: the signed last pivot."""
-    echelon, pivots, swaps = _eliminate(_rows(cm))
-    if len(pivots) < len(echelon):
-        return 0
-    return (-1) ** swaps * echelon[-1][-1] if echelon else 1
-
-
-def null_vector(cm: CartanMatrix | Rows, side: str = "right") -> tuple[int, ...]:
-    """Primitive positive integer null vector of a corank-one matrix.
-
-    side="right" solves A u = 0 (comark side); side="left" solves
-    v A = 0 (mark side).  Back-substitution on the echelon rescales the
-    partial vector wherever a pivot does not divide exactly.
-    """
-    rows = _rows(cm)
-    if side == "left":
-        rows = tuple(zip(*rows))
-    elif side != "right":
-        raise InvalidSubsetError(f"side must be 'left' or 'right', got {side!r}")
-    echelon, pivots, _ = _eliminate(rows)
-    n = len(rows)
-    if len(pivots) != n - 1:
-        raise InvalidCartanMatrixError(f"matrix has corank {n - len(pivots)}, expected 1")
-    vec = [0 if c in pivots else 1 for c in range(n)]
-    for row, c in reversed(list(zip(echelon, pivots))):
-        rest = sum(x * v for x, v in zip(row[c + 1 :], vec[c + 1 :]))
-        scale = row[c] // gcd(rest, row[c])
-        vec = [v * scale for v in vec]
-        vec[c] = -rest * scale // row[c]
-    g = gcd(*vec) if vec[0] > 0 else -gcd(*vec)
-    out = tuple(v // g for v in vec)
-    if not all(v > 0 for v in out):
-        raise InvalidCartanMatrixError("null vector is not strictly positive")
-    return out
-
-
 # --- constructors -----------------------------------------------------------
 
 
@@ -388,9 +333,9 @@ def affinize(cm: CartanMatrix) -> CartanMatrix:
     new node forces an edge to it, so A is indecomposable.  By Kac,
     *Infinite-dimensional Lie Algebras*, Theorem 4.3, a positive null vector
     then makes A affine of corank 1, so u and v span its right and left null
-    spaces; ending in 1, each is the primitive positive null vector that
-    ``null_vector`` returns.  So this is the same check as comparing
-    ``null_vector`` on both sides with them.
+    spaces; ending in 1, each is the primitive positive null vector on its
+    side.  So this is the same check as solving for both null vectors and
+    comparing them with u and v.
     """
     return _affinize(_ambient(cm, affine=False))
 
@@ -558,29 +503,6 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
     return _classified(rows)
 
 
-# --- diagram structure ------------------------------------------------------
-
-
-def diagram(cm: CartanMatrix) -> DynkinDiagram:
-    """Diagram with bond multiplicities and short-end markers."""
-    cm = _ambient(cm)
-    rows = cm.entries
-    n = cm.size
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] == 0:
-                continue
-            bond = rows[i][j] * rows[j][i]
-            short: int | None = None
-            if abs(rows[i][j]) > abs(rows[j][i]):
-                short = j + 1  # column j divides by the smaller norm
-            elif abs(rows[j][i]) > abs(rows[i][j]):
-                short = i + 1
-            edges.append(Edge(i=i + 1, j=j + 1, bond=bond, short_end=short))
-    return DynkinDiagram(nodes=cm.nodes, edges=tuple(edges))
-
-
 def _check_int(x, what: str) -> int:
     """An integer (numpy integers included, bools and floats not)."""
     try:
@@ -655,17 +577,11 @@ def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
     return subset
 
 
-def subdiagram(cm: CartanMatrix, nodes) -> CartanMatrix:
-    """Principal submatrix on a node subset, not validated again (a
+def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
+    """Principal submatrix on a checked node subset, not validated again (a
     principal submatrix of a valid matrix is valid) but typed as by
     ``from_matrix``: an affine type is refused unless its attached node
     comes last."""
-    cm = _ambient(cm)
-    return _subdiagram(cm, _check_subset(cm, nodes))
-
-
-def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
-    """``subdiagram`` of a checked subset."""
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
     rows = _principal(cm.entries, [i - 1 for i in subset])

@@ -34,8 +34,8 @@ class UnsupportedRankError(LoopAtlasError, ValueError):
 
 
 class EntryOverflowError(LoopAtlasError, OverflowError):
-    """Exact integer entries that the fixed-width array holding them could
-    no longer hold."""
+    """Exact integer entries that the fixed-width array or float holding
+    them could no longer hold."""
 
 
 class RegionError(LoopAtlasError, ValueError):

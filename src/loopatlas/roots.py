@@ -26,12 +26,6 @@ Coords = tuple[int, ...]
 # helpers and gain no frame per step.
 
 
-def simple_root(cm: CartanMatrix, i: int) -> Coords:
-    cm = cartan._ambient(cm)
-    i = cartan._check_node(i, cm.size)
-    return tuple(1 if k == i - 1 else 0 for k in range(cm.size))
-
-
 def pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
     """Value of the root vector on the j-th simple coroot."""
     return _pairing(cartan._ambient(cm), beta, j)
@@ -62,11 +56,10 @@ def height(beta: Coords) -> int:
         raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
 
 
-def _signs(beta) -> tuple[bool, bool]:
-    """Whether some entry is above 0 and whether some is below, read in
-    one pass that compares every entry, so a non-number anywhere is
-    refused.  A NaN counts as both, so its vector is neither positive nor
-    negative."""
+def is_positive(beta: Coords) -> bool:
+    """Whether some entry is above 0 and none is below, read in one pass
+    that compares every entry, so a non-number anywhere is refused.  A NaN
+    counts as both, so its vector is not positive."""
     up = down = False
     try:
         for b in beta:
@@ -78,17 +71,7 @@ def _signs(beta) -> tuple[bool, bool]:
                 up = down = True
     except TypeError:
         raise InvalidSubsetError(f"vector {beta!r} is not a sequence of numbers") from None
-    return up, down
-
-
-def is_positive(beta: Coords) -> bool:
-    up, down = _signs(beta)
     return up and not down
-
-
-def is_negative(beta: Coords) -> bool:
-    up, down = _signs(beta)
-    return down and not up
 
 
 @cartan._memo
@@ -202,11 +185,6 @@ def _dual_coxeter(cm: CartanMatrix) -> int:
     return 1 + sum(_comarks(_finite_part(cm) if cm.is_affine else cm))
 
 
-def finite_part(cm: CartanMatrix) -> CartanMatrix:
-    """Top-left block of an affine matrix, the attached node removed."""
-    return _finite_part(cartan._ambient(cm))
-
-
 @cartan._memo
 def _finite_part(cm: CartanMatrix) -> CartanMatrix:
     cartan._ambient(cm, affine=True)
@@ -289,14 +267,6 @@ def affine_roots(cm: CartanMatrix, depth: int) -> AffineRootSlice:
         imaginary=imaginary,
         imaginary_multiplicity=fin.size,
     )
-
-
-def positive_real_roots(cm: CartanMatrix, depth: int) -> tuple[Coords, ...]:
-    """Positive real root vectors with level at most depth, sorted by
-    height then lexicographically."""
-    slice_ = affine_roots(cm, depth)
-    pos = [r for r in slice_.real if is_positive(r)]
-    return tuple(sorted(pos, key=lambda r: (height(r), r)))
 
 
 def roots_in_span(cm: CartanMatrix, nodes) -> tuple[Coords, ...]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import EntryOverflowError
+
 Number = int | float | complex | Fraction
 
 
@@ -30,10 +32,14 @@ def encode_number(x: Number):
 
 
 def decode_number(obj) -> Number:
-    """A JSON number, or an ``[re, im]`` pair of JSON numbers."""
+    """A JSON number, or an ``[re, im]`` pair of JSON numbers, whose parts
+    must fit a float (``EntryOverflowError`` otherwise)."""
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         re, im = map(_decode_real, obj)
-        return complex(float(re), float(im))
+        try:
+            return complex(float(re), float(im))
+        except OverflowError:
+            raise EntryOverflowError("a part of an [re, im] pair is too large for a float") from None
     return _decode_real(obj)
 
 

@@ -102,9 +102,6 @@ def identity(cm: CartanMatrix) -> WeylElement:
     return from_word(cm, ())
 
 
-reflect = roots.reflect
-
-
 def act(w: WeylElement, beta: Coords) -> Coords:
     """Image of an integer vector in simple-root coordinates."""
     _, matrix = _stored_matrix(w)
@@ -153,11 +150,11 @@ def _matrix(moves, letters) -> Matrix:
     return tuple([tuple(row) if type(row) is list else row for row in rows])
 
 
-def _canonical_word(moves, h: list[int], limit: int) -> tuple[int, ...]:
+def _canonical_word(moves, h: list[int]) -> tuple[int, ...]:
     """Canonical reduced word of the element with height vector h: strip
     the smallest right descent (the first j with h_j < 0) until none is
-    left, then read the stripped letters backwards, at most ``limit`` of
-    them.  h is updated in place."""
+    left, then read the stripped letters backwards.  h is updated in
+    place."""
     letters: list[int] = []
     while True:
         for c, x in enumerate(h):
@@ -165,37 +162,10 @@ def _canonical_word(moves, h: list[int], limit: int) -> tuple[int, ...]:
                 break
         else:
             return tuple(reversed(letters))
-        if len(letters) == limit:
-            raise LoopAtlasError(
-                f"descent extraction stopped after {limit} letters; "
-                f"the matrix is not a group element of length at most {limit}"
-            )
         hc = h[c]
         for j, a in moves[c]:
             h[j] -= hc * a
         letters.append(c + 1)
-
-
-_WORD_LIMIT = 10_000  # a bare matrix gives no bound on its length
-
-
-def word_from_matrix(cm: CartanMatrix, matrix: Matrix) -> tuple[int, ...]:
-    """Canonical reduced word of an action matrix, read off its column sums.
-
-    The height vector alone cannot tell a non-element from an element, so
-    the word's own matrix is rebuilt and compared.  Every entry must be an
-    integer.  Elements longer than 10,000 are refused."""
-    cm = cartan._ambient(cm)
-    try:
-        rows = tuple(tuple(cartan._check_int(x, "entry") for x in r) for r in matrix)
-    except (TypeError, InvalidSubsetError):  # not rows of integers
-        rows = ()
-    if len(rows) == cm.size and all(len(r) == cm.size for r in rows):
-        moves = _moves(cm)
-        word = _canonical_word(moves, [sum(col) for col in zip(*rows)], _WORD_LIMIT)
-        if _matrix(moves, word) == rows:
-            return word
-    raise LoopAtlasError("matrix is not an action matrix of this group")
 
 
 def _letters(word, n: int) -> list[int]:
@@ -214,8 +184,7 @@ def _reduce(moves, letters: list[int]) -> tuple[int, ...]:
         hi = h[i - 1]
         for j, a in moves[i - 1]:
             h[j] -= hi * a
-    # the reduced length never exceeds the input's length
-    return _canonical_word(moves, h, len(letters))
+    return _canonical_word(moves, h)
 
 
 def _element(cm: CartanMatrix, letters: list[int]) -> WeylElement:

@@ -68,7 +68,7 @@ def test_criterion_01_no_self_associate_maximal_subset(gate):
                 assert roots.is_positive(cert.removed_image)
                 assert cert.null_root == delta
             for i in cm.nodes:
-                assert weyl.reflect(cm, delta, i) == delta
+                assert roots.reflect(cm, delta, i) == delta
         # direct fixed-vector corroboration on a sample of whole elements
         for label in CORE_TYPES:
             cm = cartan.parse_type(label)

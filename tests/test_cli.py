@@ -565,6 +565,36 @@ def test_truncation_is_read_as_a_value_array(truncation):
     assert done.stderr.startswith("usage error:")
 
 
+_BIG = str(10**400)  # written out in JSON: an exact int, too large for a float
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        pytest.param((*MS_FLAGS, "--truncation", f"[{_BIG}, 0]"), 1, id="ms-truncation-bare"),
+        pytest.param((*MS_FLAGS, "--pairing", _BIG), 1, id="ms-pairing-bare"),
+        pytest.param((*MS_FLAGS, "--truncation", f"[[{_BIG}, 0], 0]"), 1, id="ms-truncation-pair-re"),
+        pytest.param((*MS_FLAGS, "--truncation", f"[[0, {_BIG}], 0]"), 1, id="ms-truncation-pair-im"),
+        pytest.param((*MS_FLAGS, "--pairing", f"[{_BIG}, 0]"), 1, id="ms-pairing-pair-re"),
+        pytest.param(
+            ("ms", "A1affine", "--nu", f"[[{_BIG}, 0], -2]", "--nu-prime", "[-2, -2]"), 1, id="ms-nu-pair-re"
+        ),
+        pytest.param(("godement", "A2affine", "--nu", f"[[{_BIG}, 0], 0, 0]"), 1, id="godement-nu-pair-re"),
+        # exact arithmetic throughout, so there is an answer
+        pytest.param(("godement", "A2affine", "--nu", f"[{_BIG}, 0, 0]"), 0, id="godement-nu-bare"),
+    ],
+)
+def test_a_number_too_large_for_a_float_exits_1_wherever_it_sits(argv, code):
+    """A pair's part went through float() in the decoder and escaped as a
+    raw OverflowError, a usage error (exit 2); bare, the same number
+    reached the kernel and exited 1."""
+    done = _run_module(*argv)
+    assert (done.returncode, "Traceback" in done.stderr) == (code, False), done.stderr
+    if code:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
+
+
 def test_truncation_takes_complex_pairs():
     # [re, im] pairs are complex here as in every other value array
     pair = json.loads(_run_module(*MS_FLAGS, "--truncation", "[[0.5, 0.25], 0]").stdout)
@@ -717,7 +747,6 @@ _API = {
     "act_element": lambda cm, a, b, t, x: weyl.act(weyl.WeylElement(cm, a, b), t),
     "element_to_json": lambda cm, a, b, t, x: weyl.element_to_json(weyl.WeylElement(cm, a, b)),
     "element_to_json_non_element": lambda cm, a, b, t, x: weyl.element_to_json(x),
-    "word_from_matrix": lambda cm, a, b, t, x: weyl.word_from_matrix(cm, [a, b, t][: cm.size]),
     "parabolic_subset": lambda cm, a, b, t, x: parabolic.parabolic_subset(cm, a),
     "levi_type": lambda cm, a, b, t, x: parabolic.levi_type(parabolic.parabolic_subset(cm, a)),
     "longest_element": lambda cm, a, b, t, x: weyl.longest_element(cm, a),
@@ -729,9 +758,6 @@ _API = {
     "functional_from_json": lambda cm, a, b, t, x: criterion.functional_from_json(a),
     "classify": lambda cm, a, b, t, x: cartan.classify(a),
     "symmetrizer": lambda cm, a, b, t, x: cartan.symmetrizer(a),
-    "determinant": lambda cm, a, b, t, x: cartan.determinant(a),
-    "null_vector": lambda cm, a, b, t, x: cartan.null_vector(a),
-    "null_vector_side": lambda cm, a, b, t, x: cartan.null_vector(cm, x),
     "all_types_flag": lambda cm, a, b, t, x: cartan.all_types(3, affine=x),
     "dominant_integral": lambda cm, a, b, t, x: criterion.dominant_integral(cm, a),
     "maximal_certificates_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_certificates(x),
@@ -754,26 +780,19 @@ _API = {
     "pairing_kernel_non_ambient": lambda cm, a, b, t, x: maass_selberg.pairing_kernel(x, 1.0, _f(a), _f(b), t),
     "region_scan_non_ambient": lambda cm, a, b, t, x: maass_selberg.region_scan(x, [_f(a)], [_f(b)], t),
     # the same gate, with a drawn scalar, vector or list of rows as the ambient
-    "subdiagram_non_ambient": lambda cm, a, b, t, x: cartan.subdiagram(a, (1,)),
     "components_non_ambient": lambda cm, a, b, t, x: cartan.components(a),
     "irreducible_non_ambient": lambda cm, a, b, t, x: cartan.irreducible(a),
-    "diagram_non_ambient": lambda cm, a, b, t, x: cartan.diagram(a),
     "affinize_non_ambient": lambda cm, a, b, t, x: cartan.affinize(a),
     "to_json_non_ambient": lambda cm, a, b, t, x: cartan.to_json(a),
     "highest_root_non_ambient": lambda cm, a, b, t, x: roots.highest_root(a),
     "marks_non_ambient": lambda cm, a, b, t, x: roots.marks(a),
     "comarks_non_ambient": lambda cm, a, b, t, x: roots.comarks(a),
-    "finite_part_non_ambient": lambda cm, a, b, t, x: roots.finite_part(a),
     "delta_non_ambient": lambda cm, a, b, t, x: roots.delta(a),
     "root_system_non_ambient": lambda cm, a, b, t, x: roots.root_system(a),
     "affine_roots_non_ambient": lambda cm, a, b, t, x: roots.affine_roots(a, 1),
-    "positive_real_roots_non_ambient": lambda cm, a, b, t, x: roots.positive_real_roots(a, 1),
-    "simple_root_non_ambient": lambda cm, a, b, t, x: roots.simple_root(a, 1),
     "pairing_non_ambient": lambda cm, a, b, t, x: roots.pairing(a, b, 1),
     "roots_in_span_non_ambient": lambda cm, a, b, t, x: roots.roots_in_span(a, (1,)),
     "reduce_word_non_ambient": lambda cm, a, b, t, x: weyl.reduce_word(a, b),
-    "word_from_matrix_non_ambient": lambda cm, a, b, t, x: weyl.word_from_matrix(a, [b, t]),
-    "reflect_non_ambient": lambda cm, a, b, t, x: weyl.reflect(a, b, 1),
     "enumerate_elements_non_ambient": lambda cm, a, b, t, x: weyl.enumerate_elements(a, 1),
     "weyl_vector_non_ambient": lambda cm, a, b, t, x: criterion.weyl_vector(a),
     "dominant_integral_non_ambient": lambda cm, a, b, t, x: criterion.dominant_integral(a, b),
@@ -785,7 +804,6 @@ _API = {
     "finite_cartan": lambda cm, a, b, t, x: cartan.finite_cartan(a, x),
     "height": lambda cm, a, b, t, x: roots.height(a),
     "is_positive": lambda cm, a, b, t, x: roots.is_positive(a),
-    "is_negative": lambda cm, a, b, t, x: roots.is_negative(a),
     "certificate_to_json_non_certificate": lambda cm, a, b, t, x: parabolic.certificate_to_json(x),
     "levi_to_json_non_levi": lambda cm, a, b, t, x: parabolic.levi_to_json(x),
     "functional_to_json_non_functional": lambda cm, a, b, t, x: criterion.functional_to_json(x),
@@ -846,31 +864,27 @@ _REFUSED = {
 }
 # these take their ambient from a drawn scalar, vector or list of rows
 _ROWS_AS_AMBIENT = {
-    "subdiagram_non_ambient", "components_non_ambient", "irreducible_non_ambient",
-    "diagram_non_ambient", "affinize_non_ambient", "to_json_non_ambient",
+    "components_non_ambient", "irreducible_non_ambient", "affinize_non_ambient", "to_json_non_ambient",
     "highest_root_non_ambient", "marks_non_ambient", "comarks_non_ambient",
-    "finite_part_non_ambient", "delta_non_ambient", "root_system_non_ambient",
-    "affine_roots_non_ambient", "positive_real_roots_non_ambient", "simple_root_non_ambient",
+    "delta_non_ambient", "root_system_non_ambient", "affine_roots_non_ambient",
     "pairing_non_ambient", "roots_in_span_non_ambient", "reduce_word_non_ambient",
-    "word_from_matrix_non_ambient", "reflect_non_ambient", "enumerate_elements_non_ambient",
-    "weyl_vector_non_ambient", "dominant_integral_non_ambient", "associate_necessary_non_ambient",
-    "maximal_levi_types_non_ambient", "dual_coxeter_rows", "central_coroot_rows",
+    "enumerate_elements_non_ambient", "weyl_vector_non_ambient", "dominant_integral_non_ambient",
+    "associate_necessary_non_ambient", "maximal_levi_types_non_ambient", "dual_coxeter_rows", "central_coroot_rows",
 }
 # these read their vector arguments as node lists, words, vectors, rows,
 # bounds or value arrays, which may also be drawn as scalars
 _SEQUENCE_CALLS = {
     "from_word", "reduce_word", "inverse", "compose", "inversions", "act", "act_element", "element_to_json",
-    "word_from_matrix", "parabolic_subset", "parabolic_subset_record", "levi_type", "longest_element",
+    "parabolic_subset", "parabolic_subset_record", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
-    "classify", "symmetrizer", "determinant", "null_vector", "dominant_integral",
-    "parse_type", "finite_cartan", "height", "is_positive", "is_negative",
+    "classify", "symmetrizer", "dominant_integral", "parse_type", "finite_cartan", "height", "is_positive",
 } | _ROWS_AS_AMBIENT
 # these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json"}
 # and these read matrix rows, drawn as lists of vectors
 _MATRIX_CALLS = {
-    "classify", "symmetrizer", "determinant", "null_vector", "act_element", "element_to_json", "finite_cartan",
+    "classify", "symmetrizer", "act_element", "element_to_json", "finite_cartan",
 } | _ROWS_AS_AMBIENT
 
 
@@ -896,7 +910,7 @@ def _api_call(draw):
 @settings(max_examples=400, deadline=None)
 @given(_api_call())
 # each of these once escaped as a raw OverflowError, AttributeError, ValueError, TypeError,
-# IndexError or ZeroDivisionError, or was answered (determinant("ab") gave 0)
+# IndexError or ZeroDivisionError, or was answered
 @example(("central_value", cartan.parse_type("A2affine"), [10**400, 1.0, 0], [], [], 0))
 @example(("godement_cuspidal", cartan.parse_type("A2affine"), [10**400, 1.0, 0], [], [], 0))
 @example(("implication_check", cartan.parse_type("A2affine"), [-(10**400), -3.0, -3], [], [], 0))
@@ -905,9 +919,6 @@ def _api_call(draw):
 @example(("affine_roots", cartan.parse_type("A2affine"), [], [], [], 2.5))
 @example(("affine_roots", cartan.parse_type("A2affine"), [], [], [], "2"))
 @example(("from_word", cartan.parse_type("A2affine"), None, [], [], 0))
-@example(("word_from_matrix", cartan.parse_type("A2"), [1.0, 0.0], [0.0, 1.0], [], 0))
-@example(("word_from_matrix", cartan.parse_type("A2"), ["1", 0], [0, 1], [], 0))
-@example(("word_from_matrix", cartan.parse_type("A2"), [math.inf, 0], [0, 1], [], 0))
 @example(("longest_element", cartan.parse_type("A2affine"), 1.5, [], [], 0))
 @example(("ball_sizes", cartan.parse_type("A2affine"), [3], [], [], 0))
 @example(("functional", cartan.parse_type("A2affine"), 3, [], [], 0))
@@ -923,17 +934,9 @@ def _api_call(draw):
 @example(("classify", cartan.parse_type("A2"), [5, 6], [], [], 0))
 @example(("classify", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [-1]], [], [], 0))
-@example(("determinant", cartan.parse_type("A2"), [[2, -1], [-1]], [], [], 0))
-@example(("null_vector", cartan.parse_type("A2"), [[2, -1], [-1]], [], [], 0))
 @example(("symmetrizer", cartan.parse_type("A2"), None, [], [], 0))
 @example(("symmetrizer", cartan.parse_type("A2"), "ab", [], [], 0))
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
-@example(("determinant", cartan.parse_type("A2"), None, [], [], 0))
-@example(("determinant", cartan.parse_type("A2"), "ab", [], [], 0))
-@example(("determinant", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
-@example(("null_vector", cartan.parse_type("A2"), None, [], [], 0))
-@example(("null_vector", cartan.parse_type("A2"), "ab", [], [], 0))
-@example(("null_vector", cartan.parse_type("A2"), [[2, "x"], ["x", 2]], [], [], 0))
 @example(("symmetrizer", cartan.parse_type("A2"), [[2, -1], [0, 2]], [], [], 0))
 @example(("dominant_integral", cartan.parse_type("A2affine"), 5, [], [], 0))
 @example(("compose_non_element", cartan.parse_type("A2affine"), [], [], [], 5))
@@ -964,26 +967,19 @@ def _api_call(draw):
 @example(("pairing_kernel_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 0], [0, 0, 0], 5))
 @example(("region_scan_non_ambient", cartan.parse_type("A2affine"), [0, 0, 0], [0, 0, 0], [0, 0, 0], 5))
 # each of these raised a raw AttributeError on an ambient of 5
-@example(("subdiagram_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("components_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("irreducible_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
-@example(("diagram_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("affinize_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("to_json_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("highest_root_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("marks_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("comarks_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
-@example(("finite_part_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("delta_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("root_system_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("affine_roots_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
-@example(("positive_real_roots_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
-@example(("simple_root_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("pairing_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("roots_in_span_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("reduce_word_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
-@example(("word_from_matrix_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
-@example(("reflect_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("enumerate_elements_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("weyl_vector_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
 @example(("dominant_integral_non_ambient", cartan.parse_type("A2affine"), 5, [1, 0, 0], [0, 1, 0], 0))
@@ -994,7 +990,6 @@ def _api_call(draw):
 @example(("highest_root_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
 @example(("marks_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
 @example(("comarks_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
-@example(("finite_part_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
 @example(("maximal_levi_types_non_ambient", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
 @example(("dual_coxeter_rows", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
 @example(("central_coroot_rows", cartan.parse_type("A2affine"), [[2, -2], [-2, 2]], [], [], 0))
@@ -1006,11 +1001,9 @@ def _api_call(draw):
 @example(("finite_cartan", cartan.parse_type("A2"), [[2, -2], [-2, 2]], [], [], 1))
 @example(("height", cartan.parse_type("A2"), 5, [], [], 0))
 @example(("is_positive", cartan.parse_type("A2"), 5, [], [], 0))
-@example(("is_negative", cartan.parse_type("A2"), 5, [], [], 0))
 # and these raised a raw TypeError or ValueError, or read a flag that is no bool by its truth value
 @example(("all_types_flag", cartan.parse_type("A2"), [], [], [], "x"))
 @example(("all_types_flag", cartan.parse_type("A2"), [], [], [], 2))
-@example(("null_vector_side", cartan.parse_type("A2affine"), [], [], [], "up"))
 @example(("inner_product_flag", cartan.parse_type("A1affine"), [0, 0], [0, 0], [0, 0], "no"))
 # and the serializers raised a raw AttributeError on a record of 5
 @example(("certificate_to_json_non_certificate", cartan.parse_type("A2affine"), [], [], [], 5))
@@ -1066,6 +1059,13 @@ def test_api_fuzz_raises_only_library_errors(call):
     except LoopAtlasError:
         return
     assert name not in _REFUSED, f"{name} was answered"
+
+
+def test_api_fuzz_sets_name_only_fuzzed_calls():
+    """A name left in one of the fuzz's sets after its call has left
+    ``_API`` widens no draw and refuses nothing, so nobody would notice."""
+    for names in (_ROWS_AS_AMBIENT, _SEQUENCE_CALLS, _OBJECT_CALLS, _MATRIX_CALLS, _REFUSED):
+        assert names <= _API.keys(), sorted(names - _API.keys())
 
 
 _CATALOG = cartan.all_types(4, affine=False) + cartan.all_types(4)

@@ -484,7 +484,7 @@ def test_finite_b2_self_associate_with_witness():
     w = cert.witness
     assert weyl.act(w, (1, 0)) == (1, 0)
     image = weyl.act(w, (0, 1))
-    assert roots.is_negative(image)
+    assert roots.is_positive(tuple(-x for x in image))
     other = parabolic.finite_self_associate(cm, 1)
     assert other.self_associate
     assert other.witness.word == (1, 2, 1)
@@ -514,8 +514,8 @@ def test_finite_a3_middle_node_only():
     verdicts = {i: parabolic.finite_self_associate(cm, i).self_associate for i in cm.nodes}
     assert verdicts == {1: False, 2: True, 3: False}
     wit = parabolic.finite_self_associate(cm, 2).witness
-    kept_images = {weyl.act(wit, roots.simple_root(cm, j)) for j in (1, 3)}
-    assert kept_images == {roots.simple_root(cm, 1), roots.simple_root(cm, 3)}
+    alpha_1, alpha_3 = (1, 0, 0), (0, 0, 1)
+    assert {weyl.act(wit, alpha_1), weyl.act(wit, alpha_3)} == {alpha_1, alpha_3}
 
 
 def test_finite_g2_both_nodes():
@@ -719,26 +719,19 @@ def test_non_ambients_are_rejected():
         (lambda: criterion.godement_cuspidal(5, f), "ambient 5 is not a CartanMatrix"),
         (lambda: maass_selberg.pairing_kernel(5, 1.0, f, f, (0, 0, 0)), "ambient 5 is not a CartanMatrix"),
         (lambda: maass_selberg.region_scan(5, [f], [f], (0, 0, 0)), "ambient 5 is not a CartanMatrix"),
-        (lambda: cartan.subdiagram(5, (1,)), "ambient 5 is not a CartanMatrix"),
         (lambda: cartan.components(5), "ambient 5 is not a CartanMatrix"),
         (lambda: cartan.irreducible(5), "ambient 5 is not a CartanMatrix"),
-        (lambda: cartan.diagram(5), "ambient 5 is not a CartanMatrix"),
         (lambda: cartan.affinize(5), "ambient 5 is not a CartanMatrix"),
         (lambda: cartan.to_json(5), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.highest_root(5), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.marks(5), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.comarks(5), "ambient 5 is not a CartanMatrix"),
-        (lambda: roots.finite_part(5), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.delta(5), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.root_system(5), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.affine_roots(5, 1), "ambient 5 is not a CartanMatrix"),
-        (lambda: roots.positive_real_roots(5, 1), "ambient 5 is not a CartanMatrix"),
-        (lambda: roots.simple_root(5, 1), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.pairing(5, (1, 0, 0), 1), "ambient 5 is not a CartanMatrix"),
         (lambda: roots.roots_in_span(5, (1,)), "ambient 5 is not a CartanMatrix"),
         (lambda: weyl.reduce_word(5, (1,)), "ambient 5 is not a CartanMatrix"),
-        (lambda: weyl.word_from_matrix(5, ((1,),)), "ambient 5 is not a CartanMatrix"),
-        (lambda: weyl.reflect(5, (1, 0, 0), 1), "ambient 5 is not a CartanMatrix"),
         (lambda: weyl.enumerate_elements(5, 1), "ambient 5 is not a CartanMatrix"),  # checked before iterating
         (lambda: criterion.weyl_vector(5), "ambient 5 is not a CartanMatrix"),
         (lambda: criterion.dominant_integral(5, (1, 0, 0)), "ambient 5 is not a CartanMatrix"),
@@ -751,7 +744,7 @@ def test_non_ambients_are_rejected():
     rows = [[2, -2], [-2, 2]]
     rows_message = re.escape(f"ambient {rows!r} is not a CartanMatrix")
     for call in (
-        roots.dual_coxeter, roots.central_coroot, roots.highest_root, roots.finite_part,
+        roots.dual_coxeter, roots.central_coroot, roots.highest_root,
         roots.marks, roots.comarks, cartan.affinize, parabolic.maximal_levi_types,
     ):
         cases.append((lambda call=call: call(rows), rows_message))
@@ -774,7 +767,6 @@ def test_one_gate_on_the_ambient_kind():
         lambda: parabolic.maximal_certificates(b2),
         lambda: parabolic.maximal_levi_types(b2),
         lambda: parabolic.constant_term_report(parabolic.finite_self_associate(b2, 2)),
-        lambda: roots.finite_part(b2),
         lambda: roots.delta(b2),
         lambda: roots.affine_roots(b2, 1),
         lambda: criterion.weyl_vector(b2),
