@@ -503,6 +503,9 @@ def classify(cm: CartanMatrix | Rows) -> tuple[str, int, bool]:
     return _classified(rows)
 
 
+# --- input gates ------------------------------------------------------------
+
+
 def _check_int(x, what: str) -> int:
     """An integer (numpy integers included, bools and floats not)."""
     try:

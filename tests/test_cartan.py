@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import ambient
 import classifier
 import closed_forms
-import null_vectors
+import null_spaces
 import symmetrizer
 from loopatlas import cartan, roots
 from loopatlas.errors import (
@@ -347,8 +347,8 @@ def test_affinize_invariants(series, rank):
     assert n == rank + 1
     marks = ambient.highest_root_coords(series, rank)
     comarks = ambient.comark_coords(series, rank)
-    assert null_vectors.null_vector([list(col) for col in zip(*cm.entries)]) == marks + (1,)
-    assert null_vectors.null_vector(cm.entries) == comarks + (1,)
+    assert null_spaces.null_vector([list(col) for col in zip(*cm.entries)]) == marks + (1,)
+    assert null_spaces.null_vector(cm.entries) == comarks + (1,)
     # attached row evaluates the negated highest root on each coroot
     simple = ambient.simple_roots(series, rank)
     dim = len(simple[0])
@@ -398,16 +398,16 @@ def _null_vector_verdict(fin, a, nv):
     """The check ``affinize`` made before it checked by products: the
     bordered matrix built from marks ``a`` and comarks ``nv``, its axioms,
     then the primitive positive null vector on each side, by exact
-    elimination (``null_vectors``), compared with (a, 1) and (nv, 1).
+    elimination (``null_spaces``), compared with (a, 1) and (nv, 1).
     None when accepted, else the message."""
     n = fin.size
     rows = [list(r) + [-sum(nv[i] * r[i] for i in range(n))] for r in fin.entries]
     rows.append([-sum(a[i] * fin.entries[i][j] for i in range(n)) for j in range(n)] + [2])
     try:
         cartan._check_gcm_axioms(rows)
-        if null_vectors.null_vector([list(col) for col in zip(*rows)]) != a + (1,):
+        if null_spaces.null_vector([list(col) for col in zip(*rows)]) != a + (1,):
             return "left null vector does not extend the marks"
-        if null_vectors.null_vector(rows) != nv + (1,):
+        if null_spaces.null_vector(rows) != nv + (1,):
             return "right null vector does not extend the comarks"
     except ValueError as exc:  # the oracle's, or the axioms' InvalidCartanMatrixError
         return str(exc)
