@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ambient
+import certificates
 import series_counts
 import walks
 from loopatlas import cartan, criterion, maass_selberg, parabolic, roots, weyl
@@ -450,18 +451,35 @@ def test_finite_certificates_are_pinned():
 CERTIFICATES_SHA256 = "8e0d823e40e2f582d17ea1978b6c86e70ae9ef75964df701c96899b3169c4044"
 
 
-def test_certificate_pin():
-    """sha256 over every certificate's trace: the 192 affine certificates
-    up to rank 8 at bound 16, then the 86 finite ones up to rank 6, every
-    node, as one sorted-key JSON text (about 104 kB).  The finite ranks are
-    the literal 6, so a change of ``FINITE_RANK_LIMIT`` does not move it."""
+def _pinned_certificates():
+    """The 192 affine certificates up to rank 8 at bound 16, then the 86
+    finite ones up to rank 6, every node.  The finite ranks are the
+    literal 6, so a change of ``FINITE_RANK_LIMIT`` does not move them."""
     certs = [c for cm in cartan.all_types(8) for c in parabolic.maximal_certificates(cm, 16)]
     assert len(certs) == 192
     finite = [
         parabolic.finite_self_associate(cm, node) for cm in cartan.all_types(6, affine=False) for node in cm.nodes
     ]
     assert len(finite) == 86
-    assert _certificates_sha256(certs + finite) == CERTIFICATES_SHA256
+    return certs + finite
+
+
+def test_certificate_pin():
+    """sha256 over every certificate's trace (``_pinned_certificates``),
+    as one sorted-key JSON text (about 104 kB)."""
+    assert _certificates_sha256(_pinned_certificates()) == CERTIFICATES_SHA256
+
+
+def test_pinned_certificates_pass_the_independent_checker():
+    """Each pinned certificate, read back from its JSON by the library-free
+    ``certificates`` oracle: w0_Θ, w0_Θ·α_c, δ, the finite witness and
+    ``searched``, each in the oracle's own arithmetic."""
+    problems = {}
+    for cert in _pinned_certificates():
+        data = parabolic.certificate_to_json(cert)
+        if found := certificates.check(data):
+            problems[f"{cert.ambient.label} node {cert.removed_node}"] = found
+    assert problems == {}
 
 
 # --- finite ambient: both verdicts occur ------------------------------------
