@@ -11,15 +11,17 @@ Bourbaki matrix; each distinct input is classified once.  That is the
 finite-type test too: a connected matrix is finite exactly when its diagram
 is one of A–G (Kac, *Infinite-dimensional Lie Algebras*, §4.8).  One
 fraction-free (Bareiss) echelon gives the corank.
-A ``CartanMatrix`` is checked where it is made, and its readers trust it.
+Every record of the library is a ``NamedTuple``.  A ``CartanMatrix`` is
+checked in ``__new__``, which its ``_make`` (so ``_replace``), copies and
+pickles go through too, and its readers trust it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     ClassificationError,
@@ -49,29 +51,37 @@ RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Immutable integer Cartan matrix with its affine flag and label,
-    checked where it is made: the rows as ``from_matrix`` checks them,
-    stored as tuples of ints, and the flag and label by its type decision
-    (``_type``); a given label must name the same class ("C2" on C2 rows).
-    The one exception is ``_record``, for rows and a type just checked.
-    """
+def _make_checked(cls, fields):  # ``_make`` through the check in ``__new__``; ``_replace`` calls it
+    return cls(*fields)
 
+
+class _CartanFields(NamedTuple):
     entries: Rows
     is_affine: bool
     label: str | None = None
 
-    def __post_init__(self):
-        rows = _check_gcm_axioms(_read_rows(self.entries))
-        affine = _check_bool(self.is_affine, "affine flag", InvalidCartanMatrixError)
-        kind, label = _type(rows) or (False, None)
-        named = None if self.label is None else parse_type(self.label)
-        if affine != kind or named and (label is None or _type(named.entries) != (kind, label)):
+
+class CartanMatrix(_CartanFields):
+    """Immutable integer Cartan matrix with its affine flag and label,
+    checked where it is made: the rows as ``from_matrix`` checks them,
+    stored as tuples of ints, and the flag and label by its type decision
+    (``_type``); a given label must name the same class ("C2" on C2 rows).
+    The library builds the rows and type it has just checked with
+    ``tuple.__new__``, as the walk builds a ``WeylElement``.
+    """
+
+    _make = classmethod(_make_checked)
+
+    def __new__(cls, entries, is_affine, label=None):
+        rows = _check_gcm_axioms(_read_rows(entries))
+        affine = _check_bool(is_affine, "affine flag", InvalidCartanMatrixError)
+        kind, found = _type(rows) or (False, None)
+        named = None if label is None else parse_type(label)
+        if affine != kind or named and (found is None or _type(named.entries) != (kind, found)):
             raise InvalidCartanMatrixError(
-                f"label {self.label!r} and affine flag {affine} do not fit rows of {label or 'no one named type'}"
+                f"label {label!r} and affine flag {affine} do not fit rows of {found or 'no one named type'}"
             )
-        self.__dict__.update(entries=rows, label=named.label if named else label)
+        return tuple.__new__(cls, (rows, affine, named.label if named else found))
 
     @property
     def size(self) -> int:
@@ -95,27 +105,23 @@ class CartanMatrix:
         return f"CartanMatrix({name})"
 
     # The fact store (``_fact``) hashes its ambient on each hit, and the
-    # generated dataclass hash walks all the entries each time: this is the
-    # same value, computed once per instance.  String hashes are salted per
-    # process, so the cached value is left out of pickles and copies.
+    # tuple hash walks all the entries each time: this is the same value,
+    # computed once per instance and kept in its ``__dict__``.  String
+    # hashes are salted per process, so pickles and copies carry no state:
+    # they rebuild the record through ``__new__`` from its fields.
     _hash = None  # a class attribute, not a field
 
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = self.__dict__["_hash"] = hash((self.entries, self.is_affine, self.label))
+            value = self.__dict__["_hash"] = tuple.__hash__(self)
         return value
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __getstate__(self) -> None:
+        return None
 
-
-def _record(rows: Rows, affine: bool, label: str | None) -> CartanMatrix:
-    """A CartanMatrix past ``__post_init__``, as the walk builds a
-    ``WeylElement``: classifying builds Bourbaki matrices through here."""
-    cm = object.__new__(CartanMatrix)
-    cm.__dict__.update(entries=rows, is_affine=affine, label=label)
-    return cm
+    def __setattr__(self, name, value):  # the instance dict holds the hash alone
+        raise AttributeError(f"cannot assign to {name!r}: a CartanMatrix is immutable")
 
 
 # Every derived fact lives in one bounded store, keyed on (function,
@@ -231,8 +237,8 @@ def _symmetrizer(rows: Rows) -> tuple[int, ...]:
     return tuple(d)
 
 
-def _eliminate(rows) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Fraction-free (Bareiss) row echelon form: (echelon, pivot_cols, swaps).
+def _eliminate(rows) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Fraction-free (Bareiss) row echelon form: (echelon, pivot_cols).
 
     Rows swap only where the pivot position is zero.  The pivot in row k is
     the minor of the row-swapped input on its first k+1 rows and first k+1
@@ -241,22 +247,20 @@ def _eliminate(rows) -> tuple[list[list[int]], tuple[int, ...], int]:
     """
     mat = [list(row) for row in rows]
     pivots: list[int] = []
-    swaps, prev = 0, 1
+    prev = 1
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         k = next((k for k in range(r, len(mat)) if mat[k][c]), None)
         if k is None:
             continue
-        if k != r:
-            mat[r], mat[k] = mat[k], mat[r]
-            swaps += 1
+        mat[r], mat[k] = mat[k], mat[r]
         top = mat[r]
         for row in mat[r + 1 :]:
             lead = row[c]
             row[c:] = [0] + [(top[c] * x - lead * t) // prev for x, t in zip(row[c + 1 :], top[c + 1 :])]
         prev = top[c]
         pivots.append(c)
-    return mat, tuple(pivots), swaps
+    return mat, tuple(pivots)
 
 
 # --- constructors -----------------------------------------------------------
@@ -315,7 +319,7 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     if not lo <= rank <= hi:
         raise UnsupportedRankError(f"series {series} supports ranks {lo}..{hi}, got {rank}")
     rows = tuple(tuple(row) for row in _finite_entries(series, rank))
-    return _record(rows, False, f"{series}{rank}")
+    return tuple.__new__(CartanMatrix, (rows, False, f"{series}{rank}"))
 
 
 def affinize(cm: CartanMatrix) -> CartanMatrix:
@@ -364,7 +368,7 @@ def _affinize(cm: CartanMatrix) -> CartanMatrix:
         raise InvalidCartanMatrixError("left null vector does not extend the marks")
     if not _positive_ints(u) or any(sum(x * y for x, y in zip(row, u)) for row in entries):
         raise InvalidCartanMatrixError("right null vector does not extend the comarks")
-    return _record(entries, True, cm.label + "affine")
+    return tuple.__new__(CartanMatrix, (entries, True, cm.label + "affine"))
 
 
 def _positive_ints(vec) -> bool:
@@ -388,7 +392,7 @@ def from_matrix(rows_in) -> CartanMatrix:
         if len(_eliminate(rows)[1]) != len(rows) - 1:
             raise InvalidCartanMatrixError("matrix is neither finite type nor corank one")
         raise TwistedTypeError("corank-one matrix is not an untwisted affinization")
-    return _record(rows, *found)
+    return tuple.__new__(CartanMatrix, (rows, *found))
 
 
 def _type(rows: Rows) -> tuple[bool, str | None] | None:
@@ -588,7 +592,7 @@ def _subdiagram(cm: CartanMatrix, subset: tuple[int, ...]) -> CartanMatrix:
     if not subset:
         raise InvalidSubsetError("empty subset has no matrix")
     rows = _principal(cm.entries, [i - 1 for i in subset])
-    return _record(rows, *(_type(rows) or (False, None)))
+    return tuple.__new__(CartanMatrix, (rows, *(_type(rows) or (False, None))))
 
 
 def _components(rows: Rows, nodes) -> list[list[int]]:

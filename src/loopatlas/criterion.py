@@ -8,17 +8,17 @@ comark-weighted sum of coroot values plus the value on the attached node.
 Region thresholds are multiples of the dual Coxeter number g: strictly
 below -2g the everywhere-minimal parameters live, between -2g and -g lies
 the continuation range, -g is the boundary locus, beyond it is outside.
-A ``LinearFunctional`` reads its values once where it is made, stores
-them as a tuple and checks that each is a number; their finiteness is
+A ``LinearFunctional`` reads its values once in ``__new__``, stores them
+as a tuple and checks that each is a number; their finiteness is
 checked on each call that reads it (``_check_dimension``).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import cartan, roots, serialize
 from .cartan import CartanMatrix
@@ -33,21 +33,25 @@ REGION_BOUNDARY = "boundary"
 REGION_OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """Values on the simple coroots, exact or floating as given, read once
-    and stored as a tuple."""
-
+class _FunctionalFields(NamedTuple):
     values: tuple[Number, ...]
     d_value: Number | None = None
 
-    def __post_init__(self):
-        values = tuple(cartan._items(self.values, "functional values"))
+
+class LinearFunctional(_FunctionalFields):
+    """Values on the simple coroots, exact or floating as given, read once
+    and stored as a tuple, so a generator is kept too."""
+
+    __slots__ = ()
+    _make = classmethod(cartan._make_checked)
+
+    def __new__(cls, values, d_value=None):
+        values = tuple(cartan._items(values, "functional values"))
         for x in values:
             _check_number(x, "functional value")
-        if self.d_value is not None:
-            _check_number(self.d_value, "d value")
-        object.__setattr__(self, "values", values)  # read once, so a generator is kept too
+        if d_value is not None:
+            _check_number(d_value, "d value")
+        return tuple.__new__(cls, (values, d_value))
 
     @property
     def size(self) -> int:
@@ -142,8 +146,7 @@ def godement_minimal(f: LinearFunctional) -> bool:
     return all(x.real < -2 for x in f.values)
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(NamedTuple):
     region: str
     central: Number
     real_part: Number

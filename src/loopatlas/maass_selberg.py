@@ -10,7 +10,7 @@ exposed, neither is silently merged.  A vanishing denominator is reported
 as a pole result, never a crash or an infinity; a value too large for a
 float, and any non-finite input, raises ``RegionError``, and a
 non-numeric input raises ``NumberTypeError``.  A ``TruncatedPairing`` is
-checked where it is made, and ``region_scan`` checks its whole grid,
+checked in ``__new__``, and ``region_scan`` checks its whole grid,
 through its first point's request, before it evaluates any point.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import add, mul
 from typing import NamedTuple
 
@@ -35,34 +34,38 @@ DENOMINATOR_TRUNCATION = "truncation"
 _OVERFLOW = "kernel value or denominator overflows a float"
 
 
-@dataclass(frozen=True)
-class TruncatedPairing:
-    """One evaluation request: ambient, cusp pairing constant, the two
-    shifted spectral parameters, and the truncation point in coroot
-    coordinates, checked where it is made; the point is stored as a
-    tuple."""
-
+class _PairingFields(NamedTuple):
     ambient: CartanMatrix
     cusp_pairing: complex
     left: LinearFunctional
     right: LinearFunctional
     truncation: tuple[float, ...]
 
-    def __post_init__(self):
+
+class TruncatedPairing(_PairingFields):
+    """One evaluation request: ambient, cusp pairing constant, the two
+    shifted spectral parameters, and the truncation point in coroot
+    coordinates, checked where it is made; the point is read once and
+    stored as a tuple, so a generator is kept too."""
+
+    __slots__ = ()
+    _make = classmethod(cartan._make_checked)
+
+    def __new__(cls, ambient, cusp_pairing, left, right, truncation):
         """The input check, which ``region_scan`` runs once, on its first
         point: parameter and truncation lengths match the ambient, the
         truncation coordinates and the cusp pairing are numbers, and every
         float is finite."""
-        criterion._check_dimension(self.ambient, self.left)
-        criterion._check_dimension(self.ambient, self.right)
-        truncation = tuple(cartan._items(self.truncation, "truncation point"))
-        if len(truncation) != self.ambient.size:
+        criterion._check_dimension(ambient, left)
+        criterion._check_dimension(ambient, right)
+        truncation = tuple(cartan._items(truncation, "truncation point"))
+        if len(truncation) != ambient.size:
             raise InvalidSubsetError(
-                f"truncation point has {len(truncation)} coordinates, ambient has {self.ambient.size}"
+                f"truncation point has {len(truncation)} coordinates, ambient has {ambient.size}"
             )
         criterion._check_numbers(truncation, "truncation coordinate")
-        criterion._check_numbers((self.cusp_pairing,), "cusp pairing")
-        object.__setattr__(self, "truncation", truncation)  # read once, so a generator is kept too
+        criterion._check_numbers((cusp_pairing,), "cusp pairing")
+        return tuple.__new__(cls, (ambient, cusp_pairing, left, right, truncation))
 
 
 def _check_tolerance(pole_tolerance) -> None:
@@ -88,8 +91,7 @@ def _complex_point(truncation) -> tuple[complex, ...]:
         raise RegionError(_OVERFLOW) from None
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(NamedTuple):
     value: complex | None
     pole: bool
     denominator: complex
@@ -212,11 +214,8 @@ def pairing_kernel(
 
 
 class ScanPoint(NamedTuple):
-    """One grid point of a scan, a ``NamedTuple``: immutable, read by
-    attribute, printed as ``ScanPoint(nu=..., ...)`` and hashed as the tuple
-    of its fields.  It equals that plain tuple too.  ``region_scan`` builds
-    each one with ``tuple.__new__``, which skips the generated
-    ``__new__``."""
+    """One grid point of a scan; ``region_scan`` builds each one with
+    ``tuple.__new__``."""
 
     nu: tuple          # unshifted parameter values of the first series
     nu_prime: tuple
@@ -225,8 +224,7 @@ class ScanPoint(NamedTuple):
     value: complex | None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     points: tuple[ScanPoint, ...]
     n_points: int
     n_poles: int

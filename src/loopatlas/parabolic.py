@@ -21,13 +21,13 @@ counts in closed form, summing the group's Poincaré series
 (``weyl._length_series``, which ``weyl.ball_sizes`` reads too): Bott's
 formula W_a(q) = W(q)·Π_i 1/(1 − q^{m_i}) over an affine ambient, with
 W(q) the Poincaré polynomial of the finite part and m_i its exponents.
-A ``ParabolicSubset`` is checked where it is made, as a ``CartanMatrix``
+A ``ParabolicSubset`` is checked in ``__new__``, as a ``CartanMatrix``
 is, and its readers trust it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cartan, roots, weyl
 from .cartan import CartanMatrix
@@ -44,20 +44,25 @@ Coords = tuple[int, ...]
 FINITE_RANK_LIMIT = 6  # the largest rank with finite verdicts; lifting it changes outputs
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
-    """Proper subset of the nodes of an affine ambient matrix, checked
-    where it is made; ``nodes`` is kept sorted."""
-
+class _SubsetFields(NamedTuple):
     ambient: CartanMatrix
     nodes: tuple[int, ...]
 
-    def __post_init__(self):
-        cm = cartan._ambient(self.ambient, affine=True)
-        subset = cartan._check_subset(cm, self.nodes)
+
+class ParabolicSubset(_SubsetFields):
+    """Proper subset of the nodes of an affine ambient matrix, checked
+    where it is made; ``nodes`` is read once, so a generator is kept too,
+    and kept sorted."""
+
+    __slots__ = ()
+    _make = classmethod(cartan._make_checked)
+
+    def __new__(cls, ambient, nodes):
+        cm = cartan._ambient(ambient, affine=True)
+        subset = cartan._check_subset(cm, nodes)
         if len(subset) >= cm.size:
             raise InvalidSubsetError("subset must be proper")
-        object.__setattr__(self, "nodes", subset)  # read once, so a generator is kept too
+        return tuple.__new__(cls, (cm, subset))
 
     @property
     def removed(self) -> tuple[int, ...]:
@@ -68,8 +73,7 @@ class ParabolicSubset:
         return len(self.nodes) == self.ambient.size - 1
 
 
-@dataclass(frozen=True)
-class LeviType:
+class LeviType(NamedTuple):
     """Classified connected components of the subset, plus the rank of the
     central torus (number of omitted nodes)."""
 
@@ -81,8 +85,7 @@ class LeviType:
         return tuple(f"{s}{r}" for s, r in self.components)
 
 
-@dataclass(frozen=True)
-class AssociateCertificate:
+class AssociateCertificate(NamedTuple):
     """Verdict of the self-associate test with its checkable trace.
 
     ``removed_image`` is the image of the omitted simple root under the
@@ -105,8 +108,7 @@ class AssociateCertificate:
     searched: int
 
 
-@dataclass(frozen=True)
-class ConstantTermReport:
+class ConstantTermReport(NamedTuple):
     trivial: bool
     certificate: AssociateCertificate
     levi_matches: tuple[tuple[int, bool], ...]
@@ -267,12 +269,7 @@ def constant_term_report(cert: AssociateCertificate) -> ConstantTermReport:
     else:
         partners = sorted(i for i, flag in matches if flag)
         reason = f"Levi type matches the subsets omitting nodes {partners}"
-    return ConstantTermReport(
-        trivial=trivial,
-        certificate=cert,
-        levi_matches=matches,
-        reason=reason,
-    )
+    return ConstantTermReport(trivial, cert, matches, reason)
 
 
 def constant_term_is_trivial(p: ParabolicSubset, search_bound: int = 0) -> ConstantTermReport:

@@ -12,7 +12,7 @@ longest element, one column walk per letter of its reduced word
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cartan
 from .cartan import CartanMatrix
@@ -207,8 +207,7 @@ def _central_coroot(cm: CartanMatrix) -> Coords:
     return _comarks(_finite_part(cm)) + (1,)
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     """Positive-root inventory of a finite irreducible matrix."""
 
     label: str | None
@@ -231,8 +230,7 @@ def root_system(cm: CartanMatrix) -> RootSystemData:
     )
 
 
-@dataclass(frozen=True)
-class AffineRootSlice:
+class AffineRootSlice(NamedTuple):
     """Real and isotropic root vectors with level between -depth and depth.
 
     Isotropic vectors are listed once each; every one carries multiplicity

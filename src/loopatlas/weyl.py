@@ -59,15 +59,12 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class WeylElement(NamedTuple):
-    """Group element: reduced word plus exact action matrix, a
-    ``NamedTuple`` like ``maass_selberg.ScanPoint``: immutable, read by
-    attribute, hashed and printed as the tuple of its fields, and equal to
-    that plain tuple.  The word is canonical except on ``longest_element``
-    results, so compare elements by matrix, not by tuple equality.  The
-    matrix is a tuple of row tuples, and a row may be one object shared
-    with other elements: the identity rows, and every row within one
-    ``enumerate_elements`` walk.  The library builds every element with
-    ``tuple.__new__``, which skips the generated ``__new__``."""
+    """Group element: reduced word plus exact action matrix.  The word is
+    canonical except on ``longest_element`` results, so compare elements
+    by matrix, not by tuple equality.  The matrix is a tuple of row
+    tuples, and a row may be one object shared with other elements: the
+    identity rows, and every row within one ``enumerate_elements`` walk.
+    The library builds every element with ``tuple.__new__``."""
 
     ambient: CartanMatrix
     word: tuple[int, ...]

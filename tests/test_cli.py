@@ -292,8 +292,8 @@ def test_a_cold_default_atlas_builds_no_record_through_the_checks(capsys, monkey
     atlas runs the checked constructor no time, and a hand-built record
     runs it once."""
     calls = []
-    checked = cartan.CartanMatrix.__post_init__
-    monkeypatch.setattr(cartan.CartanMatrix, "__post_init__", lambda cm: calls.append(cm) or checked(cm))
+    checked = cartan.CartanMatrix.__new__
+    monkeypatch.setattr(cartan.CartanMatrix, "__new__", lambda cls, *args: calls.append(args) or checked(cls, *args))
     cartan._fact.cache_clear()
     assert run(capsys, "atlas")[0] == 0
     assert calls == []
@@ -449,6 +449,20 @@ def test_atlas_and_associate_leave_numpy_unloaded():
             "from loopatlas import cartan, weyl",
             "assert weyl.ball_sizes(cartan.parse_type('E8affine'), 24)[24] == 4924393",
             "assert 'numpy' not in sys.modules, 'ball_sizes'",
+        ]
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every record is a NamedTuple: dataclasses pulls in inspect, and every
+    # command would pay for both at start-up
+    code = "\n".join(
+        [
+            "import sys",
+            "import loopatlas.cli",
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted({'dataclasses', 'inspect'} & set(sys.modules))",
         ]
     )
     done = _run_python("-c", code)

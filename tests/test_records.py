@@ -1,0 +1,96 @@
+"""The contract of the library's twelve records, all ``NamedTuple``s.
+
+Each prints as ``Name(field=value, ...)`` with the fields it had as a
+frozen dataclass, refuses assignment, equals the plain tuple of its fields
+and survives copies and pickles.  The four records that check their input
+check it on every way in: the constructor, ``_make``, ``_replace``,
+``copy.copy``, ``copy.deepcopy`` and a pickle round trip.  Only the private
+``tuple.__new__`` skips the check, so it builds the bad records below.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from loopatlas import cartan, criterion, maass_selberg, parabolic, roots
+from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError
+
+CM = cartan.parse_type("A2affine")
+F = criterion.functional((-3, -3, -3))
+POINT = (0.1, 0.2, 0.3)
+SUBSET = parabolic.parabolic_subset(CM, (1, 2))
+REQUEST = maass_selberg.TruncatedPairing(CM, 1.0, F, F, POINT)
+
+# name -> (a record built by the library, its fields in print order)
+RECORDS = {
+    "CartanMatrix": (CM, ("entries", "is_affine", "label")),
+    "LinearFunctional": (F, ("values", "d_value")),
+    "TruncatedPairing": (REQUEST, ("ambient", "cusp_pairing", "left", "right", "truncation")),
+    "ParabolicSubset": (SUBSET, ("ambient", "nodes")),
+    "RegionReport": (criterion.godement_cuspidal(CM, F), ("region", "central", "real_part", "g")),
+    "KernelValue": (maass_selberg.inner_product(REQUEST), ("value", "pole", "denominator")),
+    "ScanReport": (maass_selberg.region_scan(CM, [F], [F], POINT), ("points", "n_points", "n_poles")),
+    "LeviType": (parabolic.levi_type(SUBSET), ("components", "center_rank")),
+    "AssociateCertificate": (
+        parabolic.is_self_associate(SUBSET),
+        (
+            "ambient", "theta", "removed_node", "self_associate", "witness", "levi_longest_word",
+            "removed_image", "null_root", "search_bound", "searched",
+        ),
+    ),
+    "ConstantTermReport": (
+        parabolic.constant_term_is_trivial(SUBSET), ("trivial", "certificate", "levi_matches", "reason")
+    ),
+    "RootSystemData": (
+        roots.root_system(cartan.parse_type("B2")),
+        ("label", "positive", "highest", "marks", "comarks", "dual_coxeter"),
+    ),
+    "AffineRootSlice": (
+        roots.affine_roots(CM, 1), ("label", "depth", "real", "imaginary", "imaginary_multiplicity")
+    ),
+}
+
+# name -> (one bad field, the error the constructor raises on it)
+CHECKED = {
+    "CartanMatrix": ({"entries": ((2, 1), (1, 2))}, InvalidCartanMatrixError),
+    "LinearFunctional": ({"values": ("x", -3, -3)}, NumberTypeError),
+    "TruncatedPairing": ({"truncation": (0.1, 0.2)}, InvalidSubsetError),
+    "ParabolicSubset": ({"nodes": (1, 1)}, InvalidSubsetError),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_prints_its_fields_and_refuses_assignment(name):
+    record, fields = RECORDS[name]
+    assert type(record).__name__ == name and record._fields == fields
+    shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+    assert repr(record) == f"{name}({shown})"
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+
+
+# way in -> a build of the checked record from (record, bad fields, change, raw)
+WAYS_IN = {
+    "constructor": lambda record, fields, change, raw: type(record)(*fields),
+    "_make": lambda record, fields, change, raw: type(record)._make(fields),
+    "_replace": lambda record, fields, change, raw: record._replace(**change),
+    "copy": lambda record, fields, change, raw: copy.copy(raw),
+    "deepcopy": lambda record, fields, change, raw: copy.deepcopy(raw),
+    "pickle": lambda record, fields, change, raw: pickle.loads(pickle.dumps(raw)),
+}
+
+
+@pytest.mark.parametrize("way", WAYS_IN)
+@pytest.mark.parametrize("name", CHECKED)
+def test_checked_record_refuses_a_bad_field_on_every_way_in(name, way):
+    record, _ = RECORDS[name]
+    change, error = CHECKED[name]
+    fields = tuple(change.get(field, value) for field, value in zip(record._fields, record))
+    raw = tuple.__new__(type(record), fields)  # the private, unchecked path
+    with pytest.raises(error):
+        WAYS_IN[way](record, fields, change, raw)
