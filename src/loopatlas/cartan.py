@@ -544,8 +544,18 @@ def _check_bound(x, what: str = "search bound") -> int:
     return value
 
 
+# every record class is defined in a module of this package
+_PACKAGE_PREFIX = __name__.rpartition(".")[0] + "."
+
+
 def _items(seq, what: str):
-    """An iterator over a node list, word or vector; a scalar is rejected."""
+    """An iterator over a node list, word or vector.  A scalar is
+    rejected, and so is any of the library's own records: each is a tuple
+    of its fields, never a list of items.  A foreign named tuple is a
+    tuple like any other and is read as one."""
+    kind = type(seq)
+    if kind is not tuple and issubclass(kind, tuple) and kind.__module__.startswith(_PACKAGE_PREFIX):
+        raise InvalidSubsetError(f"{what} {seq!r} is not a sequence")
     try:
         return iter(seq)
     except TypeError:

@@ -12,12 +12,22 @@ float, and any non-finite input, raises ``RegionError``, and a
 non-numeric input raises ``NumberTypeError``.  A ``TruncatedPairing`` is
 checked in ``__new__``, and ``region_scan`` checks its whole grid,
 through its first point's request, before it evaluates any point.
+
+``_kernel`` is the formula.  ``region_scan`` runs it a row at a time,
+except on a grid whose parameter values are all exactly ``float`` or
+``complex`` (on Python before 3.12): there numpy runs the same float
+operations, in the same order, a block of rows at a time, and each
+point's tail (the pole test, the exponential, the division) stays Python
+complex arithmetic, so every point comes out bit for bit as ``_kernel``
+gives it.  numpy is imported only when such a grid is scanned.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from itertools import chain
 from operator import add, mul
 from typing import NamedTuple
 
@@ -27,6 +37,12 @@ from .criterion import LinearFunctional
 from .errors import InvalidSubsetError, NumberTypeError, RegionError
 
 POLE_TOLERANCE = 1e-12
+
+_BLOCK_POINTS = 4096  # grid points in one block of rows of a float scan: bounds its working arrays
+# The float scan reproduces Python's float arithmetic as it is before 3.12.
+# From 3.12 on, sum() compensates a sum of floats (Neumaier), and _kernel's
+# central value is such a sum wherever a point's summed values are real.
+_FLOAT_SCAN = sys.version_info < (3, 12)
 
 DENOMINATOR_CENTRAL = "central"
 DENOMINATOR_TRUNCATION = "truncation"
@@ -108,16 +124,19 @@ def _kernel(
     by_truncation: bool,
     pole_tolerance: float,
 ) -> list[tuple]:
-    """The kernel formula, the only one, on checked inputs, for one row of
-    points: ``left`` holds the first shifted parameter's values and each
-    entry of ``rights`` the complex conjugates of a second one's, ``point``
-    is the truncation point as complex numbers and ``weights`` the
-    ambient's central coroot.  Returns one ``(value, pole, denominator)``
-    per entry of ``rights``, in order, the value None on a pole; a point
+    """The kernel formula, the reference for every path, on checked
+    inputs, for one row of points: ``left`` holds the first shifted
+    parameter's values and each entry of ``rights`` the complex
+    conjugates of a second one's, ``point`` is the truncation point as
+    complex numbers and ``weights`` the ambient's central coroot.  Returns
+    one ``(value, pole, denominator)`` per entry of ``rights``, in order,
+    the value None on a pole; a point
     that overflows raises before any later point is formed.  Every point
     runs the same float operations in the same order whether it comes in
     a row or alone.  The cusp pairing is converted only where a value is
-    formed, so a pole never needs it to fit in a float.
+    formed, so a pole never needs it to fit in a float.  ``_float_scan``
+    repeats these operations over arrays for float grids; whatever it
+    cannot match bit for bit comes back here.
     """
     exp, isfinite = cmath.exp, cmath.isfinite
     out = []
@@ -230,6 +249,73 @@ class ScanReport(NamedTuple):
     n_poles: int
 
 
+def _float_scan(weights, cusp_pairing, nus, lefts, rights, prime_values, point, pole_tolerance):
+    """``_kernel`` over a whole grid whose shifted values are all exactly
+    ``float`` or ``complex``, a block of whole rows at a time (at most
+    ``_BLOCK_POINTS`` points, or one longer row): the report, or None.
+
+    Each float is read as ``(x, 0.0)``, as Python's mixed arithmetic
+    reads it, and float64 arrays of real and imaginary parts run
+    ``_kernel``'s operations in its order: each summed value is two real
+    additions, each product with the truncation point is written out as
+    ``(ar*br - ai*bi, ar*bi + ai*br)``, and each sum over the coordinates
+    runs in order from 0.0.  No numpy complex arithmetic is used: it may
+    fuse a multiply and an add, which changes bits.  A weight is
+    ``(w, 0.0)`` to Python, but the central value drops the ``0.0*s``
+    terms of that product: each is a signed zero where ``s`` is finite,
+    and a sum that starts at 0.0 never keeps the sign of a zero; where
+    ``s`` is not finite, neither is the exponent.  The rest of each point
+    is ``_kernel``'s own Python complex arithmetic.  None means a
+    non-finite exponent or denominator, or a point that overflows (its
+    cusp pairing included): the caller then runs ``_kernel`` over the
+    grid, which raises or returns what it always does.
+    """
+    import numpy as np  # here, not at module level: exact scans and single points never need it
+
+    left, right = np.array(lefts, dtype=complex), np.array(rights, dtype=complex)
+    left_re, left_im, right_re, right_im = left.real, left.imag, right.real, right.imag
+    terms = [(k, float(w), t.real, t.imag) for k, (w, t) in enumerate(zip(weights, point))]
+    exp, isfinite = cmath.exp, cmath.isfinite
+    new = tuple.__new__
+    pts = []
+    append = pts.append
+    n_poles = 0
+    step = max(1, _BLOCK_POINTS // len(rights))
+    cusp = None  # converted where the first value is formed, as in _kernel
+    try:
+        for start in range(0, len(lefts), step):
+            block = slice(start, start + step)
+            with np.errstate(all="ignore"):
+                shape = (len(left_re[block]), len(rights))
+                at, den = np.zeros(shape, complex), np.zeros(shape, complex)
+                at_re, at_im, den_re, den_im = at.real, at.imag, den.real, den.imag
+                for k, w, t_re, t_im in terms:
+                    s_re = np.add.outer(left_re[block, k], right_re[:, k])
+                    s_im = np.add.outer(left_im[block, k], right_im[:, k])
+                    at_re += s_re * t_re - s_im * t_im
+                    at_im += s_re * t_im + s_im * t_re
+                    den_re += w * s_re
+                    den_im += w * s_im
+                if not (np.isfinite(at).all() and np.isfinite(den).all()):
+                    return None
+            for nu, at_row, den_row in zip(nus[block], at.tolist(), den.tolist()):
+                nu_values = nu.values
+                for nu_prime_values, exponent, denominator in zip(prime_values, at_row, den_row):
+                    if abs(denominator) < pole_tolerance:
+                        n_poles += 1
+                        append(new(ScanPoint, (nu_values, nu_prime_values, denominator, True, None)))
+                        continue
+                    if cusp is None:
+                        cusp = complex(cusp_pairing)
+                    value = cusp * exp(exponent) / denominator
+                    if not isfinite(value):
+                        return None
+                    append(new(ScanPoint, (nu_values, nu_prime_values, denominator, False, -value)))
+    except OverflowError:
+        return None
+    return ScanReport(points=tuple(pts), n_points=len(pts), n_poles=n_poles)
+
+
 def region_scan(
     ambient: CartanMatrix,
     nus,
@@ -247,10 +333,13 @@ def region_scan(
     each further first parameter, shifted and checked once, then the
     tolerance.  A scan therefore raises what building every point's
     request in grid order, then evaluating them in grid order, raises
-    first.  Each row is one ``_kernel`` call over the conjugated second
-    parameters, and every point equals ``inner_product`` on its shifted
-    parameters bit for bit.  If either side is empty the report is empty
-    and nothing is checked.
+    first.  On a grid whose shifted values are all exactly ``float`` or
+    ``complex`` (before Python 3.12, see ``_FLOAT_SCAN``), ``_float_scan``
+    evaluates it a block of rows at a time; on any other grid, and
+    wherever that path cannot finish, each row is one ``_kernel`` call
+    over the conjugated second parameters.  Either way every point equals
+    ``inner_product`` on its shifted parameters bit for bit.  If either
+    side is empty the report is empty and nothing is checked.
     """
     nus = tuple(cartan._items(nus, "first parameter list"))
     nu_primes = tuple(cartan._items(nu_primes, "second parameter list"))
@@ -264,6 +353,11 @@ def region_scan(
     point = _complex_point(first.truncation)
     weights = roots._central_coroot(ambient)
     prime_values = [f.values for f in nu_primes]
+    # exactly these two types: a float subclass such as numpy.float64 takes the rows below
+    if _FLOAT_SCAN and set(map(type, chain.from_iterable(lefts + rights))) <= {float, complex}:
+        report = _float_scan(weights, cusp_pairing, nus, lefts, rights, prime_values, point, pole_tolerance)
+        if report is not None:
+            return report
     new = tuple.__new__
     pts = []
     append = pts.append

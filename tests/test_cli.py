@@ -417,17 +417,27 @@ def _run_module(*argv, stdout=subprocess.PIPE):
 
 
 def test_import_and_pointwise_commands_leave_numpy_unloaded():
-    # numpy used to be most of every command's start-up; only the walks need it
+    # numpy used to be most of every command's start-up; only the walks and
+    # float scans need it, and the last line shows this check can fail
     code = "\n".join(
         [
             "import contextlib, io, sys",
+            "from fractions import Fraction",
             "import loopatlas",
-            "from loopatlas import cli",
+            "import loopatlas.maass_selberg as ms",
+            "from loopatlas import cartan, cli, criterion",
             "assert 'numpy' not in sys.modules, 'import loopatlas'",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert cli.main(['ms', 'A1affine', '--nu', '[-1.5, -1.5]', '--nu-prime', '[-1.5, -1.5]']) == 0",
             "    assert cli.main(['godement', 'E6affine', '--uniform', '-3']) == 0",
             "assert 'numpy' not in sys.modules, 'ms and godement'",
+            "cm, f = cartan.parse_type('A1affine'), criterion.functional((-1.5, -2.5))",
+            "ms.inner_product(ms.TruncatedPairing(cm, 1.0, f, f, (0.25, 0.5)))",
+            "exact = [criterion.functional((-3, Fraction(-5, 2))), criterion.functional((-1, -1))]",
+            "assert ms.region_scan(cm, exact, exact, (0.25, 0.5)).n_poles == 1",
+            "assert 'numpy' not in sys.modules, 'inner_product and an exact scan'",
+            "ms.region_scan(cm, [f], [f], (0.25, 0.5))",
+            "assert ('numpy' in sys.modules) == ms._FLOAT_SCAN, 'a float scan'",
         ]
     )
     done = _run_python("-c", code)

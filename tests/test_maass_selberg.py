@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -320,14 +322,97 @@ def _mixed_grid(label, seed):
     return cm, nus, nu_primes, truncation, pairing
 
 
+def _float_grid(label, seed):
+    """Exactly float and complex parameters, with signed zeros, real floats
+    and complexes with a zero imaginary part among them, and a truncation
+    point of every number kind.  The first parameter on each side is real
+    and below -1; the last two second parameters are pole partners of two
+    first ones.  Seed 3 truncates at a point with no positive coordinate
+    under a pairing with a real part of -0.0: the real point's exponent is
+    a sum of zeros of one sign there, which ``sum`` starts from 0.0.
+    Seed 4 has poles alone, exactly, under a cusp pairing too large for a
+    float: every first parameter has the central value of the first, so
+    each pole partner pairs to zero with every row."""
+    rng = random.Random(seed)
+    cm = _cm(label)
+
+    def number():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.uniform(-4.0, 1.0)
+        if kind == 1:
+            return complex(rng.uniform(-4.0, 1.0), rng.uniform(-3.0, 3.0))
+        if kind == 2:
+            return complex(rng.uniform(-4.0, 1.0), rng.choice((0.0, -0.0)))
+        if kind == 3:
+            return rng.choice((0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)))
+        return rng.randint(-32, 8) / 8 + rng.randint(-24, 24) / 8 * 1j
+
+    def real():
+        return tuple(rng.choice((x, complex(x, -0.0))) for x in (rng.uniform(-4.0, -1.0) for _ in range(cm.size)))
+
+    if seed < 4:
+        nus = [real()] + [tuple(number() for _ in range(cm.size)) for _ in range(5)]
+        nu_primes = [real()] + [tuple(number() for _ in range(cm.size)) for _ in range(3)]
+        partners = (1, 4)
+    else:  # dyadic values, so every sum below is exact
+        weights = roots._central_coroot(cm)
+        nus = [tuple(rng.randint(-32, 8) / 8 for _ in range(cm.size - 1)) for _ in range(4)]
+        central = sum(w * x for w, x in zip(weights, nus[0])) - 1.5j
+        nus = [(*nu, central - sum(w * x for w, x in zip(weights, nu))) for nu in nus]
+        nu_primes, partners = [], range(4)
+    nu_primes += [tuple(-x.conjugate() - 2 for x in nus[k]) for k in partners]
+    if seed == 3:
+        kinds = lambda: (rng.uniform(-0.5, 0.0), -0.0, rng.randint(-1, 0), Fraction(rng.randint(-4, 0), 8))
+    else:
+        kinds = lambda: (rng.uniform(-0.5, 0.5), -0.0, rng.randint(-1, 1), Fraction(rng.randint(-4, 4), 8))
+    truncation = tuple(rng.choice(kinds()) for _ in range(cm.size))
+    pairing = (1.0, 2, Fraction(3, 2), complex(-0.0, 2.0), 10**400)[seed]
+    return cm, list(map(criterion.functional, nus)), list(map(criterion.functional, nu_primes)), truncation, pairing
+
+
 @pytest.mark.parametrize("label", ["A1affine", "G2affine", "E8affine"])
-@pytest.mark.parametrize("seed", range(4))
-def test_region_scan_matches_pointwise_inner_product(label, seed):
-    cm, nus, nu_primes, truncation, pairing = _mixed_grid(label, seed)
+@pytest.mark.parametrize(
+    "grid, seed",
+    [pytest.param(_mixed_grid, seed, id=str(seed)) for seed in range(4)]
+    + [pytest.param(_float_grid, seed, id=f"float{seed}") for seed in range(5)],
+)
+def test_region_scan_matches_pointwise_inner_product(label, grid, seed, body_calls):
+    """A mixed grid runs ``_kernel`` once per row; a float grid never
+    enters it where the float scan runs, so its numpy path is what equals
+    the reference here."""
+    cm, nus, nu_primes, truncation, pairing = grid(label, seed)
+    assert all(type(x) in (float, complex) for f in nus + nu_primes for x in f.values) == (grid is _float_grid)
     report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
     expected = _pointwise_scan(cm, nus, nu_primes, truncation, pairing)
-    assert _scan_points(report) == expected
+    assert repr(_scan_points(report)) == repr(expected)  # signed zeros included
     assert report.n_poles == sum(point[3] for point in expected) >= 2
+    if seed == 4:
+        assert report.n_poles == report.n_points == 16
+    calls = body_calls(ms._kernel, lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing))
+    assert calls == (0 if grid is _float_grid and ms._FLOAT_SCAN else len(nus))
+
+
+def test_a_float_scan_works_a_block_of_rows_at_a_time():
+    """tracemalloc sees numpy's arrays too: the peak during a 300 x 300
+    float scan stays within 1.25 times the report it returns, where arrays
+    over the whole grid would take the peak past 1.6 times."""
+    cm = _cm("A1affine")
+    rng = random.Random(38)
+    side = [
+        criterion.functional((rng.uniform(-4.0, 0.0), complex(rng.uniform(-4.0, 0.0), rng.uniform(-3.0, 3.0))))
+        for _ in range(300)
+    ]
+    ms.region_scan(cm, side[:2], side[:2], (0.25, 0.5))  # numpy's import and first calls, before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = ms.region_scan(cm, side, side, (0.25, 0.5))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_points == 90_000
+    assert peak - before <= 1.25 * (held - before)
 
 
 MIXED_SCANS_SHA256 = "0701b1e16b37ab6bfb13978f91a4b799429c255ecb4b241b77f51a188595e975"
@@ -393,13 +478,16 @@ def _outcome(run):
 def test_region_scan_raises_what_the_pointwise_scan_raises():
     """A grid fails as the two-pass reference does: every input is checked
     before any point is evaluated, so a malformed input is reported even
-    when a valid point before it overflows."""
+    when a valid point before it overflows.  Float grids take the numpy
+    path and hand every failure back to the kernel, so warnings are
+    errors here: a numpy RuntimeWarning must not escape either."""
     cm = _cm("A1affine")
     good = [criterion.functional((-1.5 + 0.5j * k, -2.0 - k)) for k in range(3)]
-    overflow = criterion.functional((400, 400))  # exp overflows at the truncation point (1, 1)
+    # exp overflows at the truncation point (1, 1), exact and as floats
+    overflows = [criterion.functional((400, 400)), criterion.functional((400.0, 400.0))]
     malformed = [criterion.functional((math.nan, -1.0)), criterion.functional((-1.0,)), (-1.0, -1.0)]
     cases = []
-    for first in (good[0], overflow):
+    for first in (good[0], *overflows):
         for bad in malformed:
             for side in (0, 1):
                 for pos in range(3):
@@ -411,27 +499,50 @@ def test_region_scan_raises_what_the_pointwise_scan_raises():
             cases.append((grid, truncation, 1.0, ms.POLE_TOLERANCE))
         cases.append((grid, (1.0, 1.0), math.inf, ms.POLE_TOLERANCE))
         cases.append((grid, (1.0, 1.0), 1.0, 0.0))
-    # finite parameters whose summed parameter is infinite, then one whose
-    # summed parameter is finite but whose exponential overflows
+    # well-formed grids that fail only when evaluated: a valid point that
+    # overflows, exact and float; finite parameters whose summed parameter
+    # is infinite, in the real and in the imaginary part; a finite summed
+    # parameter whose exponential overflows, or whose central value does
+    # under a finite exponent; a finite exponential over a finite central
+    # value whose quotient overflows; and a pole whose exponent is
+    # infinite, which is no error, before a point whose exponent is
+    # infinite too
     huge = criterion.functional((1e308, -1.0))
-    summed_messages = {
-        "functional value inf is not finite": ([huge], [huge]),
-        "overflows a float": ([huge], [criterion.functional((1e308j, -1.0))]),
-    }
-    for grid in summed_messages.values():
-        cases.append((grid, (1.0, 1.0), 1.0, ms.POLE_TOLERANCE))
+    pole_row = [criterion.functional((1e308, -1e308))]
+    pole_partner = criterion.functional((-1.0, -1.0))
+    evaluated = [  # (a part of the message, first parameters, second parameters, truncation point)
+        *(("overflows a float", [first, *good[1:]], good, (1.0, 1.0)) for first in overflows),
+        ("functional value inf is not finite", [huge], [huge], (1.0, 1.0)),
+        (
+            "functional value infj is not finite",
+            [criterion.functional((-1.0 + 1e308j, -1.0))],
+            [criterion.functional((-1.0 - 1e308j, -1.0))],
+            (1.0, 1.0),
+        ),
+        ("overflows a float", [huge], [criterion.functional((1e308j, -1.0))], (1.0, 1.0)),
+        ("overflows a float", [criterion.functional((1e308, 1e308))], [pole_partner], (-0.25, 0.25)),
+        # shifted (1417.99, -1417.98): exp(709.0) is finite, and so is 0.01
+        ("overflows a float", [criterion.functional((1416.99, -1418.98))], [pole_partner], (1.0, 0.5)),
+        ("overflows a float", pole_row, [pole_partner, criterion.functional((-1e307, -1.0))], (10.0, -10.0)),
+    ]
+    for _, nus, nu_primes, truncation in evaluated:
+        cases.append(((nus, nu_primes), truncation, 1.0, ms.POLE_TOLERANCE))
     outcomes = []
-    for (nus, nu_primes), truncation, pairing, tolerance in cases:
-        expected = _outcome(lambda: _pointwise_scan(cm, nus, nu_primes, truncation, pairing, tolerance))
-        assert isinstance(expected[0], type)
-        got = _outcome(
-            lambda: _scan_points(
-                ms.region_scan(cm, nus, nu_primes, truncation, pairing, pole_tolerance=tolerance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (nus, nu_primes), truncation, pairing, tolerance in cases:
+            expected = _outcome(lambda: _pointwise_scan(cm, nus, nu_primes, truncation, pairing, tolerance))
+            assert isinstance(expected[0], type)
+            got = _outcome(
+                lambda: _scan_points(
+                    ms.region_scan(cm, nus, nu_primes, truncation, pairing, pole_tolerance=tolerance)
+                )
             )
-        )
-        assert got == expected
-        outcomes.append(got)
-    for (error, message), want in zip(outcomes[-2:], summed_messages):
+            assert got == expected
+            outcomes.append(got)
+        (pole,) = ms.region_scan(cm, pole_row, [pole_partner], (10.0, -10.0)).points
+    assert pole.pole and pole.denominator == 0
+    for (error, message), (want, *_) in zip(outcomes[-len(evaluated):], evaluated):
         assert error is RegionError and want in message
 
 

@@ -6,14 +6,17 @@ and survives copies and pickles.  The four records that check their input
 check it on every way in: the constructor, ``_make``, ``_replace``,
 ``copy.copy``, ``copy.deepcopy`` and a pickle round trip.  Only the private
 ``tuple.__new__`` skips the check, so it builds the bad records below.
+Where a sequence is read, a record is refused as a whole, while a foreign
+named tuple is read as its items.
 """
 
+import collections
 import copy
 import pickle
 
 import pytest
 
-from loopatlas import cartan, criterion, maass_selberg, parabolic, roots
+from loopatlas import cartan, criterion, maass_selberg, parabolic, roots, weyl
 from loopatlas.errors import InvalidCartanMatrixError, InvalidSubsetError, NumberTypeError
 
 CM = cartan.parse_type("A2affine")
@@ -94,3 +97,30 @@ def test_checked_record_refuses_a_bad_field_on_every_way_in(name, way):
     raw = tuple.__new__(type(record), fields)  # the private, unchecked path
     with pytest.raises(error):
         WAYS_IN[way](record, fields, change, raw)
+
+
+# call -> (what it names, a public call handed a record where it reads a sequence)
+RECORD_AS_SEQUENCE = {
+    "functional": ("functional values", lambda: criterion.functional(F)),
+    "region_scan first": ("first parameter list", lambda: maass_selberg.region_scan(CM, F, [F], POINT)),
+    "region_scan second": ("second parameter list", lambda: maass_selberg.region_scan(CM, [F], F, POINT)),
+    "from_word": ("word", lambda: weyl.from_word(CM, weyl.from_word(CM, (1, 2)))),
+    "parabolic_subset": ("node list", lambda: parabolic.parabolic_subset(CM, F)),
+}
+
+
+@pytest.mark.parametrize("call", RECORD_AS_SEQUENCE)
+def test_a_record_is_refused_where_a_sequence_is_read(call):
+    """A record is a tuple of its fields, never a list of items, so it is
+    refused as a whole, whatever its first field holds."""
+    what, run = RECORD_AS_SEQUENCE[call]
+    with pytest.raises(InvalidSubsetError, match=rf"^{what} [A-Za-z]+\(.*\) is not a sequence$"):
+        run()
+
+
+def test_a_foreign_named_tuple_is_read_as_its_items():
+    # only the library's own records are refused: any other tuple is a sequence
+    Triple, Pair = collections.namedtuple("Triple", "a b c"), collections.namedtuple("Pair", "a b")
+    assert criterion.functional(Triple(-3, -3, -3)) == F
+    assert parabolic.parabolic_subset(CM, Pair(1, 2)) == SUBSET
+    assert weyl.from_word(CM, Triple(1, 2, 1)) == weyl.from_word(CM, (1, 2, 1))
