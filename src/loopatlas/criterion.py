@@ -9,15 +9,27 @@ Region thresholds are multiples of the dual Coxeter number g: strictly
 below -2g the everywhere-minimal parameters live, between -2g and -g lies
 the continuation range, -g is the boundary locus, beyond it is outside.
 A ``LinearFunctional`` reads its values once in ``__new__``, stores them
-as a tuple and checks that each is a number; their finiteness is
-checked on each call that reads it (``_check_dimension``).
+as a tuple and checks that each is a number.  Each gate takes the set of
+a value tuple's types once, in one C-level pass (``_kinds`` where the
+values are read for the first time).  When every type is exactly
+``int``, ``Fraction``, ``float`` or ``complex``, the number check, the
+finiteness check and the choice between the exact and the float central
+value are C-level passes too; any other type (bool, a subclass such as
+``numpy.float64``, ``Decimal``, None) takes the per-value checks, so the
+first value refused and its message are the same either way.
+Finiteness is checked on each call that reads the values
+(``_check_dimension``), not where the record is made: a caller may build
+a NaN parameter and expect the refusal where it is used, so moving the
+check is a behaviour change of its own.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import add, attrgetter, floordiv, lt, mul
 from typing import NamedTuple
 
 from . import cartan, roots, serialize
@@ -25,7 +37,14 @@ from .cartan import CartanMatrix
 from .errors import InvalidSubsetError, NumberTypeError, RegionError
 from .serialize import Number
 
-BOUNDARY_TOLERANCE = 1e-12  # float comparisons against the -g locus
+BOUNDARY_TOLERANCE = 1e-12  # the one float tolerance: the -g locus here, the pole locus in maass_selberg
+
+# The value types the reader answers for with C-level passes; any other
+# type takes the per-value checks.
+_EXACT = frozenset((int, Fraction))
+_FLOATS = frozenset((float, complex))
+_REALS = frozenset((int, Fraction, float))
+_PLAIN = _EXACT | _FLOATS
 
 REGION_CONVERGENT = "convergent"
 REGION_CONTINUED = "continued"
@@ -47,8 +66,7 @@ class LinearFunctional(_FunctionalFields):
 
     def __new__(cls, values, d_value=None):
         values = tuple(cartan._items(values, "functional values"))
-        for x in values:
-            _check_number(x, "functional value")
+        _kinds(values, "functional value")
         if d_value is not None:
             _check_number(d_value, "d value")
         return tuple.__new__(cls, (values, d_value))
@@ -68,14 +86,24 @@ def _check_functional(f) -> None:
         raise NumberTypeError(f"spectral parameter {f!r} is not a LinearFunctional")
 
 
-def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> None:
+def _check_dimension(cm: CartanMatrix, f: LinearFunctional) -> set:
+    """The gate of every call that reads a parameter against an ambient:
+    the kinds of its values, every float among them finite."""
     _check_functional(f)
-    cartan._ambient(cm, affine=True)
-    if f.size != cm.size:
+    cm = cartan._ambient(cm, affine=True)
+    kinds = set(map(type, f.values))
+    _check_values(cm, f.values, kinds)
+    return kinds
+
+
+def _check_values(cm: CartanMatrix, values: tuple, kinds: set) -> None:
+    """Values of the given kinds against a checked ambient: one per
+    coroot, every float finite."""
+    if len(values) != cm.size:
         raise InvalidSubsetError(
-            f"functional has {f.size} values, ambient has {cm.size} coroots"
+            f"functional has {len(values)} values, ambient has {cm.size} coroots"
         )
-    _check_finite(f.values)
+    _check_finite(values, kinds=kinds)
 
 
 def _check_number(x, what: str) -> None:
@@ -84,18 +112,33 @@ def _check_number(x, what: str) -> None:
         raise NumberTypeError(f"{what} {x!r} is not a number")
 
 
-def _check_numbers(values, what: str) -> None:
+def _kinds(values: tuple, what: str) -> set:
+    """The reader: the set of the values' types, every value a number."""
+    kinds = set(map(type, values))
+    if not kinds <= _PLAIN:
+        for x in values:
+            _check_number(x, what)
+    return kinds
+
+
+def _check_numbers(values: tuple, what: str) -> None:
     """Every value a number, then every float finite."""
-    for x in values:
-        _check_number(x, what)
-    _check_finite(values, what)
+    _check_finite(values, what, _kinds(values, what))
 
 
-def _check_finite(values, what: str = "functional value") -> None:
+def _check_finite(values: tuple, what: str = "functional value", kinds=None) -> None:
     """Reject NaN and infinite floats, complex parts included."""
+    if kinds is None:
+        kinds = set(map(type, values))
+    if kinds <= _EXACT or (kinds <= _FLOATS and all(map(cmath.isfinite, values))):
+        return
     for x in values:
-        if isinstance(x, (float, complex)) and not cmath.isfinite(x):
-            raise RegionError(f"{what} {x!r} is not finite")
+        _check_finite_value(x, what)
+
+
+def _check_finite_value(x, what: str) -> None:
+    if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+        raise RegionError(f"{what} {x!r} is not finite")
 
 
 def _is_exact(x) -> bool:
@@ -109,41 +152,62 @@ def weyl_vector(cm: CartanMatrix) -> LinearFunctional:
 
 
 def shift_by_weyl_vector(f: LinearFunctional) -> LinearFunctional:
+    return LinearFunctional(_shift(f), f.d_value)
+
+
+def _shift(f: LinearFunctional) -> tuple:
+    """The values of ``f`` plus one, unchecked."""
     _check_functional(f)
-    return LinearFunctional(values=tuple(x + 1 for x in f.values), d_value=f.d_value)
+    return tuple(map(add, f.values, repeat(1)))
 
 
 def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
     """Pairing with the canonical central element: comark-weighted coroot
     values plus the attached-node value.  Exact when the inputs are; a
     float sum that overflows raises ``RegionError``."""
-    _check_dimension(cm, f)
-    weights = roots._central_coroot(cm)
-    if all(map(_is_exact, f.values)):
-        return _exact_sum(weights, f.values)
+    kinds = _check_dimension(cm, f)
+    return _central(roots._central_coroot(cm), f.values, kinds)[0]
+
+
+def _central(weights, values: tuple, kinds) -> tuple[Number, bool]:
+    """The central value of checked values, and whether it is exact:
+    every value an int or a Fraction, read off the kinds when each is a
+    plain type, value by value otherwise."""
+    if kinds <= _EXACT or (not kinds <= _PLAIN and all(map(_is_exact, values))):
+        return _exact_sum(weights, values, kinds), True
     try:
-        central = sum(w * x for w, x in zip(weights, f.values))
-        _check_finite((central,))
-    except (OverflowError, RegionError):  # the values themselves are finite
+        central = sum(map(mul, weights, values))
+    except OverflowError:  # the values themselves are finite
         raise RegionError("central value overflows a float") from None
-    return central
+    if isinstance(central, (float, complex)) and not cmath.isfinite(central):
+        raise RegionError("central value overflows a float")
+    return central, False
 
 
-def _exact_sum(weights, values) -> int | Fraction:
+def _exact_sum(weights, values: tuple, kinds) -> int | Fraction:
     """The sum of the products w·x for int and Fraction values, taken over
     one common denominator; an int when no value is a Fraction, equal in
     value and type to the sum taken term by term."""
-    den = lcm(*(x.denominator for x in values))
-    num = sum(w * x.numerator * (den // x.denominator) for w, x in zip(weights, values))
-    return Fraction(num, den) if any(isinstance(x, Fraction) for x in values) else num
+    nums = map(attrgetter("numerator"), values)
+    dens = tuple(map(attrgetter("denominator"), values))
+    den = lcm(*dens)
+    num = sum(map(mul, map(mul, weights, nums), map(floordiv, repeat(den), dens)))
+    return Fraction(num, den) if any(issubclass(k, Fraction) for k in kinds) else num
 
 
 def godement_minimal(f: LinearFunctional) -> bool:
     """Every coroot value has real part strictly below -2; non-finite
     values raise ``RegionError``."""
     _check_functional(f)
-    _check_finite(f.values)
-    return all(x.real < -2 for x in f.values)
+    kinds = set(map(type, f.values))
+    _check_finite(f.values, kinds=kinds)
+    return _minimal(f.values, kinds)
+
+
+def _minimal(values: tuple, kinds) -> bool:
+    """Every finite value's real part strictly below -2."""
+    reals = values if kinds <= _REALS else map(attrgetter("real"), values)
+    return all(map(lt, reals, repeat(-2)))
 
 
 class RegionReport(NamedTuple):
@@ -162,12 +226,14 @@ def godement_cuspidal(cm: CartanMatrix, f: LinearFunctional) -> RegionReport:
     locus only; the -2g edge stays a sharp split between convergent and
     continued.
     """
-    central = central_value(cm, f)  # checks the ambient first
+    kinds = _check_dimension(cm, f)  # checks the ambient first
+    central, exact = _central(roots._central_coroot(cm), f.values, kinds)
     g = roots._dual_coxeter(cm)
-    re = central.real
-    if _is_exact(re):  # both sides times the denominator, so all on integers
+    if exact:  # its own real part; both sides times the denominator, so all on integers
+        re = central
         x, edge, tolerance = re.numerator, -g * re.denominator, 0
     else:
+        re = central.real
         x, edge, tolerance = re, -g, BOUNDARY_TOLERANCE
     if abs(x - edge) <= tolerance:
         region = REGION_BOUNDARY
@@ -177,7 +243,7 @@ def godement_cuspidal(cm: CartanMatrix, f: LinearFunctional) -> RegionReport:
         region = REGION_CONTINUED
     else:
         region = REGION_OUTSIDE
-    return RegionReport(region=region, central=central, real_part=re, g=g)
+    return tuple.__new__(RegionReport, (region, central, re, g))
 
 
 def implication_check(cm: CartanMatrix, f: LinearFunctional) -> bool:
@@ -185,10 +251,10 @@ def implication_check(cm: CartanMatrix, f: LinearFunctional) -> bool:
 
     Returns True when the implication holds for this parameter (either the
     hypothesis fails or the conclusion is verified)."""
-    _check_dimension(cm, f)
-    if not godement_minimal(f):
+    kinds = _check_dimension(cm, f)
+    if not _minimal(f.values, kinds):
         return True
-    return central_value(cm, f).real < -2 * roots._dual_coxeter(cm)
+    return _central(roots._central_coroot(cm), f.values, kinds)[0].real < -2 * roots._dual_coxeter(cm)
 
 
 def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:

@@ -7,11 +7,16 @@ parameter plus the complex conjugate of the second.  The kernel variant
 drops the leading minus and can divide by the literal value at the
 truncation point instead of the central value; both denominators are
 exposed, neither is silently merged.  A vanishing denominator is reported
-as a pole result, never a crash or an infinity; a value too large for a
-float, and any non-finite input, raises ``RegionError``, and a
-non-numeric input raises ``NumberTypeError``.  A ``TruncatedPairing`` is
-checked in ``__new__``, and ``region_scan`` checks its whole grid,
-through its first point's request, before it evaluates any point.
+as a pole result, never a crash or an infinity.  A central value that
+comes out exact (every summed value an int or a Fraction) vanishes when
+it equals 0; any other denominator vanishes when its absolute value is
+below the pole tolerance (``POLE_TOLERANCE``, the one float tolerance of
+``criterion``, by default).  A value too large for a float, an exact
+denominator too small for one, and any non-finite input raise
+``RegionError``, and a non-numeric input raises ``NumberTypeError``.
+A ``TruncatedPairing`` is checked in ``__new__``, and ``region_scan``
+checks its whole grid, through its first point's request, before it
+evaluates any point.
 
 ``_kernel`` is the formula.  ``region_scan`` runs it a row at a time,
 except on a grid whose parameter values are all exactly ``float`` or
@@ -28,7 +33,7 @@ import cmath
 import math
 import sys
 from itertools import chain
-from operator import add, mul
+from operator import add, methodcaller, mul
 from typing import NamedTuple
 
 from . import cartan, criterion, roots, serialize
@@ -36,7 +41,7 @@ from .cartan import CartanMatrix
 from .criterion import LinearFunctional
 from .errors import InvalidSubsetError, NumberTypeError, RegionError
 
-POLE_TOLERANCE = 1e-12
+POLE_TOLERANCE = criterion.BOUNDARY_TOLERANCE  # one float tolerance for the -g locus and the pole locus
 
 _BLOCK_POINTS = 4096  # grid points in one block of rows of a float scan: bounds its working arrays
 # The float scan reproduces Python's float arithmetic as it is before 3.12.
@@ -92,10 +97,12 @@ def _check_tolerance(pole_tolerance) -> None:
 
 
 def _shifted(ambient: CartanMatrix, f: LinearFunctional) -> tuple:
-    """Values of a parameter shifted by the Weyl vector, checked."""
-    shifted = criterion.shift_by_weyl_vector(f)
-    criterion._check_dimension(ambient, shifted)
-    return shifted.values
+    """Values of a parameter shifted by the Weyl vector, checked as
+    ``shift_by_weyl_vector`` and ``_check_dimension`` check them, against
+    an ambient the caller has checked."""
+    values = criterion._shift(f)
+    criterion._check_values(ambient, values, criterion._kinds(values, "functional value"))
+    return values
 
 
 def _complex_point(truncation) -> tuple[complex, ...]:
@@ -153,9 +160,15 @@ def _kernel(
                 criterion._check_finite(summed)
             if by_truncation:
                 denominator = at_truncation
+                pole = abs(denominator) < pole_tolerance
             else:
-                denominator = complex(sum(map(mul, weights, summed)))
-            if abs(denominator) < pole_tolerance:
+                central = sum(map(mul, weights, summed))
+                denominator = complex(central)
+                if type(central) in criterion._EXACT:  # every summed value an int or a Fraction
+                    pole = central == 0
+                else:
+                    pole = abs(denominator) < pole_tolerance
+            if pole:
                 append((None, True, denominator))
                 continue
             try:
@@ -168,11 +181,16 @@ def _kernel(
             append((-value if leading_minus else value, False, denominator))
     except OverflowError:
         raise RegionError(_OVERFLOW) from None
+    except ZeroDivisionError:  # an exact nonzero central value below the smallest float
+        raise RegionError("kernel denominator underflows a float") from None
     return out
 
 
+_CONJUGATE = methodcaller("conjugate")
+
+
 def _conjugate(values: tuple) -> tuple:
-    return tuple(x.conjugate() for x in values)
+    return tuple(map(_CONJUGATE, values))
 
 
 def _evaluate(
@@ -354,7 +372,7 @@ def region_scan(
     weights = roots._central_coroot(ambient)
     prime_values = [f.values for f in nu_primes]
     # exactly these two types: a float subclass such as numpy.float64 takes the rows below
-    if _FLOAT_SCAN and set(map(type, chain.from_iterable(lefts + rights))) <= {float, complex}:
+    if _FLOAT_SCAN and set(map(type, chain.from_iterable(lefts + rights))) <= criterion._FLOATS:
         report = _float_scan(weights, cusp_pairing, nus, lefts, rights, prime_values, point, pole_tolerance)
         if report is not None:
             return report

@@ -732,6 +732,19 @@ _api_numbers = st.one_of(
     st.sampled_from([complex(math.inf, 0), complex(-3, math.nan), Fraction(-7, 2)]),
 )
 _api_scalars = st.one_of(_api_numbers, st.integers(-2, 3), st.text(max_size=3))
+# NaN and infinities, as floats and as either part of a complex number
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_non_finite_values = st.one_of(
+    _non_finite,
+    st.builds(complex, _non_finite, st.floats(-5, 5)),
+    st.builds(complex, st.floats(-5, 5), _non_finite),
+)
+# the same in JSON form, a complex number as an [re, im] pair
+_non_finite_json = st.one_of(
+    _non_finite,
+    st.tuples(_non_finite, st.floats(-5, 5)).map(list),
+    st.tuples(st.floats(-5, 5), _non_finite).map(list),
+)
 
 
 def _f(values):
@@ -780,6 +793,13 @@ _API = {
     "ball_sizes": lambda cm, a, b, t, x: weyl.ball_sizes(cm, a),
     "functional": lambda cm, a, b, t, x: criterion.functional(a, x),
     "functional_from_json": lambda cm, a, b, t, x: criterion.functional_from_json(a),
+    # a decoded parameter through the gates that read its values
+    "godement_cuspidal_from_json": lambda cm, a, b, t, x: criterion.godement_cuspidal(
+        cm, criterion.functional_from_json(a)
+    ),
+    "region_scan_from_json": lambda cm, a, b, t, x: maass_selberg.region_scan(
+        cm, [criterion.functional_from_json(a)], [criterion.functional_from_json(b)], t
+    ),
     "classify": lambda cm, a, b, t, x: cartan.classify(a),
     "symmetrizer": lambda cm, a, b, t, x: cartan.symmetrizer(a),
     "all_types_flag": lambda cm, a, b, t, x: cartan.all_types(3, affine=x),
@@ -900,12 +920,12 @@ _ROWS_AS_AMBIENT = {
 _SEQUENCE_CALLS = {
     "from_word", "reduce_word", "inverse", "compose", "inversions", "act", "act_element", "element_to_json",
     "parabolic_subset", "parabolic_subset_record", "levi_type", "longest_element",
-    "ball_sizes", "functional", "functional_from_json",
+    "ball_sizes", "functional", "functional_from_json", "godement_cuspidal_from_json", "region_scan_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
     "classify", "symmetrizer", "dominant_integral", "parse_type", "finite_cartan", "height", "is_positive",
 } | _ROWS_AS_AMBIENT
 # these read JSON objects too
-_OBJECT_CALLS = {"functional_from_json"}
+_OBJECT_CALLS = {"functional_from_json", "godement_cuspidal_from_json", "region_scan_from_json"}
 # and these read matrix rows, drawn as lists of vectors
 _MATRIX_CALLS = {
     "classify", "symmetrizer", "act_element", "element_to_json", "finite_cartan",
@@ -920,12 +940,15 @@ def _api_call(draw):
         st.lists(st.one_of(st.integers(-6, 6), st.floats(-5, 5)), min_size=cm.size, max_size=cm.size),
         st.lists(_api_numbers, min_size=cm.size, max_size=cm.size),
         st.lists(_api_numbers, max_size=4),
+        st.lists(st.one_of(_non_finite_values, st.floats(-5, 5)), min_size=cm.size, max_size=cm.size),
     )
     if name in _SEQUENCE_CALLS:
         vectors = st.one_of(vectors, _api_scalars)
     if name in _MATRIX_CALLS:
         vectors = st.one_of(vectors, st.lists(vectors, max_size=4))
     if name in _OBJECT_CALLS:
+        json_values = st.lists(st.one_of(_non_finite_json, st.floats(-5, 5)), min_size=cm.size, max_size=cm.size)
+        vectors = st.one_of(vectors, json_values, st.fixed_dictionaries({"values": json_values}))
         keys = st.sampled_from(["values", "d_value", "matrix"])
         vectors = st.one_of(vectors, st.dictionaries(keys, st.one_of(vectors, _api_scalars), max_size=3))
     return name, cm, draw(vectors), draw(vectors), draw(vectors), draw(_api_scalars)
@@ -1072,6 +1095,15 @@ def _api_call(draw):
 @example(("linear_functional_record_list", cartan.parse_type("A2affine"), [], [], [], 0))
 @example(("linear_functional_record_generator", cartan.parse_type("A2affine"), [], [], [], 0))
 @example(("linear_functional_record_scalar", cartan.parse_type("A2affine"), [], [], [], 0))
+# and NaN and infinite parameters, float and complex parts, built directly and from JSON
+@example(("functional", cartan.parse_type("A2affine"), [math.nan] * 3, [], [], 0))
+@example(("functional", cartan.parse_type("A2affine"), [complex(-3, math.inf)] * 3, [], [], 0))
+@example(("godement_cuspidal", cartan.parse_type("A2affine"), [-1.0, math.inf, -math.inf], [], [], 0))
+@example(("implication_check", cartan.parse_type("A2affine"), [complex(math.nan, 0)] * 3, [], [], 0))
+@example(("pairing_kernel", cartan.parse_type("A1affine"), [-1.0, -1.0], [complex(0, -math.inf), 0.0], [0, 0], 1.0))
+@example(("functional_from_json", cartan.parse_type("A2affine"), {"values": [math.nan, [0.0, math.inf], 1]}, [], [], 0))
+@example(("godement_cuspidal_from_json", cartan.parse_type("A2affine"), [[math.nan, 0.0], -1, -1], [], [], 0))
+@example(("region_scan_from_json", cartan.parse_type("A1affine"), [-1, -1], {"values": [-math.inf, 0]}, [0, 0], 0))
 # and a label of a non-ASCII digit raised a raw ValueError from int()
 @example(("parse_type", cartan.parse_type("A2"), "A²", [], [], 0))
 def test_api_fuzz_raises_only_library_errors(call):

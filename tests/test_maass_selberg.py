@@ -97,6 +97,36 @@ def test_pole_only_on_the_central_locus():
     assert out.denominator == -4
 
 
+def test_exact_central_values_are_poles_only_at_zero():
+    """An exact summed parameter is a pole exactly when its central value
+    is 0; a nonzero one below the tolerance used to be reported as a pole,
+    with denominator (1e-13+0j).  Floats, and the truncation denominator,
+    keep the tolerance."""
+    cm = _cm("A1affine")
+    tiny, zero = criterion.functional((Fraction(1, 10**13), 0)), criterion.functional((0, 0))
+    out = ms.pairing_kernel(cm, 1, tiny, zero, (0, 0))
+    assert not out.pole
+    assert out.denominator == complex(1e-13)
+    assert out.value == 1 / complex(1e-13) and cmath.isfinite(out.value)
+    assert ms.pairing_kernel(cm, 1, zero, zero, (0, 0)).pole
+    assert ms.pairing_kernel(cm, 1, tiny, zero, (0, 0), denominator=ms.DENOMINATOR_TRUNCATION).pole
+    assert ms.pairing_kernel(cm, 1, criterion.functional((1e-13, 0)), zero, (0, 0)).pole
+    # the scan agrees point by point: nu = tiny - rho, nu' = -rho
+    nu = criterion.functional((Fraction(1, 10**13) - 1, -1))
+    report = ms.region_scan(cm, [nu], [criterion.functional((-1, -1))], (0, 0))
+    assert report.n_poles == 0
+    assert report.points[0].value == -out.value
+    # a nonzero exact denominator that a float cannot hold is refused, not a pole
+    tinier = criterion.functional((Fraction(1, 10**400), 0))
+    with pytest.raises(RegionError, match="^kernel denominator underflows a float$"):
+        ms.pairing_kernel(cm, 1, tinier, zero, (0, 0))
+
+
+def test_pole_and_boundary_tolerance_are_one_rule():
+    assert ms.POLE_TOLERANCE is criterion.BOUNDARY_TOLERANCE
+    assert ms.POLE_TOLERANCE == 1e-12
+
+
 def test_truncation_denominator_has_its_own_pole_locus():
     cm = _cm("A1affine")
     mu = criterion.functional((-1.0, 1.0))
