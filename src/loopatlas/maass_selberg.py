@@ -18,13 +18,14 @@ A ``TruncatedPairing`` is checked in ``__new__``, and ``region_scan``
 checks its whole grid, through its first point's request, before it
 evaluates any point.
 
-``_kernel`` is the formula.  ``region_scan`` runs it a row at a time,
-except on a grid whose parameter values are all exactly ``float`` or
-``complex`` (on Python before 3.12): there numpy runs the same float
-operations, in the same order, a block of rows at a time, and each
-point's tail (the pole test, the exponential, the division) stays Python
-complex arithmetic, so every point comes out bit for bit as ``_kernel``
-gives it.  numpy is imported only when such a grid is scanned.
+``_sums`` forms each point's exponent (the summed parameter at the
+truncation point) and central value; ``_points`` is the one tail: the
+pole rule, the exponential, the division and the overflow rule.
+``region_scan`` runs them a block of rows at a time; on a grid whose
+parameter values are all exactly ``float`` or ``complex`` (on Python
+before 3.12) numpy forms a block's sums instead, with the same float
+operations in the same order, so every point comes out bit for bit as
+``_sums`` gives it.  numpy is imported only when such a grid is scanned.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, methodcaller, mul
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ POLE_TOLERANCE = criterion.BOUNDARY_TOLERANCE  # one float tolerance for the -g 
 
 _BLOCK_POINTS = 4096  # grid points in one block of rows of a float scan: bounds its working arrays
 # The float scan reproduces Python's float arithmetic as it is before 3.12.
-# From 3.12 on, sum() compensates a sum of floats (Neumaier), and _kernel's
+# From 3.12 on, sum() compensates a sum of floats (Neumaier), and _sums'
 # central value is such a sum wherever a point's summed values are real.
 _FLOAT_SCAN = sys.version_info < (3, 12)
 
@@ -120,70 +121,71 @@ class KernelValue(NamedTuple):
     denominator: complex
 
 
-def _kernel(
-    weights,
-    cusp_pairing,
-    left: tuple,
-    rights,
-    point: tuple[complex, ...],
-    *,
-    leading_minus: bool,
-    by_truncation: bool,
-    pole_tolerance: float,
-) -> list[tuple]:
-    """The kernel formula, the reference for every path, on checked
-    inputs, for one row of points: ``left`` holds the first shifted
-    parameter's values and each entry of ``rights`` the complex
-    conjugates of a second one's, ``point`` is the truncation point as
-    complex numbers and ``weights`` the ambient's central coroot.  Returns
-    one ``(value, pole, denominator)`` per entry of ``rights``, in order,
-    the value None on a pole; a point
-    that overflows raises before any later point is formed.  Every point
-    runs the same float operations in the same order whether it comes in
-    a row or alone.  The cusp pairing is converted only where a value is
-    formed, so a pole never needs it to fit in a float.  ``_float_scan``
-    repeats these operations over arrays for float grids; whatever it
-    cannot match bit for bit comes back here.
+def _sums(weights, left: tuple, primes, rights, point: tuple[complex, ...], by_truncation: bool = False):
+    """The formula's first half, the reference for every path, for one
+    row of checked points, lazily: ``left`` holds the first shifted
+    parameter's values, each entry of ``rights`` the complex conjugates of
+    a second one's and ``weights`` the ambient's central coroot.  Yields
+    ``(nu_prime, exponent, central)`` per entry of ``rights``, ``nu_prime``
+    taken from ``primes``; in truncation mode the exponent stands in for
+    the central value.  ``_float_sums`` repeats these operations.
     """
-    exp, isfinite = cmath.exp, cmath.isfinite
-    out = []
-    append = out.append
+    isfinite = cmath.isfinite
+    for nu_prime, right_conjugate in zip(primes, rights):
+        summed = tuple(map(add, left, right_conjugate))
+        exponent = sum(map(mul, summed, point))
+        # Two finite parameters can sum to an infinity.  The point is complex,
+        # so a non-finite summed entry makes its product non-finite, and a
+        # complex sum stays non-finite once any term is: checking the summed
+        # parameter only here rejects exactly what checking it always would.
+        if not isfinite(exponent):
+            criterion._check_finite(summed)
+        yield nu_prime, exponent, exponent if by_truncation else sum(map(mul, weights, summed))
+
+
+def _points(nus, rows, cusp_pairing, leading_minus: bool, pole_tolerance: float) -> tuple[list, int]:
+    """The formula's tail, the one for every path: the ``ScanPoint`` of
+    each ``(nu_prime, exponent, central)`` of each row of sums, the row's
+    ``nu`` taken from ``nus``, and the number of poles.  A point that
+    overflows raises before any later point is formed.  The cusp pairing
+    is converted only where a value is formed, so a pole never needs it
+    to fit in a float.
+    """
+    exp, isfinite, exact, new = cmath.exp, cmath.isfinite, criterion._EXACT, tuple.__new__
+    pts = []
+    append = pts.append
+    n_poles = 0
+    cusp = None
     try:
-        for right_conjugate in rights:
-            summed = tuple(map(add, left, right_conjugate))
-            at_truncation = sum(map(mul, summed, point))
-            # Two finite parameters can sum to an infinity.  The point is complex,
-            # so a non-finite summed entry makes its product non-finite, and a
-            # complex sum stays non-finite once any term is: checking the summed
-            # parameter only here rejects exactly what checking it always would.
-            if not isfinite(at_truncation):
-                criterion._check_finite(summed)
-            if by_truncation:
-                denominator = at_truncation
-                pole = abs(denominator) < pole_tolerance
-            else:
-                central = sum(map(mul, weights, summed))
-                denominator = complex(central)
-                if type(central) in criterion._EXACT:  # every summed value an int or a Fraction
+        for nu, sums in zip(nus, rows):
+            for nu_prime, exponent, central in sums:
+                kind = type(central)  # a complex one, as every float block's is, is read as is
+                denominator = central if kind is complex else complex(central)
+                if kind is not complex and kind in exact:  # every summed value an int or a Fraction
                     pole = central == 0
                 else:
                     pole = abs(denominator) < pole_tolerance
-            if pole:
-                append((None, True, denominator))
-                continue
-            try:
-                growth = exp(at_truncation)
-            except ValueError:  # an infinite phase, reached by overflow, has no exponential
-                growth = complex(math.nan)
-            value = complex(cusp_pairing) * growth / denominator
-            if not (isfinite(value) and isfinite(denominator)):
-                raise RegionError(_OVERFLOW)
-            append((-value if leading_minus else value, False, denominator))
+                if pole:
+                    n_poles += 1
+                    value = None
+                else:
+                    if cusp is None:
+                        cusp = complex(cusp_pairing)
+                    try:
+                        growth = exp(exponent)
+                    except ValueError:  # an infinite phase, reached by overflow, has no exponential
+                        growth = complex(math.nan)
+                    value = cusp * growth / denominator
+                    if not (isfinite(value) and isfinite(denominator)):
+                        raise RegionError(_OVERFLOW)
+                    if leading_minus:
+                        value = -value
+                append(new(ScanPoint, (nu, nu_prime, denominator, pole, value)))
     except OverflowError:
         raise RegionError(_OVERFLOW) from None
     except ZeroDivisionError:  # an exact nonzero central value below the smallest float
         raise RegionError("kernel denominator underflows a float") from None
-    return out
+    return pts, n_poles
 
 
 _CONJUGATE = methodcaller("conjugate")
@@ -196,18 +198,12 @@ def _conjugate(values: tuple) -> tuple:
 def _evaluate(
     request: TruncatedPairing, *, leading_minus: bool, by_truncation: bool, pole_tolerance: float
 ) -> KernelValue:
-    """``_kernel`` at the one point of a checked request."""
-    ((value, pole, denominator),) = _kernel(
-        roots._central_coroot(request.ambient),
-        request.cusp_pairing,
-        request.left.values,
-        (_conjugate(request.right.values),),
-        _complex_point(request.truncation),
-        leading_minus=leading_minus,
-        by_truncation=by_truncation,
-        pole_tolerance=pole_tolerance,
-    )
-    return KernelValue(value=value, pole=pole, denominator=denominator)
+    """The formula at the one point of a checked request."""
+    weights, right = roots._central_coroot(request.ambient), _conjugate(request.right.values)
+    point = _complex_point(request.truncation)
+    sums = _sums(weights, request.left.values, (None,), (right,), point, by_truncation)
+    (out,), _ = _points((None,), (sums,), request.cusp_pairing, leading_minus, pole_tolerance)
+    return KernelValue(value=out.value, pole=out.pole, denominator=out.denominator)
 
 
 def inner_product(
@@ -267,14 +263,15 @@ class ScanReport(NamedTuple):
     n_poles: int
 
 
-def _float_scan(weights, cusp_pairing, nus, lefts, rights, prime_values, point, pole_tolerance):
-    """``_kernel`` over a whole grid whose shifted values are all exactly
-    ``float`` or ``complex``, a block of whole rows at a time (at most
-    ``_BLOCK_POINTS`` points, or one longer row): the report, or None.
+def _float_sums(weights, left, right, point):
+    """``_sums`` over one block of rows of a grid whose shifted values are
+    all exactly ``float`` or ``complex``, given as complex arrays: the
+    exponents and the central values as lists of rows of Python complex
+    numbers, or None when any of them is not finite.
 
     Each float is read as ``(x, 0.0)``, as Python's mixed arithmetic
     reads it, and float64 arrays of real and imaginary parts run
-    ``_kernel``'s operations in its order: each summed value is two real
+    ``_sums``' operations in its order: each summed value is two real
     additions, each product with the truncation point is written out as
     ``(ar*br - ai*bi, ar*bi + ai*br)``, and each sum over the coordinates
     runs in order from 0.0.  No numpy complex arithmetic is used: it may
@@ -282,56 +279,24 @@ def _float_scan(weights, cusp_pairing, nus, lefts, rights, prime_values, point, 
     ``(w, 0.0)`` to Python, but the central value drops the ``0.0*s``
     terms of that product: each is a signed zero where ``s`` is finite,
     and a sum that starts at 0.0 never keeps the sign of a zero; where
-    ``s`` is not finite, neither is the exponent.  The rest of each point
-    is ``_kernel``'s own Python complex arithmetic.  None means a
-    non-finite exponent or denominator, or a point that overflows (its
-    cusp pairing included): the caller then runs ``_kernel`` over the
-    grid, which raises or returns what it always does.
+    ``s`` is not finite, neither is the exponent.
     """
-    import numpy as np  # here, not at module level: exact scans and single points never need it
+    import numpy as np  # region_scan has imported it
 
-    left, right = np.array(lefts, dtype=complex), np.array(rights, dtype=complex)
-    left_re, left_im, right_re, right_im = left.real, left.imag, right.real, right.imag
-    terms = [(k, float(w), t.real, t.imag) for k, (w, t) in enumerate(zip(weights, point))]
-    exp, isfinite = cmath.exp, cmath.isfinite
-    new = tuple.__new__
-    pts = []
-    append = pts.append
-    n_poles = 0
-    step = max(1, _BLOCK_POINTS // len(rights))
-    cusp = None  # converted where the first value is formed, as in _kernel
-    try:
-        for start in range(0, len(lefts), step):
-            block = slice(start, start + step)
-            with np.errstate(all="ignore"):
-                shape = (len(left_re[block]), len(rights))
-                at, den = np.zeros(shape, complex), np.zeros(shape, complex)
-                at_re, at_im, den_re, den_im = at.real, at.imag, den.real, den.imag
-                for k, w, t_re, t_im in terms:
-                    s_re = np.add.outer(left_re[block, k], right_re[:, k])
-                    s_im = np.add.outer(left_im[block, k], right_im[:, k])
-                    at_re += s_re * t_re - s_im * t_im
-                    at_im += s_re * t_im + s_im * t_re
-                    den_re += w * s_re
-                    den_im += w * s_im
-                if not (np.isfinite(at).all() and np.isfinite(den).all()):
-                    return None
-            for nu, at_row, den_row in zip(nus[block], at.tolist(), den.tolist()):
-                nu_values = nu.values
-                for nu_prime_values, exponent, denominator in zip(prime_values, at_row, den_row):
-                    if abs(denominator) < pole_tolerance:
-                        n_poles += 1
-                        append(new(ScanPoint, (nu_values, nu_prime_values, denominator, True, None)))
-                        continue
-                    if cusp is None:
-                        cusp = complex(cusp_pairing)
-                    value = cusp * exp(exponent) / denominator
-                    if not isfinite(value):
-                        return None
-                    append(new(ScanPoint, (nu_values, nu_prime_values, denominator, False, -value)))
-    except OverflowError:
-        return None
-    return ScanReport(points=tuple(pts), n_points=len(pts), n_poles=n_poles)
+    shape = (len(left), len(right))
+    at, den = np.zeros(shape, complex), np.zeros(shape, complex)
+    at_re, at_im, den_re, den_im = at.real, at.imag, den.real, den.imag
+    with np.errstate(all="ignore"):
+        for k, (w, t) in enumerate(zip(weights, point)):
+            s_re = np.add.outer(left.real[:, k], right.real[:, k])
+            s_im = np.add.outer(left.imag[:, k], right.imag[:, k])
+            at_re += s_re * t.real - s_im * t.imag
+            at_im += s_re * t.imag + s_im * t.real
+            den_re += float(w) * s_re
+            den_im += float(w) * s_im
+    if np.isfinite(at).all() and np.isfinite(den).all():
+        return at.tolist(), den.tolist()
+    return None
 
 
 def region_scan(
@@ -351,13 +316,14 @@ def region_scan(
     each further first parameter, shifted and checked once, then the
     tolerance.  A scan therefore raises what building every point's
     request in grid order, then evaluating them in grid order, raises
-    first.  On a grid whose shifted values are all exactly ``float`` or
-    ``complex`` (before Python 3.12, see ``_FLOAT_SCAN``), ``_float_scan``
-    evaluates it a block of rows at a time; on any other grid, and
-    wherever that path cannot finish, each row is one ``_kernel`` call
-    over the conjugated second parameters.  Either way every point equals
-    ``inner_product`` on its shifted parameters bit for bit.  If either
-    side is empty the report is empty and nothing is checked.
+    first.  Each block of whole rows (at most ``_BLOCK_POINTS`` points, or
+    one longer row) is one ``_points`` call.  Its sums come from
+    ``_float_sums`` on a grid whose shifted values are all exactly
+    ``float`` or ``complex`` (before Python 3.12, see ``_FLOAT_SCAN``),
+    and from ``_sums`` on any other grid or where the float sums are not
+    all finite, so every point equals ``inner_product`` on its shifted
+    parameters bit for bit.  If either side is empty the report is empty
+    and nothing is checked.
     """
     nus = tuple(cartan._items(nus, "first parameter list"))
     nu_primes = tuple(cartan._items(nu_primes, "second parameter list"))
@@ -370,25 +336,27 @@ def region_scan(
     _check_tolerance(pole_tolerance)
     point = _complex_point(first.truncation)
     weights = roots._central_coroot(ambient)
-    prime_values = [f.values for f in nu_primes]
-    # exactly these two types: a float subclass such as numpy.float64 takes the rows below
+    values = [f.values for f in nus]
+    primes = [f.values for f in nu_primes]
+    arrays = None
+    # exactly these two types: a float subclass such as numpy.float64 takes _sums
     if _FLOAT_SCAN and set(map(type, chain.from_iterable(lefts + rights))) <= criterion._FLOATS:
-        report = _float_scan(weights, cusp_pairing, nus, lefts, rights, prime_values, point, pole_tolerance)
-        if report is not None:
-            return report
-    new = tuple.__new__
+        import numpy as np  # here, not at module level: exact scans and single points never need it
+
+        arrays = np.array(lefts, dtype=complex), np.array(rights, dtype=complex)
     pts = []
-    append = pts.append
     n_poles = 0
-    for nu, left in zip(nus, lefts):
-        row = _kernel(
-            weights, cusp_pairing, left, rights, point,
-            leading_minus=True, by_truncation=False, pole_tolerance=pole_tolerance,
-        )
-        nu_values = nu.values
-        for nu_prime_values, (value, pole, denominator) in zip(prime_values, row):
-            n_poles += pole
-            append(new(ScanPoint, (nu_values, nu_prime_values, denominator, pole, value)))
+    step = max(1, _BLOCK_POINTS // len(rights))
+    for start in range(0, len(nus), step):
+        block = slice(start, start + step)
+        sums = arrays and _float_sums(weights, arrays[0][block], arrays[1], point)
+        if sums:
+            rows = map(zip, repeat(primes), *sums)
+        else:
+            rows = (_sums(weights, left, primes, rights, point) for left in lefts[block])
+        block_points, block_poles = _points(values[block], rows, cusp_pairing, True, pole_tolerance)
+        pts += block_points
+        n_poles += block_poles
     return ScanReport(points=tuple(pts), n_points=len(pts), n_poles=n_poles)
 
 

@@ -408,9 +408,10 @@ def _float_grid(label, seed):
     + [pytest.param(_float_grid, seed, id=f"float{seed}") for seed in range(5)],
 )
 def test_region_scan_matches_pointwise_inner_product(label, grid, seed, body_calls):
-    """A mixed grid runs ``_kernel`` once per row; a float grid never
-    enters it where the float scan runs, so its numpy path is what equals
-    the reference here."""
+    """Each grid is one block, so one ``_points`` call; a float grid's
+    sums come from ``_float_sums`` where the float scan runs, so its numpy
+    path is what equals the reference here, and a mixed grid never
+    enters it."""
     cm, nus, nu_primes, truncation, pairing = grid(label, seed)
     assert all(type(x) in (float, complex) for f in nus + nu_primes for x in f.values) == (grid is _float_grid)
     report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
@@ -419,8 +420,9 @@ def test_region_scan_matches_pointwise_inner_product(label, grid, seed, body_cal
     assert report.n_poles == sum(point[3] for point in expected) >= 2
     if seed == 4:
         assert report.n_poles == report.n_points == 16
-    calls = body_calls(ms._kernel, lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing))
-    assert calls == (0 if grid is _float_grid and ms._FLOAT_SCAN else len(nus))
+    scan = lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing)
+    assert body_calls(ms._points, scan) == 1
+    assert body_calls(ms._float_sums, scan) == (grid is _float_grid and ms._FLOAT_SCAN)
 
 
 def test_a_float_scan_works_a_block_of_rows_at_a_time():
@@ -443,6 +445,58 @@ def test_a_float_scan_works_a_block_of_rows_at_a_time():
         tracemalloc.stop()
     assert report.n_points == 90_000
     assert peak - before <= 1.25 * (held - before)
+
+
+def _three_block_grid(case):
+    """A1affine at 130 x 70, 9,100 points: a float scan takes it as two
+    blocks of 58 rows and one of 14.  Row 65 sits in the second block; row
+    3 in the first.  ``pole`` puts there (1e308, -1e308), whose central
+    value with every second parameter, all of them real, is exactly 0 and
+    whose exponent at (10, -10) is infinite: poles, no error.  ``infinite``
+    pairs it with a second parameter whose summed parameter is infinite in
+    its imaginary part, ``exp`` gives it an exponential that overflows
+    where every sum is finite, and ``first`` adds a row-3 overflow ahead of
+    the second block's infinite sum."""
+    cm = _cm("A1affine")
+    rng = random.Random(40)
+    nus = [
+        (rng.uniform(-4.0, 0.0), complex(rng.uniform(-4.0, 0.0), rng.uniform(-3.0, 3.0))) for _ in range(130)
+    ]
+    nu_primes, truncation = nus[:70], (1.0, 1.0)
+    if case == "pole":
+        nus[65], truncation = (1e308, -1e308), (10.0, -10.0)
+        nu_primes = [(a, b.real) for a, b in nu_primes]
+    if case in ("infinite", "first"):
+        nus[65], nu_primes[7] = (-1.0 + 1e308j, -1.0), (-1.0 - 1e308j, -1.0)
+    if case == "exp":
+        nus[65] = (400.0, 400.0)
+    if case == "first":
+        nus[3] = (400.0, 400.0)
+    return cm, list(map(criterion.functional, nus)), list(map(criterion.functional, nu_primes)), truncation
+
+
+@pytest.mark.parametrize("case", ["pole", "infinite", "exp", "first"])
+def test_a_float_block_that_is_not_finite_falls_back_alone(case, body_calls):
+    """A block whose float sums are not all finite takes ``_sums`` by
+    itself, between blocks that take numpy's: the scan equals the
+    pointwise reference point for point or error for error, and no numpy
+    warning escapes."""
+    cm, nus, nu_primes, truncation = _three_block_grid(case)
+    assert ms._BLOCK_POINTS // len(nu_primes) == 58 and 2 * 58 < len(nus) <= 3 * 58
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _outcome(lambda: _pointwise_scan(cm, nus, nu_primes, truncation))
+        scan = lambda: _outcome(lambda: _scan_points(ms.region_scan(cm, nus, nu_primes, truncation)))
+        assert repr(scan()) == repr(expected)  # signed zeros included
+        blocks = {"pole": 3, "first": 1}.get(case, 2)
+        assert body_calls(ms._points, scan) == blocks
+        assert body_calls(ms._float_sums, scan) == (blocks if ms._FLOAT_SCAN else 0)
+    if case == "pole":
+        assert sum(point[3] for point in expected) == len(nu_primes)
+    else:
+        error, message = expected
+        assert error is RegionError
+        assert ("functional value infj is not finite" if case == "infinite" else "overflows a float") in message
 
 
 MIXED_SCANS_SHA256 = "0701b1e16b37ab6bfb13978f91a4b799429c255ecb4b241b77f51a188595e975"
@@ -484,15 +538,22 @@ def test_scan_point_keeps_the_frozen_dataclass_contract():
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 1), (4, 7)])
-def test_region_scan_calls_the_kernel_once_per_row(n, m, body_calls):
-    """Call counts, not timings: every row, the first included, is one
-    call, so an n x m scan enters the kernel exactly n times."""
+def test_region_scan_calls_the_kernel_once_per_row(n, m, body_calls, monkeypatch):
+    """Call counts, not timings: every row, the first included, starts one
+    ``_sums`` generator, and the grid is one block, so one ``_points`` call
+    takes them all.  ``_sums`` is counted by a wrapper: a profiler sees
+    each resume of a generator as a call."""
     cm, nus, nu_primes, truncation, pairing = _mixed_grid("G2affine", 1)
     nus, nu_primes = (nus * 2)[:n], (nu_primes * 2)[:m]
     report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
     assert report.n_points == n * m
-    calls = body_calls(ms._kernel, lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing))
-    assert calls == n
+    scan = lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing)
+    assert body_calls(ms._points, scan) == 1
+    rows = []
+    sums = ms._sums
+    monkeypatch.setattr(ms, "_sums", lambda *args: rows.append(args) or sums(*args))
+    assert scan() == report
+    assert len(rows) == n
 
 
 # --- validation -------------------------------------------------------------
