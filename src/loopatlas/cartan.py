@@ -126,8 +126,9 @@ class CartanMatrix(_CartanFields):
 
 # Every derived fact lives in one bounded store, keyed on (function,
 # arguments); an exception is never stored.  The largest atlas the size
-# limit allows (``atlas --max-rank 24``) puts in 7,261 entries and the
-# default atlas 1,365, so 8192 entries hold either whole.
+# limit allows (``atlas --max-rank 24``) puts in 6,118 entries and the
+# default atlas 1,230 (``COLD_ATLAS_FACTS`` in the CLI tests bounds its
+# misses), so 8192 entries hold either whole.
 @lru_cache(maxsize=8192)
 def _fact(fn, *args, **kwargs):
     return fn(*args, **kwargs)
@@ -426,8 +427,15 @@ def _bourbaki(series: str, rank: int, affine: bool) -> Rows:
 
 
 def _principal(rows, nodes) -> Rows:
-    """The rows and columns of ``rows`` at the 0-based ``nodes``, in order."""
-    return tuple(tuple(map(rows[i].__getitem__, nodes)) for i in nodes)
+    """The rows and columns of ``rows`` at the 0-based ``nodes``, in the
+    order given (sorted or not): one ``operator.itemgetter`` picks the rows
+    and then each row's entries, all in C.  An ``itemgetter`` of a single
+    index returns the entry, not a tuple, so fewer than two nodes take a
+    short path of their own."""
+    if len(nodes) < 2:
+        return tuple((rows[i][i],) for i in nodes)
+    pick = operator.itemgetter(*nodes)
+    return tuple(map(pick, pick(rows)))
 
 
 def _finite(rows: Rows, nodes) -> tuple[str, int, list[int]] | None:
@@ -642,9 +650,10 @@ def component_types(cm: CartanMatrix, nodes) -> tuple[tuple[str, int], ...]:
 @_memo
 def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
     """``component_types`` of a checked subset, once per (ambient, subset):
-    the ``_series_types`` of its principal submatrix, which needs no second
-    validation, with affine components refused, sorted."""
-    types = _series_types(_principal(cm.entries, [i - 1 for i in subset]))
+    ``_typed_components`` of the ambient's rows at the subset, so no
+    submatrix of the whole subset is built, with affine components
+    refused, sorted."""
+    types = _typed_components(cm.entries, [i - 1 for i in subset])
     if any(affine for *_, affine in types):
         raise InvalidSubsetError("subset spans an affine component")
     return tuple(sorted((series, rank) for series, rank, _ in types))
@@ -653,8 +662,18 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
 @_memo
 def _series_types(rows: Rows) -> tuple[tuple[str, int, bool], ...]:
     """(series, rank, affine) of each connected component of the rows'
-    diagram, classified once per distinct rows."""
-    return tuple(_classified(_principal(rows, comp)) for comp in _components(rows, range(len(rows))))
+    diagram: ``_typed_components`` over all the nodes, once per distinct
+    rows."""
+    return _typed_components(rows, range(len(rows)))
+
+
+def _typed_components(rows: Rows, nodes) -> tuple[tuple[str, int, bool], ...]:
+    """The one split-and-classify: (series, rank, affine) of each connected
+    component of the diagram induced on the sorted 0-based ``nodes``, in
+    order of their smallest node.  Each component's principal submatrix is
+    read straight off ``rows`` and classified once per distinct
+    submatrix; every component is classified before a caller reads any."""
+    return tuple(_classified(_principal(rows, comp)) for comp in _components(rows, nodes))
 
 
 # --- parsing and serialization ---------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import lcm
 from operator import add, attrgetter, floordiv, lt, mul
@@ -172,11 +173,13 @@ def central_value(cm: CartanMatrix, f: LinearFunctional) -> Number:
 def _central(weights, values: tuple, kinds) -> tuple[Number, bool]:
     """The central value of checked values, and whether it is exact:
     every value an int or a Fraction, read off the kinds when each is a
-    plain type, value by value otherwise."""
+    plain type, value by value otherwise.  A float central value is a
+    left fold from the int 0, the same additions in the same order on
+    every interpreter (``sum`` compensates floats from Python 3.12 on)."""
     if kinds <= _EXACT or (not kinds <= _PLAIN and all(map(_is_exact, values))):
         return _exact_sum(weights, values, kinds), True
     try:
-        central = sum(map(mul, weights, values))
+        central = reduce(add, map(mul, weights, values), 0)
     except OverflowError:  # the values themselves are finite
         raise RegionError("central value overflows a float") from None
     if isinstance(central, (float, complex)) and not cmath.isfinite(central):

@@ -22,17 +22,20 @@ evaluates any point.
 truncation point) and central value; ``_points`` is the one tail: the
 pole rule, the exponential, the division and the overflow rule.
 ``region_scan`` runs them a block of rows at a time; on a grid whose
-parameter values are all exactly ``float`` or ``complex`` (on Python
-before 3.12) numpy forms a block's sums instead, with the same float
-operations in the same order, so every point comes out bit for bit as
-``_sums`` gives it.  numpy is imported only when such a grid is scanned.
+parameter values are all exactly ``float`` or ``complex`` numpy forms a
+block's sums instead, with the same float operations in the same order,
+so every point comes out bit for bit as ``_sums`` gives it.  ``_sums``
+adds as a left fold from the int 0 (``reduce(add, …, 0)``), not with
+``sum()``, which compensates float sums from Python 3.12 on: so a
+point's bits do not depend on the interpreter.  numpy is imported only
+when such a grid is scanned.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
+from functools import reduce
 from itertools import chain, repeat
 from operator import add, methodcaller, mul
 from typing import NamedTuple
@@ -45,10 +48,6 @@ from .errors import InvalidSubsetError, NumberTypeError, RegionError
 POLE_TOLERANCE = criterion.BOUNDARY_TOLERANCE  # one float tolerance for the -g locus and the pole locus
 
 _BLOCK_POINTS = 4096  # grid points in one block of rows of a float scan: bounds its working arrays
-# The float scan reproduces Python's float arithmetic as it is before 3.12.
-# From 3.12 on, sum() compensates a sum of floats (Neumaier), and _sums'
-# central value is such a sum wherever a point's summed values are real.
-_FLOAT_SCAN = sys.version_info < (3, 12)
 
 DENOMINATOR_CENTRAL = "central"
 DENOMINATOR_TRUNCATION = "truncation"
@@ -133,14 +132,14 @@ def _sums(weights, left: tuple, primes, rights, point: tuple[complex, ...], by_t
     isfinite = cmath.isfinite
     for nu_prime, right_conjugate in zip(primes, rights):
         summed = tuple(map(add, left, right_conjugate))
-        exponent = sum(map(mul, summed, point))
+        exponent = reduce(add, map(mul, summed, point), 0)
         # Two finite parameters can sum to an infinity.  The point is complex,
         # so a non-finite summed entry makes its product non-finite, and a
         # complex sum stays non-finite once any term is: checking the summed
         # parameter only here rejects exactly what checking it always would.
         if not isfinite(exponent):
             criterion._check_finite(summed)
-        yield nu_prime, exponent, exponent if by_truncation else sum(map(mul, weights, summed))
+        yield nu_prime, exponent, exponent if by_truncation else reduce(add, map(mul, weights, summed), 0)
 
 
 def _points(nus, rows, cusp_pairing, leading_minus: bool, pole_tolerance: float) -> tuple[list, int]:
@@ -319,10 +318,9 @@ def region_scan(
     first.  Each block of whole rows (at most ``_BLOCK_POINTS`` points, or
     one longer row) is one ``_points`` call.  Its sums come from
     ``_float_sums`` on a grid whose shifted values are all exactly
-    ``float`` or ``complex`` (before Python 3.12, see ``_FLOAT_SCAN``),
-    and from ``_sums`` on any other grid or where the float sums are not
-    all finite, so every point equals ``inner_product`` on its shifted
-    parameters bit for bit.  If either side is empty the report is empty
+    ``float`` or ``complex``, and from ``_sums`` on any other grid or
+    where the float sums are not all finite, so every point equals
+    ``inner_product`` on its shifted parameters bit for bit.  If either side is empty the report is empty
     and nothing is checked.
     """
     nus = tuple(cartan._items(nus, "first parameter list"))
@@ -340,7 +338,7 @@ def region_scan(
     primes = [f.values for f in nu_primes]
     arrays = None
     # exactly these two types: a float subclass such as numpy.float64 takes _sums
-    if _FLOAT_SCAN and set(map(type, chain.from_iterable(lefts + rights))) <= criterion._FLOATS:
+    if set(map(type, chain.from_iterable(lefts + rights))) <= criterion._FLOATS:
         import numpy as np  # here, not at module level: exact scans and single points never need it
 
         arrays = np.array(lefts, dtype=complex), np.array(rights, dtype=complex)

@@ -3,9 +3,10 @@
 Each gate here checks its values one at a time, in order: the number
 rule (an int, float, complex or Fraction, never a bool), then finiteness
 (every float and complex value, complex parts included), then exactness
-(every value an int or a Fraction, never a bool).  The central value is
-the sum taken term by term; the region test and the truncated-pairing
-kernel are written out for one point at a time.  A refusal raises
+(every value an int or a Fraction, never a bool).  Every sum is taken
+term by term, as a left fold from the int 0, so it does not depend on
+how the interpreter's ``sum`` adds floats; the region test and the
+truncated-pairing kernel are written out for one point at a time.  A refusal raises
 ``Refused`` carrying the name of the error class a gate raises and its
 message, so a test can compare both without this module importing the
 library.  An ambient enters as its central coroot ``weights`` and its
@@ -17,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 TOLERANCE = 1e-12  # the -g locus and the default pole locus, for floats
 OVERFLOW = "kernel value or denominator overflows a float"
@@ -68,9 +71,9 @@ def check_dimension(weights, values) -> None:
 def central_value(weights, values):
     check_dimension(weights, values)
     if all(is_exact(x) for x in values):
-        return sum(w * x for w, x in zip(weights, values))
+        return reduce(add, (w * x for w, x in zip(weights, values)), 0)
     try:
-        central = sum(w * x for w, x in zip(weights, values))
+        central = reduce(add, (w * x for w, x in zip(weights, values)), 0)
         check_finite((central,))
     except (OverflowError, Refused):
         raise Refused("RegionError", "central value overflows a float") from None
@@ -131,10 +134,10 @@ def _point(weights, cusp_pairing, left, right, truncation, leading_minus: bool) 
         raise Refused("RegionError", OVERFLOW) from None
     try:
         summed = tuple(x + y for x, y in zip(left, right_conjugate))
-        at_truncation = sum(s * t for s, t in zip(summed, point))
+        at_truncation = reduce(add, (s * t for s, t in zip(summed, point)), 0)
         if not cmath.isfinite(at_truncation):
             check_finite(summed)
-        central = sum(w * s for w, s in zip(weights, summed))
+        central = reduce(add, (w * s for w, s in zip(weights, summed)), 0)
         denominator = complex(central)
         if all(is_exact(s) for s in summed):
             pole = central == 0

@@ -1038,6 +1038,63 @@ def test_subset_rejects_non_integers():
     assert cartan.component_types(cm, (np.int64(1), np.int8(2))) == (("A", 2),)
 
 
+def _plain_components(rows, nodes):
+    """Connected components of the diagram on ``nodes``, each sorted."""
+    left, out = list(nodes), []
+    while left:
+        comp, queue = [left[0]], [left[0]]
+        left.remove(left[0])
+        while queue:
+            i = queue.pop()
+            for j in list(left):
+                if rows[i][j] != 0:
+                    comp.append(j)
+                    queue.append(j)
+                    left.remove(j)
+        out.append(sorted(comp))
+    return out
+
+
+def test_component_types_of_every_subset_match_classify():
+    """Every subset of every affine type up to rank 8, 4,972 of them, from
+    a cold store: the types are ``classify``'s of each component's
+    submatrix, built here with plain loops, sorted; the whole node set
+    spans the affine component and is refused."""
+    cartan._fact.cache_clear()
+    seen = 0
+    for cm in cartan.all_types(8):
+        rows = cm.entries
+        for mask in range(1 << cm.size):
+            subset = [i for i in range(cm.size) if mask >> i & 1]
+            if len(subset) == cm.size:
+                with pytest.raises(InvalidSubsetError, match="^subset spans an affine component$"):
+                    cartan.component_types(cm, [i + 1 for i in subset])
+                continue
+            expected = []
+            for comp in _plain_components(rows, subset):
+                sub = [[rows[i][j] for j in comp] for i in comp]
+                series, rank, affine = cartan.classify(sub)
+                assert not affine
+                expected.append((series, rank))
+            assert cartan.component_types(cm, [i + 1 for i in subset]) == tuple(sorted(expected))
+            seen += 1
+    assert seen == 4_972 - 31
+
+
+def test_principal_submatrix_reads_any_node_order():
+    """Empty, one node and several, sorted or not (``_finite`` passes its
+    candidate orders unsorted), as a range or a list: the rows and columns
+    at the nodes, in the order given, as tuples."""
+    rows = cartan.parse_type("E8affine").entries
+    rng = random.Random(41)
+    orders = [[], [0], [8], range(9), range(3, 6), [1, 0], [8, 2, 5], [0, 8]]
+    orders += [rng.sample(range(9), k) for k in range(2, 10) for _ in range(3)]
+    for nodes in orders:
+        got = cartan._principal(rows, nodes)
+        assert got == tuple(tuple(rows[i][j] for j in nodes) for i in nodes)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+
+
 def test_component_types_rejects_affine_span():
     cm = cartan.affinize(cartan.finite_cartan("A", 2))
     with pytest.raises(InvalidSubsetError):

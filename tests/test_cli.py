@@ -313,6 +313,19 @@ def test_fact_store_holds_the_largest_atlas(capsys):
     assert warm.currsize < warm.maxsize
 
 
+COLD_ATLAS_FACTS = 1_230  # measured; the comment on cartan's fact store quotes it
+
+
+def test_a_cold_default_atlas_computes_no_more_facts_than_measured(capsys):
+    """A guard on the cold path's work that reads no clock: a cold default
+    atlas misses the fact store at most ``COLD_ATLAS_FACTS`` times.  Each
+    Levi's types are read off its ambient's rows, with no fact of their
+    own for the Levi's whole submatrix."""
+    cartan._fact.cache_clear()
+    assert run(capsys, "atlas")[0] == 0
+    assert cartan._fact.cache_info().misses <= COLD_ATLAS_FACTS
+
+
 def test_atlas_tsv(capsys):
     code, out, _ = run(
         capsys, "atlas", "--max-rank", "2", "--max-length", "2", "--format", "tsv"
@@ -437,7 +450,7 @@ def test_import_and_pointwise_commands_leave_numpy_unloaded():
             "assert ms.region_scan(cm, exact, exact, (0.25, 0.5)).n_poles == 1",
             "assert 'numpy' not in sys.modules, 'inner_product and an exact scan'",
             "ms.region_scan(cm, [f], [f], (0.25, 0.5))",
-            "assert ('numpy' in sys.modules) == ms._FLOAT_SCAN, 'a float scan'",
+            "assert 'numpy' in sys.modules, 'a float scan'",
         ]
     )
     done = _run_python("-c", code)

@@ -1,3 +1,4 @@
+import builtins
 import cmath
 import hashlib
 import json
@@ -409,9 +410,8 @@ def _float_grid(label, seed):
 )
 def test_region_scan_matches_pointwise_inner_product(label, grid, seed, body_calls):
     """Each grid is one block, so one ``_points`` call; a float grid's
-    sums come from ``_float_sums`` where the float scan runs, so its numpy
-    path is what equals the reference here, and a mixed grid never
-    enters it."""
+    sums come from ``_float_sums``, so its numpy path is what equals the
+    reference here, and a mixed grid never enters it."""
     cm, nus, nu_primes, truncation, pairing = grid(label, seed)
     assert all(type(x) in (float, complex) for f in nus + nu_primes for x in f.values) == (grid is _float_grid)
     report = ms.region_scan(cm, nus, nu_primes, truncation, pairing)
@@ -422,7 +422,7 @@ def test_region_scan_matches_pointwise_inner_product(label, grid, seed, body_cal
         assert report.n_poles == report.n_points == 16
     scan = lambda: ms.region_scan(cm, nus, nu_primes, truncation, pairing)
     assert body_calls(ms._points, scan) == 1
-    assert body_calls(ms._float_sums, scan) == (grid is _float_grid and ms._FLOAT_SCAN)
+    assert body_calls(ms._float_sums, scan) == (grid is _float_grid)
 
 
 def test_a_float_scan_works_a_block_of_rows_at_a_time():
@@ -490,7 +490,7 @@ def test_a_float_block_that_is_not_finite_falls_back_alone(case, body_calls):
         assert repr(scan()) == repr(expected)  # signed zeros included
         blocks = {"pole": 3, "first": 1}.get(case, 2)
         assert body_calls(ms._points, scan) == blocks
-        assert body_calls(ms._float_sums, scan) == (blocks if ms._FLOAT_SCAN else 0)
+        assert body_calls(ms._float_sums, scan) == blocks
     if case == "pole":
         assert sum(point[3] for point in expected) == len(nu_primes)
     else:
@@ -512,6 +512,55 @@ def test_mixed_scans_are_pinned():
         for seed in range(4):
             digest.update(repr(_scan_points(ms.region_scan(*_mixed_grid(label, seed)))).encode())
     assert digest.hexdigest() == MIXED_SCANS_SHA256
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 adds: ints exactly until the first other
+    term; then, while the total is a float, each float term with
+    Neumaier's compensation and each int term plainly, the compensation
+    added back where that run ends; every other addition is plain."""
+    items, total = iter(iterable), start
+    if type(total) is int:
+        for x in items:
+            total = total + x
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        c = 0.0
+        for x in items:
+            if type(x) is float:
+                t = total + x
+                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            elif type(x) is int:
+                total += float(x)
+            else:
+                total = (total + c if c and math.isfinite(c) else total) + x
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for x in items:
+        total = total + x
+    return total
+
+
+def test_float_outputs_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    """Every float sum of the library is a left fold from 0, so a
+    compensated ``sum`` in ``builtins``, as Python 3.12 and later have,
+    moves no output: the scan pins, the numpy and per-point paths of a
+    float scan against each other, and a float central value whose plain
+    sum and compensated sum fall in different regions."""
+    terms = (1e16, -3.0, -1e16)
+    assert _compensated_sum(terms) == -3.0 != sum(terms) == -4.0
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    test_mixed_scans_are_pinned()
+    test_scan_json_is_pinned()
+    for label in ["A1affine", "G2affine", "E8affine"]:
+        cm, nus, nu_primes, truncation, pairing = _float_grid(label, 1)
+        expected = _pointwise_scan(cm, nus, nu_primes, truncation, pairing)
+        assert repr(_scan_points(ms.region_scan(cm, nus, nu_primes, truncation, pairing))) == repr(expected)
+    report = criterion.godement_cuspidal(_cm("A2affine"), criterion.functional(terms))  # g = 3
+    assert (report.central, report.region) == (-4.0, criterion.REGION_CONTINUED)
 
 
 def test_scan_point_keeps_the_frozen_dataclass_contract():
