@@ -1042,8 +1042,8 @@ def _plain_components(rows, nodes):
     """Connected components of the diagram on ``nodes``, each sorted."""
     left, out = list(nodes), []
     while left:
-        comp, queue = [left[0]], [left[0]]
-        left.remove(left[0])
+        start = left.pop(0)
+        comp, queue = [start], [start]
         while queue:
             i = queue.pop()
             for j in list(left):

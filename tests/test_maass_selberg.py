@@ -551,7 +551,7 @@ def test_float_outputs_do_not_depend_on_how_sum_adds_floats(monkeypatch):
     float scan against each other, and a float central value whose plain
     sum and compensated sum fall in different regions."""
     terms = (1e16, -3.0, -1e16)
-    assert _compensated_sum(terms) == -3.0 != sum(terms) == -4.0
+    assert _compensated_sum(terms) == -3.0 != terms[0] + terms[1] + terms[2] == -4.0
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     test_mixed_scans_are_pinned()
     test_scan_json_is_pinned()
