@@ -9,8 +9,11 @@ Types are recognised by the shape of the Dynkin diagram, which names each
 candidate type and its node order, and one exact comparison with the
 Bourbaki matrix; each distinct input is classified once.  That is the
 finite-type test too: a connected matrix is finite exactly when its diagram
-is one of A–G (Kac, *Infinite-dimensional Lie Algebras*, §4.8).  One
-fraction-free (Bareiss) echelon gives the corank.
+is one of A–G (Kac, *Infinite-dimensional Lie Algebras*, §4.8).  Rows the
+library built from a type label, Bourbaki's and their affinizations, are
+not classified: their type is recorded where they are built (``_BUILT``),
+and it is the classifier's answer on them.  One fraction-free (Bareiss)
+echelon gives the corank.
 Every record of the library is a ``NamedTuple``.  A ``CartanMatrix`` is
 checked in ``__new__``, which its ``_make`` (so ``_replace``), copies and
 pickles go through too, and its readers trust it.
@@ -126,8 +129,8 @@ class CartanMatrix(_CartanFields):
 
 # Every derived fact lives in one bounded store, keyed on (function,
 # arguments); an exception is never stored.  The largest atlas the size
-# limit allows (``atlas --max-rank 24``) puts in 6,118 entries and the
-# default atlas 1,230 (``COLD_ATLAS_FACTS`` in the CLI tests bounds its
+# limit allows (``atlas --max-rank 24``) puts in 5,729 entries and the
+# default atlas 1,097 (``COLD_ATLAS_FACTS`` in the CLI tests bounds its
 # misses), so 8192 entries hold either whole.
 @lru_cache(maxsize=8192)
 def _fact(fn, *args, **kwargs):
@@ -138,6 +141,18 @@ def _fact(fn, *args, **kwargs):
 # frame per hit and keeps fn's name, module, docstring and __wrapped__.
 def _memo(fn):
     return update_wrapper(partial(_fact, fn), fn)
+
+
+# Construction provenance: (series, rank, affine) of the Bourbaki rows that
+# ``finite_cartan`` and ``_affinize`` build from a type, recorded as they
+# are built, so the classifier never rediscovers a type the library
+# already knows.  It sits beside the fact store, not in it, because it is
+# no fact derived from the rows but how they were made: clearing or
+# evicting the store cannot recover it.  It is exact, for on those rows
+# the classifier's answer is the type they were built as; C2 and C2affine
+# are left out, as the classifier reports them in the B2 class.  One entry
+# per named type within the size limit bounds it: 196 types.
+_BUILT: dict[Rows, tuple[str, int, bool]] = {}
 
 
 def _check_gcm_axioms(rows: Rows) -> Rows:
@@ -320,6 +335,8 @@ def finite_cartan(series: str, rank: int) -> CartanMatrix:
     if not lo <= rank <= hi:
         raise UnsupportedRankError(f"series {series} supports ranks {lo}..{hi}, got {rank}")
     rows = tuple(tuple(row) for row in _finite_entries(series, rank))
+    if series != "C" or rank != 2:
+        _BUILT[rows] = series, rank, False
     return tuple.__new__(CartanMatrix, (rows, False, f"{series}{rank}"))
 
 
@@ -369,6 +386,8 @@ def _affinize(cm: CartanMatrix) -> CartanMatrix:
         raise InvalidCartanMatrixError("left null vector does not extend the marks")
     if not _positive_ints(u) or any(sum(x * y for x, y in zip(row, u)) for row in entries):
         raise InvalidCartanMatrixError("right null vector does not extend the comarks")
+    if built := _BUILT.get(cm.entries):  # Bourbaki rows: so is their affinization
+        _BUILT[entries] = built[0], built[1], True
     return tuple.__new__(CartanMatrix, (entries, True, cm.label + "affine"))
 
 
@@ -489,7 +508,12 @@ def _affine(rows: Rows) -> tuple[str, int, int] | None:
 @_memo
 def _classified(rows: Rows) -> tuple[str, int, bool]:
     """``classify`` of square rows, once per distinct rows; a
-    ClassificationError is raised again on every call, never cached."""
+    ClassificationError is raised again on every call, never cached.
+    Rows the library built from a type answer with that type, recorded
+    where they were built (``_BUILT``): the shape classifier would name
+    the same one."""
+    if built := _BUILT.get(rows):
+        return built
     if len(rows) > MAX_NODES:
         raise ClassificationError(_NO_MATCH)
     if found := _finite(rows, range(len(rows))):
@@ -663,7 +687,10 @@ def _component_types(cm: CartanMatrix, subset: tuple[int, ...]) -> tuple[tuple[s
 def _series_types(rows: Rows) -> tuple[tuple[str, int, bool], ...]:
     """(series, rank, affine) of each connected component of the rows'
     diagram: ``_typed_components`` over all the nodes, once per distinct
-    rows."""
+    rows.  Rows the library built from a type are one component of that
+    type, recorded where they were built (``_BUILT``), and are not split."""
+    if built := _BUILT.get(rows):
+        return (built,)
     return _typed_components(rows, range(len(rows)))
 
 

@@ -124,7 +124,7 @@ def highest_root(cm: CartanMatrix) -> Coords:
 @cartan._memo
 def _highest_root(cm: CartanMatrix) -> Coords:
     cartan._ambient(cm, affine=False)
-    if len(cartan._component_types(cm, cm.nodes)) != 1:
+    if len(cartan._series_types(cm.entries)) != 1:
         raise InvalidCartanMatrixError("highest root needs an irreducible matrix")
     rows = cm.entries
     d = cartan.symmetrizer(cm)

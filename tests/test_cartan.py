@@ -721,6 +721,68 @@ def test_from_matrix_reads_its_rows_once(body_calls):
     assert body_calls(cartan._read_rows, lambda: cartan.from_matrix(rows)) == 1
 
 
+# Every named type within the size limit: each series and rank of
+# ``RANK_RANGE``, finite and affine, as a label.
+NAMED = [
+    f"{series}{rank}{'affine' * affine}"
+    for series, (lo, hi) in cartan.RANK_RANGE.items()
+    for rank in range(lo, hi + 1)
+    for affine in (False, True)
+    if rank + affine <= N
+]
+
+
+class _Forgetful(dict):
+    """A table of built types that keeps nothing, so every rows object
+    goes to the shape classifier."""
+
+    def __setitem__(self, rows, found):
+        pass
+
+
+def test_every_built_type_is_the_classifier_s_answer(monkeypatch):
+    """The type recorded where a named type's rows are built is the shape
+    classifier's answer on them, for all 196 named types.  C2 and
+    C2affine, which it reports in the B2 class, are the only types left
+    unrecorded, so the table holds 194 entries."""
+    cartan._fact.cache_clear()
+    rows = {label: cartan.parse_type(label).entries for label in NAMED}
+    built = dict(cartan._BUILT)
+    monkeypatch.setattr(cartan, "_BUILT", _Forgetful())
+    cartan._fact.cache_clear()
+    shape = {label: cartan._classified.__wrapped__(r) for label, r in rows.items()}
+    cartan._fact.cache_clear()
+    assert len(rows) == 196 and len(built) == 194
+    assert [label for label, r in rows.items() if r not in built] == ["C2", "C2affine"]
+    assert (shape["C2"], shape["C2affine"]) == (("B", 2, False), ("B", 2, True))
+    assert {label: built[r] for label, r in rows.items() if r in built} == {
+        label: found for label, found in shape.items() if label not in ("C2", "C2affine")
+    }
+
+
+def _named_readings():
+    """What the public readers say on every named type, from a cold store:
+    the parsed label, ``classify``, the ``from_matrix`` label, and the
+    component types of all the nodes and of all but the last."""
+    cartan._fact.cache_clear()
+    out = []
+    for label in NAMED:
+        cm = cartan.parse_type(label)
+        types = [_outcome(lambda nodes: cartan.component_types(cm, nodes), nodes) for nodes in (cm.nodes, cm.nodes[:-1])]
+        out.append((cm.label, cartan.classify(cm), cartan.from_matrix(cm.entries).label, *types))
+    return out
+
+
+def test_built_types_leave_every_reading_unchanged(monkeypatch):
+    """The readers of every named type read the same with the table of
+    built types filled and with it empty."""
+    filled = _named_readings()
+    monkeypatch.setattr(cartan, "_BUILT", _Forgetful())
+    assert _named_readings() == filled
+    cartan._fact.cache_clear()
+    assert filled[NAMED.index("C2")][:3] == ("C2", ("B", 2, False), "B2")
+
+
 # --- ranks 10..N against closed forms ----------------------------------------
 
 
@@ -881,8 +943,13 @@ def test_from_matrix_eliminates_only_to_refuse(body_calls):
 def test_from_matrix_tries_affine_only_on_connected_rows(body_calls):
     """Disconnected rows are no affinization: ``_affine`` runs on each
     component while the rows are classified, and never on the whole rows,
-    which go straight to the corank count.  It ran once more before."""
-    e8, d7 = (cartan.parse_type(label).entries for label in ("E8affine", "D7affine"))
+    which go straight to the corank count.  It ran once more before.  The
+    blocks are relabelled copies, the attached node kept last: the
+    library's own rows of a named type take their recorded type, not the
+    classifier."""
+    rng = random.Random(881)
+    e8, d7 = (_relabelled(cartan.parse_type(label).entries, rng, True) for label in ("E8affine", "D7affine"))
+    assert cartan._BUILT.keys().isdisjoint(tuple(map(tuple, rows)) for rows in (e8, d7))
     cases = [
         (_block_sum(e8, d7), 2, InvalidCartanMatrixError, "^matrix is neither finite type nor corank one$"),
         (_block_sum(e8, [[2]]), 1, TwistedTypeError, "^corank-one matrix is not an untwisted affinization$"),

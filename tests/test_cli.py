@@ -313,7 +313,7 @@ def test_fact_store_holds_the_largest_atlas(capsys):
     assert warm.currsize < warm.maxsize
 
 
-COLD_ATLAS_FACTS = 1_230  # measured; the comment on cartan's fact store quotes it
+COLD_ATLAS_FACTS = 1_097  # measured; the comment on cartan's fact store quotes it
 
 
 def test_a_cold_default_atlas_computes_no_more_facts_than_measured(capsys):

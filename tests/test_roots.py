@@ -231,6 +231,11 @@ def test_highest_root_rejects_affine_and_reducible():
         roots.highest_root(cartan.parse_type("A2affine"))
     with pytest.raises(InvalidCartanMatrixError):
         roots.highest_root(cartan.from_matrix([[2, 0], [0, 2]]))
+    # rows flagged finite may keep an affine component beside another one:
+    # refused as reducible, as any reducible matrix is
+    beside = cartan.CartanMatrix(((2, -2, 0), (-2, 2, 0), (0, 0, 2)), False)
+    with pytest.raises(InvalidCartanMatrixError, match="^highest root needs an irreducible matrix$"):
+        roots.highest_root(beside)
 
 
 @pytest.mark.parametrize("series,rank", ALL_FINITE)
