@@ -150,8 +150,8 @@ def _memo(fn):
 # no fact derived from the rows but how they were made: clearing or
 # evicting the store cannot recover it.  It is exact, for on those rows
 # the classifier's answer is the type they were built as; C2 and C2affine
-# are left out, as the classifier reports them in the B2 class.  One entry
-# per named type within the size limit bounds it: 196 types.
+# are left out, as the classifier reports them in the B2 class.  It holds
+# at most one entry per named type within the size limit: 194 of the 196.
 _BUILT: dict[Rows, tuple[str, int, bool]] = {}
 
 

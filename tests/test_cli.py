@@ -320,7 +320,8 @@ def test_a_cold_default_atlas_computes_no_more_facts_than_measured(capsys):
     """A guard on the cold path's work that reads no clock: a cold default
     atlas misses the fact store at most ``COLD_ATLAS_FACTS`` times.  Each
     Levi's types are read off its ambient's rows, with no fact of their
-    own for the Levi's whole submatrix."""
+    own for the Levi's whole submatrix, and rows built from a type label
+    take the type recorded where they were built, not the classifier."""
     cartan._fact.cache_clear()
     assert run(capsys, "atlas")[0] == 0
     assert cartan._fact.cache_info().misses <= COLD_ATLAS_FACTS
