@@ -419,7 +419,9 @@ def _type(rows: Rows) -> tuple[bool, str | None] | None:
     """The one type decision on checked rows, ``from_matrix``'s and the
     constructor's: the flag and label of one named type (an affine one
     with its attached node last), (False, None) for finite components,
-    None for any other rows."""
+    None for any other rows.  Rows the library built (``_BUILT``) have
+    their attached node last by construction, so only other affine rows
+    are searched for it (``_affine``)."""
     try:
         types = _series_types(rows)
     except ClassificationError:
@@ -427,7 +429,7 @@ def _type(rows: Rows) -> tuple[bool, str | None] | None:
     if len(types) != 1:
         return None if any(affine for *_, affine in types) else (False, None)
     series, rank, affine = types[0]
-    if affine and (at := _affine(rows)[2]) != len(rows) - 1:
+    if affine and rows not in _BUILT and (at := _affine(rows)[2]) != len(rows) - 1:
         raise InvalidCartanMatrixError(
             f"affine input must list the attached node last; found it at position {at + 1}"
         )

@@ -23,10 +23,10 @@ The canonical word of w ends in its smallest right descent, the first i
 with h_i < 0, and continues leftward with the canonical word of w·s_i (a
 normal form in the sense of Björner–Brenti, *Combinatorics of Coxeter
 Groups* ch. 3).  So the word operations reduce first and build once:
-``from_word``, ``inverse`` and ``compose`` read the letters once, step h
-from all ones through them, strip the canonical word off h and build the
-action matrix from that word alone; ``reduce_word`` builds no matrix at
-all.
+``from_word`` reads the letters once and ``inverse`` and ``compose`` take
+the stored words as they are; each steps h from all ones through the
+letters, strips the canonical word off h and builds the action matrix
+from that word alone; ``reduce_word`` builds no matrix at all.
 
 ``enumerate_elements`` is the one walk: level by level it keeps w·s_i
 only when i is its smallest right descent, a test on h and the Dynkin
@@ -39,9 +39,13 @@ Counting needs no walk: ``ball_sizes`` reads the Poincaré series
 (``_ball_size``).
 
 An element is a ``WeylElement``, a ``NamedTuple`` of (ambient, word,
-matrix).  Unlike a ``CartanMatrix``, it is not checked where it is made,
-since the walk yields 10⁵ of them, but where it is read
-(``_stored_matrix``, ``_letters``).
+matrix), checked where it is made, as a ``CartanMatrix`` is: its
+constructor, ``_make`` (so ``_replace``), copies and pickles read the word
+like an input word and refuse a matrix that is not the matrix of that
+word, or a word that is not reduced.  The library builds its own elements
+(the walk, ``_element``, ``_longest_element``) with ``tuple.__new__`` and
+pays nothing for the check, and every reader trusts the stored word and
+matrix.
 """
 
 from __future__ import annotations
@@ -58,17 +62,37 @@ Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-class WeylElement(NamedTuple):
-    """Group element: reduced word plus exact action matrix.  The word is
-    canonical except on ``longest_element`` results, so compare elements
-    by matrix, not by tuple equality.  The matrix is a tuple of row
-    tuples, and a row may be one object shared with other elements: the
-    identity rows, and every row within one ``enumerate_elements`` walk.
-    The library builds every element with ``tuple.__new__``."""
-
+class _ElementFields(NamedTuple):
     ambient: CartanMatrix
     word: tuple[int, ...]
     matrix: Matrix
+
+
+class WeylElement(_ElementFields):
+    """Group element: reduced word plus exact action matrix.  Checked
+    where it is made, in this order: the ambient, the letters as an input
+    word's, the matrix (a tuple of row tuples equal to the word's) and the
+    word reduced; it stores the word as a tuple of ints and the matrix it
+    built, so its identity rows are the shared ones.  The word is
+    canonical except on ``longest_element`` results, so compare elements
+    by matrix, not by tuple equality.  A row may be one object shared with
+    other elements: the identity rows, and every row within one
+    ``enumerate_elements`` walk.  The library builds every element with
+    ``tuple.__new__``."""
+
+    __slots__ = ()
+    _make = classmethod(cartan._make_checked)
+
+    def __new__(cls, ambient, word, matrix):
+        cm = cartan._ambient(ambient)
+        moves = _moves(cm)
+        letters = _letters(word, cm.size)
+        built = _matrix(moves, letters)
+        if not (type(matrix) is tuple and all(type(r) is tuple for r in matrix) and matrix == built):
+            raise InvalidSubsetError(f"stored matrix is not the matrix of the word {tuple(letters)}")
+        if len(_reduce(moves, letters)) != len(letters):
+            raise InvalidSubsetError(f"stored word {tuple(letters)} is not reduced")
+        return tuple.__new__(cls, (cm, tuple(letters), built))
 
     @property
     def length(self) -> int:
@@ -79,34 +103,18 @@ class WeylElement(NamedTuple):
         return f"WeylElement({letters})"
 
 
-def _stored_matrix(w) -> tuple[list[int], Matrix]:
-    """The letters and matrix of an element, for the readers of its matrix:
-    the word is read like an input word, and the stored matrix must be the
-    matrix of that word, which must be reduced."""
-    cm = cartan._ambient(w, WeylElement)
-    moves = _moves(cm)
-    letters = _letters(w.word, cm.size)
-    matrix = _matrix(moves, letters)
-    stored = w.matrix
-    if not (type(stored) is tuple and all(type(r) is tuple for r in stored) and stored == matrix):
-        raise InvalidSubsetError(f"stored matrix is not the matrix of the word {tuple(letters)}")
-    if len(_reduce(moves, letters)) != len(letters):
-        raise InvalidSubsetError(f"stored word {tuple(letters)} is not reduced")
-    return letters, matrix
-
-
 def identity(cm: CartanMatrix) -> WeylElement:
     return from_word(cm, ())
 
 
 def act(w: WeylElement, beta: Coords) -> Coords:
     """Image of an integer vector in simple-root coordinates."""
-    _, matrix = _stored_matrix(w)
+    cm = cartan._ambient(w, WeylElement)
     beta = tuple(cartan._items(beta, "vector"))
-    if len(beta) != w.ambient.size:
-        raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {w.ambient.size}")
+    if len(beta) != cm.size:
+        raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {cm.size}")
     beta = [cartan._check_int(x, "coordinate") for x in beta]
-    return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in matrix)
+    return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in w.matrix)
 
 
 @cartan._memo
@@ -144,7 +152,7 @@ def _matrix(moves, letters) -> Matrix:
             if pivot:
                 for c, a in move:
                     row[c] -= pivot * a
-    return tuple([tuple(row) if type(row) is list else row for row in rows])
+    return tuple(map(tuple, rows))  # tuple() of a tuple is that tuple: identity rows stay shared
 
 
 def _canonical_word(moves, h: list[int]) -> tuple[int, ...]:
@@ -215,12 +223,12 @@ def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     cm = cartan._ambient(w1, WeylElement)
     if cm != cartan._ambient(w2, WeylElement):
         raise MixedAmbientError("cannot compose elements over different ambient matrices")
-    return _element(cm, _letters(w1.word, cm.size) + _letters(w2.word, cm.size))
+    return _element(cm, w1.word + w2.word)
 
 
 def inverse(w: WeylElement) -> WeylElement:
     cm = cartan._ambient(w, WeylElement)
-    return _element(cm, _letters(w.word, cm.size)[::-1])
+    return _element(cm, w.word[::-1])
 
 
 def inversions(w: WeylElement) -> tuple[Coords, ...]:
@@ -229,10 +237,9 @@ def inversions(w: WeylElement) -> tuple[Coords, ...]:
 
     Read off the reduced word s_{i_1}…s_{i_k}: the inversions are the k
     roots s_{i_k}…s_{i_{j+1}}(α_{i_j}), one per letter, so the count always
-    equals the length.  The element is checked as ``act`` checks it.
+    equals the length.
     """
-    letters, _ = _stored_matrix(w)
-    return _inversions(_moves(w.ambient), letters)
+    return _inversions(_moves(cartan._ambient(w, WeylElement)), w.word)
 
 
 def _inversions(moves, word) -> tuple[Coords, ...]:
@@ -525,5 +532,5 @@ ball_sizes.cache_clear = cartan._fact.cache_clear
 
 
 def element_to_json(w: WeylElement) -> dict:
-    letters, matrix = _stored_matrix(w)
-    return {"word": letters, "matrix": [list(r) for r in matrix], "length": len(letters)}
+    cartan._ambient(w, WeylElement)
+    return {"word": list(w.word), "matrix": [list(r) for r in w.matrix], "length": len(w.word)}

@@ -961,6 +961,36 @@ def test_from_matrix_tries_affine_only_on_connected_rows(body_calls):
             cartan.from_matrix(rows)
 
 
+def test_built_affine_rows_are_not_searched_for_their_attached_node(body_calls):
+    """Rows the library built from an affine label have their attached
+    node last by construction, so no way of reading them runs the search
+    for it (``_affine``).  A node-relabelled copy is no built rows and is
+    searched, and an attached node moved off the end is still reported
+    where it is found."""
+    cm = cartan.parse_type("E8affine")
+    rows = [list(row) for row in cm.entries]
+    relabelled = _relabelled(cm.entries, random.Random(43), True)
+    assert tuple(map(tuple, relabelled)) not in cartan._BUILT
+    reads = {
+        "from_matrix": lambda rows: cartan.from_matrix(rows),
+        "constructor": lambda rows: cartan.CartanMatrix(rows, True, "E8affine"),
+        "from_json": lambda rows: cartan.from_json({"matrix": rows, "affine": True}),
+    }
+    for name, read in reads.items():
+        for given, calls in ((rows, 0), (relabelled, 1)):
+            cartan._fact.cache_clear()
+            assert body_calls(cartan._affine, lambda: read(given)) == calls, name
+            assert read(given).label == "E8affine"
+    for k in range(1, cm.size):
+        perm = list(range(cm.size - 1))
+        perm.insert(k - 1, cm.size - 1)
+        moved = [[cm.entries[i][j] for j in perm] for i in perm]
+        message = f"^affine input must list the attached node last; found it at position {k}$"
+        for read in reads.values():
+            with pytest.raises(InvalidCartanMatrixError, match=message):
+                read(moved)
+
+
 def test_component_types_of_a_hand_built_ambient_keep_the_size_limit():
     """A hand-built ambient past the size limit is refused where it is
     made, so the one split needs no limit of its own; at the limit its

@@ -1,8 +1,8 @@
-"""The contract of the library's twelve records, all ``NamedTuple``s.
+"""The contract of the library's thirteen records, all ``NamedTuple``s.
 
 Each prints as ``Name(field=value, ...)`` with the fields it had as a
 frozen dataclass, refuses assignment, equals the plain tuple of its fields
-and survives copies and pickles.  The four records that check their input
+and survives copies and pickles.  The five records that check their input
 check it on every way in: the constructor, ``_make``, ``_replace``,
 ``copy.copy``, ``copy.deepcopy`` and a pickle round trip.  Only the private
 ``tuple.__new__`` skips the check, so it builds the bad records below.
@@ -31,6 +31,7 @@ RECORDS = {
     "LinearFunctional": (F, ("values", "d_value")),
     "TruncatedPairing": (REQUEST, ("ambient", "cusp_pairing", "left", "right", "truncation")),
     "ParabolicSubset": (SUBSET, ("ambient", "nodes")),
+    "WeylElement": (weyl.from_word(CM, (1, 2)), ("ambient", "word", "matrix")),
     "RegionReport": (criterion.godement_cuspidal(CM, F), ("region", "central", "real_part", "g")),
     "KernelValue": (maass_selberg.inner_product(REQUEST), ("value", "pole", "denominator")),
     "ScanReport": (maass_selberg.region_scan(CM, [F], [F], POINT), ("points", "n_points", "n_poles")),
@@ -60,6 +61,7 @@ CHECKED = {
     "LinearFunctional": ({"values": ("x", -3, -3)}, NumberTypeError),
     "TruncatedPairing": ({"truncation": (0.1, 0.2)}, InvalidSubsetError),
     "ParabolicSubset": ({"nodes": (1, 1)}, InvalidSubsetError),
+    "WeylElement": ({"matrix": ()}, InvalidSubsetError),
 }
 
 

@@ -1200,12 +1200,50 @@ def test_matrix_readers_check_the_stored_matrix():
 
 
 def test_stored_words_are_read_like_input_words():
+    """A hand-built element's word is read like an input word where the
+    element is made, so no reader meets a bad one."""
     cm = _cm("A2affine")
     with pytest.raises(InvalidSubsetError, match="^word None is not a sequence$"):
-        weyl.inverse(weyl.WeylElement(cm, None, ()))
+        weyl.WeylElement(cm, None, ())
     with pytest.raises(InvalidSubsetError, match="^letter 4 out of range 1..3$"):
-        weyl.compose(weyl.identity(cm), weyl.WeylElement(cm, (1, 4), ()))
+        weyl.WeylElement(cm, (1, 4), ())
     with pytest.raises(InvalidSubsetError, match="^letter 1.0 is not an integer$"):
-        weyl.inversions(weyl.WeylElement(cm, [1.0], ()))
-    # a hand-built word is read, not trusted to be reduced
-    assert weyl.inverse(weyl.WeylElement(cm, [1, 2, 2], ())).word == (1,)
+        weyl.WeylElement(cm, [1.0], ())
+    # inverse answered (1,) for this element; it is now refused where it is made
+    with pytest.raises(InvalidSubsetError, match=r"^stored matrix is not the matrix of the word \(1, 2, 2\)$"):
+        weyl.WeylElement(cm, [1, 2, 2], ())
+    # a checked element keeps its word as a tuple of ints and the built matrix
+    s1 = weyl.simple(cm, 1)
+    w = weyl.WeylElement(cm, [np.int64(1)], s1.matrix)
+    assert w == s1 and type(w.word) is tuple and type(w.word[0]) is int
+    assert w.matrix[1] is weyl.identity(cm).matrix[1]
+
+
+def test_word_operations_trust_the_elements_the_library_built(monkeypatch):
+    """``inverse`` and ``compose`` read no letter again, and ``act``,
+    ``inversions`` and ``element_to_json`` rebuild no matrix and reduce no
+    word, on elements from ``from_word``, from ``enumerate_elements`` and
+    from ``longest_element`` (whose word is not canonical)."""
+    cm = _cm("A3affine")
+    w0 = weyl.longest_element(cm, (1, 2, 3))
+    assert w0.word != weyl.reduce_word(cm, w0.word)
+    elements = [weyl.from_word(cm, (1, 2, 4, 3, 1)), *weyl.enumerate_elements(cm, 3), w0]
+    calls = {"_letters": 0, "_matrix": 0, "_reduce": 0}
+    for name in calls:
+        original = getattr(weyl, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(weyl, name, counted)
+    for w in elements:
+        weyl.inverse(w)
+        weyl.compose(w, w0)
+    assert calls["_letters"] == 0
+    calls.update(dict.fromkeys(calls, 0))
+    for w in elements:
+        assert weyl.act(w, (1, 0, 0, 0)) == tuple(row[0] for row in w.matrix)
+        assert len(weyl.inversions(w)) == w.length
+        assert weyl.element_to_json(w)["word"] == list(w.word)
+    assert calls == {"_letters": 0, "_matrix": 0, "_reduce": 0}
