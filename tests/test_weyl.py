@@ -1097,6 +1097,41 @@ def test_word_path_pin():
     assert hashlib.sha256(text.encode()).hexdigest() == WORD_PATH_SHA256
 
 
+# the same letters as each way a caller may hand a word in
+WORD_FEEDS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda word: (i for i in word),
+    "int64": lambda word: np.array(word, dtype=np.int64),
+}
+
+
+def _word_ops_lines():
+    for cm in ROW_TYPES:
+        rng = random.Random(f"{cm.label} word ops")
+        for length in range(25):
+            word, other = _random_word(rng, cm, length), _random_word(rng, cm, length)
+            for feed, make in WORD_FEEDS.items():
+                w, v = weyl.from_word(cm, make(word)), weyl.from_word(cm, make(other))
+                inv, comp = weyl.inverse(w), weyl.compose(w, v)
+                yield f"{cm.label} {feed} {word} from_word {w.word} {w.matrix}"
+                yield f"reduce_word {weyl.reduce_word(cm, make(word))}"
+                yield f"inverse {inv.word} {inv.matrix}"
+                yield f"compose {other} {comp.word} {comp.matrix}"
+
+
+WORD_OPS_SHA256 = "7f2d8e03fc5f2c6846310703f8a15486878a594f3dd0aea5173c374579fc8640"
+
+
+def test_word_ops_pin():
+    """Words and matrices of from_word, inverse and compose, and the words
+    of reduce_word, on seeded words of length 0-24 over every affine type
+    up to rank 9 and every finite type up to rank 8, each word handed in
+    as a tuple, a list, a generator and an int64 array."""
+    text = "\n".join(_word_ops_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == WORD_OPS_SHA256
+
+
 @given(type_and_word())
 def test_reduce_first_matches_the_built_element(cw):
     """reduce_word agrees with from_word, and from_word's matrix, built from
