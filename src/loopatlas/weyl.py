@@ -18,15 +18,15 @@ h - h_i·A[:, i] and lengthens w exactly when h_i > 0 (Humphreys,
 *Reflection Groups and Coxeter Groups* §5.4); like each row of the
 matrix, h changes only at i and its Dynkin neighbours.  That step,
 h_j -= h_i·a_ji over the pairs ``_moves`` lists for i, is written out
-where it runs: in ``_reduce``, ``_canonical_word`` and ``_longest``.
-The canonical word of w ends in its smallest right descent, the first i
-with h_i < 0, and continues leftward with the canonical word of w·s_i (a
-normal form in the sense of Björner–Brenti, *Combinatorics of Coxeter
-Groups* ch. 3).  So the word operations reduce first and build once:
-``from_word`` reads the letters once and ``inverse`` and ``compose`` take
-the stored words as they are; each steps h from all ones through the
-letters, strips the canonical word off h and builds the action matrix
-from that word alone; ``reduce_word`` builds no matrix at all.
+where it runs, in ``_reduce`` and ``_longest``.  The canonical word of w
+ends in its smallest right descent, the first i with h_i < 0, and
+continues leftward with the canonical word of w·s_i (a normal form in
+the sense of Björner–Brenti, *Combinatorics of Coxeter Groups* ch. 3).
+So the word operations reduce first and build once: ``from_word`` reads
+the letters once and ``inverse`` and ``compose`` take the stored words
+as they are; each steps h from all ones through the letters, strips the
+canonical word off h and builds the action matrix from that word alone;
+``reduce_word`` builds no matrix at all.
 
 ``enumerate_elements`` is the one walk: level by level it keeps w·s_i
 only when i is its smallest right descent, a test on h and the Dynkin
@@ -155,44 +155,43 @@ def _matrix(moves, letters) -> Matrix:
     return tuple(map(tuple, rows))  # tuple() of a tuple is that tuple: identity rows stay shared
 
 
-def _canonical_word(moves, h: list[int]) -> tuple[int, ...]:
-    """Canonical reduced word of the element with height vector h: strip
-    the smallest right descent (the first j with h_j < 0) until none is
-    left, then read the stripped letters backwards.  h is updated in
-    place."""
-    letters: list[int] = []
-    while True:
-        for c, x in enumerate(h):
-            if x < 0:
-                break
-        else:
-            return tuple(reversed(letters))
-        hc = h[c]
-        for j, a in moves[c]:
-            h[j] -= hc * a
-        letters.append(c + 1)
+def _letters(word, n: int):
+    """The letters of a word, read once: each an integer in 1..n.  A plain
+    tuple of valid letters is returned as it is, any other word as a list;
+    a bad letter sends every letter through ``cartan._check_node``, so the
+    first error is the one that check raises."""
+    letters = word if type(word) is tuple else list(cartan._items(word, "word"))
+    for i in letters:
+        if type(i) is not int or not 0 < i <= n:
+            return [cartan._check_node(i, n, "letter") for i in letters]
+    return letters
 
 
-def _letters(word, n: int) -> list[int]:
-    """The letters of a word, read once: each an integer in 1..n."""
-    letters = list(cartan._items(word, "word"))
-    if all(type(i) is int and 0 < i <= n for i in letters):
-        return letters
-    return [cartan._check_node(i, n, "letter") for i in letters]
-
-
-def _reduce(moves, letters: list[int]) -> tuple[int, ...]:
+def _reduce(moves, letters) -> tuple[int, ...]:
     """Canonical reduced word of a sequence of valid letters, read off its
-    height vector; no matrix is built."""
-    h = [1] * len(moves)
+    height vector in one frame: h steps from all ones through the letters,
+    then the smallest right descent (the first c with h_c < 0) is stripped
+    until none is left; no matrix is built."""
+    n = len(moves)
+    h = [1] * n
     for i in letters:
         hi = h[i - 1]
         for j, a in moves[i - 1]:
             h[j] -= hi * a
-    return _canonical_word(moves, h)
+    stripped: list[int] = []
+    while True:
+        c = 0
+        while c < n and h[c] >= 0:
+            c += 1
+        if c == n:
+            return tuple(reversed(stripped))
+        hc = h[c]
+        for j, a in moves[c]:
+            h[j] -= hc * a
+        stripped.append(c + 1)
 
 
-def _element(cm: CartanMatrix, letters: list[int]) -> WeylElement:
+def _element(cm: CartanMatrix, letters) -> WeylElement:
     """Element of a sequence of valid letters, its matrix built once from
     the canonical word."""
     moves = _moves(cm)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -1158,22 +1159,42 @@ def test_word_operations_build_one_matrix_from_the_canonical_word(monkeypatch):
     assert calls == [inv.word, comp.word] == [(2, 1, 3, 1), ()]
 
 
+class _Letters(NamedTuple):
+    """A named tuple from outside the library: a word like any tuple."""
+
+    first: int
+    second: int
+
+
 @pytest.mark.parametrize(
     "make,want",
     [
         (lambda: (1, np.int64(2)), (1, 2)),
         (lambda: np.array([1, 2], dtype=np.int8), (1, 2)),
         (lambda: iter([1, 2]), (1, 2)),
+        (lambda: (1, 2, 3), (1, 2, 3)),
+        (lambda: _Letters(2, 1), (2, 1)),
         (lambda: (1, True), "letter True is not an integer"),
         (lambda: (1, 2.0), "letter 2.0 is not an integer"),
         (lambda: (1, 2, 0), "letter 0 out of range 1..3"),
         (lambda: (1, "2"), "letter '2' is not an integer"),
         (lambda: "12", "letter '1' is not an integer"),
+        # the first bad letter names the error, first, in the middle or last,
+        # from a tuple as from a list
+        (lambda: (4, 1, 0), "letter 4 out of range 1..3"),
+        (lambda: [4, 1, 0], "letter 4 out of range 1..3"),
+        (lambda: (1, 2.5, 0), "letter 2.5 is not an integer"),
+        (lambda: [1, 2.5, 0], "letter 2.5 is not an integer"),
+        (lambda: (1, 2, np.int64(9)), "letter 9 out of range 1..3"),
+        (lambda: [1, 2, np.int64(9)], "letter 9 out of range 1..3"),
+        # the library's own records are refused whole
+        (lambda: _cm("A1"), f"word {_cm('A1')!r} is not a sequence"),
     ],
 )
 def test_letter_reader_keeps_its_results_and_errors(make, want):
     """The plain-int fast path and the per-letter fallback give the words
-    and errors the per-letter check alone gave."""
+    and errors the per-letter check alone gave, and a plain tuple of valid
+    letters is read in place."""
     cm = _cm("A2affine")
     for call in (lambda: weyl.from_word(cm, make()).word, lambda: weyl.reduce_word(cm, make())):
         if isinstance(want, tuple):
@@ -1182,6 +1203,9 @@ def test_letter_reader_keeps_its_results_and_errors(make, want):
         else:
             with pytest.raises(InvalidSubsetError, match=f"^{re.escape(want)}$"):
                 call()
+    word = make()
+    if type(word) is tuple and all(type(i) is int for i in word) and isinstance(want, tuple):
+        assert weyl._letters(word, cm.size) is word
 
 
 def test_non_elements_are_rejected():
