@@ -40,6 +40,14 @@ Rows = tuple[tuple[int, ...], ...]
 # 25 nodes is ``atlas --max-rank 24``, which runs in under a second.
 MAX_NODES = 25
 
+# The one limit on a list whose length is known before it is built
+# (``_check_length``).  Its unit cost was measured on E8affine's root slice
+# at depth 1,000: 482,240 roots in 0.6-1.2 s at 190 MB peak, about 0.4 KB
+# a root, and about 600 MB for the CLI's JSON of them (2-vCPU Xeon,
+# Python 3.11.7).  So that slice still answers, and a size that would
+# take gigabytes is refused before anything is built.
+MAX_LIST_LENGTH = 500_000
+
 # Constructor ranges per series.  C2 is admitted (it is a valid matrix,
 # needed for the rank-2 affine family); classify() canonicalizes the rank-2
 # B/C isomorphism class to B2.
@@ -578,17 +586,29 @@ def _check_bound(x, what: str = "search bound") -> int:
     return value
 
 
+def _check_length(length: int, what: str) -> int:
+    """The length of a list about to be built: at most MAX_LIST_LENGTH."""
+    if length > MAX_LIST_LENGTH:
+        raise InvalidSubsetError(f"{what} would hold {length} entries, past the limit of {MAX_LIST_LENGTH}")
+    return length
+
+
 # every record class is defined in a module of this package
 _PACKAGE_PREFIX = __name__.rpartition(".")[0] + "."
 
 
-def _items(seq, what: str):
+def _items(seq, what: str, ordered: bool = True):
     """An iterator over a node list, word or vector.  A scalar is
     rejected, and so is any of the library's own records: each is a tuple
     of its fields, never a list of items.  A foreign named tuple is a
-    tuple like any other and is read as one."""
+    tuple like any other and is read as one.  A set or frozenset has no
+    order, so it is rejected too, except where ``ordered`` is false: a
+    node list is a subset."""
     kind = type(seq)
-    if kind is not tuple and issubclass(kind, tuple) and kind.__module__.startswith(_PACKAGE_PREFIX):
+    if kind is not tuple and (
+        issubclass(kind, tuple) and kind.__module__.startswith(_PACKAGE_PREFIX)
+        or ordered and issubclass(kind, (set, frozenset))
+    ):
         raise InvalidSubsetError(f"{what} {seq!r} is not a sequence")
     try:
         return iter(seq)
@@ -621,7 +641,7 @@ def _ambient(obj, kind=None, affine=None) -> CartanMatrix:
 
 def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
     """Sorted node subset; the input is read once, duplicates rejected."""
-    given = tuple(_check_node(i, cm.size) for i in _items(nodes, "node list"))
+    given = tuple(_check_node(i, cm.size) for i in _items(nodes, "node list", ordered=False))
     subset = tuple(sorted(set(given)))
     if len(subset) != len(given):
         raise InvalidSubsetError(f"duplicate nodes in {given!r}")

@@ -245,12 +245,18 @@ class AffineRootSlice(NamedTuple):
 
 
 def affine_roots(cm: CartanMatrix, depth: int) -> AffineRootSlice:
-    """Slice of the affine root system, organized by level."""
+    """Slice of the affine root system, organized by level.  Its size is
+    checked before anything is built: (2·depth + 1)·|Φ_fin| real roots and
+    2·depth isotropic ones, where |Φ_fin| = l·h for the finite rank l and
+    the Coxeter number h = ht(θ) + 1, the sum of δ's coefficients
+    (Humphreys, *Reflection Groups and Coxeter Groups* §3.18-3.20)."""
     cm = cartan._ambient(cm, affine=True)
     depth = cartan._check_bound(depth, "depth")
+    dl = delta(cm)
+    size = (2 * depth + 1) * (cm.size - 1) * sum(dl) + 2 * depth
+    cartan._check_length(size, f"root slice of depth {depth}")
     fin = _finite_part(cm)
     finite = all_roots(fin)
-    dl = delta(cm)
     real = []
     for k in range(-depth, depth + 1):
         for beta in finite:

@@ -633,6 +633,14 @@ def test_a_number_too_large_for_a_float_exits_1_wherever_it_sits(argv, code):
         assert done.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("depth", [str(10**8), str(10**18)])
+def test_a_root_slice_past_the_limit_exits_1(depth):
+    # --depth 10**8 on E8affine used to run until it was killed
+    done = _run_module("roots", "E8affine", "--depth", depth)
+    assert (done.returncode, "Traceback" in done.stderr, done.stdout) == (1, False, ""), done.stderr
+    assert done.stderr.startswith(f"error: root slice of depth {depth} would hold")
+
+
 def test_truncation_takes_complex_pairs():
     # [re, im] pairs are complex here as in every other value array
     pair = json.loads(_run_module(*MS_FLAGS, "--truncation", "[[0.5, 0.25], 0]").stdout)

@@ -7,7 +7,8 @@ check it on every way in: the constructor, ``_make``, ``_replace``,
 ``copy.copy``, ``copy.deepcopy`` and a pickle round trip.  Only the private
 ``tuple.__new__`` skips the check, so it builds the bad records below.
 Where a sequence is read, a record is refused as a whole, while a foreign
-named tuple is read as its items.
+named tuple is read as its items.  A set has no order, so it is refused
+wherever the order of the items matters, and read as a node list.
 """
 
 import collections
@@ -126,3 +127,39 @@ def test_a_foreign_named_tuple_is_read_as_its_items():
     assert criterion.functional(Triple(-3, -3, -3)) == F
     assert parabolic.parabolic_subset(CM, Pair(1, 2)) == SUBSET
     assert weyl.from_word(CM, Triple(1, 2, 1)) == weyl.from_word(CM, (1, 2, 1))
+
+
+# reader -> (what it names, a public call handed an unordered collection of
+# the items it reads in order)
+SET_AS_SEQUENCE = {
+    "from_word": ("word", lambda kind: weyl.from_word(CM, kind({3, 1}))),
+    "reduce_word": ("word", lambda kind: weyl.reduce_word(CM, kind({3, 1}))),
+    "WeylElement": ("word", lambda kind: weyl.WeylElement(CM, kind({1}), weyl.simple(CM, 1).matrix)),
+    "act": ("vector", lambda kind: weyl.act(weyl.simple(CM, 1), kind({0, 1, 2}))),
+    "dominant_integral": ("vector", lambda kind: criterion.dominant_integral(CM, kind({0, 1, 2}))),
+    "functional": ("functional values", lambda kind: criterion.functional(kind({-3.5, -1.25, -2.0}))),
+    "TruncatedPairing": ("truncation point", lambda kind: maass_selberg.TruncatedPairing(CM, 1.0, F, F, kind(POINT))),
+    "pairing_kernel": ("truncation point", lambda kind: maass_selberg.pairing_kernel(CM, 1.0, F, F, kind(POINT))),
+    "region_scan point": ("truncation point", lambda kind: maass_selberg.region_scan(CM, [F], [F], kind(POINT))),
+    "region_scan first": ("first parameter list", lambda kind: maass_selberg.region_scan(CM, kind({F}), [F], POINT)),
+    "region_scan second": ("second parameter list", lambda kind: maass_selberg.region_scan(CM, [F], kind({F}), POINT)),
+}
+
+
+@pytest.mark.parametrize("kind", [set, frozenset])
+@pytest.mark.parametrize("call", SET_AS_SEQUENCE)
+def test_a_set_is_refused_where_the_order_is_read(call, kind):
+    """A set iterates in hash order, so reading one as a word, a vector,
+    functional values, a truncation point or a parameter list would pick an
+    order silently: {3, 1} used to be the word (1, 3)."""
+    what, run = SET_AS_SEQUENCE[call]
+    with pytest.raises(InvalidSubsetError, match=rf"^{what} .* is not a sequence$"):
+        run(kind)
+
+
+@pytest.mark.parametrize("kind", [set, frozenset])
+def test_a_node_list_may_be_a_set(kind):
+    # a subset has no order, so a set of nodes reads as its sorted tuple
+    assert parabolic.parabolic_subset(CM, kind({2, 1})) == SUBSET
+    assert weyl.longest_element(CM, kind({2, 1})) == weyl.longest_element(CM, (1, 2))
+    assert roots.roots_in_span(CM, kind({2, 1})) == roots.roots_in_span(CM, (1, 2))

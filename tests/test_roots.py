@@ -526,6 +526,32 @@ def test_affine_roots_validation():
     assert roots.affine_slice_to_json(roots.affine_roots(cm, np.int8(1)))["depth"] == 1
 
 
+def test_affine_roots_refuse_a_slice_past_the_limit_before_building_it(monkeypatch):
+    # E8affine at depth 10**18 used to build roots until the machine ran out
+    calls = []
+    all_roots = roots.all_roots
+    monkeypatch.setattr(roots, "all_roots", lambda cm: calls.append(cm) or all_roots(cm))
+    message = f"^root slice of depth {10**18} would hold 482000000000000000240 entries, past the limit of 500000$"
+    with pytest.raises(InvalidSubsetError, match=message):
+        roots.affine_roots(cartan.parse_type("E8affine"), 10**18)
+    assert calls == []
+
+
+def test_affine_roots_count_the_slice_they_build(monkeypatch):
+    """The size checked before the slice is built is the size built: a
+    limit of exactly that size answers as before, one less refuses."""
+    for cm in cartan.all_types(9):
+        for depth in (0, 1, 2):
+            data = roots.affine_roots(cm, depth)
+            size = len(data.real) + len(data.imaginary)
+            monkeypatch.setattr(cartan, "MAX_LIST_LENGTH", size)
+            assert roots.affine_roots(cm, depth) == data
+            monkeypatch.setattr(cartan, "MAX_LIST_LENGTH", size - 1)
+            with pytest.raises(InvalidSubsetError, match=f"^root slice of depth {depth} would hold {size} entries"):
+                roots.affine_roots(cm, depth)
+            monkeypatch.undo()
+
+
 # --- spans ------------------------------------------------------------------
 
 
