@@ -586,11 +586,10 @@ def _check_bound(x, what: str = "search bound") -> int:
     return value
 
 
-def _check_length(length: int, what: str) -> int:
+def _check_length(length: int, what: str) -> None:
     """The length of a list about to be built: at most MAX_LIST_LENGTH."""
     if length > MAX_LIST_LENGTH:
         raise InvalidSubsetError(f"{what} would hold {length} entries, past the limit of {MAX_LIST_LENGTH}")
-    return length
 
 
 # every record class is defined in a module of this package
