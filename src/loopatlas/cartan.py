@@ -638,6 +638,15 @@ def _ambient(obj, kind=None, affine=None) -> CartanMatrix:
     return obj
 
 
+def _vector(cm: CartanMatrix, beta) -> tuple[int, ...]:
+    """An integer vector in simple-root or coroot coordinates of ``cm``,
+    read once: one integer coordinate per node."""
+    given = tuple(_items(beta, "vector"))
+    if len(given) != cm.size:
+        raise InvalidSubsetError(f"vector has {len(given)} coordinates, ambient has {cm.size}")
+    return tuple([_check_int(x, "coordinate") for x in given])
+
+
 def _check_subset(cm: CartanMatrix, nodes) -> tuple[int, ...]:
     """Sorted node subset; the input is read once, duplicates rejected."""
     given = tuple(_check_node(i, cm.size) for i in _items(nodes, "node list", ordered=False))

@@ -277,13 +277,7 @@ def extend_from_central(cm: CartanMatrix, target: Number) -> LinearFunctional:
 
 def dominant_integral(cm: CartanMatrix, values) -> bool:
     """All integer values nonnegative with at least one positive."""
-    cm = cartan._ambient(cm)
-    vals = tuple(cartan._items(values, "vector"))
-    if len(vals) != cm.size:
-        raise InvalidSubsetError(
-            f"vector has {len(vals)} values, ambient has {cm.size} coroots"
-        )
-    vals = [cartan._check_int(x, "coordinate") for x in vals]
+    vals = cartan._vector(cartan._ambient(cm), values)
     return all(x >= 0 for x in vals) and any(x > 0 for x in vals)
 
 

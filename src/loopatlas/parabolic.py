@@ -27,6 +27,7 @@ is, and its readers trust it.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from . import cartan, roots, weyl
@@ -162,24 +163,26 @@ def _certificates(
     out = []
     for removed_node in removed_nodes:
         theta = tuple(i for i in cm.nodes if i != removed_node)
-        out.append(_certificate(cm, theta, weyl._longest(cm, theta), None, null, bound, searched))
+        longest = weyl._longest(cm, theta)
+        out.append(_certificate(cm, theta, removed_node, longest, None, null, bound, searched))
     return tuple(out)
 
 
 @cartan._memo
 def _null_root(cm: CartanMatrix) -> Coords:
     """δ of an affine ambient, checked once per ambient to be fixed by
-    every generator."""
+    every generator: s_i(δ) = δ − ⟨δ, α_i^∨⟩·α_i, so that is δ·A = 0, the
+    product ``cartan._affinize`` checks."""
     null = roots.delta(cm)
-    if any(roots._reflect(cm, null, i) != null for i in cm.nodes):
+    if any(sum(map(mul, null, col)) for col in zip(*cm.entries)):
         raise LoopAtlasError("generator moved the isotropic vector")
     return null
 
 
-def _certificate(cm, theta, longest, witness, null, bound, searched) -> AssociateCertificate:
-    """Certificate of a maximal subset, given the ascent word of the longest
-    element of its group; w0_Θ·α_c is read off that word by a column walk."""
-    removed_node = next(i for i in cm.nodes if i not in theta)
+def _certificate(cm, theta, removed_node, longest, witness, null, bound, searched) -> AssociateCertificate:
+    """Certificate of the maximal subset ``theta``, which omits
+    ``removed_node``, given the ascent word of the longest element of its
+    group; w0_Θ·α_c is read off that word by a column walk."""
     return AssociateCertificate(
         ambient=cm,
         theta=theta,
@@ -236,7 +239,7 @@ def finite_self_associate(
     fixed = weyl._image(weyl._moves(cm), w0, removed_node)[removed_node - 1] == -1
     witness = weyl._element(cm, list(w0 + longest)) if fixed and len(w0) - len(longest) <= bound else None
     searched = weyl._ball_size(cm.entries, bound)
-    return _certificate(cm, theta, longest, witness, None, bound, searched)
+    return _certificate(cm, theta, removed_node, longest, witness, None, bound, searched)
 
 
 def maximal_levi_types(cm: CartanMatrix) -> tuple[LeviType, ...]:

@@ -4,48 +4,40 @@ A root is a tuple of integer coefficients over the simple roots of its
 ambient matrix.  For an affine ambient of finite rank l the tuples have
 l + 1 entries and the isotropic generator has coordinate 1 in the last
 position.  A root vector is positive exactly when every coordinate is
-nonnegative.  The positive roots of a finite matrix, or of a Levi's
-span, are built, not searched for: they are the inversion set of the
-longest element, one column walk per letter of its reduced word
-(``_positive``).
+nonnegative.  ``pairing`` and ``reflect`` read their vector as
+``weyl.act`` does, through ``cartan._vector``.  The positive roots of a
+finite matrix, or of a Levi's span, are built, not searched for: they are
+the inversion set of the longest element, one column walk per letter of
+its reduced word (``_positive``).  So this module builds on ``weyl``, and
+``weyl`` imports nothing from it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import cartan
+from . import cartan, weyl
 from .cartan import CartanMatrix
 from .errors import InvalidCartanMatrixError, InvalidSubsetError
 
 Coords = tuple[int, ...]
 
 
-# The public readers below gate their ambient; callers that already hold
-# a checked one (``parabolic``'s null-vector test) call the ungated
-# helpers and gain no frame per step.
-
-
 def pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
-    """Value of the root vector on the j-th simple coroot."""
-    return _pairing(cartan._ambient(cm), beta, j)
-
-
-def _pairing(cm: CartanMatrix, beta: Coords, j: int) -> int:
-    if len(beta) != cm.size:
-        raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {cm.size}")
+    """Value of an integer vector (``cartan._vector``) on the j-th simple
+    coroot."""
+    cm = cartan._ambient(cm)
+    beta = cartan._vector(cm, beta)
     j = cartan._check_node(j, cm.size)
-    rows = cm.entries
-    return sum(b * rows[i][j - 1] for i, b in enumerate(beta) if b)
+    return sum(b * row[j - 1] for b, row in zip(beta, cm.entries) if b)
 
 
 def reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
-    """Image of a root vector under the node-i reflection."""
-    return _reflect(cartan._ambient(cm), beta, i)
-
-
-def _reflect(cm: CartanMatrix, beta: Coords, i: int) -> Coords:
-    value = _pairing(cm, beta, i)
+    """Image of an integer vector under the node-i reflection,
+    β − ⟨β, α_i^∨⟩·α_i: computed here, not through ``weyl``, so that it
+    is an independent check of ``weyl.act``."""
+    beta = cartan._vector(cartan._ambient(cm), beta)
+    value = pairing(cm, beta, i)
     return tuple(b - value if k == i - 1 else b for k, b in enumerate(beta))
 
 
@@ -82,8 +74,6 @@ def _positive(cm: CartanMatrix, nodes: tuple[int, ...]) -> tuple[Coords, ...]:
     the positive roots there negative, one per letter of a reduced word
     (Humphreys, Reflection Groups and Coxeter Groups, §1.7 and §5.6).
     ``weyl._longest`` refuses a subset that is not of finite type."""
-    from . import weyl  # here, not at module level: weyl imports roots
-
     return weyl._inversions(weyl._moves(cm), weyl._longest(cm, nodes))
 
 

@@ -54,7 +54,7 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Iterator, NamedTuple
 
-from . import cartan, roots
+from . import cartan
 from .cartan import CartanMatrix
 from .errors import EntryOverflowError, InvalidSubsetError, LoopAtlasError, MixedAmbientError
 
@@ -109,11 +109,7 @@ def identity(cm: CartanMatrix) -> WeylElement:
 
 def act(w: WeylElement, beta: Coords) -> Coords:
     """Image of an integer vector in simple-root coordinates."""
-    cm = cartan._ambient(w, WeylElement)
-    beta = tuple(cartan._items(beta, "vector"))
-    if len(beta) != cm.size:
-        raise InvalidSubsetError(f"vector has {len(beta)} coordinates, ambient has {cm.size}")
-    beta = [cartan._check_int(x, "coordinate") for x in beta]
+    beta = cartan._vector(cartan._ambient(w, WeylElement), beta)
     return tuple(sum(row[c] * beta[c] for c in range(len(beta))) for row in w.matrix)
 
 
@@ -283,13 +279,15 @@ def _length_series(rows, bound: int) -> tuple[int, ...]:
     A finite group's series stops at its longest element, whatever the
     bound.  The components are read off the rows, so the affine flag of
     an ambient plays no part; a component of no type the library names
-    raises ClassificationError."""
+    raises ClassificationError.  After the clip, a series of more than
+    ``cartan.MAX_LIST_LENGTH`` counts is refused before it is built."""
     types = cartan._series_types(rows)
     if not any(affine for *_, affine in types):
         # clipped to N, the longest length, since every length up to N
         # occurs: so no trailing level is zero.  A series with an affine
         # factor has no zero coefficient at all.
         bound = min(bound, sum(_positive_root_count(series, rank) for series, rank, _ in types))
+    cartan._check_length(bound + 1, f"length series up to length {bound}")
     counts = [1] + [0] * bound
     for series, rank, affine in types:
         for m in _exponents(series, rank):
@@ -399,11 +397,12 @@ def _image(moves, word, c: int) -> list[int]:
 def _removed_image(cm: CartanMatrix, word: tuple[int, ...], removed: int) -> Coords:
     """w0_Θ·α_c for the ascent word of w0_Θ, Θ the nodes other than c =
     ``removed``, read by one column walk (``_image``) once per (ambient,
-    word, node); checked to keep coefficient 1 at c and to be positive."""
+    word, node); checked to keep coefficient 1 at c and to be positive,
+    which, given that 1, is no coefficient below 0."""
     image = tuple(_image(_moves(cm), word, removed))
     if image[removed - 1] != 1:
         raise LoopAtlasError("removed-root coefficient drifted from 1")
-    if not roots.is_positive(image):
+    if min(image) < 0:
         raise LoopAtlasError("image of the removed root is not positive")
     return image
 

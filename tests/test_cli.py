@@ -641,6 +641,14 @@ def test_a_root_slice_past_the_limit_exits_1(depth):
     assert done.stderr.startswith(f"error: root slice of depth {depth} would hold")
 
 
+@pytest.mark.parametrize("argv", [("associate", "A1affine", "--remove", "1"), ("atlas", "--max-rank", "1")])
+def test_a_length_series_past_the_limit_exits_1(argv):
+    # --max-length 10**18 used to end in a MemoryError traceback
+    done = _run_module(*argv, "--max-length", str(10**18))
+    assert (done.returncode, "Traceback" in done.stderr, done.stdout) == (1, False, ""), done.stderr
+    assert done.stderr.startswith(f"error: length series up to length {10**18} would hold")
+
+
 def test_truncation_takes_complex_pairs():
     # [re, im] pairs are complex here as in every other value array
     pair = json.loads(_run_module(*MS_FLAGS, "--truncation", "[[0.5, 0.25], 0]").stdout)
@@ -826,6 +834,8 @@ _API = {
     "symmetrizer": lambda cm, a, b, t, x: cartan.symmetrizer(a),
     "all_types_flag": lambda cm, a, b, t, x: cartan.all_types(3, affine=x),
     "dominant_integral": lambda cm, a, b, t, x: criterion.dominant_integral(cm, a),
+    "pairing": lambda cm, a, b, t, x: roots.pairing(cm, a, 1),
+    "reflect": lambda cm, a, b, t, x: roots.reflect(cm, a, 1),
     "maximal_certificates_non_ambient": lambda cm, a, b, t, x: parabolic.maximal_certificates(x),
     "is_self_associate_non_subset": lambda cm, a, b, t, x: parabolic.is_self_associate(x),
     "finite_self_associate_non_ambient": lambda cm, a, b, t, x: parabolic.finite_self_associate(x, 1),
@@ -944,7 +954,8 @@ _SEQUENCE_CALLS = {
     "parabolic_subset", "parabolic_subset_record", "levi_type", "longest_element",
     "ball_sizes", "functional", "functional_from_json", "godement_cuspidal_from_json", "region_scan_from_json",
     "region_scan", "pairing_kernel", "inner_product", "region_scan_lists",
-    "classify", "symmetrizer", "dominant_integral", "parse_type", "finite_cartan", "height", "is_positive",
+    "classify", "symmetrizer", "dominant_integral", "pairing", "reflect", "parse_type", "finite_cartan", "height",
+    "is_positive",
 } | _ROWS_AS_AMBIENT
 # these read JSON objects too
 _OBJECT_CALLS = {"functional_from_json", "godement_cuspidal_from_json", "region_scan_from_json"}
@@ -1128,6 +1139,20 @@ def _api_call(draw):
 @example(("region_scan_from_json", cartan.parse_type("A1affine"), [-1, -1], {"values": [-math.inf, 0]}, [0, 0], 0))
 # and a label of a non-ASCII digit raised a raw ValueError from int()
 @example(("parse_type", cartan.parse_type("A2"), "A²", [], [], 0))
+# and pairing and reflect read no vector through a gate: a generator, an int and an element
+# raised a raw TypeError, and a set, floats and a Fraction were answered
+@example(("pairing", cartan.parse_type("A2affine"), (b for b in (1, 0, 0)), [], [], 0))
+@example(("reflect", cartan.parse_type("A2affine"), (b for b in (1, 0, 0)), [], [], 0))
+@example(("pairing", cartan.parse_type("A2affine"), 5, [], [], 0))
+@example(("reflect", cartan.parse_type("A2affine"), 5, [], [], 0))
+@example(("pairing", cartan.parse_type("A2affine"), {0, 1, 2}, [], [], 0))
+@example(("reflect", cartan.parse_type("A2affine"), {0, 1, 2}, [], [], 0))
+@example(("pairing", cartan.parse_type("A2affine"), weyl.simple(cartan.parse_type("A2affine"), 1), [], [], 0))
+@example(("reflect", cartan.parse_type("A2affine"), weyl.simple(cartan.parse_type("A2affine"), 1), [], [], 0))
+@example(("reflect", cartan.parse_type("A2affine"), [1.0, 0.5, Fraction(1, 2)], [], [], 0))
+# and a length bound of 10**18 raised a bare MemoryError from the list of its counts
+@example(("ball_sizes", cartan.parse_type("A2affine"), 10**18, [], [], 0))
+@example(("maximal_certificates", cartan.parse_type("A2affine"), [], [], [], 10**18))
 def test_api_fuzz_raises_only_library_errors(call):
     """Only LoopAtlasError subclasses may escape the Python API, and the
     calls in ``_REFUSED`` must raise one."""

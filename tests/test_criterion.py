@@ -391,6 +391,11 @@ def test_linear_functional_reads_its_values_once_as_a_tuple():
     assert criterion.LinearFunctional(x for x in (-3, -3)).values == (-3, -3)
 
 
+def test_linear_functional_size_counts_its_values():
+    assert criterion.functional(x for x in (-3, 0.5, 2)).size == 3
+    assert criterion.LinearFunctional((), 1).size == 0
+
+
 @pytest.mark.parametrize(
     "obj, match",
     [

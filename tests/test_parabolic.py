@@ -359,13 +359,13 @@ def test_affine_certificates_build_no_element(monkeypatch):
 
 def test_isotropic_vector_is_checked_once_per_ambient(body_calls):
     """Call counts, not timings: a warm certificate reads δ, checked against
-    every generator, from the fact store instead of reflecting it again."""
+    every generator, from the fact store instead of checking it again."""
     cm = _cm("E8affine")
     subsets = parabolic.maximal_parabolics(cm)
     check = lambda: [parabolic.constant_term_is_trivial(p) for p in subsets]
     cartan._fact.cache_clear()
-    assert body_calls(roots._reflect, check) == cm.size
-    assert body_calls(roots._reflect, check) == 0
+    assert body_calls(parabolic._null_root, check) == 1
+    assert body_calls(parabolic._null_root, check) == 0
 
 
 @pytest.mark.parametrize("cm", cartan.all_types(9), ids=lambda cm: cm.label)
@@ -662,6 +662,15 @@ def test_nontrivial_constant_term_e7_affine():
     assert not report.trivial
     assert report.reason == "Levi type matches the subsets omitting nodes [5]"
     assert dict(report.levi_matches)[5] is True
+
+
+def test_a_self_associate_certificate_gives_a_nontrivial_constant_term():
+    # no affine certificate is self-associate, so the rule's second reason
+    # is reached through a certificate built by hand
+    cert = parabolic.is_self_associate(_omit(_cm("E6affine"), 4))._replace(self_associate=True)
+    report = parabolic.constant_term_report(cert)
+    assert (report.trivial, report.reason) == (False, "subset is self-associate")
+    assert report.certificate is cert and not any(flag for _, flag in report.levi_matches)
 
 
 def test_constant_term_search_bound_is_passed_through():

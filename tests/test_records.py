@@ -109,6 +109,8 @@ RECORD_AS_SEQUENCE = {
     "region_scan second": ("second parameter list", lambda: maass_selberg.region_scan(CM, [F], F, POINT)),
     "from_word": ("word", lambda: weyl.from_word(CM, weyl.from_word(CM, (1, 2)))),
     "parabolic_subset": ("node list", lambda: parabolic.parabolic_subset(CM, F)),
+    "pairing": ("vector", lambda: roots.pairing(CM, weyl.simple(CM, 1), 1)),
+    "reflect": ("vector", lambda: roots.reflect(CM, weyl.simple(CM, 1), 1)),
 }
 
 
@@ -137,6 +139,8 @@ SET_AS_SEQUENCE = {
     "WeylElement": ("word", lambda kind: weyl.WeylElement(CM, kind({1}), weyl.simple(CM, 1).matrix)),
     "act": ("vector", lambda kind: weyl.act(weyl.simple(CM, 1), kind({0, 1, 2}))),
     "dominant_integral": ("vector", lambda kind: criterion.dominant_integral(CM, kind({0, 1, 2}))),
+    "pairing": ("vector", lambda kind: roots.pairing(CM, kind({0, 1, 2}), 1)),
+    "reflect": ("vector", lambda kind: roots.reflect(CM, kind({0, 1, 2}), 1)),
     "functional": ("functional values", lambda kind: criterion.functional(kind({-3.5, -1.25, -2.0}))),
     "TruncatedPairing": ("truncation point", lambda kind: maass_selberg.TruncatedPairing(CM, 1.0, F, F, kind(POINT))),
     "pairing_kernel": ("truncation point", lambda kind: maass_selberg.pairing_kernel(CM, 1.0, F, F, kind(POINT))),

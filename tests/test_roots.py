@@ -195,6 +195,34 @@ def test_pairing_and_reflect_reject_missing_nodes():
     assert roots.reflect(cm, (1, 0, 0), np.int64(1)) == (-1, 0, 0)
 
 
+def test_pairing_and_reflect_read_a_vector_as_act_does():
+    """One reader for every integer vector (``cartan._vector``): a
+    generator is read once, and what ``weyl.act`` refuses they refuse with
+    its message (a generator used to raise a raw TypeError, and floats, a
+    Fraction and a set were answered)."""
+    cm = cartan.parse_type("A2affine")
+    s1 = weyl.simple(cm, 1)
+    assert roots.reflect(cm, (b for b in (1, 0, 0)), 1) == weyl.act(s1, (b for b in (1, 0, 0))) == (-1, 0, 0)
+    assert roots.pairing(cm, (b for b in (0, 1, 0)), 1) == -1
+    assert roots.reflect(cm, [np.int64(1), 0, 0], 1) == (-1, 0, 0)
+    bad = [
+        (5, "vector 5 is not a sequence"),
+        (None, "vector None is not a sequence"),
+        ({0, 1, 2}, "vector {0, 1, 2} is not a sequence"),
+        (s1, f"vector {s1!r} is not a sequence"),
+        ((1, 0), "vector has 2 coordinates, ambient has 3"),
+        ((1.0, 0, 0), "coordinate 1.0 is not an integer"),
+        ((True, 0, 0), "coordinate True is not an integer"),
+        ((Fraction(1), 0, 0), "coordinate Fraction(1, 1) is not an integer"),
+        ((math.nan, 0, 0), "coordinate nan is not an integer"),
+    ]
+    reads = (lambda b: roots.pairing(cm, b, 1), lambda b: roots.reflect(cm, b, 1), lambda b: weyl.act(s1, b))
+    for beta, message in bad:
+        for read in reads:
+            with pytest.raises(InvalidSubsetError, match=f"^{re.escape(message)}$"):
+                read(beta)
+
+
 def test_pairing_is_cartan_linear():
     cm = cartan.finite_cartan("G", 2)
     assert roots.pairing(cm, (1, 0), 2) == -1

@@ -767,6 +767,34 @@ def test_ball_sizes_have_no_depth_limit():
     assert weyl.ball_sizes(_cm("A1affine"), 40000) == (1,) + (2,) * 40000
 
 
+def test_ball_sizes_count_the_series_they_build(monkeypatch):
+    """The length checked before the series is built is the length built,
+    after a finite series is clipped at its longest element: a limit of
+    exactly that length answers as before, one less refuses."""
+    for cm in cartan.all_types(9) + cartan.all_types(9, affine=False):
+        for bound in (0, 7) if cm.is_affine else (0, 7, 10**18):
+            counts = weyl.ball_sizes(cm, bound)
+            size = len(counts)
+            monkeypatch.setattr(cartan, "MAX_LIST_LENGTH", size)
+            assert weyl.ball_sizes(cm, bound) == counts
+            monkeypatch.setattr(cartan, "MAX_LIST_LENGTH", size - 1)
+            with pytest.raises(InvalidSubsetError, match=f"^length series up to length {size - 1} would hold {size} entries"):
+                weyl.ball_sizes(cm, bound)
+            monkeypatch.undo()
+
+
+def test_a_length_bound_past_the_limit_is_refused_before_anything_is_built():
+    # 10**18 used to end in a bare MemoryError from the list of counts
+    assert len(weyl.ball_sizes(_cm("E8"), 10**18)) == 121
+    assert len(weyl.ball_sizes(_cm("A1affine"), cartan.MAX_LIST_LENGTH - 1)) == cartan.MAX_LIST_LENGTH
+    for bound in (cartan.MAX_LIST_LENGTH, 10**18):
+        refusal = f"^length series up to length {bound} would hold {bound + 1} entries, past the limit"
+        with pytest.raises(InvalidSubsetError, match=refusal):
+            weyl.ball_sizes(_cm("A1affine"), bound)
+        with pytest.raises(InvalidSubsetError, match=refusal):
+            parabolic.maximal_certificates(_cm("E8affine"), bound)
+
+
 def test_ball_sizes_reach_bounds_no_walk_could():
     """E8affine at bound 24 has a level of 4,924,393 elements; the series
     counts it without holding any."""
